@@ -149,11 +149,6 @@ def dirichlet_find(
     raise SearchExhausted(fallback_bound)
 
 
-def _screen_interval(value: ExactReal, prec: int) -> tuple[int, int]:
-    lo, hi = value._enclosure_scaled(prec)
-    return lo, hi
-
-
 def kronecker_find(
     T: ExactReal,
     Ts: Sequence[ExactReal],
@@ -178,10 +173,10 @@ def kronecker_find(
         if t.is_zero():
             raise DivisionByZero("zero T_i")
     prec = SCREEN_PRECISION
-    t_lo, t_hi = _screen_interval(T, prec)
-    d_lo, d_hi = _screen_interval(delta, prec)
-    e_lo, e_hi = _screen_interval(eps, prec)
-    ts_iv = [_screen_interval(t, prec) for t in Ts]
+    t_lo, t_hi = T._enclosure_scaled(prec)
+    d_lo, d_hi = delta._enclosure_scaled(prec)
+    e_lo, e_hi = eps._enclosure_scaled(prec)
+    ts_iv = [t._enclosure_scaled(prec) for t in Ts]
     for lo, hi in ts_iv:
         if lo <= 0 <= hi:
             raise AssertionError("enclosure failed to separate T_i from zero")
@@ -232,16 +227,6 @@ def kronecker_find(
     return NotFound(bound)
 
 
-class _ExactKey:
-    __slots__ = ("x",)
-
-    def __init__(self, x: ExactReal):
-        self.x = x
-
-    def __lt__(self, other: "_ExactKey") -> bool:
-        return (self.x - other.x).sign() < 0
-
-
 def orbit_discrepancy(alpha: ExactReal, N: int, cancel=None) -> Fraction:
     """Rigorous rational upper bound on the star discrepancy of
     {i*alpha mod 1 : i = 0..N-1}.
@@ -290,7 +275,7 @@ def orbit_discrepancy(alpha: ExactReal, N: int, cancel=None) -> Fraction:
         for i in range(N):
             v = alpha.scale(i)
             fracs.append(v - v.floor())
-        fracs.sort(key=_ExactKey)
+        fracs.sort()
         encl = [f._enclosure_scaled(prec) for f in fracs]
     best_lo = 0  # maximize (i+1)*unit - N*f_lo
     best_hi = 0  # maximize N*f_hi - i*unit

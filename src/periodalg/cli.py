@@ -99,9 +99,6 @@ def _cmd_run(args) -> int:
         return 2
     try:
         sc = parse_scenario(text, default_name=path.stem)
-    except ScenarioError as exc:
-        print(f"error: {args.file}: {exc}", file=sys.stderr)
-        return 2
     except PeriodalgError as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 2

@@ -53,6 +53,7 @@ class ParseError(PeriodalgError):
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
+        self.message = message
         self.pos = pos
 
 
@@ -61,7 +62,13 @@ class NonMonomialDivisor(PeriodalgError):
 
 
 class UnknownRadicand(PeriodalgError):
-    """An atom references a radicand absent from the domain's basis."""
+    """An atom references a radicand absent from the domain's basis.
+
+    `pos`, when the parser raised it, is the 0-based offset of the
+    atom's opening parenthesis.
+    """
+
+    pos: int | None = None
 
 
 class ShiftNotInDomain(PeriodalgError):

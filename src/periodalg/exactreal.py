@@ -485,26 +485,6 @@ def _invert_in(x: ExactReal) -> ExactReal:
 # -- module-level operation surface -------------------------------------
 
 
-def add(x: ExactReal, y: ExactReal) -> ExactReal:
-    return x + y
-
-
-def mul(x: ExactReal, y: ExactReal) -> ExactReal:
-    return x * y
-
-
-def invert(x: ExactReal) -> ExactReal:
-    return x.invert()
-
-
-def sign(x: ExactReal) -> int:
-    return x.sign()
-
-
-def floor(x: ExactReal) -> int:
-    return x.floor()
-
-
 def commensurable(x: ExactReal, y: ExactReal) -> Fraction | None:
     """Rational ratio x/y in lowest terms, or None if x/y is irrational.
 

@@ -21,6 +21,7 @@ counterexample search complements this with direct exact evaluation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -320,51 +321,56 @@ class CompositionResult:
 
 # -- parsing ---------------------------------------------------------------
 
+# One lexicon for formulas, reals and scenario files.  Whitespace and
+# `#` comments match no group; groups 1-4 are the token kinds below, and
+# group 5 catches any character the lexicon does not know.
+_TOKEN = re.compile(
+    r'\s+|#[^\n]*|(\d+)|([^\W\d]\w*)|"([^"\n]*)"|([-+*/^()\[\],=;])|(.)', re.S
+)
+_KINDS = (None, "num", "name", "str", "op")
 
-def _tokenize(text: str):
+
+def _tokenize(text: str) -> list[tuple]:
+    """(kind, value, offset) tokens, closed by ("end", "", len(text))."""
     toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        g = m.lastindex
+        if g is None:
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("num", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            toks.append(("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    toks.append(("end", "", n))
+        pos = m.start()
+        if g == 5:
+            if text[pos] == '"':
+                raise ParseError("unterminated string", pos)
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        val = m.group(g)
+        toks.append((_KINDS[g], int(val) if g == 1 else val, pos))
+    toks.append(("end", "", len(text)))
     return toks
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """Recursive descent over one token list, for reals and formulas alike.
+
+    expr := term (('+'|'-') term)*; term := factor (('*'|'/') factor)*;
+    factor := ('-'|'+') factor | primary ('^' ['-'] INT)*;
+    real primary := INT | 'sqrt' '(' INT ')' | '(' expr ')';
+    formula primary := INT | NAME | call | '(' expr ')';
+    call := ('abs1'|'recip'|'sgn') '(' ('one' | 'sqrt' '(' INT ')')
+            (('+'|'-') INT)? ')'
+
+    Powers belong to formulas only.  NAME is a key of `functions`, the
+    caller's name -> CanonicalForm mapping.  Errors carry the offset of
+    the token at fault.
+    """
+
+    def __init__(self, text: str, functions: Mapping[str, CanonicalForm]):
         self.toks = _tokenize(text)
         self.i = 0
+        self.functions = functions
+        self.domain: CoeffLattice | None = None  # None while reading a real
 
     def peek(self):
         return self.toks[self.i]
-
-    def advance(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
 
     def accept_op(self, *ops):
         kind, val, _ = self.peek()
@@ -391,29 +397,26 @@ class _Parser:
             return -self.expect_num()
         return self.expect_num()
 
+    def sqrt_arg(self) -> int:
+        self.expect_op("(")
+        d = self.expect_num()
+        self.expect_op(")")
+        return d
+
     def done(self):
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError("unexpected trailing input", pos)
 
+    def real_expr(self) -> ExactReal:
+        self.domain = None
+        return self.expr()
 
-class _FormParser(_Parser):
-    """expr := term (('+'|'-') term)*; term := factor (('*'|'/') factor)*;
-    factor := ('-'|'+') factor | primary ('^' int)*;
-    primary := INT | call | '(' expr ')';
-    call := ('abs1'|'recip'|'sgn') '(' ('one' | 'sqrt' '(' INT ')')
-            (('+'|'-') INT)? ')'"""
-
-    def __init__(self, text: str, domain: CoeffLattice):
-        super().__init__(text)
+    def form_expr(self, domain: CoeffLattice) -> CanonicalForm:
         self.domain = domain
+        return self.expr()
 
-    def parse(self) -> CanonicalForm:
-        v = self.expr()
-        self.done()
-        return v
-
-    def expr(self) -> CanonicalForm:
+    def expr(self):
         v = self.term()
         while True:
             op = self.accept_op("+", "-")
@@ -422,42 +425,61 @@ class _FormParser(_Parser):
             rhs = self.term()
             v = v + rhs if op == "+" else v - rhs
 
-    def term(self) -> CanonicalForm:
+    def term(self):
         v = self.factor()
         while True:
             op = self.accept_op("*", "/")
             if not op:
                 return v
             rhs = self.factor()
-            v = v * rhs if op == "*" else v / rhs
+            if op == "/":
+                v = v / rhs
+            elif self.domain is None:
+                v = _real_mul(v, rhs)
+            else:
+                v = v * rhs
 
-    def factor(self) -> CanonicalForm:
+    def factor(self):
         if self.accept_op("-"):
             return -self.factor()
         if self.accept_op("+"):
             return self.factor()
         v = self.primary()
-        while self.accept_op("^"):
-            v = v ** self.signed_num()
+        if self.domain is not None:
+            while self.accept_op("^"):
+                v = v ** self.signed_num()
         return v
 
-    def primary(self) -> CanonicalForm:
+    def primary(self):
         kind, val, pos = self.peek()
         if kind == "num":
             self.i += 1
+            if self.domain is None:
+                return ExactReal.rational(val)
             return CanonicalForm.constant(val, self.domain)
-        if kind == "name":
-            if val in (ABS1, "recip", SGN):
-                self.i += 1
-                return self.call(val, pos)
-            raise ParseError(f"unknown function {val!r}", pos)
         if self.accept_op("("):
             v = self.expr()
             self.expect_op(")")
             return v
-        raise ParseError("expected a term", pos)
+        if self.domain is None:
+            if kind == "name" and val == "sqrt":
+                self.i += 1
+                d = self.sqrt_arg()
+                if d <= 0:
+                    raise ParseError("sqrt needs a positive integer", pos)
+                return ExactReal.sqrt(d)
+            raise ParseError("expected a number or sqrt(...)", pos)
+        if kind == "name":
+            self.i += 1
+            if val in self.functions:
+                return self.functions[val]
+            if val in (ABS1, "recip", SGN):
+                return self.call(val)
+            raise ParseError(f"unknown function {val!r}", pos)
+        raise ParseError("expected a formula term", pos)
 
-    def call(self, name: str, pos: int) -> CanonicalForm:
+    def call(self, name: str) -> CanonicalForm:
+        pos = self.peek()[2]
         self.expect_op("(")
         kind, val, apos = self.peek()
         if kind == "name" and val == "one":
@@ -465,9 +487,7 @@ class _FormParser(_Parser):
             d = 1
         elif kind == "name" and val == "sqrt":
             self.i += 1
-            self.expect_op("(")
-            d = self.expect_num()
-            self.expect_op(")")
+            d = self.sqrt_arg()
         else:
             raise ParseError("expected 'one' or 'sqrt(<int>)'", apos)
         s = 0
@@ -478,9 +498,9 @@ class _FormParser(_Parser):
         self.expect_op(")")
         basis = self.domain.basis
         if basis is None or d not in basis:
-            raise UnknownRadicand(
-                f"sqrt({d}) is not a coordinate of the domain basis"
-            )
+            err = UnknownRadicand(f"sqrt({d}) is not a coordinate of the domain basis")
+            err.pos = pos
+            raise err
         if name == SGN:
             mono = Monomial([(Atom(SGN, d, 0), 1)])
             coeff = Fraction(-1 if s % 2 else 1)
@@ -489,59 +509,6 @@ class _FormParser(_Parser):
             mono = Monomial([(Atom(ABS1, d, s), exp)])
             coeff = Fraction(1)
         return CanonicalForm(self.domain, {mono: coeff})
-
-
-class _RealParser(_Parser):
-    """Same infix grammar over rational literals and sqrt(<int>)."""
-
-    def parse(self) -> ExactReal:
-        v = self.expr()
-        self.done()
-        return v
-
-    def expr(self) -> ExactReal:
-        v = self.term()
-        while True:
-            op = self.accept_op("+", "-")
-            if not op:
-                return v
-            rhs = self.term()
-            v = v + rhs if op == "+" else v - rhs
-
-    def term(self) -> ExactReal:
-        v = self.factor()
-        while True:
-            op = self.accept_op("*", "/")
-            if not op:
-                return v
-            rhs = self.factor()
-            v = _real_mul(v, rhs) if op == "*" else v / rhs
-
-    def factor(self) -> ExactReal:
-        if self.accept_op("-"):
-            return -self.factor()
-        if self.accept_op("+"):
-            return self.factor()
-        return self.primary()
-
-    def primary(self) -> ExactReal:
-        kind, val, pos = self.peek()
-        if kind == "num":
-            self.i += 1
-            return ExactReal.rational(val)
-        if kind == "name" and val == "sqrt":
-            self.i += 1
-            self.expect_op("(")
-            n = self.expect_num()
-            self.expect_op(")")
-            if n <= 0:
-                raise ParseError("sqrt needs a positive integer", pos)
-            return ExactReal.sqrt(n)
-        if self.accept_op("("):
-            v = self.expr()
-            self.expect_op(")")
-            return v
-        raise ParseError("expected a number or sqrt(...)", pos)
 
 
 def _real_mul(x: ExactReal, y: ExactReal) -> ExactReal:
@@ -553,23 +520,21 @@ def _real_mul(x: ExactReal, y: ExactReal) -> ExactReal:
 
 def parse(expr: str, domain: CoeffLattice) -> CanonicalForm:
     """Parse a formula over the domain's coordinates into canonical form."""
-    return _FormParser(expr, domain).parse()
+    p = _Parser(expr, {})
+    f = p.form_expr(domain)
+    p.done()
+    return f
 
 
 def parse_real(text: str) -> ExactReal:
     """Parse exact-real text like `1 + 2*sqrt(3) - (1/2)*sqrt(5)`."""
-    return _RealParser(text).parse()
+    p = _Parser(text, {})
+    x = p.real_expr()
+    p.done()
+    return x
 
 
 # -- operations --------------------------------------------------------------
-
-
-def add(f: CanonicalForm, g: CanonicalForm) -> CanonicalForm:
-    return f + g
-
-
-def mul(f: CanonicalForm, g: CanonicalForm) -> CanonicalForm:
-    return f * g
 
 
 def shift(f: CanonicalForm, s: Sequence[int]) -> CanonicalForm:

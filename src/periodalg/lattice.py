@@ -181,15 +181,6 @@ class CoeffLattice:
         return CoeffLattice(gens, basis=basis)
 
 
-def hnf(
-    generators: Iterable[Sequence[int]],
-    basis: RadicalBasis | None = None,
-    dim: int | None = None,
-) -> CoeffLattice:
-    """Canonicalize a generator list into a CoeffLattice."""
-    return CoeffLattice(generators, basis=basis, dim=dim)
-
-
 def member(lat: CoeffLattice, v: Sequence[int]) -> bool:
     """Exact membership by forward elimination against the HNF rows."""
     k = lat.dim

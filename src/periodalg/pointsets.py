@@ -19,6 +19,7 @@ possibilities), and symmetric-difference measure is an endpoint sweep.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import EmptyPattern, FullLine, ModulusMismatch
@@ -133,7 +134,7 @@ def rotate(pattern: IntervalPattern, alpha: RealLike) -> IntervalPattern:
         else:
             pieces.append((a2, L))
             pieces.append((zero, b2 - L))
-    pieces.sort(key=_SortKey)
+    pieces.sort(key=itemgetter(0))
     # seam point of the result comes from the preimage of 0
     w = L - step
     new_wrap = any((w - a).sign() > 0 and (b - w).sign() > 0 for a, b in pattern.intervals)
@@ -144,18 +145,6 @@ def rotate(pattern: IntervalPattern, alpha: RealLike) -> IntervalPattern:
                 pieces[i : i + 2] = [(pieces[i][0], pieces[i + 1][1])]
                 break
     return IntervalPattern(L, pieces, wrap_point=new_wrap)
-
-
-class _SortKey:
-    """Orders interval tuples by exact left endpoint."""
-
-    __slots__ = ("iv",)
-
-    def __init__(self, iv: tuple[ExactReal, ExactReal]):
-        self.iv = iv
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        return (self.iv[0] - other.iv[0]).sign() < 0
 
 
 def is_invariant(pattern: IntervalPattern, t: RealLike) -> bool:
@@ -193,21 +182,11 @@ def fundamental_period(pattern: IntervalPattern) -> ExactReal:
             d = L.scale(Fraction(1, j))
             if not any(d == c for c in candidates):
                 candidates.append(d)
-    candidates.sort(key=_ValueKey)
+    candidates.sort()
     for t in candidates:
         if is_invariant(pattern, t):
             return t
     raise AssertionError("modulus itself must be invariant")
-
-
-class _ValueKey:
-    __slots__ = ("x",)
-
-    def __init__(self, x: ExactReal):
-        self.x = x
-
-    def __lt__(self, other: "_ValueKey") -> bool:
-        return (self.x - other.x).sign() < 0
 
 
 def symdiff_measure(p: IntervalPattern, q: IntervalPattern) -> ExactReal:
@@ -222,7 +201,7 @@ def symdiff_measure(p: IntervalPattern, q: IntervalPattern) -> ExactReal:
     events = [ExactReal.rational(0), p.modulus]
     for pat in (p, q):
         events.extend(pat.endpoints())
-    events.sort(key=_ValueKey)
+    events.sort()
     distinct: list[ExactReal] = []
     for e in events:
         if not distinct or distinct[-1] != e:

@@ -32,13 +32,15 @@ from .errors import (
     AnalysisError,
     NonIntegralShift,
     NotFound,
+    ParseError,
     ScenarioError,
     ScenarioNameError,
     ScenarioSyntaxError,
     ShiftNotInDomain,
+    UnknownRadicand,
 )
 from .exactreal import ExactReal, RadicalBasis
-from .funcalg import CanonicalForm, _real_mul
+from .funcalg import CanonicalForm
 from .lattice import CoeffLattice, Discrete
 from .pointsets import IntervalPattern
 
@@ -64,72 +66,6 @@ _RESERVED = {
 } | set(ANALYSIS_KINDS)
 
 
-# -- tokens ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # num | name | str | op | end
-    value: Any
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i = 0
-    line = 1
-    start = 0  # offset of current line start
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            start = i
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        col = i - start + 1
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("num", int(text[i:j]), line, col))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", text[i:j], line, col))
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ScenarioSyntaxError("unterminated string", line, col)
-                j += 1
-            if j >= n:
-                raise ScenarioSyntaxError("unterminated string", line, col)
-            toks.append(_Tok("str", text[i + 1 : j], line, col))
-            i = j + 1
-            continue
-        if ch in "+-*/^()[],=;":
-            toks.append(_Tok("op", ch, line, col))
-            i += 1
-            continue
-        raise ScenarioSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("end", "", line, n - start + 1))
-    return toks
-
-
 # -- parsed objects ----------------------------------------------------------
 
 
@@ -150,42 +86,32 @@ class Scenario:
     analyses: list[Analysis] = field(default_factory=list)
 
 
-class _ScenarioParser:
+_STATEMENTS = ("scenario", "basis", "domain", "function", "pattern", "analyze")
+
+
+class _ScenarioParser(funcalg._Parser):
+    """Statements on top of funcalg's tokens and real/formula grammar.
+
+    Every syntax error is raised as a ParseError at a token offset;
+    parse_scenario turns it into a line and column.
+    """
+
     def __init__(self, text: str, default_name: str):
-        self.toks = _tokenize(text)
-        self.i = 0
         self.sc = Scenario(name=default_name)
+        super().__init__(text, self.sc.functions)
+        self.text = text
 
     # token helpers
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def fail(self, message: str, tok=None):
+        raise ParseError(message, (tok or self.peek())[2])
 
-    def advance(self) -> _Tok:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, message: str, tok: _Tok | None = None):
-        tok = tok or self.peek()
-        raise ScenarioSyntaxError(message, tok.line, tok.col)
-
-    def accept_op(self, *ops):
-        tok = self.peek()
-        if tok.kind == "op" and tok.value in ops:
-            self.i += 1
-            return tok.value
-        return None
-
-    def expect_op(self, op: str):
-        tok = self.peek()
-        if tok.kind != "op" or tok.value != op:
-            self.fail(f"expected {op!r}")
-        self.i += 1
+    def line(self, tok) -> int:
+        return self.text.count("\n", 0, tok[2]) + 1
 
     def accept_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "name" and tok.value == word:
+        kind, val, _ = self.peek()
+        if kind == "name" and val == word:
             self.i += 1
             return True
         return False
@@ -195,23 +121,11 @@ class _ScenarioParser:
             self.fail(f"expected keyword {word!r}")
 
     def expect_name(self) -> str:
-        tok = self.peek()
-        if tok.kind != "name":
+        kind, val, _ = self.peek()
+        if kind != "name":
             self.fail("expected a name")
         self.i += 1
-        return tok.value
-
-    def expect_num(self) -> int:
-        tok = self.peek()
-        if tok.kind != "num":
-            self.fail("expected an integer")
-        self.i += 1
-        return tok.value
-
-    def expect_int(self) -> int:
-        if self.accept_op("-"):
-            return -self.expect_num()
-        return self.expect_num()
+        return val
 
     def fresh_name(self) -> str:
         name = self.expect_name()
@@ -222,174 +136,40 @@ class _ScenarioParser:
                 raise ScenarioNameError(f"{name!r} is already bound")
         return name
 
-    def lookup(self, space: dict, what: str) -> Any:
+    def lookup(self, space: dict, what: str) -> tuple[str, Any]:
         tok = self.peek()
         name = self.expect_name()
         if name not in space:
             raise ScenarioNameError(
-                f"unknown {what} {name!r} at line {tok.line}"
+                f"unknown {what} {name!r} at line {self.line(tok)}"
             )
-        return space[name]
-
-    # real expressions (same grammar as the funcalg text format)
-
-    def real_expr(self) -> ExactReal:
-        v = self.real_term()
-        while True:
-            op = self.accept_op("+", "-")
-            if not op:
-                return v
-            rhs = self.real_term()
-            v = v + rhs if op == "+" else v - rhs
-
-    def real_term(self) -> ExactReal:
-        v = self.real_factor()
-        while True:
-            op = self.accept_op("*", "/")
-            if not op:
-                return v
-            rhs = self.real_factor()
-            v = _real_mul(v, rhs) if op == "*" else v / rhs
-
-    def real_factor(self) -> ExactReal:
-        if self.accept_op("-"):
-            return -self.real_factor()
-        if self.accept_op("+"):
-            return self.real_factor()
-        tok = self.peek()
-        if tok.kind == "num":
-            self.i += 1
-            return ExactReal.rational(tok.value)
-        if tok.kind == "name" and tok.value == "sqrt":
-            self.i += 1
-            self.expect_op("(")
-            d = self.expect_num()
-            self.expect_op(")")
-            if d <= 0:
-                self.fail("sqrt needs a positive integer", tok)
-            return ExactReal.sqrt(d)
-        if self.accept_op("("):
-            v = self.real_expr()
-            self.expect_op(")")
-            return v
-        self.fail("expected a number or sqrt(...)")
-
-    # formula expressions (funcalg grammar plus function references)
-
-    def form_expr(self, domain: CoeffLattice) -> CanonicalForm:
-        v = self.form_term(domain)
-        while True:
-            op = self.accept_op("+", "-")
-            if not op:
-                return v
-            rhs = self.form_term(domain)
-            v = v + rhs if op == "+" else v - rhs
-
-    def form_term(self, domain: CoeffLattice) -> CanonicalForm:
-        v = self.form_factor(domain)
-        while True:
-            op = self.accept_op("*", "/")
-            if not op:
-                return v
-            rhs = self.form_factor(domain)
-            v = v * rhs if op == "*" else v / rhs
-
-    def form_factor(self, domain: CoeffLattice) -> CanonicalForm:
-        if self.accept_op("-"):
-            return -self.form_factor(domain)
-        if self.accept_op("+"):
-            return self.form_factor(domain)
-        v = self.form_primary(domain)
-        while self.accept_op("^"):
-            v = v ** self.expect_int()
-        return v
-
-    def form_primary(self, domain: CoeffLattice) -> CanonicalForm:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.i += 1
-            return CanonicalForm.constant(tok.value, domain)
-        if tok.kind == "name":
-            if tok.value in self.sc.functions:
-                self.i += 1
-                return self.sc.functions[tok.value]
-            if tok.value in ("abs1", "recip", "sgn"):
-                self.i += 1
-                return self.form_atom(tok.value, domain)
-            self.fail(f"unknown function {tok.value!r}", tok)
-        if self.accept_op("("):
-            v = self.form_expr(domain)
-            self.expect_op(")")
-            return v
-        self.fail("expected a formula term")
-
-    def form_atom(self, name: str, domain: CoeffLattice) -> CanonicalForm:
-        tok = self.peek()
-        self.expect_op("(")
-        if self.accept_keyword("one"):
-            d = 1
-        elif self.accept_keyword("sqrt"):
-            self.expect_op("(")
-            d = self.expect_num()
-            self.expect_op(")")
-        else:
-            self.fail("expected 'one' or 'sqrt(<int>)'")
-        s = 0
-        if self.accept_op("+"):
-            s = self.expect_num()
-        elif self.accept_op("-"):
-            s = -self.expect_num()
-        self.expect_op(")")
-        basis = domain.basis
-        if basis is None or d not in basis:
-            self.fail(f"sqrt({d}) is not a coordinate of the domain basis", tok)
-        if name == "sgn":
-            mono = funcalg.Monomial([(funcalg.Atom(funcalg.SGN, d, 0), 1)])
-            coeff = Fraction(-1 if s % 2 else 1)
-        else:
-            exp = 1 if name == "abs1" else -1
-            mono = funcalg.Monomial([(funcalg.Atom(funcalg.ABS1, d, s), exp)])
-            coeff = Fraction(1)
-        return CanonicalForm(domain, {mono: coeff})
+        return name, space[name]
 
     # statements
 
     def parse(self) -> Scenario:
         first = True
-        while self.peek().kind != "end":
+        while self.peek()[0] != "end":
             tok = self.peek()
-            if tok.kind != "name":
+            kind, word, _ = tok
+            if kind != "name":
                 self.fail("expected a statement keyword")
-            word = tok.value
-            if word == "scenario":
-                if not first:
-                    self.fail("'scenario' must be the first statement", tok)
-                self.i += 1
-                name_tok = self.peek()
-                if name_tok.kind != "str":
-                    self.fail("expected a quoted scenario name")
-                self.i += 1
-                self.sc.name = name_tok.value
-            elif word == "basis":
-                self.i += 1
-                self.stmt_basis()
-            elif word == "domain":
-                self.i += 1
-                self.stmt_domain()
-            elif word == "function":
-                self.i += 1
-                self.stmt_function()
-            elif word == "pattern":
-                self.i += 1
-                self.stmt_pattern()
-            elif word == "analyze":
-                self.i += 1
-                self.stmt_analyze(tok)
-            else:
+            if word == "scenario" and not first:
+                self.fail("'scenario' must be the first statement", tok)
+            if word not in _STATEMENTS:
                 self.fail(f"unknown statement {word!r}", tok)
+            self.i += 1
+            getattr(self, f"stmt_{word}")()
             self.expect_op(";")
             first = False
         return self.sc
+
+    def stmt_scenario(self):
+        kind, val, _ = self.peek()
+        if kind != "str":
+            self.fail("expected a quoted scenario name")
+        self.i += 1
+        self.sc.name = val
 
     def parse_basis_literal(self) -> RadicalBasis:
         self.expect_keyword("basis")
@@ -397,13 +177,11 @@ class _ScenarioParser:
         rads = []
         while True:
             tok = self.peek()
-            if tok.kind == "num":
+            if tok[0] == "num":
                 self.i += 1
-                rads.append(tok.value)
+                rads.append(tok[1])
             elif self.accept_keyword("sqrt"):
-                self.expect_op("(")
-                rads.append(self.expect_num())
-                self.expect_op(")")
+                rads.append(self.sqrt_arg())
             else:
                 self.fail("expected 1 or sqrt(<int>)")
             if not self.accept_op(","):
@@ -427,9 +205,9 @@ class _ScenarioParser:
         vectors = []
         while True:
             self.expect_op("(")
-            vec = [self.expect_int()]
+            vec = [self.signed_num()]
             while self.accept_op(","):
-                vec.append(self.expect_int())
+                vec.append(self.signed_num())
             self.expect_op(")")
             vectors.append(tuple(vec))
             if not self.accept_op(","):
@@ -437,10 +215,10 @@ class _ScenarioParser:
         self.expect_op("]")
         self.expect_keyword("over")
         tok = self.peek()
-        if tok.kind == "name" and tok.value == "basis":
+        if tok[:2] == ("name", "basis"):
             basis = self.parse_basis_literal()
         else:
-            basis = self.lookup(self.sc.bases, "basis")
+            _, basis = self.lookup(self.sc.bases, "basis")
         for vec in vectors:
             if len(vec) != len(basis):
                 self.fail(
@@ -457,28 +235,28 @@ class _ScenarioParser:
         domain = None
         depth = 0
         for j in range(self.i, len(self.toks)):
-            tok = self.toks[j]
-            if tok.kind == "op" and tok.value in "([":
+            kind, val, _ = self.toks[j]
+            if kind == "op" and val in "([":
                 depth += 1
-            elif tok.kind == "op" and tok.value in ")]":
+            elif kind == "op" and val in ")]":
                 depth -= 1
-            elif tok.kind == "op" and tok.value == ";" and depth == 0:
+            elif kind == "op" and val == ";" and depth == 0:
                 break
-            elif tok.kind == "name" and tok.value == "on" and depth == 0:
+            elif kind == "name" and val == "on" and depth == 0:
                 ref = self.toks[j + 1]
-                if ref.kind != "name" or ref.value not in self.sc.domains:
+                if ref[0] != "name" or ref[1] not in self.sc.domains:
                     raise ScenarioNameError(
-                        f"unknown domain after 'on' at line {ref.line}"
+                        f"unknown domain after 'on' at line {self.line(ref)}"
                     )
-                domain = self.sc.domains[ref.value]
+                domain = self.sc.domains[ref[1]]
                 break
         if domain is None:
             for j in range(self.i, len(self.toks)):
-                tok = self.toks[j]
-                if tok.kind == "op" and tok.value == ";":
+                kind, val, _ = self.toks[j]
+                if kind == "op" and val == ";":
                     break
-                if tok.kind == "name" and tok.value in self.sc.functions:
-                    domain = self.sc.functions[tok.value].domain
+                if kind == "name" and val in self.sc.functions:
+                    domain = self.sc.functions[val].domain
                     break
         if domain is None:
             self.fail("the formula needs 'on <domain>' or a function reference")
@@ -509,20 +287,14 @@ class _ScenarioParser:
         except ValueError as exc:
             self.fail(str(exc), tok)
 
-    def named_function(self) -> tuple[str, CanonicalForm]:
-        tok = self.peek()
-        name = self.expect_name()
-        if name not in self.sc.functions:
-            raise ScenarioNameError(f"unknown function {name!r} at line {tok.line}")
-        return name, self.sc.functions[name]
-
-    def stmt_analyze(self, tok: _Tok):
+    def stmt_analyze(self):
+        tok = self.toks[self.i - 1]  # the 'analyze' keyword
         kind = self.expect_name()
         if kind not in ANALYSIS_KINDS:
             self.fail(f"unknown analysis kind {kind!r}", tok)
         args: dict[str, Any] = {}
         if kind == "period_module":
-            args["name"], args["function"] = self.named_function()
+            args["name"], args["function"] = self.lookup(self.sc.functions, "function")
         elif kind == "commensurable":
             args["x"] = self.real_expr()
             self.expect_op(",")
@@ -540,18 +312,13 @@ class _ScenarioParser:
             name2 = self.expect_name()
             for nm, tk in ((name1, tok1), (name2, tok2)):
                 if nm not in self.sc.domains:
-                    raise ScenarioNameError(f"unknown domain {nm!r} at line {tk.line}")
+                    raise ScenarioNameError(
+                        f"unknown domain {nm!r} at line {self.line(tk)}"
+                    )
             args["names"] = (name1, name2)
             args["domains"] = (self.sc.domains[name1], self.sc.domains[name2])
         elif kind == "fundamental_period":
-            tokp = self.peek()
-            namep = self.expect_name()
-            if namep not in self.sc.patterns:
-                raise ScenarioNameError(
-                    f"unknown pattern {namep!r} at line {tokp.line}"
-                )
-            args["name"] = namep
-            args["pattern"] = self.sc.patterns[namep]
+            args["name"], args["pattern"] = self.lookup(self.sc.patterns, "pattern")
         elif kind == "dirichlet":
             args["T1"] = self.real_expr()
             self.expect_op(",")
@@ -587,15 +354,21 @@ class _ScenarioParser:
             self.expect_keyword("l")
             args["L"] = self.real_expr()
         elif kind == "counterexample":
-            args["name"], args["function"] = self.named_function()
+            args["name"], args["function"] = self.lookup(self.sc.functions, "function")
             self.expect_keyword("shift")
             args["shift"] = self.real_expr()
             args["bound"] = self.expect_num() if self.accept_keyword("bound") else None
-        self.sc.analyses.append(Analysis(kind=kind, args=args, line=tok.line))
+        self.sc.analyses.append(Analysis(kind=kind, args=args, line=self.line(tok)))
 
 
 def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
-    return _ScenarioParser(text, default_name).parse()
+    try:
+        return _ScenarioParser(text, default_name).parse()
+    except (ParseError, UnknownRadicand) as exc:
+        line = text.count("\n", 0, exc.pos) + 1
+        col = exc.pos - text.rfind("\n", 0, exc.pos)
+        message = exc.message if isinstance(exc, ParseError) else str(exc)
+        raise ScenarioSyntaxError(message, line, col) from None
 
 
 # -- execution ---------------------------------------------------------------

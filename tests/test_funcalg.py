@@ -28,6 +28,7 @@ from periodalg.funcalg import (
     evaluate,
     find_counterexample,
     parse,
+    parse_real,
     period_module,
     shift,
     shift_difference,
@@ -82,6 +83,10 @@ def test_parse_errors():
         parse("1 / (abs1(one) + abs1(sqrt(2)))", dom)
     with pytest.raises(DivisionByZero):
         parse("abs1(one) / (abs1(sqrt(2)) - abs1(sqrt(2)))", dom)
+    for text, pos in (("1 + $", 4), ("2 + sqrt(0)", 4), ("1 + 2 3", 6)):
+        with pytest.raises(ParseError) as err:
+            parse_real(text)
+        assert err.value.pos == pos
 
 
 def test_text_round_trip_random():

@@ -45,6 +45,20 @@ def test_parse_positions_in_syntax_errors():
     with pytest.raises(ScenarioSyntaxError):
         parse_scenario('scenario "unterminated;\n')
 
+    head = (
+        'scenario "x";\nbasis B = basis(1, sqrt(2));\n'
+        "domain D = lattice[(1,0), (0,1)] over B;\n"
+    )
+    for text, line, col in (
+        (head + "function f = abs1(sqrt(5)) on D;\n", 4, 18),  # at the atom's (
+        ('scenario "x";\nanalyze cfrac sqrt(0);\n', 2, 15),
+        ('scenario "x";\npattern P mod 1 = (0, 1/ );\n', 2, 26),
+        ('scenario "x";\nbasis B = basis(1)', 2, 19),  # final ; missing
+    ):
+        with pytest.raises(ScenarioSyntaxError) as err:
+            parse_scenario(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
 
 def test_name_resolution_errors():
     with pytest.raises(ScenarioNameError):
