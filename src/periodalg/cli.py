@@ -326,6 +326,3 @@ _INVARIANTS = [
     ("approx discrepancy bound", _check_discrepancy),
 ]
 
-
-if __name__ == "__main__":
-    sys.exit(main())

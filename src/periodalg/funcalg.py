@@ -16,7 +16,8 @@ Because a shift strictly translates every abs1 tag and flips signs by
 parity, formal invariance under a shift is decidable, and the full
 module of formal periods is an explicit lattice: zero on every abs1
 coordinate, even parity on each term's sgn support.  The bounded
-counterexample search complements this with direct exact evaluation.
+counterexample search decides formal periods from that canonical
+difference and otherwise scans a box with direct exact evaluation.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     NotFound,
     NotInDomain,
     ParseError,
+    PeriodalgError,
     ShiftNotInDomain,
     UnknownRadicand,
 )
@@ -360,7 +362,8 @@ class _Parser:
 
     Powers belong to formulas only.  NAME is a key of `functions`, the
     caller's name -> CanonicalForm mapping.  Errors carry the offset of
-    the token at fault.
+    the token at fault; a value that fails to combine (a division by
+    zero, a non-monomial divisor) gets its operator's offset as `pos`.
     """
 
     def __init__(self, text: str, functions: Mapping[str, CanonicalForm]):
@@ -428,16 +431,21 @@ class _Parser:
     def term(self):
         v = self.factor()
         while True:
+            pos = self.peek()[2]
             op = self.accept_op("*", "/")
             if not op:
                 return v
             rhs = self.factor()
-            if op == "/":
-                v = v / rhs
-            elif self.domain is None:
-                v = _real_mul(v, rhs)
-            else:
-                v = v * rhs
+            try:
+                if op == "/":
+                    v = v / rhs
+                elif self.domain is None:
+                    v = _real_mul(v, rhs)
+                else:
+                    v = v * rhs
+            except PeriodalgError as exc:
+                exc.pos = pos
+                raise
 
     def factor(self):
         if self.accept_op("-"):
@@ -446,8 +454,16 @@ class _Parser:
             return self.factor()
         v = self.primary()
         if self.domain is not None:
-            while self.accept_op("^"):
-                v = v ** self.signed_num()
+            while True:
+                pos = self.peek()[2]
+                if not self.accept_op("^"):
+                    break
+                n = self.signed_num()
+                try:
+                    v = v ** n
+                except PeriodalgError as exc:
+                    exc.pos = pos
+                    raise
         return v
 
     def primary(self):
@@ -715,35 +731,33 @@ def find_counterexample(
 ) -> tuple[int, ...] | NotFound:
     """Bounded exact refutation of "T is a period of f".
 
-    Enumerates lattice points x = sum(a_i * h_i) over the domain's HNF
-    rows with every a_i in 0, 1, -1, ..., bound, -bound (so witnesses
-    near the origin surface first) and returns the first x where
-    f(x + T) != f(x), by exact rational evaluation.  A shift that leaves
-    the domain lattice itself breaks D + T = D, witnessed at the origin.
+    A shift that leaves the domain lattice breaks D + T = D, witnessed
+    at the origin.  Otherwise the canonical difference f(x + T) - f(x)
+    is built once; when it is identically zero, T is a formal period
+    (shifting is exact and D + T = D), so no point can witness and the
+    result is NotFound(bound) without evaluating any.  Else the compiled
+    difference is evaluated at lattice points x = sum(a_i * h_i) over
+    the domain's HNF rows with every a_i in 0, 1, -1, ..., bound, -bound
+    (the last coefficient fastest, so witnesses near the origin surface
+    first), and the first x where it is nonzero is returned.
     """
     s = _shift_vector(T, f.domain)
-    if not member(f.domain, s):
+    try:
+        diff = shift(f, s) - f
+    except ShiftNotInDomain:
         return tuple([0] * len(s))
-    rows = f.domain.hnf
-    if not rows:
+    if diff.is_zero():
         return NotFound(bound)
-    ev = _compile(f)
+    ev = _compile(diff)
+    rows = f.domain.hnf
     k = len(s)
-    r = len(rows)
-    vals = _axis_values(bound)
-    for a in product(vals, repeat=r):
+    for a in product(_axis_values(bound), repeat=len(rows)):
         x = [0] * k
         for ai, row in zip(a, rows):
             if ai:
                 for j in range(k):
                     x[j] += ai * row[j]
-        pn, pd = ev(x)
-        for j in range(k):
-            x[j] += s[j]
-        qn, qd = ev(x)
-        if pn * qd != qn * pd:
-            for j in range(k):
-                x[j] -= s[j]
+        if ev(x)[0]:
             return tuple(x)
     return NotFound(bound)
 

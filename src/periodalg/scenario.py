@@ -33,11 +33,11 @@ from .errors import (
     NonIntegralShift,
     NotFound,
     ParseError,
+    PeriodalgError,
     ScenarioError,
     ScenarioNameError,
     ScenarioSyntaxError,
     ShiftNotInDomain,
-    UnknownRadicand,
 )
 from .exactreal import ExactReal, RadicalBasis
 from .funcalg import CanonicalForm
@@ -73,7 +73,6 @@ _RESERVED = {
 class Analysis:
     kind: str
     args: dict[str, Any]
-    line: int
 
 
 @dataclass
@@ -92,8 +91,11 @@ _STATEMENTS = ("scenario", "basis", "domain", "function", "pattern", "analyze")
 class _ScenarioParser(funcalg._Parser):
     """Statements on top of funcalg's tokens and real/formula grammar.
 
-    Every syntax error is raised as a ParseError at a token offset;
-    parse_scenario turns it into a line and column.
+    Every syntax error is raised as a ParseError at a token offset, and
+    so is a value that fails while a statement is read (a division by
+    zero, a non-monomial divisor): at the offset the grammar attached
+    to the error, else at the statement keyword.  parse_scenario turns
+    the offset into a line and column.
     """
 
     def __init__(self, text: str, default_name: str):
@@ -159,7 +161,15 @@ class _ScenarioParser(funcalg._Parser):
             if word not in _STATEMENTS:
                 self.fail(f"unknown statement {word!r}", tok)
             self.i += 1
-            getattr(self, f"stmt_{word}")()
+            try:
+                getattr(self, f"stmt_{word}")()
+            except (ParseError, ScenarioError):
+                raise
+            except PeriodalgError as exc:
+                pos = getattr(exc, "pos", None)
+                if pos is None:
+                    pos = tok[2]
+                raise ParseError(str(exc), pos) from None
             self.expect_op(";")
             first = False
         return self.sc
@@ -358,17 +368,16 @@ class _ScenarioParser(funcalg._Parser):
             self.expect_keyword("shift")
             args["shift"] = self.real_expr()
             args["bound"] = self.expect_num() if self.accept_keyword("bound") else None
-        self.sc.analyses.append(Analysis(kind=kind, args=args, line=self.line(tok)))
+        self.sc.analyses.append(Analysis(kind=kind, args=args))
 
 
 def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
     try:
         return _ScenarioParser(text, default_name).parse()
-    except (ParseError, UnknownRadicand) as exc:
+    except ParseError as exc:
         line = text.count("\n", 0, exc.pos) + 1
         col = exc.pos - text.rfind("\n", 0, exc.pos)
-        message = exc.message if isinstance(exc, ParseError) else str(exc)
-        raise ScenarioSyntaxError(message, line, col) from None
+        raise ScenarioSyntaxError(exc.message, line, col) from None
 
 
 # -- execution ---------------------------------------------------------------

@@ -8,6 +8,8 @@ discrepancy is recomputed from the textbook formula.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -76,6 +78,27 @@ def box_points(bound: int, dim: int):
     for rest in box_points(bound, dim - 1):
         for x in range(-bound, bound + 1):
             yield (x,) + rest
+
+
+def first_box_witness(value, rows, shift, bound: int):
+    """First x with value(x + shift) != value(x) in the search box, or None.
+
+    The box is every x = sum(a_i * rows[i]) with each a_i in 0, 1, -1,
+    ..., bound, -bound, enumerated with the last coefficient fastest:
+    the order the library promises for its counterexample search.
+    `value` is an independent evaluator such as py_formula_evaluator;
+    it is memoized, since x + shift is usually a box point met nearby.
+    """
+    value = functools.lru_cache(maxsize=1 << 14)(value)
+    steps = [0]
+    for a in range(1, bound + 1):
+        steps += [a, -a]
+    k = len(shift)
+    for coeffs in itertools.product(steps, repeat=len(rows)):
+        x = tuple(sum(a * row[j] for a, row in zip(coeffs, rows)) for j in range(k))
+        if value(x) != value(tuple(a + b for a, b in zip(x, shift))):
+            return x
+    return None
 
 
 def common_points_by_box(l1: CoeffLattice, l2: CoeffLattice, bound: int):

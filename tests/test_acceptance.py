@@ -42,7 +42,6 @@ from periodalg.lattice import (
     Discrete,
     classify_group,
     intersect,
-    member,
 )
 from periodalg.pointsets import (
     IntervalPattern,
@@ -54,6 +53,7 @@ from periodalg.pointsets import (
 
 from oracles import (
     box_points,
+    first_box_witness,
     py_formula_evaluator,
     random_basis,
     random_formula_text,
@@ -286,8 +286,10 @@ def test_oracle_equivalence_suites():
     with criterion("randomized oracle equivalence", 120.0):
         rng = random.Random(9107)
 
-        # counterexample search: soundness of every witness, absence
-        # certified formally or by brute enumeration
+        # counterexample search: every result agrees with the independent
+        # box scan, which re-checks the formal periods the library decides
+        # without scanning (in a smaller box in dim 3) and pins the
+        # enumeration order by matching each first witness
         dim3_period_cases = 0
         for _ in range(500):
             basis = random_basis(rng, rng.choice([1, 1, 2]))
@@ -297,33 +299,31 @@ def test_oracle_equivalence_suites():
             oracle = py_formula_evaluator(text, basis.radicands)
             use_period = rng.random() < 0.3
             rows = period_module(f).as_lattice.hnf if use_period else ()
-            if use_period and rows and (dom.dim < 3 or dim3_period_cases < 40):
+            period_case = (
+                use_period and rows and (dom.dim < 3 or dim3_period_cases < 40)
+            )
+            if period_case:
                 if dom.dim == 3:
                     dim3_period_cases += 1
                 vec = rng.choice(rows)
-                T = dom.to_real(vec)
-                assert shift_difference(f, T).is_zero()
-                got = find_counterexample(f, T, bound=25)
-                assert got == NotFound(25)
             else:
                 vec = tuple(rng.randint(-3, 3) for _ in range(dom.dim))
                 if not any(vec):
                     vec = (1,) + vec[1:]
-                T = dom.to_real(vec)
-                got = find_counterexample(f, T, bound=25)
-                if isinstance(got, NotFound):
-                    if not shift_difference(f, T).is_zero():
-                        # genuinely no witness inside the box; confirm
-                        # with the independent evaluator
-                        for v in box_points(25, dom.dim):
-                            moved = tuple(a + b for a, b in zip(v, vec))
-                            assert oracle(v) == oracle(moved)
-                else:
-                    assert member(dom, got)
-                    assert max(abs(c) for c in got) <= 25
-                    moved = tuple(a + b for a, b in zip(got, vec))
-                    assert evaluate(f, got) != evaluate(f, moved)
-                    assert oracle(got) != oracle(moved)
+            T = dom.to_real(vec)
+            formal = shift_difference(f, T).is_zero()
+            assert formal or not period_case
+            got = find_counterexample(f, T, bound=25)
+            box = 6 if formal and dom.dim == 3 else 25
+            expected = first_box_witness(oracle, dom.hnf, vec, box)
+            if isinstance(got, NotFound):
+                assert got == NotFound(25)
+                assert expected is None
+            else:
+                assert not formal
+                assert got == expected
+                moved = tuple(a + b for a, b in zip(got, vec))
+                assert evaluate(f, got) != evaluate(f, moved)
 
         # lattice intersection against rational elimination on a box
         for _ in range(100):

@@ -7,11 +7,13 @@ through the library's grammar or canonicalization.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from periodalg import funcalg
 from periodalg.errors import (
     DivisionByZero,
     NonIntegralShift,
@@ -35,7 +37,12 @@ from periodalg.funcalg import (
 )
 from periodalg.lattice import CoeffLattice, member
 
-from oracles import py_formula_evaluator, random_basis, random_formula_text
+from oracles import (
+    first_box_witness,
+    py_formula_evaluator,
+    random_basis,
+    random_formula_text,
+)
 
 
 def full_domain(*radicands: int) -> CoeffLattice:
@@ -277,6 +284,51 @@ def test_counterexample_respects_sublattice_domain():
     vec = (1, 0, 0)
     moved = tuple(a + b for a, b in zip(got, vec))
     assert evaluate(f, got) != evaluate(f, moved)
+
+
+def test_counterexample_decides_formal_period_without_scanning(monkeypatch):
+    dom = full_domain(1, 2, 3)
+    f = parse("sgn(sqrt(3)) * recip(sqrt(2)) + abs1(one)", dom)
+    T = ExactReal.sqrt(3, dom.basis).scale(2)
+
+    def no_scan(form):
+        raise AssertionError("a formal period needs no box point evaluated")
+
+    monkeypatch.setattr(funcalg, "_compile", no_scan)
+    assert find_counterexample(f, T, bound=10**6) == NotFound(10**6)
+
+
+def test_counterexample_first_witness_on_sublattice_matches_oracle():
+    # differences that vanish at the origin, so the first witness lies
+    # deeper in the box and pins the enumeration order over HNF rows
+    dom = CoeffLattice([(1, 1, 0), (0, 2, 1), (0, 0, 3)], basis=RadicalBasis([2, 3]))
+    assert dom.hnf == ((1, 1, 0), (0, 2, 1), (0, 0, 3))
+    away_from_origin = 0
+    for text in ("recip(one) - recip(sqrt(2))", "abs1(sqrt(2)) - abs1(sqrt(3)+1)"):
+        f = parse(text, dom)
+        oracle = py_formula_evaluator(text, dom.basis.radicands)
+        for coeffs in itertools.product((0, 1, -1), repeat=3):
+            vec = tuple(
+                sum(a * row[j] for a, row in zip(coeffs, dom.hnf)) for j in range(3)
+            )
+            got = find_counterexample(f, dom.to_real(vec), bound=4)
+            expected = first_box_witness(oracle, dom.hnf, vec, 4)
+            assert got == (NotFound(4) if expected is None else expected)
+            away_from_origin += expected is not None and any(expected)
+    assert away_from_origin >= 10
+
+
+def test_counterexample_shift_outside_domain_is_origin_even_if_formal():
+    # an even sqrt(2) shift leaves the formula formally unchanged, but
+    # (0, 2, 0) is not in the domain, so the domain itself is not
+    # invariant and the origin witnesses it
+    text = "sgn(sqrt(2)) + 3"
+    full = parse(text, full_domain(1, 2, 3))
+    assert shift_difference(full, ExactReal.sqrt(2).scale(2)).is_zero()
+    dom = CoeffLattice([(1, 0, 0), (0, 4, 0), (0, 0, 1)], basis=RadicalBasis([2, 3]))
+    assert not member(dom, (0, 2, 0))
+    T = ExactReal.sqrt(2, dom.basis).scale(2)
+    assert find_counterexample(parse(text, dom), T, bound=10**6) == (0, 0, 0)
 
 
 def test_evaluate_outside_domain():

@@ -60,6 +60,34 @@ def test_parse_positions_in_syntax_errors():
         assert (err.value.line, err.value.col) == (line, col)
 
 
+def test_value_errors_while_parsing_have_positions(tmp_path, capsys):
+    # values are computed while a statement is read; a failing one is
+    # reported at its operator, like a syntax error
+    head = (
+        'scenario "x";\nbasis B = basis(1, sqrt(2));\n'
+        "domain D = lattice[(1,0), (0,1)] over B;\n"
+    )
+    for text, line, col, message in (
+        ('scenario "x";\nanalyze cfrac 1/0;\n', 2, 16, "invert of zero element"),
+        (
+            head + "function f = 1/(abs1(one)+abs1(sqrt(2))) on D;\n",
+            4, 15, "divisor has 2 terms",
+        ),
+        (
+            head + "function g = (abs1(one)+sgn(one))^-2 on D;\n",
+            4, 34, "divisor has 2 terms",
+        ),
+    ):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert message in str(err.value)
+        path = tmp_path / "z.scn"
+        path.write_text(text)
+        assert cli.main(["run", str(path)]) == 2
+        assert f"line {line}, col {col}: {message}" in capsys.readouterr().err
+
+
 def test_name_resolution_errors():
     with pytest.raises(ScenarioNameError):
         parse_scenario('scenario "x";\nanalyze period_module nope;\n')
