@@ -8,6 +8,9 @@ irrational ratio), and `kronecker_find` produces a simultaneous
 approximation q*T - p_i*T_i close to a prescribed displacement.  Both
 verify their witnesses by exact sign tests before returning; fast
 screening uses rigorous integer interval enclosures, never floats.
+Neither has an iteration or precision cap: the Dirichlet walk ends
+because convergent errors shrink to zero, and the Kronecker screen
+refines only until each T_i has a certain sign.
 
 `orbit_discrepancy` measures how evenly the rotation orbit {i*alpha}
 fills the unit interval, returning a rigorous rational upper bound on
@@ -18,15 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
-from .errors import (
-    Cancelled,
-    CommensurableInput,
-    DivisionByZero,
-    NotFound,
-    SearchExhausted,
-)
+from .errors import Cancelled, CommensurableInput, DivisionByZero, NotFound
 from .exactreal import ExactReal, commensurable
 
 SCREEN_PRECISION = 192
@@ -51,34 +49,39 @@ class ContinuedFraction:
     terminated: bool
 
 
+def _convergents(x: ExactReal) -> Iterator[tuple[int, int, int]]:
+    """Yield (a_n, p_n, q_n) for n = 0, 1, ... by exact floor and invert.
+
+    Lazy: the remainder is inverted only when the next quotient is
+    asked for.  Ends after p_n/q_n == x, which happens only for a
+    rational x; for an irrational x the stream never ends.
+    """
+    p, p_prev = 1, 0
+    q, q_prev = 0, 1
+    r = x
+    while True:
+        a = r.floor()
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        yield a, p, q
+        r = r - a
+        if r.is_zero():
+            return
+        r = r.invert()
+
+
 def continued_fraction(x: ExactReal, depth: int) -> ContinuedFraction:
     """First `depth` quotients of x by exact floor-and-invert steps."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    quotients: list[int] = []
-    convergents: list[tuple[int, int]] = []
-    p_prev, p_prev2 = 1, 0
-    q_prev, q_prev2 = 0, 1
-    r = x
-    terminated = False
-    for _ in range(depth):
-        a = r.floor()
-        quotients.append(a)
-        p = a * p_prev + p_prev2
-        q = a * q_prev + q_prev2
-        convergents.append((p, q))
-        p_prev, p_prev2 = p, p_prev
-        q_prev, q_prev2 = q, q_prev
-        rem = r - a
-        if rem.is_zero():
-            terminated = True
-            break
-        r = rem.invert()
+    steps = list(islice(_convergents(x), depth))
+    convergents = tuple((p, q) for _, p, q in steps)
     return ContinuedFraction(
         x=x,
-        quotients=tuple(quotients),
-        convergents=tuple(convergents),
-        terminated=terminated,
+        quotients=tuple(a for a, _, _ in steps),
+        convergents=convergents,
+        # the stream ends exactly when a convergent equals x
+        terminated=x.is_rational() and x.as_rational() == Fraction(*convergents[-1]),
     )
 
 
@@ -92,18 +95,18 @@ def dirichlet_find(
     T2: ExactReal,
     target: ExactReal,
     eps: ExactReal,
-    max_depth: int = 200,
-    fallback_bound: int = 2000,
     cancel=None,
 ) -> tuple[int, int]:
     """Integers (m, n) with |m*T1 + n*T2 - target| < eps, exactly verified.
 
-    Normalize by T1: with theta = T2/T1 irrational, the convergents of
-    theta give eta = q*theta - p as small as desired; k copies of eta
-    land within |eta|/2 of any prescribed value, so m = -k*p, n = k*q
-    works once |eta| < eps/|T1|.  The returned witness is re-checked by
-    exact sign tests; a bounded brute-force fallback guards the
-    construction but is unreachable for irrational ratios.
+    Normalize by T1: theta = T2/T1 is irrational, and its convergents
+    p/q give eta = q*theta - p with |eta| < 1/q_next, where the
+    denominators grow at least like the Fibonacci numbers, so the walk
+    reaches |eta| < eps/|T1| after finitely many steps.  At the first
+    such convergent, k = round(target/(T1*eta)) copies of eta land
+    within |eta|/2 of target/T1, so m = -k*p, n = k*q is a witness.  It
+    is re-checked by exact sign tests; a failed re-check is an internal
+    error, not a reason to search.
     """
     if eps.sign() <= 0:
         raise ValueError("eps must be positive")
@@ -114,39 +117,16 @@ def dirichlet_find(
     theta = T2 / T1
     tau = target / T1
     delta = abs(eps / T1)
-
-    def verified(m: int, n: int) -> bool:
-        u = T1.scale(m) + T2.scale(n) - target
-        return _abs_less(u, eps)
-
-    r = theta
-    p_prev, p_prev2 = 1, 0
-    q_prev, q_prev2 = 0, 1
-    for _ in range(max_depth):
+    # theta is irrational, so the convergents never run out
+    for _, p, q in _convergents(theta):
         _check_cancel(cancel)
-        a = r.floor()
-        p = a * p_prev + p_prev2
-        q = a * q_prev + q_prev2
-        p_prev, p_prev2 = p, p_prev
-        q_prev, q_prev2 = q, q_prev
         eta = theta.scale(q) - ExactReal.rational(p)
-        if eta.is_zero():  # cannot happen for irrational theta
-            break
         if _abs_less(eta, delta):
             k = ((tau / eta) + Fraction(1, 2)).floor()
             m, n = -k * p, k * q
-            if verified(m, n):
-                return m, n
-            break
-        r = (r - a).invert()
-    # defensive fallback; the constructive route above always succeeds
-    for size in range(fallback_bound + 1):
-        _check_cancel(cancel)
-        for m in range(-size, size + 1):
-            for n in (-size, size) if abs(m) != size else range(-size, size + 1):
-                if verified(m, n):
-                    return m, n
-    raise SearchExhausted(fallback_bound)
+            if not _abs_less(T1.scale(m) + T2.scale(n) - target, eps):
+                raise AssertionError(f"witness ({m}, {n}) failed its exact re-check")
+            return m, n
 
 
 def kronecker_find(
@@ -160,10 +140,12 @@ def kronecker_find(
     """Least q in 1..bound with |q*T - p_i*T_i - delta| < eps for all i.
 
     Each p_i is the nearest integer to (q*T - delta)/T_i.  The q loop
-    screens with rigorous integer enclosures (definite misses are
-    skipped wholesale); any candidate that survives is re-derived and
-    verified with exact field arithmetic, so a returned witness is
-    certain and no true witness is ever skipped.
+    screens with integer enclosures scaled by 2^prec, where prec starts
+    at SCREEN_PRECISION and doubles until every T_i enclosure excludes
+    zero.  A q is skipped only when, for some i, no integer p at all
+    puts p*|T_i| in the enclosure of [q*T - delta - eps, q*T - delta +
+    eps]; every other q is decided with exact field arithmetic.  So a
+    returned witness is certain and no true witness is ever skipped.
     """
     if eps.sign() <= 0:
         raise ValueError("eps must be positive")
@@ -173,13 +155,15 @@ def kronecker_find(
         if t.is_zero():
             raise DivisionByZero("zero T_i")
     prec = SCREEN_PRECISION
+    while True:
+        ts_iv = [t._enclosure_scaled(prec) for t in Ts]
+        if all(lo > 0 or hi < 0 for lo, hi in ts_iv):
+            break
+        prec *= 2
+    ts_iv = [(lo, hi) if lo > 0 else (-hi, -lo) for lo, hi in ts_iv]
     t_lo, t_hi = T._enclosure_scaled(prec)
     d_lo, d_hi = delta._enclosure_scaled(prec)
-    e_lo, e_hi = eps._enclosure_scaled(prec)
-    ts_iv = [t._enclosure_scaled(prec) for t in Ts]
-    for lo, hi in ts_iv:
-        if lo <= 0 <= hi:
-            raise AssertionError("enclosure failed to separate T_i from zero")
+    e_hi = eps._enclosure_scaled(prec)[1]
 
     def exact_witness(q: int) -> list[int] | None:
         qt = T.scale(q)
@@ -196,34 +180,17 @@ def kronecker_find(
     for q in range(1, bound + 1):
         if q % 8192 == 0:
             _check_cancel(cancel)
-        n_lo = q * t_lo - d_hi
-        n_hi = q * t_hi - d_lo
-        definite_fail = False
-        ambiguous = False
+        # a witness p has p*|T_i| in [a, b], scaled by 2^prec; skip q
+        # when for some T_i no integer p can
+        a = q * t_lo - d_hi - e_hi
+        b = q * t_hi - d_lo + e_hi
         for lo, hi in ts_iv:
-            y_mid = Fraction(n_lo + n_hi, lo + hi)
-            p = (2 * y_mid.numerator + y_mid.denominator) // (2 * y_mid.denominator)
-            if p >= 0:
-                pt_lo, pt_hi = p * lo, p * hi
-            else:
-                pt_lo, pt_hi = p * hi, p * lo
-            r_lo = n_lo - pt_hi
-            r_hi = n_hi - pt_lo
-            if r_lo >= e_hi or r_hi <= -e_hi:
-                definite_fail = True
+            if max(b // lo, b // hi) < min(-(-a // lo), -(-a // hi)):
                 break
-            if not (r_hi < e_lo and r_lo > -e_lo):
-                ambiguous = True
-        if definite_fail:
-            continue
-        ps = exact_witness(q)
-        if ps is not None:
-            return q, ps
-        if not ambiguous:
-            # screen said definite pass but exact check disagreed: the
-            # screen's rounded p differed from the exact nearest at a
-            # tie; exact_witness already handled it, so just move on
-            continue
+        else:
+            ps = exact_witness(q)
+            if ps is not None:
+                return q, ps
     return NotFound(bound)
 
 

@@ -1,4 +1,12 @@
-"""Exception types and shared result flags used across the package."""
+"""Exception types and shared result flags used across the package.
+
+Every error names something about the input or the caller: a malformed
+text, a value outside a domain, a zero divisor, a cancelled search.
+None of them stands for an internal precision or iteration cap: exact
+signs and floors refine until they are decided, and `dirichlet_find`
+walks convergents until one is close enough.  A search bounded by the
+caller that finds nothing returns `NotFound` instead of raising.
+"""
 
 from dataclasses import dataclass
 
@@ -18,23 +26,12 @@ class PeriodalgError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class IncompatibleBasis(PeriodalgError):
-    """Radicand sets cannot be merged into one radical basis."""
-
-
 class BasisNotClosed(PeriodalgError):
     """A product of radicands falls outside the basis; extend it first."""
 
 
 class DivisionByZero(PeriodalgError, ZeroDivisionError):
     """Inversion or division of an exactly-zero element."""
-
-
-class PrecisionExhausted(PeriodalgError):
-    """Adaptive interval refinement hit the precision cap.
-
-    Cannot occur for nonzero elements of moderate height; guards misuse.
-    """
 
 
 class DimensionMismatch(PeriodalgError):
@@ -96,15 +93,11 @@ class EmptyPattern(PeriodalgError):
 
 
 class CommensurableInput(PeriodalgError):
-    """Density search requires incommensurable generators."""
+    """Density search requires incommensurable generators.
 
-
-class SearchExhausted(PeriodalgError):
-    """A bounded fallback search hit its bound without a witness."""
-
-    def __init__(self, bound: int):
-        super().__init__(f"search exhausted at bound {bound}")
-        self.bound = bound
+    With a rational ratio T1*Z + T2*Z is discrete, so no witness exists
+    for a small enough eps.
+    """
 
 
 class Cancelled(PeriodalgError):
@@ -116,6 +109,11 @@ class ScenarioError(PeriodalgError):
 
 
 class ScenarioSyntaxError(ScenarioError):
+    """Malformed scenario text, or a value that fails while it is read.
+
+    `line` and `col` are 1-based and point at the offending token.
+    """
+
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line

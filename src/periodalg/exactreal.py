@@ -16,17 +16,11 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Mapping, Union
 
-from .errors import (
-    BasisNotClosed,
-    DivisionByZero,
-    IncompatibleBasis,
-    PrecisionExhausted,
-)
+from .errors import BasisNotClosed, DivisionByZero
 
 RationalLike = Union[int, Fraction]
 
 INITIAL_PRECISION = 64
-PRECISION_CAP = 4096
 
 
 def _squarefree_part(n: int) -> int:
@@ -99,10 +93,7 @@ class RadicalBasis:
     def merge(self, other: "RadicalBasis") -> "RadicalBasis":
         if self == other:
             return self
-        try:
-            return RadicalBasis(self.radicands + other.radicands)
-        except ValueError as exc:  # defensive; valid bases always merge
-            raise IncompatibleBasis(str(exc)) from exc
+        return RadicalBasis(self.radicands + other.radicands)
 
     def closure(self) -> "RadicalBasis":
         """Smallest basis containing this one and closed under products."""
@@ -272,9 +263,10 @@ class ExactReal:
         """-1, 0, or +1; exact.
 
         Zero is decided structurally (all coordinates zero).  Otherwise a
-        dyadic enclosure is refined, doubling precision from 64 up to a
-        4096-bit cap, until it excludes zero.  The cap is unreachable for
-        nonzero elements of sane height and exists to guard misuse.
+        dyadic enclosure is refined, doubling precision from 64 bits,
+        until it excludes zero.  This terminates with no cap: a nonzero
+        value is a fixed distance from zero, and the enclosure width
+        halves with every extra bit.
         """
         if not self.coords:
             return 0
@@ -282,14 +274,13 @@ class ExactReal:
             c = self.coords[1]
             return -1 if c < 0 else 1
         prec = INITIAL_PRECISION
-        while prec <= PRECISION_CAP:
+        while True:
             lo, hi = self._enclosure_scaled(prec)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
             prec *= 2
-        raise PrecisionExhausted(f"sign of {self!r} undecided at {PRECISION_CAP} bits")
 
     def _enclosure_scaled(self, prec: int) -> tuple[int, int]:
         """Integers (lo, hi) with lo <= value * 2^prec <= hi."""
@@ -322,21 +313,21 @@ class ExactReal:
         """Unique n with n <= x < n+1; exact.
 
         Rational values floor directly; irrational values refine the
-        dyadic enclosure until it contains no integer (an irrational is
-        never an integer, so this terminates).
+        dyadic enclosure, doubling precision from 64 bits, until both
+        ends have the same floor.  This terminates with no cap: an
+        irrational is never an integer, so it is a fixed distance from
+        the nearest one, and the enclosure width halves with every
+        extra bit.
         """
         if self.is_rational():
             c = self.coords.get(1, Fraction(0))
             return c.numerator // c.denominator
         prec = INITIAL_PRECISION
-        while prec <= PRECISION_CAP:
+        while True:
             lo, hi = self._enclosure_scaled(prec)
-            flo = lo >> prec
-            fhi = hi >> prec
-            if flo == fhi:
-                return flo
+            if lo >> prec == hi >> prec:
+                return lo >> prec
             prec *= 2
-        raise PrecisionExhausted(f"floor of {self!r} undecided at {PRECISION_CAP} bits")
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)

@@ -120,17 +120,6 @@ class Monomial:
     def __repr__(self) -> str:
         return f"Monomial({self.text() or '1'})"
 
-    def evaluate(self, coords: Sequence[int], index: Mapping[int, int]) -> Fraction:
-        val = Fraction(1)
-        for atom, e in self.factors:
-            x = coords[index[atom.radicand]]
-            if atom.kind == SGN:
-                if x % 2:
-                    val = -val
-            else:
-                val *= Fraction(abs(x + atom.shift) + 1) ** e
-        return val
-
 
 _ONE = Monomial()
 
@@ -767,8 +756,7 @@ def evaluate(f: CanonicalForm, v: Sequence[int]) -> Fraction:
     v = tuple(int(x) for x in v)
     if not member(f.domain, v):
         raise NotInDomain(f"{list(v)} is not in the domain lattice")
-    index = {d: i for i, d in enumerate(f.domain.basis.radicands)}
-    return sum((c * m.evaluate(v, index) for m, c in f._ordered), Fraction(0))
+    return Fraction(*_compile(f)(v))
 
 
 def composition_check(slope: ExactReal, T: ExactReal, L: ExactReal) -> CompositionResult:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -33,15 +34,34 @@ def solve_membership(gens: list[tuple[int, ...]], v: tuple[int, ...]) -> bool:
     """Is v an integer combination of gens?  Rational elimination oracle.
 
     Row-reduce the system c * G = v over Q; v is a member exactly when
-    the system is consistent and some solution is integral.  Because G
-    has full row rank after pruning (we only feed independent rows from
-    tests), consistency plus integrality of the unique solution decides.
+    the system is consistent and its unique solution is integral.  The
+    elimination depends only on G, so it runs once per generator list
+    (see _eliminate) and each v costs one integer matrix product.
     """
-    # column equations: sum_j c_j * G[j][i] = v[i]
     k = len(v)
+    rank, scale, ops = _eliminate(tuple(map(tuple, gens)), k)
+    w = [sum(e * x for e, x in zip(row, v)) for row in ops]
+    # rows past the rank must vanish (consistency); the first `rank`
+    # entries are scale * (the pivot coefficients), which must be integers
+    return not any(w[rank:]) and all(x % scale == 0 for x in w[:rank])
+
+
+@functools.lru_cache(maxsize=64)
+def _eliminate(gens: tuple[tuple[int, ...], ...], k: int):
+    """Gauss-Jordan reduction of the k x m matrix with columns gens.
+
+    Returns (rank, scale, ops): `ops` is the k x k integer matrix of row
+    operations times the common denominator `scale`, so that for any v,
+    ops * v / scale is the reduced right-hand side.
+    """
+    # column equations: sum_j c_j * G[j][i] = v[i]; the identity block
+    # on the right records the row operations applied to v
     m = len(gens)
-    aug = [[Fraction(gens[j][i]) for j in range(m)] + [Fraction(v[i])] for i in range(k)]
-    pivot_cols: list[int] = []
+    aug = [
+        [Fraction(gens[j][i]) for j in range(m)]
+        + [Fraction(int(i == c)) for c in range(k)]
+        for i in range(k)
+    ]
     r = 0
     for col in range(m):
         piv = next((i for i in range(r, k) if aug[i][col] != 0), None)
@@ -54,19 +74,14 @@ def solve_membership(gens: list[tuple[int, ...]], v: tuple[int, ...]) -> bool:
             if i != r and aug[i][col] != 0:
                 f = aug[i][col]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(col)
         r += 1
-    for i in range(r, k):
-        if aug[i][m] != 0:
-            return False  # inconsistent
-    sol = [Fraction(0)] * m
-    for row, col in enumerate(pivot_cols):
-        sol[col] = aug[row][m]
-    # non-pivot coefficients are free; integrality of the pivot part is
-    # enough only when the free part cannot repair a fractional pivot,
-    # so restrict the oracle to full-column-rank inputs
-    assert len(pivot_cols) == m, "oracle needs independent generators"
-    return all(s.denominator == 1 for s in sol)
+    # a non-pivot coefficient is free and could repair a fractional
+    # pivot, so integrality of one solution decides membership only for
+    # full-column-rank inputs; pivots then sit in rows 0..m-1 in order
+    assert r == m, "oracle needs independent generators"
+    ops = [row[m:] for row in aug]
+    scale = math.lcm(*(x.denominator for row in ops for x in row))
+    return r, scale, tuple(tuple(int(x * scale) for x in row) for row in ops)
 
 
 def box_points(bound: int, dim: int):

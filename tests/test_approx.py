@@ -145,6 +145,13 @@ def test_dirichlet_frozen_witness():
     err = one.scale(m) + s2.scale(n) - s3
     assert abs_less(err, eps)
     assert abs(float(mp_value(err))) < 1e-4
+    # eps this small needs more than 200 convergents of sqrt(2)
+    for digits in (80, 100):
+        eps = ExactReal.rational(Fraction(1, 10**digits))
+        m, n = dirichlet_find(one, s2, s3, eps)
+        assert abs_less(one.scale(m) + s2.scale(n) - s3, eps)
+        with mp.workdps(len(str(m)) + digits + 50):
+            assert abs(m + n * mp.sqrt(2) - mp.sqrt(3)) < mp.mpf(10) ** -digits
 
 
 def test_dirichlet_random_instances():
@@ -251,6 +258,30 @@ def test_kronecker_least_q_matches_float_scan():
                 assert brute is None
             else:
                 assert got[0] == brute
+
+    # T_1 = a - b*sqrt(2) for the 81st convergent a/b of sqrt(2), about
+    # -1e-31: 192-bit enclosures cannot tell its sign, and eps is far
+    # below |T_1|/2, so only one p per q can fit
+    a, b = 1, 1
+    for _ in range(80):
+        a, b = a + 2 * b, a + b
+    t1 = ExactReal.rational(a) - ExactReal.sqrt(2).scale(b)
+    delta = ExactReal.rational(Fraction(1, 3))
+    eps = ExactReal.rational(Fraction(1, 10**33))
+    with mp.workdps(150):
+        t1_f = a - b * mp.sqrt(2)
+        brute = None
+        for q in range(1, 2001):
+            y = (q * mp.sqrt(3) - mp.mpf(1) / 3) / t1_f
+            if abs(y - mp.nint(y)) * abs(t1_f) < mp.mpf(10) ** -33:
+                brute = q
+                break
+    assert brute is not None
+    got = kronecker_find(ExactReal.sqrt(3), [t1], delta, eps, bound=2000)
+    assert got[0] == brute
+    assert abs_less(ExactReal.sqrt(3).scale(brute) - t1.scale(got[1][0]) - delta, eps)
+    got = kronecker_find(ExactReal.sqrt(3), [t1], delta, eps, bound=brute - 1)
+    assert got == NotFound(brute - 1)
 
 
 def test_discrepancy_rational_orbits_exact():

@@ -73,6 +73,16 @@ def test_known_floor_and_sign():
     lhs = ExactReal.sqrt(2) + ExactReal.sqrt(3)
     rhs = ExactReal.sqrt(5) + ExactReal.rational(1)
     assert (lhs - rhs).sign() == -1
+    # p - q*sqrt(2) = 1/(p + q*sqrt(2)) for the 1800th convergent p/q of
+    # sqrt(2): q has 2288 bits, so the value is about 2^-2290 and needs
+    # enclosures above 4096 bits
+    p, q = 1, 1
+    for _ in range(1799):
+        p, q = p + 2 * q, p + q
+    tiny = ExactReal.rational(p) - ExactReal.sqrt(2).scale(q)
+    assert tiny.sign() == 1
+    assert tiny.floor() == 0
+    assert (-tiny).floor() == -1
 
 
 def test_arithmetic_matches_mpmath():

@@ -127,6 +127,19 @@ def test_wrap_pattern_and_fundamental_period():
     assert parse_real(res["exact"]["period"]) == ExactReal.rational(2)
 
 
+def test_cfrac_of_a_value_below_2_to_the_minus_2000():
+    # x = p - q*sqrt(2) = 1/(p + q*sqrt(2)) for the 1800th convergent p/q
+    # of sqrt(2); then 1/x = 2p - x, 1/(1 - x) = 1 + x/(1 - x) and
+    # (1 - x)/x = 2p - 1 - x, so the quotients are 0, 2p-1, 1, 2p-2, 1
+    p, q = 1, 1
+    for _ in range(1799):
+        p, q = p + 2 * q, p + q
+    text = f'scenario "tiny";\nanalyze cfrac {p} - {q}*sqrt(2) depth 5;\n'
+    res = run_scenario(parse_scenario(text)).results[0]
+    assert res["exact"]["quotients"] == [0, 2 * p - 1, 1, 2 * p - 2, 1]
+    assert res["verdict"] == "5 quotients"
+
+
 def test_report_shape_and_determinism():
     sc = parse_scenario(BASIC)
     r1 = run_scenario(sc)
