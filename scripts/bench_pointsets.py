@@ -1,0 +1,74 @@
+"""Scaled timings of pointsets.fundamental_period and symdiff_measure.
+
+Run from the root of a checkout (stdlib only):
+
+    PYTHONPATH=src python3 scripts/bench_pointsets.py 64 256 1024
+
+For each interval count n (a multiple of 8) it builds one pattern of n
+intervals on modulus 1 + sqrt(2) with planted period L/8, and a second
+one, the first rotated by sqrt(2) - 1, so their endpoints differ in
+every coordinate.  It prints one JSON line per n with the fastest of
+--repeat wall-clock timings of fundamental_period(P) and
+symdiff_measure(P, Q), and checks the period found is the planted one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import time
+from fractions import Fraction
+
+from periodalg.exactreal import ExactReal
+from periodalg.pointsets import IntervalPattern, fundamental_period, rotate, symdiff_measure
+
+# 8 irregular intervals in a block of 96 grid steps
+CELL = [(1, 5), (7, 9), (12, 20), (21, 30), (33, 34), (40, 55), (60, 71), (80, 93)]
+
+
+def planted(n: int) -> IntervalPattern:
+    """n intervals, n/8 in each cell of width L/8, packed into blocks.
+
+    A cell is 96 * (n/8) grid steps wide and only its first n/64 blocks
+    (part of one, for n < 64) are used, so no rotation shorter than L/8
+    maps the pattern to itself.
+    """
+    L = ExactReal.rational(1) + ExactReal.sqrt(2)
+    per_cell = n // 8
+    grid = 96 * per_cell
+    ivs = []
+    for i in range(8):
+        for j in range(per_cell):
+            lo, hi = CELL[j % 8]
+            off = i * grid + (j // 8) * 96
+            a, b = Fraction(off + lo, 8 * grid), Fraction(off + hi, 8 * grid)
+            ivs.append((L.scale(a), L.scale(b)))
+    return IntervalPattern(L, ivs)
+
+
+def fastest(fn, repeat: int):
+    best, out = float("inf"), None
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("sizes", type=int, nargs="+", help="interval counts, multiples of 8")
+    ap.add_argument("--repeat", type=int, default=3)
+    args = ap.parse_args()
+    for n in args.sizes:
+        p = planted(n)
+        q = rotate(p, ExactReal.sqrt(2) - ExactReal.rational(1))
+        t_fp, period = fastest(lambda: fundamental_period(p), args.repeat)
+        assert period == p.modulus.scale(Fraction(1, 8)), period
+        t_sd, _ = fastest(lambda: symdiff_measure(p, q), args.repeat)
+        row = {"intervals": n, "fundamental_period_s": t_fp, "symdiff_measure_s": t_sd}
+        print(json.dumps(row))
+
+
+if __name__ == "__main__":
+    main()

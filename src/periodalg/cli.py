@@ -278,6 +278,16 @@ def _check_rotation_roundtrip():
     back = pointsets.rotate(pointsets.rotate(pat, alpha), -alpha)
     assert back == pat
     assert pointsets.fundamental_period(pat) == ExactReal.rational(Fraction(1, 2))
+    # three intervals but two arcs: (7L/8, L) and (0, L/8) meet across the seam
+    L = ExactReal.rational(1) + ExactReal.sqrt(2)
+    eighths = ((0, 1), (3, 5), (7, 8))
+    seam = IntervalPattern(
+        L,
+        [(L.scale(Fraction(a, 8)), L.scale(Fraction(b, 8))) for a, b in eighths],
+        wrap_point=True,
+    )
+    assert pointsets.rotate(pointsets.rotate(seam, alpha), -alpha) == seam
+    assert pointsets.fundamental_period(seam) == L.scale(Fraction(1, 2))
 
 
 def _check_cfrac():

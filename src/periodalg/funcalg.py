@@ -22,6 +22,7 @@ difference and otherwise scans a box with direct exact evaluation.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -351,8 +352,11 @@ class _Parser:
 
     Powers belong to formulas only.  NAME is a key of `functions`, the
     caller's name -> CanonicalForm mapping.  Errors carry the offset of
-    the token at fault; a value that fails to combine (a division by
-    zero, a non-monomial divisor) gets its operator's offset as `pos`.
+    the token at fault.  A value that fails to combine (a division by
+    zero, a non-monomial divisor) gets its operator's offset as `pos`
+    and is kept in `value_error` while parsing goes on with the left
+    operand, so a syntax error anywhere in the text is reported first;
+    `done` raises the kept error once the whole text has parsed.
     """
 
     def __init__(self, text: str, functions: Mapping[str, CanonicalForm]):
@@ -360,6 +364,7 @@ class _Parser:
         self.i = 0
         self.functions = functions
         self.domain: CoeffLattice | None = None  # None while reading a real
+        self.value_error: PeriodalgError | None = None  # first one only
 
     def peek(self):
         return self.toks[self.i]
@@ -399,6 +404,18 @@ class _Parser:
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError("unexpected trailing input", pos)
+        if self.value_error is not None:
+            raise self.value_error
+
+    def combine(self, pos: int, op, v, rhs):
+        """op(v, rhs), or v with the failure kept at the operator's pos."""
+        try:
+            return op(v, rhs)
+        except PeriodalgError as exc:
+            if self.value_error is None:
+                exc.pos = pos
+                self.value_error = exc
+            return v
 
     def real_expr(self) -> ExactReal:
         self.domain = None
@@ -425,16 +442,12 @@ class _Parser:
             if not op:
                 return v
             rhs = self.factor()
-            try:
-                if op == "/":
-                    v = v / rhs
-                elif self.domain is None:
-                    v = _real_mul(v, rhs)
-                else:
-                    v = v * rhs
-            except PeriodalgError as exc:
-                exc.pos = pos
-                raise
+            if op == "/":
+                v = self.combine(pos, operator.truediv, v, rhs)
+            elif self.domain is None:
+                v = self.combine(pos, _real_mul, v, rhs)
+            else:
+                v = self.combine(pos, operator.mul, v, rhs)
 
     def factor(self):
         if self.accept_op("-"):
@@ -447,12 +460,7 @@ class _Parser:
                 pos = self.peek()[2]
                 if not self.accept_op("^"):
                     break
-                n = self.signed_num()
-                try:
-                    v = v ** n
-                except PeriodalgError as exc:
-                    exc.pos = pos
-                    raise
+                v = self.combine(pos, operator.pow, v, self.signed_num())
         return v
 
     def primary(self):

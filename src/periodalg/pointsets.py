@@ -10,14 +10,16 @@ the circle R/LZ, the class is closed under rotation, and equal sets
 have equal representations.
 
 Everything here is decided by exact endpoint arithmetic: invariance is
-equality after rotation, the fundamental period is the least invariant
-shift among a finite candidate set (any invariant shift must map the
-finite endpoint set to itself, so endpoint differences exhaust the
-possibilities), and symmetric-difference measure is an endpoint sweep.
+equality after rotation, the fundamental period is L/k for the largest
+divisor k of the arc count whose rotation is an invariance (the
+invariant rotations permute the arcs with no arc left in place), and
+symmetric-difference measure is one merge sweep over both sorted
+endpoint lists.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Union
@@ -155,65 +157,46 @@ def is_invariant(pattern: IntervalPattern, t: RealLike) -> bool:
 def fundamental_period(pattern: IntervalPattern) -> ExactReal:
     """Least t > 0 with pattern + t = pattern; every period is a multiple.
 
-    Any invariant shift permutes the finite endpoint set mod L, so the
-    endpoint differences (plus L/j for divisors j of the interval count,
-    plus L itself) form a complete candidate list; the smallest
-    invariant candidate is the fundamental period, and L is always
-    invariant, so the search cannot come up empty.
+    The invariant shifts mod L form a finite cyclic group of rotations,
+    generated by L/K.  A nonzero rotation maps no arc onto itself, so
+    the group permutes the pattern's arcs freely and K divides their
+    count; the answer is L/k for the largest divisor k of the arc count
+    that passes `is_invariant`, or L when none does.
     """
     if pattern.is_full_line():
         raise FullLine("every real is a period of the full line")
     if pattern.is_empty():
         raise EmptyPattern("the empty pattern has no fundamental period")
     L = pattern.modulus
-    candidates: list[ExactReal] = [L]
-    points = pattern.endpoints()
-    for e1 in points:
-        for e2 in points:
-            d = e1 - e2
-            if d.sign() == 0:
-                continue
-            d = d - L.scale((d / L).floor())
-            if d.sign() > 0 and not any(d == c for c in candidates):
-                candidates.append(d)
-    n = len(pattern.intervals)
-    for j in range(2, n + 1):
-        if n % j == 0:
-            d = L.scale(Fraction(1, j))
-            if not any(d == c for c in candidates):
-                candidates.append(d)
-    candidates.sort()
-    for t in candidates:
-        if is_invariant(pattern, t):
+    # a seam-crossing arc is stored as two intervals
+    arcs = len(pattern.intervals) - pattern.wrap_point
+    for k in range(arcs, 1, -1):
+        if arcs % k == 0 and is_invariant(pattern, t := L.scale(Fraction(1, k))):
             return t
-    raise AssertionError("modulus itself must be invariant")
+    return L
 
 
 def symdiff_measure(p: IntervalPattern, q: IntervalPattern) -> ExactReal:
     """Exact measure per period of (P minus Q) union (Q minus P).
 
-    Endpoint sweep: between consecutive endpoint values the membership
-    of each pattern is constant, so each cell contributes its full
-    length or nothing.  Wrap bits carry no measure and are ignored.
+    One merge of the two sorted endpoint lists: each endpoint toggles
+    its pattern's membership, so between consecutive endpoints the
+    membership of both patterns is known and the cell counts in full
+    when exactly one covers it.  Linear in the number of intervals.
+    Wrap bits carry no measure and are ignored.
     """
     if p.modulus != q.modulus:
         raise ModulusMismatch(f"moduli differ: {p.modulus} vs {q.modulus}")
-    events = [ExactReal.rational(0), p.modulus]
-    for pat in (p, q):
-        events.extend(pat.endpoints())
-    events.sort()
-    distinct: list[ExactReal] = []
-    for e in events:
-        if not distinct or distinct[-1] != e:
-            distinct.append(e)
-
-    def covered(pat: IntervalPattern, lo: ExactReal, hi: ExactReal) -> bool:
-        return any(
-            (lo - a).sign() >= 0 and (b - hi).sign() >= 0 for a, b in pat.intervals
-        )
-
     total = ExactReal.rational(0)
-    for lo, hi in zip(distinct, distinct[1:]):
-        if covered(p, lo, hi) != covered(q, lo, hi):
-            total = total + (hi - lo)
+    inside = [False, False]
+    prev = total
+    for x, who in heapq.merge(
+        ((e, 0) for e in p.endpoints()),
+        ((e, 1) for e in q.endpoints()),
+        key=itemgetter(0),
+    ):
+        if inside[0] != inside[1]:
+            total = total + (x - prev)
+        inside[who] = not inside[who]
+        prev = x
     return total

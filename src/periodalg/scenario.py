@@ -94,8 +94,11 @@ class _ScenarioParser(funcalg._Parser):
     Every syntax error is raised as a ParseError at a token offset, and
     so is a value that fails while a statement is read (a division by
     zero, a non-monomial divisor): at the offset the grammar attached
-    to the error, else at the statement keyword.  parse_scenario turns
-    the offset into a line and column.
+    to the error, else at the statement keyword.  As in funcalg, a
+    failed value is reported only once its statement has parsed up to
+    the closing ';', and before any error that statement's checks
+    raise afterwards.  parse_scenario turns the offset into a line and
+    column.
     """
 
     def __init__(self, text: str, default_name: str):
@@ -163,14 +166,20 @@ class _ScenarioParser(funcalg._Parser):
             self.i += 1
             try:
                 getattr(self, f"stmt_{word}")()
-            except (ParseError, ScenarioError):
+                self.expect_op(";")
+            except ParseError:
                 raise
+            except ScenarioError:
+                if self.value_error is None:
+                    raise
             except PeriodalgError as exc:
+                self.value_error = self.value_error or exc
+            if self.value_error is not None:
+                exc = self.value_error
                 pos = getattr(exc, "pos", None)
                 if pos is None:
                     pos = tok[2]
                 raise ParseError(str(exc), pos) from None
-            self.expect_op(";")
             first = False
         return self.sc
 
@@ -295,7 +304,8 @@ class _ScenarioParser(funcalg._Parser):
         try:
             self.sc.patterns[name] = IntervalPattern(modulus, intervals, wrap_point=wrap)
         except ValueError as exc:
-            self.fail(str(exc), tok)
+            if self.value_error is None:  # else a failed value explains it
+                self.fail(str(exc), tok)
 
     def stmt_analyze(self):
         tok = self.toks[self.i - 1]  # the 'analyze' keyword

@@ -18,6 +18,7 @@ import mpmath
 
 from periodalg.exactreal import ExactReal, RadicalBasis
 from periodalg.lattice import CoeffLattice, member
+from periodalg.pointsets import IntervalPattern, is_invariant
 
 mpmath.mp.dps = 60
 
@@ -114,6 +115,44 @@ def first_box_witness(value, rows, shift, bound: int):
         if value(x) != value(tuple(a + b for a, b in zip(x, shift))):
             return x
     return None
+
+
+def endpoint_difference_period(pattern: IntervalPattern) -> ExactReal:
+    """Least invariant shift among every endpoint difference mod L.
+
+    The complete-candidate search: an invariant rotation maps each
+    endpoint to an endpoint, so every period in (0, L] is some endpoint
+    difference reduced mod L, or one of L/j and L.  Candidates are
+    deduplicated through a set (ExactReal hashes by its coordinates)
+    and tried in increasing order; `is_invariant` decides only those
+    that map the endpoint set onto itself.  Quadratic in the endpoint
+    count, and independent of any argument about arc counts.
+    """
+    L = pattern.modulus
+    points = pattern.endpoints()
+    candidates = {L}
+    for e1 in points:
+        for e2 in points:
+            d = e1 - e2  # in [-L, L], since endpoints lie in [0, L]
+            if d.sign() < 0:
+                d = d + L
+            if not d.is_zero():
+                candidates.add(d)
+    n = len(pattern.intervals)
+    candidates.update(L.scale(Fraction(1, j)) for j in range(2, n + 1))
+
+    def mod_L(x: ExactReal) -> ExactReal:  # for x in [0, 2L)
+        return x - L if (x - L).sign() >= 0 else x
+
+    # the boundary must map onto itself: a cheap, hash-based filter
+    ends = {mod_L(e) for e in points}
+    if pattern.wrap_point:
+        ends.discard(ExactReal.rational(0))  # the seam is inside the set
+    return next(
+        t
+        for t in sorted(candidates)
+        if all(mod_L(e + t) in ends for e in ends) and is_invariant(pattern, t)
+    )
 
 
 def common_points_by_box(l1: CoeffLattice, l2: CoeffLattice, bound: int):

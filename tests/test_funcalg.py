@@ -90,7 +90,11 @@ def test_parse_errors():
         parse("1 / (abs1(one) + abs1(sqrt(2)))", dom)
     with pytest.raises(DivisionByZero):
         parse("abs1(one) / (abs1(sqrt(2)) - abs1(sqrt(2)))", dom)
-    for text, pos in (("1 + $", 4), ("2 + sqrt(0)", 4), ("1 + 2 3", 6)):
+    # a value that fails to combine yields to any later syntax error
+    for text, pos in (
+        ("1 + $", 4), ("2 + sqrt(0)", 4), ("1 + 2 3", 6),
+        ("1 + 2/0*", 8), ("1/0 +", 5), ("(1/0", 4),
+    ):
         with pytest.raises(ParseError) as err:
             parse_real(text)
         assert err.value.pos == pos

@@ -1,8 +1,9 @@
 """Periodic interval patterns: rotation, invariance, symmetric difference.
 
-The symmetric-difference oracle below reimplements the sweep in bare
-Fraction arithmetic over midpoint membership, sharing no code with the
-library's endpoint-cell walk.
+The symmetric-difference oracles below work in bare Fraction arithmetic
+over midpoint membership, or sum pairwise interval overlaps, sharing no
+code with the library's merge sweep; fundamental periods are compared
+with the complete endpoint-difference search in oracles.py.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import endpoint_difference_period
+from periodalg import pointsets
 from periodalg.errors import EmptyPattern, FullLine, ModulusMismatch
 from periodalg.exactreal import ExactReal
 from periodalg.pointsets import (
@@ -211,3 +214,159 @@ def test_symdiff_with_irrational_rotation_positive():
         if p.is_empty() or p.is_full_line():
             continue
         assert symdiff_measure(p, rotate(p, alpha)).sign() > 0
+
+
+SILVER = ExactReal.rational(1) + ExactReal.sqrt(2)
+
+
+def circle_pattern(L: ExactReal, arcs) -> IntervalPattern:
+    """Pattern of open arcs (s, e) given in units of L, 0 <= s < e <= s + 1.
+
+    An arc with e > 1 crosses the seam: it is stored split and sets the
+    wrap bit, so such a pattern has one more interval than arcs.
+    """
+    ivs, wrap = [], False
+    for s, e in arcs:
+        if e > 1:
+            ivs += [(s, Fraction(1)), (Fraction(0), e - 1)]
+            wrap = True
+        else:
+            ivs.append((s, e))
+    ivs.sort()
+    return IntervalPattern(L, [(L.scale(a), L.scale(b)) for a, b in ivs], wrap)
+
+
+def planted_arcs(rng: random.Random, k: int, offset: Fraction):
+    """Arcs of one cell of width 1/k on a 1/24 grid, repeated k times."""
+    grid = sorted(rng.sample(range(25), 2 * rng.randint(1, 2)))
+    cell = []
+    for i in range(0, len(grid), 2):
+        lo, hi = grid[i], grid[i + 1]
+        if cell and rng.random() < 0.3:
+            lo = cell[-1][1]  # touch the previous arc: two arcs, one shared endpoint
+        cell.append((lo, hi))
+    arcs = []
+    for i in range(k):
+        for lo, hi in cell:
+            s = (i + Fraction(lo, 24)) / k + offset
+            e = (i + Fraction(hi, 24)) / k + offset
+            if s >= 1:
+                s, e = s - 1, e - 1
+            arcs.append((s, e))
+    return arcs
+
+
+def perturb_one_endpoint(rng: random.Random, p: IntervalPattern) -> IntervalPattern:
+    """Shrink one interval at an endpoint off the seam by an exact tiny step."""
+    ivs = list(p.intervals)
+    seam = (ExactReal.rational(0), p.modulus)
+    choices = [
+        (i, side) for i, iv in enumerate(ivs) for side in (0, 1) if iv[side] not in seam
+    ]
+    if not choices:
+        return p
+    i, side = rng.choice(choices)
+    step = rng.choice(
+        [ExactReal.rational(Fraction(1, 1000)), ExactReal.sqrt(3).scale(Fraction(1, 2000))]
+    )
+    a, b = ivs[i]
+    ivs[i] = (a + step, b) if side == 0 else (a, b - step)
+    return IntervalPattern(p.modulus, ivs, p.wrap_point)
+
+
+def seeded_patterns(rng: random.Random, count: int):
+    moduli = [
+        ExactReal.rational(1), ExactReal.rational(Fraction(3, 2)), SILVER, SILVER.scale(2)
+    ]
+    for _ in range(count):
+        L = rng.choice(moduli)
+        k = rng.choice([1, 2, 3, 4, 6])
+        offset = rng.choice([Fraction(0), Fraction(0), Fraction(rng.randint(1, 23), 24)])
+        p = circle_pattern(L, planted_arcs(rng, k, offset))
+        if rng.random() < 0.3:
+            p = perturb_one_endpoint(rng, p)
+        yield p
+
+
+def pairwise_overlap_symdiff(p: IntervalPattern, q: IntervalPattern) -> ExactReal:
+    """|P| + |Q| - 2|P n Q|, the overlap summed over every pair of intervals."""
+    common = ExactReal.rational(0)
+    for a, b in p.intervals:
+        for c, d in q.intervals:
+            width = min(b, d) - max(a, c)
+            if width.sign() > 0:
+                common = common + width
+    return p.measure() + q.measure() - common.scale(2)
+
+
+def test_fundamental_period_matches_endpoint_oracle():
+    rng = random.Random(4506)
+    kinds = {"irrational": 0, "wrap": 0, "zero_no_wrap": 0, "planted": 0}
+    for p in seeded_patterns(rng, 200):
+        want = endpoint_difference_period(p)
+        assert fundamental_period(p) == want, p
+        kinds["irrational"] += len(p.modulus.coords) > 1
+        kinds["wrap"] += p.wrap_point  # a seam-crossing arc: one arc fewer than intervals
+        kinds["zero_no_wrap"] += not p.wrap_point and p.intervals[0][0].is_zero()
+        kinds["planted"] += want != p.modulus
+    assert all(v >= 10 for v in kinds.values()), kinds
+
+
+def test_symdiff_is_symmetric_and_matches_pairwise_overlap():
+    rng = random.Random(4507)
+    alpha = ExactReal.sqrt(2) - ExactReal.rational(1)
+    patterns = list(seeded_patterns(rng, 80))
+    for p in patterns:
+        same_modulus = [q for q in patterns if q.modulus == p.modulus]
+        for q in (rng.choice(same_modulus), rotate(p, alpha), perturb_one_endpoint(rng, p)):
+            want = pairwise_overlap_symdiff(p, q)
+            assert symdiff_measure(p, q) == want
+            assert symdiff_measure(q, p) == want
+
+
+def planted_64(L: ExactReal, cell_grid) -> IntervalPattern:
+    """64 intervals: 8 irregular ones per cell of width L/8."""
+    ivs = []
+    for i in range(8):
+        for lo, hi in cell_grid:
+            ivs.append(
+                (L.scale(Fraction(i * 96 + lo, 768)), L.scale(Fraction(i * 96 + hi, 768)))
+            )
+    return IntervalPattern(L, ivs)
+
+
+CELL_8 = [(1, 5), (7, 9), (12, 20), (21, 30), (33, 34), (40, 55), (60, 71), (80, 93)]
+
+
+def test_fundamental_period_tries_only_divisors_of_the_arc_count(monkeypatch):
+    p = planted_64(SILVER, CELL_8)
+    calls = []
+    real = pointsets.is_invariant
+
+    def counting(pattern, t):
+        calls.append(t)
+        return real(pattern, t)
+
+    monkeypatch.setattr(pointsets, "is_invariant", counting)
+    assert fundamental_period(p) == SILVER.scale(Fraction(1, 8))
+    # d(64) - 1 = 6 divisors k >= 2 of the arc count; only L/k is tried
+    assert len(calls) <= 6
+    assert all(SILVER.scale(Fraction(1, 64 // 2**i)) == t for i, t in enumerate(calls))
+
+
+def test_symdiff_makes_linearly_many_sign_tests(monkeypatch):
+    p = planted_64(SILVER, CELL_8)
+    q = planted_64(SILVER, [(lo + 2, hi + 2) for lo, hi in CELL_8])
+    n = len(p.intervals) + len(q.intervals)
+    calls = [0]
+    real = ExactReal.sign
+
+    def counting(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(ExactReal, "sign", counting)
+    got = symdiff_measure(p, q)
+    monkeypatch.undo()
+    assert got == pairwise_overlap_symdiff(p, q)
+    assert calls[0] <= 4 * n

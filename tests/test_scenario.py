@@ -54,6 +54,11 @@ def test_parse_positions_in_syntax_errors():
         ('scenario "x";\nanalyze cfrac sqrt(0);\n', 2, 15),
         ('scenario "x";\npattern P mod 1 = (0, 1/ );\n', 2, 26),
         ('scenario "x";\nbasis B = basis(1)', 2, 19),  # final ; missing
+        # a value that fails to combine yields to its statement's syntax
+        # errors, and comes before the checks its placeholder would fail
+        ('scenario "x";\nanalyze cfrac 1/0 depth;\n', 2, 24),
+        ('scenario "x";\nanalyze cfrac 1/0 2;\n', 2, 19),
+        ('scenario "x";\npattern P mod 1 = (1/0, 0);\n', 2, 21),
     ):
         with pytest.raises(ScenarioSyntaxError) as err:
             parse_scenario(text)
