@@ -1,0 +1,95 @@
+"""Scaled timings of approx.continued_fraction and approx.kronecker_find.
+
+Run from the root of a checkout (stdlib only):
+
+    PYTHONPATH=src python3 scripts/bench_approx.py cfrac 60 200 1000
+    PYTHONPATH=src python3 scripts/bench_approx.py kronecker 5 6 10 30
+
+`cfrac DEPTH...` expands sqrt(2) + sqrt(3) + sqrt(5) and that value
+plus sqrt(7) to each depth.  `kronecker K...` searches q*sqrt(3) - p
+within eps = 10^-(K+2) of a displacement delta at bound 10^K, with an
+exact witness planted at q0 = 10^K - 10^K // 3, so the search must
+return some q <= q0.  It prints one JSON line per case with the fastest
+of --repeat wall-clock timings and checks each result: the first
+quotients against a Fraction expansion of a 64-digit decimal enclosure
+and q <= q0 for Kronecker (the library re-verifies its witness
+exactly).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import time
+from fractions import Fraction
+from math import isqrt
+
+from periodalg.approx import continued_fraction, kronecker_find
+from periodalg.exactreal import ExactReal
+
+RADICANDS = {3: (2, 3, 5), 4: (2, 3, 5, 7)}
+
+
+def fastest(fn, repeat: int):
+    best, out = float("inf"), None
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+def leading_quotients(rads, digits: int = 64, count: int = 10) -> list[int]:
+    """First quotients shared by both ends of a decimal enclosure."""
+    unit = 10**digits
+    lo = sum(isqrt(d * unit * unit) for d in rads)
+    ends = [Fraction(lo, unit), Fraction(lo + len(rads), unit)]
+    out = []
+    while len(out) < count:
+        a = [e.numerator // e.denominator for e in ends]
+        if a[0] != a[1]:
+            raise ValueError("enclosure too wide")
+        out.append(a[0])
+        ends = [1 / (e - a[0]) for e in ends]
+    return out
+
+
+def bench_cfrac(depths, repeat: int) -> None:
+    for n, rads in RADICANDS.items():
+        x = sum((ExactReal.sqrt(d) for d in rads), ExactReal.rational(0))
+        head = leading_quotients(rads)
+        for depth in depths:
+            t, cf = fastest(lambda: continued_fraction(x, depth), repeat)
+            assert list(cf.quotients[:10]) == head[: min(depth, 10)], cf.quotients[:10]
+            print(json.dumps({"kind": "cfrac", "radicands": n, "depth": depth, "seconds": t}))
+
+
+def bench_kronecker(exponents, repeat: int) -> None:
+    T = ExactReal.sqrt(3)
+    one = ExactReal.rational(1)
+    for k in exponents:
+        bound = 10**k
+        q0 = bound - bound // 3
+        # q0*sqrt(3) - p0 - delta = 0 exactly
+        delta = T.scale(q0) - ExactReal.rational(T.scale(q0).floor())
+        eps = ExactReal.rational(Fraction(1, 10 ** (k + 2)))
+        t, got = fastest(lambda: kronecker_find(T, [one], delta, eps, bound=bound), repeat)
+        assert got[0] <= q0, got
+        row = {"kind": "kronecker", "bound": f"1e{k}", "q": got[0], "seconds": t}
+        print(json.dumps(row))
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("what", choices=("cfrac", "kronecker"))
+    ap.add_argument("sizes", type=int, nargs="+", help="cfrac depths, or Kronecker bound exponents")
+    ap.add_argument("--repeat", type=int, default=3)
+    args = ap.parse_args()
+    if args.what == "cfrac":
+        bench_cfrac(args.sizes, args.repeat)
+    else:
+        bench_kronecker(args.sizes, args.repeat)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,16 +1,20 @@
 """Constructive Diophantine approximation over exact reals.
 
-Continued fractions are computed with exact floors and exact field
-inversion, so every quotient and convergent is certain.  On top of them
-sit two witness finders: `dirichlet_find` produces integers m, n with
-m*T1 + n*T2 within eps of a target (density of T1*Z + T2*Z for an
-irrational ratio), and `kronecker_find` produces a simultaneous
-approximation q*T - p_i*T_i close to a prescribed displacement.  Both
-verify their witnesses by exact sign tests before returning; fast
-screening uses rigorous integer interval enclosures, never floats.
-Neither has an iteration or precision cap: the Dirichlet walk ends
-because convergent errors shrink to zero, and the Kronecker screen
-refines only until each T_i has a certain sign.
+Continued fractions come from integer Euclid on the two ends of a
+dyadic enclosure of x (exact Euclid on a rational x): the quotients the
+two ends share, less the last shared one, are the quotients of x, and
+the enclosure is refined until as many are certain as are asked for.
+No field element is inverted.  On top of them sit two witness finders:
+`dirichlet_find` produces integers m, n with m*T1 + n*T2 within eps of
+a target (density of T1*Z + T2*Z for an irrational ratio), and
+`kronecker_find` produces a simultaneous approximation q*T - p_i*T_i
+close to a prescribed displacement.  Its candidates q are the first
+hits of an integer rotation, found by a Euclid-style recursion instead
+of a scan over q.  Both verify their witnesses by exact sign tests
+before returning; screening uses rigorous integer interval enclosures,
+never floats.  Neither has an iteration or precision cap: every
+refinement loop ends because enclosure widths halve per bit while the
+quantity they must separate is a fixed distance away.
 
 `orbit_discrepancy` measures how evenly the rotation orbit {i*alpha}
 fills the unit interval, returning a rigorous rational upper bound on
@@ -25,7 +29,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .errors import Cancelled, CommensurableInput, DivisionByZero, NotFound
-from .exactreal import ExactReal, commensurable
+from .exactreal import INITIAL_PRECISION, ExactReal, commensurable
 
 SCREEN_PRECISION = 192
 
@@ -49,29 +53,59 @@ class ContinuedFraction:
     terminated: bool
 
 
-def _convergents(x: ExactReal) -> Iterator[tuple[int, int, int]]:
-    """Yield (a_n, p_n, q_n) for n = 0, 1, ... by exact floor and invert.
+def _quotients(x: ExactReal) -> Iterator[int]:
+    """Partial quotients a_0, a_1, ... of x, by integer Euclid.
 
-    Lazy: the remainder is inverted only when the next quotient is
-    asked for.  Ends after p_n/q_n == x, which happens only for a
-    rational x; for an irrational x the stream never ends.
+    A rational x runs Euclid on its numerator and denominator, which
+    ends with the last quotient.  An irrational x runs Euclid in
+    lockstep on both ends of its enclosure scaled by 2^prec: x lies
+    between the ends, so it shares every quotient the two ends share,
+    and the last shared one is dropped as well, which keeps the rule
+    valid for either expansion of a rational end.  Lazy: when more
+    quotients are asked for than are certain, prec doubles from
+    INITIAL_PRECISION.  The stream of an irrational x never ends.
+    """
+    if x.is_rational():
+        c = x.as_rational()
+        n, d = c.numerator, c.denominator
+        while d:
+            a, r = divmod(n, d)
+            yield a
+            n, d = d, r
+        return
+    done = 0
+    prec = INITIAL_PRECISION
+    while True:
+        n_lo, n_hi = x._enclosure_scaled(prec)
+        d_lo = d_hi = 1 << prec
+        shared = []
+        while d_lo and d_hi:
+            a, r_lo = divmod(n_lo, d_lo)
+            if n_hi // d_hi != a:
+                break
+            shared.append(a)
+            n_lo, d_lo, n_hi, d_hi = d_lo, r_lo, d_hi, n_hi - a * d_hi
+        yield from shared[done:-1]
+        done = max(done, len(shared) - 1)
+        prec *= 2
+
+
+def _convergents(x: ExactReal) -> Iterator[tuple[int, int, int]]:
+    """Yield (a_n, p_n, q_n) for n = 0, 1, ... from `_quotients`.
+
+    Ends after p_n/q_n == x, which happens only for a rational x; for an
+    irrational x the stream never ends.
     """
     p, p_prev = 1, 0
     q, q_prev = 0, 1
-    r = x
-    while True:
-        a = r.floor()
+    for a in _quotients(x):
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
         yield a, p, q
-        r = r - a
-        if r.is_zero():
-            return
-        r = r.invert()
 
 
 def continued_fraction(x: ExactReal, depth: int) -> ContinuedFraction:
-    """First `depth` quotients of x by exact floor-and-invert steps."""
+    """First `depth` quotients of x, each certain (see `_quotients`)."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     steps = list(islice(_convergents(x), depth))
@@ -129,6 +163,37 @@ def dirichlet_find(
             return m, n
 
 
+def _first_hit(A: int, B: int, M: int, W: int) -> int | None:
+    """Least x >= 0 with (A*x + B) mod M <= W, or None if there is none.
+
+    Euclid on (A mod M, M), in O(log M) steps.  Replacing (A, B) by
+    (M - A, W - B) maps the residue v to W - v mod M and keeps [0, W],
+    so A <= M/2 may be assumed.  A hit after y >= 1 wraps needs a
+    multiple of A in [M*y - B, M*y - B + W]: y = 1 when W >= A, else
+    the least y - 1 >= 0 with ((-M)*(y-1) + B - M) mod A <= W, the
+    same problem on modulus A.  Then x = ceil((M*y - B)/A), which grows
+    with y, so the least y gives the least x.
+    """
+    levels = []
+    while True:
+        A, B = A % M, B % M
+        if B <= W:
+            x = 0
+            break
+        if 2 * A > M:
+            A, B = M - A, (W - B) % M
+        if A == 0:
+            return None
+        levels.append((A, B, M))
+        if W >= A:
+            x = 0
+            break
+        A, B, M = -M % A, (B - M) % A, A
+    for A, B, M in reversed(levels):
+        x = -((B - M * (x + 1)) // A)
+    return x
+
+
 def kronecker_find(
     T: ExactReal,
     Ts: Sequence[ExactReal],
@@ -139,13 +204,21 @@ def kronecker_find(
 ) -> tuple[int, list[int]] | NotFound:
     """Least q in 1..bound with |q*T - p_i*T_i - delta| < eps for all i.
 
-    Each p_i is the nearest integer to (q*T - delta)/T_i.  The q loop
-    screens with integer enclosures scaled by 2^prec, where prec starts
-    at SCREEN_PRECISION and doubles until every T_i enclosure excludes
-    zero.  A q is skipped only when, for some i, no integer p at all
-    puts p*|T_i| in the enclosure of [q*T - delta - eps, q*T - delta +
-    eps]; every other q is decided with exact field arithmetic.  So a
-    returned witness is certain and no true witness is ever skipped.
+    Each p_i is the nearest integer to (q*T - delta)/T_i.  Candidates
+    come from the tightest constraint, the largest |T_i|, on integer
+    enclosures scaled by 2^prec: with M the low end of |T_i|*2^prec and
+    Y(q) = q*t_lo - d_hi, a witness puts Y(q) within e_hi + slack of a
+    multiple of M, where the slack bound*(t_hi-t_lo) + (d_hi-d_lo) +
+    p_max*(m_hi-m_lo) covers every enclosure width for q <= bound.  So
+    every true witness is a first hit of (t_lo*x + B) mod M <= W
+    (`_first_hit`, no scan over q).  A candidate is dropped when, for
+    some T_i, no integer p at all puts p*|T_i| in the enclosure of
+    [q*T - delta - eps, q*T - delta + eps]; every other one is decided
+    with exact field arithmetic for all T_i.  After a rejected one the
+    search resumes at q + 1, so no witness is skipped.  prec starts at
+    SCREEN_PRECISION and doubles until every T_i has a certain sign and
+    the slack is at most e_hi.  When the window covers a whole period
+    of M every q is a candidate, and the search steps q one at a time.
     """
     if eps.sign() <= 0:
         raise ValueError("eps must be positive")
@@ -158,12 +231,30 @@ def kronecker_find(
     while True:
         ts_iv = [t._enclosure_scaled(prec) for t in Ts]
         if all(lo > 0 or hi < 0 for lo, hi in ts_iv):
-            break
+            m_lo, m_hi = max((lo, hi) if lo > 0 else (-hi, -lo) for lo, hi in ts_iv)
+            t_lo, t_hi = T._enclosure_scaled(prec)
+            d_lo, d_hi = delta._enclosure_scaled(prec)
+            e_hi = eps._enclosure_scaled(prec)[1]
+            # |p| <= (q*|T| + |delta| + eps)/|T_i| for any witness p
+            p_max = (bound * max(-t_lo, t_hi) + max(-d_lo, d_hi) + e_hi) // m_lo + 1
+            slack = bound * (t_hi - t_lo) + (d_hi - d_lo) + p_max * (m_hi - m_lo)
+            if slack <= e_hi:
+                break
         prec *= 2
+    M = m_lo
+    W = 2 * (e_hi + slack)
+    # Y(q) + e_hi + slack - p*M lies in [0, W] for a witness (q, p)
+    shift = e_hi + slack - d_hi
     ts_iv = [(lo, hi) if lo > 0 else (-hi, -lo) for lo, hi in ts_iv]
-    t_lo, t_hi = T._enclosure_scaled(prec)
-    d_lo, d_hi = delta._enclosure_scaled(prec)
-    e_hi = eps._enclosure_scaled(prec)[1]
+
+    def may_hit(q: int) -> bool:
+        # a witness p has p*|T_i| in [a, b], scaled by 2^prec; False
+        # when for some T_i no integer p can
+        a = q * t_lo - d_hi - e_hi
+        b = q * t_hi - d_lo + e_hi
+        return all(
+            max(b // lo, b // hi) >= min(-(-a // lo), -(-a // hi)) for lo, hi in ts_iv
+        )
 
     def exact_witness(q: int) -> list[int] | None:
         qt = T.scale(q)
@@ -177,20 +268,16 @@ def kronecker_find(
             ps.append(p)
         return ps
 
-    for q in range(1, bound + 1):
-        if q % 8192 == 0:
-            _check_cancel(cancel)
-        # a witness p has p*|T_i| in [a, b], scaled by 2^prec; skip q
-        # when for some T_i no integer p can
-        a = q * t_lo - d_hi - e_hi
-        b = q * t_hi - d_lo + e_hi
-        for lo, hi in ts_iv:
-            if max(b // lo, b // hi) < min(-(-a // lo), -(-a // hi)):
-                break
-        else:
-            ps = exact_witness(q)
-            if ps is not None:
-                return q, ps
+    q = 1
+    while q <= bound:
+        _check_cancel(cancel)
+        x = _first_hit(t_lo, q * t_lo + shift, M, W)
+        if x is None or q + x > bound:
+            break
+        q += x
+        if may_hit(q) and (ps := exact_witness(q)) is not None:
+            return q, ps
+        q += 1
     return NotFound(bound)
 
 

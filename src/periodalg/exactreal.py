@@ -251,6 +251,9 @@ class ExactReal:
         basis = self.basis.merge(other.basis)
         if not basis.is_closed():
             basis = basis.closure()
+        if other.is_rational() and not other.is_zero():
+            # a rational divisor needs no field inversion
+            return self.with_basis(basis).scale(1 / other.as_rational())
         return self.with_basis(basis) * other.with_basis(basis).invert()
 
     def __rtruediv__(self, other) -> "ExactReal":

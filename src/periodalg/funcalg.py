@@ -323,7 +323,12 @@ _KINDS = (None, "num", "name", "str", "op")
 
 
 def _tokenize(text: str) -> list[tuple]:
-    """(kind, value, offset) tokens, closed by ("end", "", len(text))."""
+    """(kind, value, offset) tokens, closed by ("end", "", len(text)).
+
+    A character outside the lexicon becomes a ("bad", message, offset)
+    token, which `_Parser.peek` raises only when parsing reaches it, so
+    errors are reported in reading order.
+    """
     toks = []
     for m in _TOKEN.finditer(text):
         g = m.lastindex
@@ -332,8 +337,10 @@ def _tokenize(text: str) -> list[tuple]:
         pos = m.start()
         if g == 5:
             if text[pos] == '"':
-                raise ParseError("unterminated string", pos)
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+                toks.append(("bad", "unterminated string", pos))
+            else:
+                toks.append(("bad", f"unexpected character {text[pos]!r}", pos))
+            continue
         val = m.group(g)
         toks.append((_KINDS[g], int(val) if g == 1 else val, pos))
     toks.append(("end", "", len(text)))
@@ -367,7 +374,10 @@ class _Parser:
         self.value_error: PeriodalgError | None = None  # first one only
 
     def peek(self):
-        return self.toks[self.i]
+        tok = self.toks[self.i]
+        if tok[0] == "bad":
+            raise ParseError(tok[1], tok[2])
+        return tok
 
     def accept_op(self, *ops):
         kind, val, _ = self.peek()

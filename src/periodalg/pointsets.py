@@ -68,6 +68,15 @@ class IntervalPattern:
         self.intervals: tuple[tuple[ExactReal, ExactReal], ...] = tuple(ivs)
         self.wrap_point = bool(wrap_point)
 
+    @classmethod
+    def _canonical(cls, modulus, intervals, wrap_point) -> "IntervalPattern":
+        """A pattern from parts already known to satisfy every check above."""
+        self = object.__new__(cls)
+        self.modulus = modulus
+        self.intervals = intervals
+        self.wrap_point = wrap_point
+        return self
+
     # -- basics -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -114,9 +123,12 @@ class IntervalPattern:
 def rotate(pattern: IntervalPattern, alpha: RealLike) -> IntervalPattern:
     """The pattern shifted by alpha, renormalized; an exact bijection.
 
-    The seam image (the point that lands on 0) dictates the new wrap
-    bit; the image of the old seam point glues its two shifted
-    neighbors back together.  Measure is preserved exactly.
+    Shifting by step in [0, L) moves the intervals that pass L to the
+    front, so the result is a cyclic shift of the input order and needs
+    no sort.  The new seam point is covered exactly when an interval
+    is split at L, and the image of the old seam point, when covered,
+    joins the last wrapped piece to the first unwrapped one.  Measure
+    is preserved exactly.
     """
     alpha = _as_real(alpha)
     L = pattern.modulus
@@ -126,27 +138,26 @@ def rotate(pattern: IntervalPattern, alpha: RealLike) -> IntervalPattern:
     if not pattern.intervals:
         return pattern
     zero = ExactReal.rational(0)
-    pieces: list[tuple[ExactReal, ExactReal]] = []
+    wrapped: list[tuple[ExactReal, ExactReal]] = []
+    unwrapped: list[tuple[ExactReal, ExactReal]] = []
+    split = False
     for a, b in pattern.intervals:
         a2, b2 = a + step, b + step
         if (b2 - L).sign() <= 0:
-            pieces.append((a2, b2))
+            unwrapped.append((a2, b2))
         elif (a2 - L).sign() >= 0:
-            pieces.append((a2 - L, b2 - L))
+            wrapped.append((a2 - L, b2 - L))
         else:
-            pieces.append((a2, L))
-            pieces.append((zero, b2 - L))
-    pieces.sort(key=itemgetter(0))
-    # seam point of the result comes from the preimage of 0
-    w = L - step
-    new_wrap = any((w - a).sign() > 0 and (b - w).sign() > 0 for a, b in pattern.intervals)
-    # the old seam point lands at `step`: glue the split it left behind
+            # the one interval over the new seam: every interval before
+            # it stays below L and every one after it wraps
+            unwrapped.append((a2, L))
+            wrapped.append((zero, b2 - L))
+            split = True
     if pattern.wrap_point:
-        for i in range(len(pieces) - 1):
-            if pieces[i][1] == step and pieces[i + 1][0] == step:
-                pieces[i : i + 2] = [(pieces[i][0], pieces[i + 1][1])]
-                break
-    return IntervalPattern(L, pieces, wrap_point=new_wrap)
+        # the last input interval ends at L + step and the first starts
+        # at step: glue them where the old seam point landed
+        unwrapped[0] = (wrapped.pop()[0], unwrapped[0][1])
+    return IntervalPattern._canonical(L, tuple(wrapped + unwrapped), split)
 
 
 def is_invariant(pattern: IntervalPattern, t: RealLike) -> bool:

@@ -263,6 +263,8 @@ class _ScenarioParser(funcalg._Parser):
                 break
             elif kind == "name" and val == "on" and depth == 0:
                 ref = self.toks[j + 1]
+                if ref[0] == "bad":
+                    raise ParseError(ref[1], ref[2])
                 if ref[0] != "name" or ref[1] not in self.sc.domains:
                     raise ScenarioNameError(
                         f"unknown domain after 'on' at line {self.line(ref)}"

@@ -13,9 +13,11 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 import mpmath
 
+from periodalg.errors import NotFound
 from periodalg.exactreal import ExactReal, RadicalBasis
 from periodalg.lattice import CoeffLattice, member
 from periodalg.pointsets import IntervalPattern, is_invariant
@@ -249,3 +251,79 @@ def py_formula_evaluator(text: str, radicands):
         return Fraction(eval(code, env))
 
     return run
+
+
+def floor_invert_convergents(x: ExactReal) -> Iterator[tuple[int, int, int]]:
+    """(a_n, p_n, q_n) for n = 0, 1, ... by exact floor and field inversion.
+
+    The textbook walk: a = floor(r), r = 1/(r - a), with every step in
+    the field of x.  Ends after p_n/q_n == x, which happens only for a
+    rational x.
+    """
+    p, p_prev = 1, 0
+    q, q_prev = 0, 1
+    r = x
+    while True:
+        a = r.floor()
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        yield a, p, q
+        r = r - a
+        if r.is_zero():
+            return
+        r = r.invert()
+
+
+def _abs_less(u: ExactReal, bound: ExactReal) -> bool:
+    return (bound - u).sign() > 0 and (bound + u).sign() > 0
+
+
+def linear_kronecker_find(
+    T: ExactReal,
+    Ts: Sequence[ExactReal],
+    delta: ExactReal,
+    eps: ExactReal,
+    bound: int,
+) -> tuple[int, list[int]] | NotFound:
+    """Least q in 1..bound with |q*T - p_i*T_i - delta| < eps for all i.
+
+    Screens every q in turn with integer enclosures scaled by 2^prec
+    (prec from 192 bits, doubled until every T_i has a certain sign): q
+    is skipped only when, for some T_i, no integer p puts p*|T_i| in the
+    enclosure [a, b] of [q*T - delta - eps, q*T - delta + eps].  Every
+    other q is decided with exact field arithmetic.  Linear in bound.
+    """
+    prec = 192
+    while True:
+        ts_iv = [t._enclosure_scaled(prec) for t in Ts]
+        if all(lo > 0 or hi < 0 for lo, hi in ts_iv):
+            break
+        prec *= 2
+    ts_iv = [(lo, hi) if lo > 0 else (-hi, -lo) for lo, hi in ts_iv]
+    t_lo, t_hi = T._enclosure_scaled(prec)
+    d_lo, d_hi = delta._enclosure_scaled(prec)
+    e_hi = eps._enclosure_scaled(prec)[1]
+
+    def exact_witness(q: int) -> list[int] | None:
+        qt = T.scale(q)
+        ps = []
+        for t in Ts:
+            y = (qt - delta) / t
+            p = (y + Fraction(1, 2)).floor()
+            u = qt - t.scale(p) - delta
+            if not _abs_less(u, eps):
+                return None
+            ps.append(p)
+        return ps
+
+    for q in range(1, bound + 1):
+        a = q * t_lo - d_hi - e_hi
+        b = q * t_hi - d_lo + e_hi
+        for lo, hi in ts_iv:
+            if max(b // lo, b // hi) < min(-(-a // lo), -(-a // hi)):
+                break
+        else:
+            ps = exact_witness(q)
+            if ps is not None:
+                return q, ps
+    return NotFound(bound)

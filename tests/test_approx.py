@@ -10,11 +10,14 @@ from __future__ import annotations
 import random
 import threading
 from fractions import Fraction
+from itertools import islice
 
 import mpmath as mp
 import pytest
 
 from periodalg.approx import (
+    _convergents,
+    _first_hit,
     continued_fraction,
     dirichlet_find,
     kronecker_find,
@@ -28,7 +31,22 @@ from periodalg.errors import (
 )
 from periodalg.exactreal import ExactReal
 
-from oracles import float_star_discrepancy, mp_value
+from oracles import (
+    float_star_discrepancy,
+    floor_invert_convergents,
+    linear_kronecker_find,
+    mp_value,
+    random_basis,
+)
+
+
+def random_multiquadratic(rng: random.Random, n_rads: int) -> ExactReal:
+    """A random rational plus signed rational multiples of n_rads roots."""
+    x = ExactReal.rational(Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
+    for d in random_basis(rng, n_rads).radicands[1:]:
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4))
+        x = x + ExactReal.sqrt(d).scale(c)
+    return x
 
 
 def mp_quotients(x: ExactReal, depth: int) -> list[int]:
@@ -122,6 +140,41 @@ def test_cf_approximation_invariant():
             q_next = deep.convergents[n + 1][1]
             err = x - ExactReal.rational(Fraction(p, q))
             assert abs_less(err, ExactReal.rational(Fraction(1, q * q_next)))
+
+
+def test_cf_matches_floor_invert_walk():
+    # the integer-Euclid quotients against the field walk they replaced,
+    # on 1-4 radicands; rationals take the exact Euclid path
+    rng = random.Random(5606)
+    # the field walk is slow on 4 radicands: one of them goes to depth 80
+    cases = [
+        (random_multiquadratic(rng, k), rng.randint(1, 80 if k < 4 else 40))
+        for k in (1, 2, 3, 4) * 6
+    ]
+    cases.append((random_multiquadratic(rng, 4), 80))
+    cases += [(random_multiquadratic(rng, 0), 40) for _ in range(10)]
+    for x, depth in cases:
+        want = list(islice(floor_invert_convergents(x), depth + 1))
+        assert list(islice(_convergents(x), depth)) == want[:depth]
+        # the walk ends within depth + 1 steps exactly when x is rational
+        # with at most depth quotients
+        assert continued_fraction(x, depth).terminated == (len(want) <= depth)
+
+
+def test_cf_depth_1000_matches_mpmath():
+    x = ExactReal.sqrt(2) + ExactReal.sqrt(3) + ExactReal.sqrt(5) + ExactReal.sqrt(7)
+    cf = continued_fraction(x, 1000)
+    # q_1000 has about 520 digits; floor-and-invert at 1500 digits keeps
+    # every remainder far more precise than its distance to an integer
+    with mp.workdps(1500):
+        r = mp.sqrt(2) + mp.sqrt(3) + mp.sqrt(5) + mp.sqrt(7)
+        want = []
+        for _ in range(1000):
+            a = int(mp.floor(r))
+            want.append(a)
+            r = 1 / (r - a)
+    assert list(cf.quotients) == want
+    assert len(str(cf.convergents[-1][1])) > 400
 
 
 def test_cf_convergents_alternate():
@@ -282,6 +335,76 @@ def test_kronecker_least_q_matches_float_scan():
     assert abs_less(ExactReal.sqrt(3).scale(brute) - t1.scale(got[1][0]) - delta, eps)
     got = kronecker_find(ExactReal.sqrt(3), [t1], delta, eps, bound=brute - 1)
     assert got == NotFound(brute - 1)
+
+
+def test_first_hit_matches_brute_force():
+    rng = random.Random(5607)
+    for _ in range(20000):
+        M = rng.randint(1, 60)
+        A, B = rng.randint(-100, 100), rng.randint(-100, 100)
+        W = rng.randint(0, 70)
+        # the residues repeat with period M
+        want = next((x for x in range(M) if (A * x + B) % M <= W), None)
+        assert _first_hit(A, B, M, W) == want
+
+
+def test_kronecker_matches_linear_screen():
+    # one or two T_i, found and NotFound, against the per-q screen the
+    # first-hit search replaced
+    rng = random.Random(5608)
+    outcomes = set()
+    for _ in range(100):
+        T = random_multiquadratic(rng, rng.randint(1, 4))
+        n_ts = rng.choice([1, 1, 2])
+        Ts = [random_multiquadratic(rng, rng.randint(0, 2)) for _ in range(n_ts)]
+        if T.is_zero() or any(t.is_zero() for t in Ts):
+            continue
+        delta = random_multiquadratic(rng, rng.randint(0, 2))
+        eps = ExactReal.rational(Fraction(1, 10 ** rng.randint(1, 5 - n_ts)))
+        bound = rng.choice([10, 100, 1000, 10**4])
+        want = linear_kronecker_find(T, Ts, delta, eps, bound)
+        assert kronecker_find(T, Ts, delta, eps, bound=bound) == want
+        outcomes.add((n_ts, isinstance(want, NotFound)))
+    assert outcomes == {(1, False), (1, True), (2, False), (2, True)}
+    # T = sqrt(2)/1000 comes within eps of Z at runs of one or two
+    # consecutive q, and only even q pass T_2 = 2*T (odd q miss it by
+    # T - delta > eps): the candidate 707 is rejected and 708 is the
+    # witness, so the search must resume at q + 1
+    T = ExactReal.sqrt(2).scale(Fraction(1, 1000))
+    Ts = [ExactReal.rational(1), T.scale(2)]
+    delta, eps = ExactReal.rational(Fraction(1, 4000)), ExactReal.rational(Fraction(1, 943))
+    want = linear_kronecker_find(T, Ts, delta, eps, 10**4)
+    assert want[0] == 708
+    assert kronecker_find(T, Ts, delta, eps, bound=10**4) == want
+
+
+def test_kronecker_least_q_at_a_100_bit_bound():
+    # q*u/P - p - v/P is within 1/(2P) of 0 exactly when q*u = v mod P
+    P = 2**100 - 15  # the largest prime below 2^100
+    assert pow(3, P - 1, P) == 1
+    rng = random.Random(5609)
+    u, v = rng.randrange(1, P), rng.randrange(1, P)
+    T = ExactReal.rational(Fraction(u, P))
+    one = ExactReal.rational(1)
+    delta = ExactReal.rational(Fraction(v, P))
+    eps = ExactReal.rational(Fraction(1, 2 * P))
+    q = v * pow(u, -1, P) % P
+    got = kronecker_find(T, [one], delta, eps, bound=P)
+    assert got == (q, [(q * u - v) // P])
+    assert kronecker_find(T, [one], delta, eps, bound=q - 1) == NotFound(q - 1)
+    # over T_1 = sqrt(2)/2^60 with T = sqrt(2)*u/P the witness has
+    # |p| ~ q*2^60, and its residual rho is put just inside eps: the
+    # screen must allow for p times the width of the enclosure of |T_1|
+    # (every other q misses by at least |T_1|/P - eps > eps)
+    t1 = ExactReal.sqrt(2).scale(Fraction(1, 2**60))
+    T = ExactReal.sqrt(2).scale(Fraction(u, P))
+    U = u << 60
+    q = v * pow(U, -1, P) % P
+    eps = ExactReal.rational(Fraction(1, 2**62 * P))
+    for rho in (eps.scale(Fraction(2**100 - 1, 2**100)), eps.scale(Fraction(1 - 2**100, 2**100))):
+        delta = t1.scale(Fraction(v, P)) + rho
+        got = kronecker_find(T, [t1], delta, eps, bound=P)
+        assert got == (q, [(q * U - v) // P])
 
 
 def test_discrepancy_rational_orbits_exact():

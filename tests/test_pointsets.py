@@ -312,6 +312,20 @@ def test_fundamental_period_matches_endpoint_oracle():
     assert all(v >= 10 for v in kinds.values()), kinds
 
 
+def test_rotate_output_passes_the_public_checks():
+    # rotate builds its result without re-validation; the public
+    # constructor's full checks must accept every output as it stands
+    rng = random.Random(4506)
+    for p in seeded_patterns(rng, 200):
+        L = p.modulus
+        shifts = [L.scale(Fraction(1, k)) for k in (2, 3, 5)]
+        shifts += [SILVER - ExactReal.rational(2), L - p.intervals[0][1], L - p.intervals[-1][0]]
+        for t in shifts:
+            out = rotate(p, t)
+            assert out == IntervalPattern(out.modulus, out.intervals, out.wrap_point)
+            assert rotate(out, -t) == p
+
+
 def test_symdiff_is_symmetric_and_matches_pairwise_overlap():
     rng = random.Random(4507)
     alpha = ExactReal.sqrt(2) - ExactReal.rational(1)

@@ -59,6 +59,9 @@ def test_parse_positions_in_syntax_errors():
         ('scenario "x";\nanalyze cfrac 1/0 depth;\n', 2, 24),
         ('scenario "x";\nanalyze cfrac 1/0 2;\n', 2, 19),
         ('scenario "x";\npattern P mod 1 = (1/0, 0);\n', 2, 21),
+        # a bad character is an error only where parsing reaches it
+        ('scenario "x";\nanalyze cfrac 1/0;\nanalyze cfrac $;\n', 2, 16),
+        (head + "function f = abs1(one) on $;\n", 4, 27),
     ):
         with pytest.raises(ScenarioSyntaxError) as err:
             parse_scenario(text)
