@@ -1,19 +1,22 @@
-"""Scaled timings of approx.continued_fraction and approx.kronecker_find.
+"""Scaled timings of approx.continued_fraction, kronecker_find and orbit_discrepancy.
 
 Run from the root of a checkout (stdlib only):
 
     PYTHONPATH=src python3 scripts/bench_approx.py cfrac 60 200 1000
     PYTHONPATH=src python3 scripts/bench_approx.py kronecker 5 6 10 30
+    PYTHONPATH=src python3 scripts/bench_approx.py discrepancy 10000 100000 1000000
 
 `cfrac DEPTH...` expands sqrt(2) + sqrt(3) + sqrt(5) and that value
 plus sqrt(7) to each depth.  `kronecker K...` searches q*sqrt(3) - p
 within eps = 10^-(K+2) of a displacement delta at bound 10^K, with an
 exact witness planted at q0 = 10^K - 10^K // 3, so the search must
-return some q <= q0.  It prints one JSON line per case with the fastest
-of --repeat wall-clock timings and checks each result: the first
-quotients against a Fraction expansion of a 64-digit decimal enclosure
-and q <= q0 for Kronecker (the library re-verifies its witness
-exactly).
+return some q <= q0.  `discrepancy N...` bounds the star discrepancy
+of the first N points of the orbits of sqrt(7) - 2 and (sqrt(5) - 1)/2.
+It prints one JSON line per case with the fastest of --repeat
+wall-clock timings and checks each result: the first quotients against
+a Fraction expansion of a 64-digit decimal enclosure, q <= q0 for
+Kronecker (the library re-verifies its witness exactly), and the
+discrepancy bound against the textbook formula in floats.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import time
 from fractions import Fraction
 from math import isqrt
 
-from periodalg.approx import continued_fraction, kronecker_find
+from periodalg.approx import continued_fraction, kronecker_find, orbit_discrepancy
 from periodalg.exactreal import ExactReal
 
 RADICANDS = {3: (2, 3, 5), 4: (2, 3, 5, 7)}
@@ -79,16 +82,44 @@ def bench_kronecker(exponents, repeat: int) -> None:
         print(json.dumps(row))
 
 
+def float_star_discrepancy(alpha: float, n: int) -> float:
+    """D*_N of {i*alpha}, i < n, by sorting floats."""
+    pts = sorted((i * alpha) % 1.0 for i in range(n))
+    return max(max((i + 1) / n - x, x - i / n) for i, x in enumerate(pts))
+
+
+def bench_discrepancy(sizes, repeat: int) -> None:
+    one = ExactReal.rational(1)
+    alphas = {
+        "sqrt(7)-2": ExactReal.sqrt(7) - ExactReal.rational(2),
+        "(sqrt(5)-1)/2": (ExactReal.sqrt(5) - one).scale(Fraction(1, 2)),
+    }
+    for name, alpha in alphas.items():
+        lo, hi = alpha.enclosure(64)
+        for n in sizes:
+            t, got = fastest(lambda: orbit_discrepancy(alpha, n), repeat)
+            # float points drift by about n * 2^-53
+            assert abs(float(got) - float_star_discrepancy(float(lo + hi) / 2, n)) < 1e-8, got
+            print(json.dumps({"kind": "discrepancy", "alpha": name, "N": n, "seconds": t}))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("what", choices=("cfrac", "kronecker"))
-    ap.add_argument("sizes", type=int, nargs="+", help="cfrac depths, or Kronecker bound exponents")
+    ap.add_argument("what", choices=("cfrac", "kronecker", "discrepancy"))
+    ap.add_argument(
+        "sizes",
+        type=int,
+        nargs="+",
+        help="cfrac depths, Kronecker bound exponents, or discrepancy point counts",
+    )
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
     if args.what == "cfrac":
         bench_cfrac(args.sizes, args.repeat)
-    else:
+    elif args.what == "kronecker":
         bench_kronecker(args.sizes, args.repeat)
+    else:
+        bench_discrepancy(args.sizes, args.repeat)
 
 
 if __name__ == "__main__":

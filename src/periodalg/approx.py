@@ -18,7 +18,9 @@ quantity they must separate is a fixed distance away.
 
 `orbit_discrepancy` measures how evenly the rotation orbit {i*alpha}
 fills the unit interval, returning a rigorous rational upper bound on
-the star discrepancy.
+the star discrepancy.  It visits the points in increasing order by the
+three-distance theorem, with steps read off the continued fraction of
+alpha, so nothing is sorted.
 """
 
 from __future__ import annotations
@@ -281,59 +283,118 @@ def kronecker_find(
     return NotFound(bound)
 
 
+def _walk_steps(alpha: ExactReal, N: int) -> tuple[int, int]:
+    """Indices (a, b) in 1..N-1 of the least and the greatest {n*alpha}.
+
+    For N >= 2 and an irrational alpha in (0, 1).  The one-sided best
+    approximations of alpha have denominators q_{n-2} + t*q_{n-1},
+    t = 0..a_n (q_{-2} = 1, q_{-1} = 0), and lie above alpha for an
+    odd n and below it for an even one, so {c*alpha} is then near 1 or
+    near 0.  On each side they increase, and each one's {c*alpha} is
+    nearer its end than that of any smaller index: the largest one
+    below N is the extreme index on its side.
+    """
+    side = [0, 0]
+    q2, q1 = 1, 0
+    for n, (a_n, _, q) in enumerate(_convergents(alpha)):
+        t = a_n if q1 == 0 else min(a_n, (N - 1 - q2) // q1)
+        side[n % 2] = q2 + t * q1
+        q2, q1 = q1, q
+        # every later candidate is q_{n-1}, already seen, or >= q_n
+        if q1 >= N:
+            return side[0], side[1]
+
+
+def _orbit_order(N: int, a: int, b: int) -> Iterator[int]:
+    """0..N-1 in increasing order of {i*alpha}, for (a, b) = `_walk_steps`.
+
+    Three-distance theorem (Sos 1958): the neighbour above {i*alpha} is
+    {(i+a)*alpha} when i + a < N, else {(i-b)*alpha} when i >= b, else
+    {(i+a-b)*alpha}; {0} = 0 is the least point.
+    """
+    i = 0
+    for _ in range(N):
+        yield i
+        i = i + a if i < N - a else i - b if i >= b else i + a - b
+
+
 def orbit_discrepancy(alpha: ExactReal, N: int, cancel=None) -> Fraction:
     """Rigorous rational upper bound on the star discrepancy of
     {i*alpha mod 1 : i = 0..N-1}.
 
-    Rational alpha is computed exactly.  Otherwise every fractional
-    part gets an integer enclosure at 2*log2(N) + 64 bits (exact floors
-    resolve any integer-boundary straddle), the points are sorted by
-    enclosure with exact sign tests refereeing any overlap, and the
-    discrepancy formula is maximized over the enclosure endpoints, so
-    the result can only overestimate.
+    Rational alpha = c/d is computed exactly, on the sorted residues
+    i*c mod d over the common denominator N*d.  For an irrational alpha
+    the points are visited in increasing order with no sort
+    (`_orbit_order`; its steps a and b come from the continued fraction
+    of alpha, `_walk_steps`).  Each point gets an integer enclosure at
+    2*log2(N) + 64 bits (exact floors resolve any integer-boundary
+    straddle), and the discrepancy formula is maximized over the
+    enclosure endpoints as the walk goes, so the result can only
+    overestimate.  If two neighbours' enclosures overlap, the bound is
+    taken instead on enclosures of the exact fractional parts
+    (`_exact_walk`).
     """
     if N < 1:
         raise ValueError("N must be at least 1")
     if alpha.sign() <= 0 or (ExactReal.rational(1) - alpha).sign() <= 0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     if alpha.is_rational():
-        a = alpha.as_rational()
-        pts = sorted(
-            Fraction((i * a.numerator) % a.denominator, a.denominator)
-            for i in range(N)
-        )
-        best = Fraction(0)
-        for i, x in enumerate(pts):
-            best = max(best, Fraction(i + 1, N) - x, x - Fraction(i, N))
-        return best
+        c, d = alpha.as_rational().as_integer_ratio()
+        best = 0  # over N*d: the larger of (i+1)*d - N*r and N*r - i*d
+        for i, r in enumerate(sorted(i * c % d for i in range(N))):
+            best = max(best, (i + 1) * d - N * r, N * r - i * d)
+        return Fraction(best, N * d)
+    if N == 1:
+        return Fraction(1)  # the one point 0
     prec = 2 * N.bit_length() + 64
     unit = 1 << prec
+    a, b = _walk_steps(alpha, N)
     a_lo, a_hi = alpha._enclosure_scaled(prec)
-    encl: list[tuple[int, int]] = []
-    for i in range(N):
-        if cancel is not None and i % 4096 == 0:
+    width = a_hi - a_lo
+    best_lo = 0  # maximize (j+1)*unit - N*f_lo over the j-th point
+    best_hi = 0  # maximize N*f_hi - j*unit
+    prev_hi = 0
+    rank = 0  # (j+1)*unit at the j-th point
+    order = _orbit_order(N, a, b)
+    for _ in range(0, N, 4096):
+        _check_cancel(cancel)
+        for i in islice(order, 4096):
+            f_lo = i * a_lo & (unit - 1)
+            f_hi = f_lo + i * width
+            if f_hi >= unit:
+                k = alpha.scale(i).floor()
+                f_lo = max(i * a_lo - (k << prec), 0)
+                f_hi = min(i * a_hi - (k << prec), unit)
+            if prev_hi > f_lo:
+                return _exact_walk(alpha, N, a, b, prec, cancel)
+            prev_hi = f_hi
+            rank += unit
+            if rank - N * f_lo > best_lo:
+                best_lo = rank - N * f_lo
+            if N * f_hi - rank + unit > best_hi:
+                best_hi = N * f_hi - rank + unit
+    return Fraction(max(best_lo, best_hi), N * unit)
+
+
+def _exact_walk(alpha: ExactReal, N: int, a: int, b: int, prec: int, cancel) -> Fraction:
+    """`orbit_discrepancy` on enclosures of the exact fractional parts.
+
+    The same walk, for when neighbouring enclosures of i*alpha overlap.
+    Each neighbour pair whose enclosures still overlap is checked by one
+    exact sign test, which the order of `_orbit_order` must pass.
+    """
+    unit = 1 << prec
+    best_lo = best_hi = prev_hi = 0
+    prev = None  # the first point, 0, overlaps nothing below it
+    for j, i in enumerate(_orbit_order(N, a, b)):
+        if j % 4096 == 0:
             _check_cancel(cancel)
-        v_lo, v_hi = i * a_lo, i * a_hi
-        if (v_lo >> prec) == (v_hi >> prec):
-            k = v_lo >> prec
-            encl.append((v_lo - (k << prec), v_hi - (k << prec)))
-        else:
-            k = alpha.scale(i).floor()
-            encl.append((max(v_lo - (k << prec), 0), min(v_hi - (k << prec), unit)))
-    encl.sort()
-    if any(encl[j][1] > encl[j + 1][0] for j in range(N - 1)):
-        # enclosures overlap, so their order is not certain: fall back
-        # to sorting the fractional parts by exact sign tests (the
-        # bound formula below only needs the order to be the true one)
-        fracs = []
-        for i in range(N):
-            v = alpha.scale(i)
-            fracs.append(v - v.floor())
-        fracs.sort()
-        encl = [f._enclosure_scaled(prec) for f in fracs]
-    best_lo = 0  # maximize (i+1)*unit - N*f_lo
-    best_hi = 0  # maximize N*f_hi - i*unit
-    for i, (f_lo, f_hi) in enumerate(encl):
-        best_lo = max(best_lo, (i + 1) * unit - N * f_lo)
-        best_hi = max(best_hi, N * f_hi - i * unit)
+        v = alpha.scale(i)
+        f = v - v.floor()
+        f_lo, f_hi = f._enclosure_scaled(prec)
+        if prev_hi > f_lo and (f - prev).sign() <= 0:
+            raise AssertionError(f"orbit points {prev} and {f} are out of order")
+        prev, prev_hi = f, f_hi
+        best_lo = max(best_lo, (j + 1) * unit - N * f_lo)
+        best_hi = max(best_hi, N * f_hi - j * unit)
     return Fraction(max(best_lo, best_hi), N * unit)

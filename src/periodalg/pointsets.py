@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import EmptyPattern, FullLine, ModulusMismatch
-from .exactreal import ExactReal
+from .exactreal import INITIAL_PRECISION, ExactReal
 
 RealLike = Union[ExactReal, int, Fraction]
 
@@ -120,6 +120,30 @@ class IntervalPattern:
         return out
 
 
+def _reduce(alpha: ExactReal, L: ExactReal) -> ExactReal:
+    """alpha mod L: alpha - k*L in [0, L) for L > 0, with no inversion.
+
+    Integer enclosures of alpha and L bound alpha/L, refined until the
+    floors of the two bounds differ by at most one; then one exact sign
+    test picks k between them (alpha/L may be an integer, so the
+    enclosures alone need not decide).
+    """
+    prec = INITIAL_PRECISION
+    while True:
+        a_lo, a_hi = alpha._enclosure_scaled(prec)
+        l_lo, l_hi = L._enclosure_scaled(prec)
+        if l_lo > 0:
+            k = min(a_lo // l_lo, a_lo // l_hi)
+            k_hi = max(a_hi // l_lo, a_hi // l_hi)
+            if k_hi - k <= 1:
+                break
+        prec *= 2
+    r = alpha - L.scale(k)
+    if k_hi > k and (r - L).sign() >= 0:
+        r = r - L
+    return r
+
+
 def rotate(pattern: IntervalPattern, alpha: RealLike) -> IntervalPattern:
     """The pattern shifted by alpha, renormalized; an exact bijection.
 
@@ -132,7 +156,7 @@ def rotate(pattern: IntervalPattern, alpha: RealLike) -> IntervalPattern:
     """
     alpha = _as_real(alpha)
     L = pattern.modulus
-    step = alpha - L.scale((alpha / L).floor())
+    step = _reduce(alpha, L)
     if step.is_zero():
         return pattern
     if not pattern.intervals:

@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 
 import mpmath
 
+from periodalg.approx import _check_cancel
 from periodalg.errors import NotFound
 from periodalg.exactreal import ExactReal, RadicalBasis
 from periodalg.lattice import CoeffLattice, member
@@ -327,3 +328,64 @@ def linear_kronecker_find(
             if ps is not None:
                 return q, ps
     return NotFound(bound)
+
+
+# `approx.orbit_discrepancy` as it was before the three-distance walk:
+# it sorts the enclosures, and on an overlap sorts the exact fractional
+# parts by sign tests.
+def sorted_orbit_discrepancy(alpha: ExactReal, N: int, cancel=None) -> Fraction:
+    """Rigorous rational upper bound on the star discrepancy of
+    {i*alpha mod 1 : i = 0..N-1}.
+
+    Rational alpha is computed exactly.  Otherwise every fractional
+    part gets an integer enclosure at 2*log2(N) + 64 bits (exact floors
+    resolve any integer-boundary straddle), the points are sorted by
+    enclosure with exact sign tests refereeing any overlap, and the
+    discrepancy formula is maximized over the enclosure endpoints, so
+    the result can only overestimate.
+    """
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    if alpha.sign() <= 0 or (ExactReal.rational(1) - alpha).sign() <= 0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    if alpha.is_rational():
+        a = alpha.as_rational()
+        pts = sorted(
+            Fraction((i * a.numerator) % a.denominator, a.denominator)
+            for i in range(N)
+        )
+        best = Fraction(0)
+        for i, x in enumerate(pts):
+            best = max(best, Fraction(i + 1, N) - x, x - Fraction(i, N))
+        return best
+    prec = 2 * N.bit_length() + 64
+    unit = 1 << prec
+    a_lo, a_hi = alpha._enclosure_scaled(prec)
+    encl: list[tuple[int, int]] = []
+    for i in range(N):
+        if cancel is not None and i % 4096 == 0:
+            _check_cancel(cancel)
+        v_lo, v_hi = i * a_lo, i * a_hi
+        if (v_lo >> prec) == (v_hi >> prec):
+            k = v_lo >> prec
+            encl.append((v_lo - (k << prec), v_hi - (k << prec)))
+        else:
+            k = alpha.scale(i).floor()
+            encl.append((max(v_lo - (k << prec), 0), min(v_hi - (k << prec), unit)))
+    encl.sort()
+    if any(encl[j][1] > encl[j + 1][0] for j in range(N - 1)):
+        # enclosures overlap, so their order is not certain: fall back
+        # to sorting the fractional parts by exact sign tests (the
+        # bound formula below only needs the order to be the true one)
+        fracs = []
+        for i in range(N):
+            v = alpha.scale(i)
+            fracs.append(v - v.floor())
+        fracs.sort()
+        encl = [f._enclosure_scaled(prec) for f in fracs]
+    best_lo = 0  # maximize (i+1)*unit - N*f_lo
+    best_hi = 0  # maximize N*f_hi - i*unit
+    for i, (f_lo, f_hi) in enumerate(encl):
+        best_lo = max(best_lo, (i + 1) * unit - N * f_lo)
+        best_hi = max(best_hi, N * f_hi - i * unit)
+    return Fraction(max(best_lo, best_hi), N * unit)

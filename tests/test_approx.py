@@ -17,7 +17,10 @@ import pytest
 
 from periodalg.approx import (
     _convergents,
+    _exact_walk,
     _first_hit,
+    _orbit_order,
+    _walk_steps,
     continued_fraction,
     dirichlet_find,
     kronecker_find,
@@ -37,6 +40,7 @@ from oracles import (
     linear_kronecker_find,
     mp_value,
     random_basis,
+    sorted_orbit_discrepancy,
 )
 
 
@@ -434,6 +438,96 @@ def test_discrepancy_matches_float_formula():
         exact = orbit_discrepancy(alpha, n)
         approx = float_star_discrepancy(float(mp_value(alpha)), n)
         assert abs(float(exact) - approx) < 1e-9
+
+
+def random_unit_irrational(rng: random.Random) -> ExactReal:
+    """{x} for a random multiquadratic x with 1-3 radicands."""
+    x = random_multiquadratic(rng, rng.randint(1, 3))
+    return x - x.floor()
+
+
+# near-rational rotation numbers: their neighbouring enclosures overlap
+# (the exact fallback) and some straddle an integer at small N
+PLANTED_ALPHAS = [
+    ExactReal.rational(Fraction(1, 3)) + ExactReal.sqrt(2).scale(Fraction(1, 2**80)),
+    ExactReal.rational(Fraction(2, 7)) - ExactReal.sqrt(3).scale(Fraction(1, 2**90)),
+    ExactReal.rational(1) - ExactReal.sqrt(2).scale(Fraction(1, 2**75)),
+]
+
+
+def test_discrepancy_matches_sorted_oracle(monkeypatch):
+    exact_walks = [0]
+    floors = [0]
+    real_floor = ExactReal.floor
+
+    def counting_walk(*args):
+        exact_walks[0] += 1
+        return _exact_walk(*args)
+
+    def counting_floor(self):
+        floors[0] += 1
+        return real_floor(self)
+
+    monkeypatch.setattr("periodalg.approx._exact_walk", counting_walk)
+    rng = random.Random(7001)
+    for _ in range(60):
+        alpha = random_unit_irrational(rng)
+        N = rng.choice([rng.randint(1, 30), rng.randint(31, 3000)])
+        assert orbit_discrepancy(alpha, N) == sorted_orbit_discrepancy(alpha, N), (alpha, N)
+    assert exact_walks[0] == 0
+    for alpha in PLANTED_ALPHAS:
+        for N in (1, 2, 3, 4, 5, 10, 57, 300, 1000):
+            assert orbit_discrepancy(alpha, N) == sorted_orbit_discrepancy(alpha, N), (alpha, N)
+    alpha = PLANTED_ALPHAS[0]
+    assert orbit_discrepancy(alpha, 3000) == sorted_orbit_discrepancy(alpha, 3000)
+    assert exact_walks[0] >= 10
+    # at N = 4 the point 3*alpha straddles 1 and no enclosures overlap
+    fallbacks = exact_walks[0]
+    monkeypatch.setattr(ExactReal, "floor", counting_floor)
+    got = orbit_discrepancy(alpha, 4)
+    monkeypatch.undo()
+    assert floors[0] == 1 and exact_walks[0] == fallbacks
+    assert got == sorted_orbit_discrepancy(alpha, 4)
+
+
+def test_walk_steps_are_the_extreme_points():
+    rng = random.Random(7002)
+    alphas = PLANTED_ALPHAS + [random_unit_irrational(rng) for _ in range(12)]
+    for alpha in alphas:
+        frac = [None] + [alpha.scale(n) - alpha.scale(n).floor() for n in range(1, 500)]
+        a = b = 1
+        for N in range(2, 501):
+            n = N - 1
+            if frac[n] < frac[a]:
+                a = n
+            if frac[n] > frac[b]:
+                b = n
+            assert _walk_steps(alpha, N) == (a, b), (alpha, N)
+        for N in (2, 3, 17, 100, 499):
+            want = sorted(range(N), key=lambda i: mp_value(alpha * i) % 1)
+            assert list(_orbit_order(N, *_walk_steps(alpha, N))) == want
+
+
+def test_discrepancy_makes_no_sign_tests_per_point(monkeypatch):
+    alpha = ExactReal.sqrt(7) - ExactReal.rational(2)
+    calls = [0]
+    real = ExactReal.sign
+
+    def counting(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(ExactReal, "sign", counting)
+    sizes, counts, got = (10**3, 10**5), [], []
+    for N in sizes:
+        calls[0] = 0
+        got.append(orbit_discrepancy(alpha, N))
+        counts.append(calls[0])
+    monkeypatch.undo()
+    # the two input checks; the walk itself makes no sign test
+    assert counts == [2, 2]
+    for N, bound in zip(sizes, got):
+        assert abs(float(bound) - float_star_discrepancy(float(mp_value(alpha)), N)) < 1e-9
 
 
 def test_discrepancy_input_validation():

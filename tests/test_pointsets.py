@@ -384,3 +384,25 @@ def test_symdiff_makes_linearly_many_sign_tests(monkeypatch):
     monkeypatch.undo()
     assert got == pairwise_overlap_symdiff(p, q)
     assert calls[0] <= 4 * n
+
+
+def test_rotate_inverts_no_field_element(monkeypatch):
+    calls = [0]
+    real = ExactReal.invert
+
+    def counting(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(ExactReal, "invert", counting)
+    p = planted_64(SILVER, CELL_8)
+    assert fundamental_period(p) == SILVER.scale(Fraction(1, 8))
+    # shifts that are whole multiples of L (the enclosures cannot decide
+    # the floor), negative ones, and irrational ones in another field
+    for t in (SILVER, SILVER.scale(-3), -ExactReal.sqrt(3), ExactReal.sqrt(3).scale(10**6)):
+        out = rotate(p, t)
+        assert rotate(out, -t) == p
+    assert rotate(p, SILVER.scale(-3)) == p
+    monkeypatch.undo()
+    assert calls[0] == 0
+    assert rotate(p, ExactReal.sqrt(3)) == rotate(p, ExactReal.sqrt(3) - SILVER.scale(7))
