@@ -30,15 +30,10 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .errors import Cancelled, CommensurableInput, DivisionByZero, NotFound
+from .errors import CommensurableInput, DivisionByZero, NotFound
 from .exactreal import INITIAL_PRECISION, ExactReal, commensurable
 
 SCREEN_PRECISION = 192
-
-
-def _check_cancel(cancel) -> None:
-    if cancel is not None and cancel.is_set():
-        raise Cancelled("search cancelled by caller")
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,6 @@ def dirichlet_find(
     T2: ExactReal,
     target: ExactReal,
     eps: ExactReal,
-    cancel=None,
 ) -> tuple[int, int]:
     """Integers (m, n) with |m*T1 + n*T2 - target| < eps, exactly verified.
 
@@ -155,7 +149,6 @@ def dirichlet_find(
     delta = abs(eps / T1)
     # theta is irrational, so the convergents never run out
     for _, p, q in _convergents(theta):
-        _check_cancel(cancel)
         eta = theta.scale(q) - ExactReal.rational(p)
         if _abs_less(eta, delta):
             k = ((tau / eta) + Fraction(1, 2)).floor()
@@ -202,7 +195,6 @@ def kronecker_find(
     delta: ExactReal,
     eps: ExactReal,
     bound: int = 10**6,
-    cancel=None,
 ) -> tuple[int, list[int]] | NotFound:
     """Least q in 1..bound with |q*T - p_i*T_i - delta| < eps for all i.
 
@@ -272,7 +264,6 @@ def kronecker_find(
 
     q = 1
     while q <= bound:
-        _check_cancel(cancel)
         x = _first_hit(t_lo, q * t_lo + shift, M, W)
         if x is None or q + x > bound:
             break
@@ -318,7 +309,7 @@ def _orbit_order(N: int, a: int, b: int) -> Iterator[int]:
         i = i + a if i < N - a else i - b if i >= b else i + a - b
 
 
-def orbit_discrepancy(alpha: ExactReal, N: int, cancel=None) -> Fraction:
+def orbit_discrepancy(alpha: ExactReal, N: int) -> Fraction:
     """Rigorous rational upper bound on the star discrepancy of
     {i*alpha mod 1 : i = 0..N-1}.
 
@@ -355,28 +346,25 @@ def orbit_discrepancy(alpha: ExactReal, N: int, cancel=None) -> Fraction:
     best_hi = 0  # maximize N*f_hi - j*unit
     prev_hi = 0
     rank = 0  # (j+1)*unit at the j-th point
-    order = _orbit_order(N, a, b)
-    for _ in range(0, N, 4096):
-        _check_cancel(cancel)
-        for i in islice(order, 4096):
-            f_lo = i * a_lo & (unit - 1)
-            f_hi = f_lo + i * width
-            if f_hi >= unit:
-                k = alpha.scale(i).floor()
-                f_lo = max(i * a_lo - (k << prec), 0)
-                f_hi = min(i * a_hi - (k << prec), unit)
-            if prev_hi > f_lo:
-                return _exact_walk(alpha, N, a, b, prec, cancel)
-            prev_hi = f_hi
-            rank += unit
-            if rank - N * f_lo > best_lo:
-                best_lo = rank - N * f_lo
-            if N * f_hi - rank + unit > best_hi:
-                best_hi = N * f_hi - rank + unit
+    for i in _orbit_order(N, a, b):
+        f_lo = i * a_lo & (unit - 1)
+        f_hi = f_lo + i * width
+        if f_hi >= unit:
+            k = alpha.scale(i).floor()
+            f_lo = max(i * a_lo - (k << prec), 0)
+            f_hi = min(i * a_hi - (k << prec), unit)
+        if prev_hi > f_lo:
+            return _exact_walk(alpha, N, a, b, prec)
+        prev_hi = f_hi
+        rank += unit
+        if rank - N * f_lo > best_lo:
+            best_lo = rank - N * f_lo
+        if N * f_hi - rank + unit > best_hi:
+            best_hi = N * f_hi - rank + unit
     return Fraction(max(best_lo, best_hi), N * unit)
 
 
-def _exact_walk(alpha: ExactReal, N: int, a: int, b: int, prec: int, cancel) -> Fraction:
+def _exact_walk(alpha: ExactReal, N: int, a: int, b: int, prec: int) -> Fraction:
     """`orbit_discrepancy` on enclosures of the exact fractional parts.
 
     The same walk, for when neighbouring enclosures of i*alpha overlap.
@@ -387,8 +375,6 @@ def _exact_walk(alpha: ExactReal, N: int, a: int, b: int, prec: int, cancel) -> 
     best_lo = best_hi = prev_hi = 0
     prev = None  # the first point, 0, overlaps nothing below it
     for j, i in enumerate(_orbit_order(N, a, b)):
-        if j % 4096 == 0:
-            _check_cancel(cancel)
         v = alpha.scale(i)
         f = v - v.floor()
         f_lo, f_hi = f._enclosure_scaled(prec)

@@ -1,11 +1,11 @@
 """Exception types and shared result flags used across the package.
 
 Every error names something about the input or the caller: a malformed
-text, a value outside a domain, a zero divisor, a cancelled search.
-None of them stands for an internal precision or iteration cap: exact
-signs and floors refine until they are decided, and `dirichlet_find`
-walks convergents until one is close enough.  A search bounded by the
-caller that finds nothing returns `NotFound` instead of raising.
+text, a value outside a domain, a zero divisor.  None of them stands
+for an internal precision or iteration cap: exact signs and floors
+refine until they are decided, and `dirichlet_find` walks convergents
+until one is close enough.  A search bounded by the caller that finds
+nothing returns `NotFound` instead of raising.
 """
 
 from dataclasses import dataclass
@@ -24,10 +24,6 @@ class NotFound:
 
 class PeriodalgError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class BasisNotClosed(PeriodalgError):
-    """A product of radicands falls outside the basis; extend it first."""
 
 
 class DivisionByZero(PeriodalgError, ZeroDivisionError):
@@ -98,10 +94,6 @@ class CommensurableInput(PeriodalgError):
     With a rational ratio T1*Z + T2*Z is discrete, so no witness exists
     for a small enough eps.
     """
-
-
-class Cancelled(PeriodalgError):
-    """A cooperative cancellation token stopped a long-running search."""
 
 
 class ScenarioError(PeriodalgError):

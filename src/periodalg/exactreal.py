@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Mapping, Union
 
-from .errors import BasisNotClosed, DivisionByZero
+from .errors import DivisionByZero
 
 RationalLike = Union[int, Fraction]
 
@@ -54,9 +54,8 @@ def _sqrt_floor_scaled(d: int, prec: int) -> int:
 class RadicalBasis:
     """Ordered tuple of distinct squarefree radicands, always starting at 1.
 
-    The basis is purely additive by default; `closure()` produces the
-    multiplicatively closed extension (all squarefree subset products),
-    which costs up to 2^r entries and is only paid on request.
+    It orders the coordinates of lattices and formula domains.  An
+    `ExactReal` carries none: its coordinate map is keyed by radicand.
     """
 
     __slots__ = ("radicands", "_index")
@@ -95,19 +94,6 @@ class RadicalBasis:
             return self
         return RadicalBasis(self.radicands + other.radicands)
 
-    def closure(self) -> "RadicalBasis":
-        """Smallest basis containing this one and closed under products."""
-        rads = {1}
-        for d in self.radicands:
-            rads |= {_squarefree_part(d * r) for r in rads} | {d}
-        return RadicalBasis(rads)
-
-    def is_closed(self) -> bool:
-        rs = self.radicands
-        return all(
-            _squarefree_part(a * b) in self._index for a in rs for b in rs if a <= b
-        )
-
 
 def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
@@ -120,11 +106,13 @@ def _as_fraction(x: RationalLike) -> Fraction:
 class ExactReal:
     """Immutable element of a multiquadratic field.
 
-    `coords` maps radicand -> rational coefficient; absent keys mean 0.
-    The represented value is sum(coords[d] * sqrt(d)).
+    `coords` maps squarefree radicand -> nonzero rational coefficient;
+    absent keys mean 0.  The represented value is
+    sum(coords[d] * sqrt(d)).  A basis passed to a constructor is only
+    checked: every radicand must be in it.
     """
 
-    __slots__ = ("basis", "coords")
+    __slots__ = ("coords",)
 
     def __init__(self, basis: RadicalBasis, coords: Mapping[int, RationalLike]):
         clean: dict[int, Fraction] = {}
@@ -134,28 +122,31 @@ class ExactReal:
             f = _as_fraction(c)
             if f != 0:
                 clean[int(d)] = f
-        self.basis = basis
         self.coords: dict[int, Fraction] = clean
 
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _of(cls, coords: dict[int, Fraction]) -> "ExactReal":
+        """An element owning coords, whose keys are squarefree and whose
+        values are nonzero Fractions; nothing is checked or copied."""
+        self = object.__new__(cls)
+        self.coords = coords
+        return self
+
+    @classmethod
     def rational(cls, q: RationalLike, basis: RadicalBasis | None = None) -> "ExactReal":
-        b = basis if basis is not None else RadicalBasis([1])
-        return cls(b, {1: _as_fraction(q)})
+        f = _as_fraction(q)
+        return cls._of({1: f} if f else {})
 
     @classmethod
     def sqrt(cls, n: int, basis: RadicalBasis | None = None) -> "ExactReal":
         """sqrt(n) for a positive integer, normalized: sqrt(8) = 2*sqrt(2)."""
         n = int(n)
         d = _squarefree_part(n)
-        m = isqrt(n // d)
-        b = basis if basis is not None else RadicalBasis([1, d])
-        return cls(b, {d: Fraction(m)})
-
-    def with_basis(self, basis: RadicalBasis) -> "ExactReal":
-        """Embed into a larger basis (coords unchanged)."""
-        return ExactReal(basis, self.coords)
+        if basis is not None and d not in basis:
+            raise ValueError(f"radicand {d} not in basis {basis.radicands}")
+        return cls._of({d: Fraction(isqrt(n // d))})
 
     # -- predicates ----------------------------------------------------
 
@@ -176,17 +167,18 @@ class ExactReal:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        basis = self.basis.merge(other.basis)
         coords = dict(self.coords)
         for d, c in other.coords.items():
-            coords[d] = coords.get(d, Fraction(0)) + c
-        return ExactReal(basis, coords)
+            s = coords.pop(d, 0) + c
+            if s:
+                coords[d] = s
+        return ExactReal._of(coords)
 
     def __radd__(self, other) -> "ExactReal":
         return self.__add__(other)
 
     def __neg__(self) -> "ExactReal":
-        return ExactReal(self.basis, {d: -c for d, c in self.coords.items()})
+        return ExactReal._of({d: -c for d, c in self.coords.items()})
 
     def __sub__(self, other) -> "ExactReal":
         other = _coerce(other)
@@ -198,28 +190,24 @@ class ExactReal:
         return (-self).__add__(other)
 
     def scale(self, q: RationalLike) -> "ExactReal":
-        """Multiply by a rational scalar (never needs basis closure)."""
+        """Multiply by a rational scalar."""
         f = _as_fraction(q)
-        return ExactReal(self.basis, {d: c * f for d, c in self.coords.items()})
+        return ExactReal._of({d: c * f for d, c in self.coords.items()} if f else {})
 
     def __mul__(self, other) -> "ExactReal":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, ExactReal):
             return NotImplemented
-        basis = self.basis.merge(other.basis)
         coords: dict[int, Fraction] = {}
         for a, ca in self.coords.items():
             for b, cb in other.coords.items():
+                # sqrt(a)*sqrt(b) = g*sqrt(d), and d is squarefree: a/g
+                # and b/g are squarefree and coprime
                 g = gcd(a, b)
                 d = (a // g) * (b // g)
-                if d not in basis:
-                    raise BasisNotClosed(
-                        f"sqrt({a})*sqrt({b}) needs radicand {d}; "
-                        f"extend the basis via closure() first"
-                    )
-                coords[d] = coords.get(d, Fraction(0)) + ca * cb * g
-        return ExactReal(basis, coords)
+                coords[d] = coords.get(d, 0) + ca * cb * g
+        return ExactReal._of({d: c for d, c in coords.items() if c})
 
     def __rmul__(self, other) -> "ExactReal":
         if isinstance(other, (int, Fraction)):
@@ -232,13 +220,12 @@ class ExactReal:
         Split x = a + b where b collects the radicands divisible by a
         prime q and a the rest; then x * (a - b) = a^2 - b^2 has no
         radicand divisible by q, so recursion strips one prime per level
-        and bottoms out at a rational.  Works inside the closure of the
-        element's basis, and the result is expressed over that closure.
+        and bottoms out at a rational.  Every step works on the
+        coordinate maps alone.
         """
         if self.is_zero():
             raise DivisionByZero("invert of zero element")
-        closed = self.basis if self.basis.is_closed() else self.basis.closure()
-        return _invert_in(self.with_basis(closed))
+        return _invert(self)
 
     def __truediv__(self, other) -> "ExactReal":
         if isinstance(other, (int, Fraction)):
@@ -248,13 +235,10 @@ class ExactReal:
             return self.scale(1 / f)
         if not isinstance(other, ExactReal):
             return NotImplemented
-        basis = self.basis.merge(other.basis)
-        if not basis.is_closed():
-            basis = basis.closure()
         if other.is_rational() and not other.is_zero():
             # a rational divisor needs no field inversion
-            return self.with_basis(basis).scale(1 / other.as_rational())
-        return self.with_basis(basis) * other.with_basis(basis).invert()
+            return self.scale(1 / other.as_rational())
+        return self * other.invert()
 
     def __rtruediv__(self, other) -> "ExactReal":
         inv = self.invert()
@@ -336,7 +320,7 @@ class ExactReal:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).is_zero()
+        return self.coords == other.coords
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.coords.items())))
@@ -459,21 +443,20 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
-def _invert_in(x: ExactReal) -> ExactReal:
-    # pre: x nonzero, x.basis multiplicatively closed
+def _invert(x: ExactReal) -> ExactReal:
+    # pre: x nonzero
     if x.is_rational():
-        return ExactReal.rational(1 / x.as_rational(), x.basis)
-    q = _smallest_prime_factor(max(d for d in x.coords if d != 1))
+        return ExactReal._of({1: 1 / x.coords[1]})
+    q = _smallest_prime_factor(max(x.coords))
     a_coords: dict[int, Fraction] = {}
     b_coords: dict[int, Fraction] = {}
     for d, c in x.coords.items():
         (b_coords if d % q == 0 else a_coords)[d] = c
-    a = ExactReal(x.basis, a_coords)
-    b = ExactReal(x.basis, b_coords)
+    a = ExactReal._of(a_coords)
+    b = ExactReal._of(b_coords)
     # x * (a - b) = a^2 - b^2, whose radicands are all coprime to q:
     # for q | d1, q | d2 the squarefree part of d1*d2 loses the q^2.
-    denom = a * a - b * b
-    return (a - b) * _invert_in(denom)
+    return (a - b) * _invert(a * a - b * b)
 
 
 # -- module-level operation surface -------------------------------------

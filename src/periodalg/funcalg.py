@@ -452,12 +452,7 @@ class _Parser:
             if not op:
                 return v
             rhs = self.factor()
-            if op == "/":
-                v = self.combine(pos, operator.truediv, v, rhs)
-            elif self.domain is None:
-                v = self.combine(pos, _real_mul, v, rhs)
-            else:
-                v = self.combine(pos, operator.mul, v, rhs)
+            v = self.combine(pos, operator.truediv if op == "/" else operator.mul, v, rhs)
 
     def factor(self):
         if self.accept_op("-"):
@@ -532,13 +527,6 @@ class _Parser:
             mono = Monomial([(Atom(ABS1, d, s), exp)])
             coeff = Fraction(1)
         return CanonicalForm(self.domain, {mono: coeff})
-
-
-def _real_mul(x: ExactReal, y: ExactReal) -> ExactReal:
-    basis = x.basis.merge(y.basis)
-    if not basis.is_closed():
-        basis = basis.closure()
-    return x.with_basis(basis) * y.with_basis(basis)
 
 
 def parse(expr: str, domain: CoeffLattice) -> CanonicalForm:
@@ -787,7 +775,7 @@ def composition_check(slope: ExactReal, T: ExactReal, L: ExactReal) -> Compositi
         raise DivisionByZero("zero period T")
     if L.is_zero():
         raise ValueError("zero period L")
-    ratio = _real_mul(slope, L) / T
+    ratio = slope * L / T
     if ratio.is_rational():
         q = ratio.as_rational()
         if q.denominator == 1:

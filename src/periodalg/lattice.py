@@ -100,7 +100,7 @@ class CoeffLattice:
     are available.
     """
 
-    __slots__ = ("basis", "generators", "hnf", "_pivots", "_dim")
+    __slots__ = ("basis", "hnf", "_pivots", "dim")
 
     def __init__(
         self,
@@ -123,16 +123,11 @@ class CoeffLattice:
                 raise DimensionMismatch(f"generator {g} has length {len(g)}, want {k}")
         h, _, rank = _hnf_with_transform(gens, k)
         self.basis = basis
-        self.generators: tuple[Vector, ...] = tuple(gens)
         self.hnf: tuple[Vector, ...] = tuple(tuple(r) for r in h[:rank])
         self._pivots: tuple[int, ...] = tuple(
             next(j for j, x in enumerate(row) if x) for row in self.hnf
         )
-        self._dim = k
-
-    @property
-    def dim(self) -> int:
-        return self._dim
+        self.dim = k
 
     @property
     def rank(self) -> int:

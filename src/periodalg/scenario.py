@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable
 
 from . import approx as approxmod
@@ -449,16 +448,8 @@ def _plain(value) -> str:
     return str(value)
 
 
-def _real_out(x: ExactReal) -> str:
-    return str(x)
-
-
 def _approx_out(x: ExactReal) -> str:
     return x.approx_str(12)
-
-
-def _frac_out(q: Fraction) -> str:
-    return str(q)
 
 
 def _basis_out(basis: RadicalBasis) -> str:
@@ -527,7 +518,7 @@ def _run_period_module(args, options) -> dict:
             "zero_coords": sorted(pm.zero_coords),
             "parity_constraints": [sorted(s) for s in pm.parity_constraints],
             "lattice": _lattice_out(pm.as_lattice),
-            "generators": [_real_out(g) for g in pm.generators_real],
+            "generators": [str(g) for g in pm.generators_real],
         },
         "approx": {"generators": [_approx_out(g) for g in pm.generators_real]},
         "verdict": f"period module of rank {pm.as_lattice.rank}",
@@ -539,13 +530,13 @@ def _run_commensurable(args, options) -> dict:
     ratio = lattice.commensurable(x, y)
     out = {
         "kind": "commensurable",
-        "inputs": {"x": _real_out(x), "y": _real_out(y)},
+        "inputs": {"x": str(x), "y": str(y)},
         "exact": {"commensurable": ratio is not None},
         "approx": {"x": _approx_out(x), "y": _approx_out(y)},
         "verdict": "commensurable" if ratio is not None else "incommensurable",
     }
     if ratio is not None:
-        out["witness"] = {"ratio": _frac_out(ratio)}
+        out["witness"] = {"ratio": str(ratio)}
     return out
 
 
@@ -555,9 +546,9 @@ def _run_classify(args, options) -> dict:
     exact: dict[str, Any] = {}
     if isinstance(outcome, Discrete):
         exact["classification"] = "discrete"
-        exact["T0"] = _real_out(outcome.T0)
+        exact["T0"] = str(outcome.T0)
         approx = {"T0": _approx_out(outcome.T0)}
-        verdict = f"discrete: T0 = {_real_out(outcome.T0)}"
+        verdict = f"discrete: T0 = {str(outcome.T0)}"
     else:
         exact["classification"] = "dense"
         exact["T0"] = None
@@ -565,7 +556,7 @@ def _run_classify(args, options) -> dict:
         verdict = "dense in the reals"
     return {
         "kind": "classify",
-        "inputs": {"periods": [_real_out(t) for t in periods]},
+        "inputs": {"periods": [str(t) for t in periods]},
         "exact": exact,
         "approx": approx,
         "verdict": verdict,
@@ -584,7 +575,7 @@ def _run_intersect(args, options) -> dict:
         },
         "exact": {
             "lattice": _lattice_out(meet),
-            "generators": [_real_out(g) for g in gens],
+            "generators": [str(g) for g in gens],
         },
         "approx": {"generators": [_approx_out(g) for g in gens]},
         "verdict": f"intersection of rank {meet.rank}",
@@ -592,10 +583,10 @@ def _run_intersect(args, options) -> dict:
 
 
 def _pattern_out(p: IntervalPattern) -> str:
-    body = " u ".join(f"({_real_out(a)}, {_real_out(b)})" for a, b in p.intervals)
+    body = " u ".join(f"({str(a)}, {str(b)})" for a, b in p.intervals)
     if p.wrap_point:
         body += " wrap"
-    return f"{body or 'empty'} mod {_real_out(p.modulus)}"
+    return f"{body or 'empty'} mod {str(p.modulus)}"
 
 
 def _run_fundamental_period(args, options) -> dict:
@@ -604,9 +595,9 @@ def _run_fundamental_period(args, options) -> dict:
     return {
         "kind": "fundamental_period",
         "inputs": {"pattern": args["name"], "definition": _pattern_out(p)},
-        "exact": {"period": _real_out(t0)},
+        "exact": {"period": str(t0)},
         "approx": {"period": _approx_out(t0)},
-        "verdict": f"fundamental period {_real_out(t0)}",
+        "verdict": f"fundamental period {str(t0)}",
     }
 
 
@@ -618,14 +609,14 @@ def _run_dirichlet(args, options) -> dict:
     return {
         "kind": "dirichlet",
         "inputs": {
-            "T1": _real_out(args["T1"]),
-            "T2": _real_out(args["T2"]),
-            "target": _real_out(args["target"]),
-            "eps": _real_out(eps),
+            "T1": str(args["T1"]),
+            "T2": str(args["T2"]),
+            "target": str(args["target"]),
+            "eps": str(eps),
         },
         "exact": {
-            "combination": _real_out(value),
-            "error": _real_out(err),
+            "combination": str(value),
+            "error": str(err),
         },
         "approx": {"error": _approx_out(err)},
         "witness": {"m": m, "n": n},
@@ -640,10 +631,10 @@ def _run_kronecker(args, options) -> dict:
     out = {
         "kind": "kronecker",
         "inputs": {
-            "T": _real_out(args["T"]),
-            "Ts": [_real_out(t) for t in args["Ts"]],
-            "delta": _real_out(args["delta"]),
-            "eps": _real_out(eps),
+            "T": str(args["T"]),
+            "Ts": [str(t) for t in args["Ts"]],
+            "delta": str(args["delta"]),
+            "eps": str(eps),
             "bound": bound,
         },
     }
@@ -659,7 +650,7 @@ def _run_kronecker(args, options) -> dict:
     ]
     out["exact"] = {
         "found": True,
-        "residuals": [_real_out(r) for r in residuals],
+        "residuals": [str(r) for r in residuals],
     }
     out["approx"] = {"residuals": [_approx_out(r) for r in residuals]}
     out["witness"] = {"q": q, "ps": list(ps)}
@@ -677,7 +668,7 @@ def _run_cfrac(args, options) -> dict:
         verdict += " (rational, expansion complete)"
     return {
         "kind": "cfrac",
-        "inputs": {"x": _real_out(args["x"]), "depth": depth},
+        "inputs": {"x": str(args["x"]), "depth": depth},
         "exact": {
             "quotients": list(cf.quotients),
             "convergents": [[p, q] for p, q in cf.convergents],
@@ -693,10 +684,10 @@ def _run_discrepancy(args, options) -> dict:
     as_real = ExactReal.rational(dstar)
     return {
         "kind": "discrepancy",
-        "inputs": {"alpha": _real_out(args["alpha"]), "N": args["N"]},
-        "exact": {"dstar_upper_bound": _frac_out(dstar)},
+        "inputs": {"alpha": str(args["alpha"]), "N": args["N"]},
+        "exact": {"dstar_upper_bound": str(dstar)},
         "approx": {"dstar_upper_bound": _approx_out(as_real)},
-        "verdict": f"star discrepancy at most {_frac_out(dstar)}",
+        "verdict": f"star discrepancy at most {str(dstar)}",
     }
 
 
@@ -705,9 +696,9 @@ def _run_composition_check(args, options) -> dict:
     return {
         "kind": "composition_check",
         "inputs": {
-            "slope": _real_out(args["slope"]),
-            "T": _real_out(args["T"]),
-            "L": _real_out(args["L"]),
+            "slope": str(args["slope"]),
+            "T": str(args["T"]),
+            "L": str(args["L"]),
         },
         "exact": {"holds": res.holds, "n": res.n},
         "approx": {},
@@ -728,7 +719,7 @@ def _run_counterexample(args, options) -> dict:
         "inputs": {
             "function": args["name"],
             "formula": f.text(),
-            "shift": _real_out(args["shift"]),
+            "shift": str(args["shift"]),
             "bound": bound,
         },
     }
@@ -745,8 +736,8 @@ def _run_counterexample(args, options) -> dict:
         vec = None
     shifted = tuple(a + b for a, b in zip(x, vec)) if vec is not None else None
     if shifted is not None and lattice.member(f.domain, shifted):
-        exact["f_at_x"] = _frac_out(funcalg.evaluate(f, x))
-        exact["f_at_x_plus_shift"] = _frac_out(funcalg.evaluate(f, shifted))
+        exact["f_at_x"] = str(funcalg.evaluate(f, x))
+        exact["f_at_x_plus_shift"] = str(funcalg.evaluate(f, shifted))
     else:
         exact["domain_invariant"] = False
     out["exact"] = exact

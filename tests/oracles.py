@@ -17,7 +17,6 @@ from typing import Iterator, Sequence
 
 import mpmath
 
-from periodalg.approx import _check_cancel
 from periodalg.errors import NotFound
 from periodalg.exactreal import ExactReal, RadicalBasis
 from periodalg.lattice import CoeffLattice, member
@@ -333,7 +332,7 @@ def linear_kronecker_find(
 # `approx.orbit_discrepancy` as it was before the three-distance walk:
 # it sorts the enclosures, and on an overlap sorts the exact fractional
 # parts by sign tests.
-def sorted_orbit_discrepancy(alpha: ExactReal, N: int, cancel=None) -> Fraction:
+def sorted_orbit_discrepancy(alpha: ExactReal, N: int) -> Fraction:
     """Rigorous rational upper bound on the star discrepancy of
     {i*alpha mod 1 : i = 0..N-1}.
 
@@ -363,8 +362,6 @@ def sorted_orbit_discrepancy(alpha: ExactReal, N: int, cancel=None) -> Fraction:
     a_lo, a_hi = alpha._enclosure_scaled(prec)
     encl: list[tuple[int, int]] = []
     for i in range(N):
-        if cancel is not None and i % 4096 == 0:
-            _check_cancel(cancel)
         v_lo, v_hi = i * a_lo, i * a_hi
         if (v_lo >> prec) == (v_hi >> prec):
             k = v_lo >> prec

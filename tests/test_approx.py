@@ -8,7 +8,6 @@ is trusted blindly.
 from __future__ import annotations
 
 import random
-import threading
 from fractions import Fraction
 from itertools import islice
 
@@ -27,7 +26,6 @@ from periodalg.approx import (
     orbit_discrepancy,
 )
 from periodalg.errors import (
-    Cancelled,
     CommensurableInput,
     DivisionByZero,
     NotFound,
@@ -537,28 +535,3 @@ def test_discrepancy_input_validation():
         orbit_discrepancy(ExactReal.rational(0), 100)
     with pytest.raises(ValueError):
         orbit_discrepancy(ExactReal.rational(Fraction(1, 3)), 0)
-
-
-def test_cancellation_hooks():
-    stop = threading.Event()
-    stop.set()
-    alpha = ExactReal.sqrt(2) - ExactReal.rational(1)
-    with pytest.raises(Cancelled):
-        orbit_discrepancy(alpha, 5000, cancel=stop)
-    with pytest.raises(Cancelled):
-        kronecker_find(
-            ExactReal.sqrt(2),
-            [ExactReal.rational(1)],
-            ExactReal.rational(0),
-            ExactReal.rational(Fraction(1, 10**9)),
-            bound=100_000,
-            cancel=stop,
-        )
-    with pytest.raises(Cancelled):
-        dirichlet_find(
-            ExactReal.rational(1),
-            ExactReal.sqrt(2),
-            ExactReal.sqrt(3),
-            ExactReal.rational(Fraction(1, 100)),
-            cancel=stop,
-        )

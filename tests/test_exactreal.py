@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from periodalg.errors import BasisNotClosed, DivisionByZero
+from periodalg.errors import DivisionByZero
 from periodalg.exactreal import ExactReal, RadicalBasis, commensurable
 from periodalg.funcalg import parse_real
 
@@ -43,9 +43,16 @@ def test_radical_basis_validation():
     basis = RadicalBasis([2, 3])
     assert basis.radicands == (1, 2, 3)
     assert basis.merge(RadicalBasis([5])).radicands == (1, 2, 3, 5)
-    assert RadicalBasis([2, 3]).closure().radicands == (1, 2, 3, 6)
-    assert RadicalBasis([2, 3, 6]).is_closed()
-    assert not RadicalBasis([2, 3]).is_closed()
+
+
+def test_constructors_check_a_given_basis():
+    # the basis is checked, not stored
+    with pytest.raises(ValueError):
+        ExactReal(RadicalBasis([2]), {3: 1})
+    with pytest.raises(ValueError):
+        ExactReal.sqrt(3, RadicalBasis([2]))
+    assert ExactReal.sqrt(12, RadicalBasis([3])) == ExactReal.sqrt(3).scale(2)
+    assert not hasattr(ExactReal.sqrt(2), "basis")
 
 
 def test_zero_coordinates_are_dropped():
@@ -87,7 +94,7 @@ def test_known_floor_and_sign():
 
 def test_arithmetic_matches_mpmath():
     rng = random.Random(1201)
-    basis = RadicalBasis([2, 3, 5]).closure()
+    basis = RadicalBasis([2, 3, 5, 6, 10, 15, 30])
     for _ in range(300):
         x = random_element(rng, basis)
         y = random_element(rng, basis)
@@ -107,9 +114,7 @@ def test_division_round_trips():
         y = random_element(rng, basis)
         if y.is_zero():
             continue
-        q = x / y
-        prod = q * y.with_basis(q.basis)
-        assert prod == x.with_basis(prod.basis)
+        assert (x / y) * y == x
 
 
 def test_inversion_round_trips():
@@ -119,19 +124,18 @@ def test_inversion_round_trips():
         x = random_element(rng, basis)
         if x.is_zero():
             continue
-        inv = x.invert()
-        assert (x.with_basis(inv.basis) * inv).as_rational() == 1
+        assert (x * x.invert()).as_rational() == 1
 
 
-def test_multiplication_requires_closed_basis():
+def test_products_across_radicands():
+    # a product lands on the squarefree part of the product of radicands
     basis = RadicalBasis([2, 3])
     x = ExactReal.sqrt(2, basis)
     y = ExactReal.sqrt(3, basis)
-    with pytest.raises(BasisNotClosed):
-        x * y
-    closed = basis.closure()
-    prod = x.with_basis(closed) * y.with_basis(closed)
-    assert prod == ExactReal.sqrt(6, closed)
+    assert x * y == ExactReal.sqrt(6)
+    assert ExactReal.sqrt(6) * ExactReal.sqrt(10) == ExactReal.sqrt(15).scale(2)
+    assert ExactReal.sqrt(2) * ExactReal.sqrt(2) == ExactReal.rational(2)
+    assert parse_real("sqrt(2)*sqrt(3)") == ExactReal.sqrt(6)
 
 
 def test_sign_matches_mpmath():
@@ -187,8 +191,7 @@ def test_string_round_trips_through_parser():
     basis = RadicalBasis([2, 3, 5])
     for _ in range(120):
         x = random_element(rng, basis)
-        back = parse_real(str(x))
-        assert back == x.with_basis(back.basis)
+        assert parse_real(str(x)) == x
 
 
 def test_approx_str_is_12_significant_digits():

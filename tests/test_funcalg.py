@@ -351,6 +351,8 @@ def test_composition_check_cases():
     assert composition_check(s2, s2, ExactReal.rational(5)).n == 5
     assert not composition_check(s2, one, s3).holds
     assert composition_check(s2, one, s2).n == 2
+    # sqrt(2) * sqrt(3) / sqrt(6) = 1: the product leaves both radicands
+    assert composition_check(s2, ExactReal.sqrt(6), s3).n == 1
     with pytest.raises(DivisionByZero):
         composition_check(two, ExactReal.rational(0), one)
     with pytest.raises(ValueError):

@@ -65,7 +65,7 @@ def test_hnf_invariant_under_unimodular_remix():
     for _ in range(60):
         dim = rng.choice([2, 3])
         lat = random_lattice(rng, dim)
-        gens = [list(g) for g in lat.generators]
+        gens = [list(g) for g in lat.hnf]
         # a few random elementary row operations keep the lattice fixed
         for _ in range(6):
             i, j = rng.sample(range(len(gens)), 2)
