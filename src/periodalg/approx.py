@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .errors import CommensurableInput, DivisionByZero, NotFound
+from .errors import CommensurableInput, DivisionByZero, EmptyInput, NotFound
 from .exactreal import INITIAL_PRECISION, ExactReal, commensurable
 
 SCREEN_PRECISION = 192
@@ -129,14 +129,15 @@ def dirichlet_find(
 ) -> tuple[int, int]:
     """Integers (m, n) with |m*T1 + n*T2 - target| < eps, exactly verified.
 
-    Normalize by T1: theta = T2/T1 is irrational, and its convergents
-    p/q give eta = q*theta - p with |eta| < 1/q_next, where the
-    denominators grow at least like the Fibonacci numbers, so the walk
-    reaches |eta| < eps/|T1| after finitely many steps.  At the first
-    such convergent, k = round(target/(T1*eta)) copies of eta land
-    within |eta|/2 of target/T1, so m = -k*p, n = k*q is a witness.  It
-    is re-checked by exact sign tests; a failed re-check is an internal
-    error, not a reason to search.
+    The convergents p/q of the irrational theta = T2/T1 give
+    u = q*T2 - p*T1 = T1*(q*theta - p) with |u| < |T1|/q_next, where
+    the denominators grow at least like the Fibonacci numbers, so the
+    walk reaches |u| < eps after finitely many steps.  At the first
+    such convergent, k = round(target/u) = (2*target + u) // (2*u)
+    copies of u land within |u|/2 of target, so m = -k*p, n = k*q is a
+    witness.  Only theta divides; the rounding is an exact floor of a
+    quotient.  The witness is re-checked by exact sign tests; a failed
+    re-check is an internal error, not a reason to search.
     """
     if eps.sign() <= 0:
         raise ValueError("eps must be positive")
@@ -144,14 +145,11 @@ def dirichlet_find(
         raise CommensurableInput(
             "T1 and T2 are commensurable; T1*Z + T2*Z is discrete, not dense"
         )
-    theta = T2 / T1
-    tau = target / T1
-    delta = abs(eps / T1)
-    # theta is irrational, so the convergents never run out
-    for _, p, q in _convergents(theta):
-        eta = theta.scale(q) - ExactReal.rational(p)
-        if _abs_less(eta, delta):
-            k = ((tau / eta) + Fraction(1, 2)).floor()
+    # T2/T1 is irrational, so the convergents never run out
+    for _, p, q in _convergents(T2 / T1):
+        u = T2.scale(q) - T1.scale(p)
+        if _abs_less(u, eps):
+            k = (target.scale(2) + u) // u.scale(2)
             m, n = -k * p, k * q
             if not _abs_less(T1.scale(m) + T2.scale(n) - target, eps):
                 raise AssertionError(f"witness ({m}, {n}) failed its exact re-check")
@@ -198,13 +196,14 @@ def kronecker_find(
 ) -> tuple[int, list[int]] | NotFound:
     """Least q in 1..bound with |q*T - p_i*T_i - delta| < eps for all i.
 
-    Each p_i is the nearest integer to (q*T - delta)/T_i.  Candidates
-    come from the tightest constraint, the largest |T_i|, on integer
-    enclosures scaled by 2^prec: with M the low end of |T_i|*2^prec and
-    Y(q) = q*t_lo - d_hi, a witness puts Y(q) within e_hi + slack of a
-    multiple of M, where the slack bound*(t_hi-t_lo) + (d_hi-d_lo) +
-    p_max*(m_hi-m_lo) covers every enclosure width for q <= bound.  So
-    every true witness is a first hit of (t_lo*x + B) mod M <= W
+    Each p_i is the nearest integer to (q*T - delta)/T_i, taken as the
+    exact floor (2*(q*T - delta) + T_i) // (2*T_i) with no inversion
+    of T_i.  Candidates come from the tightest constraint, the largest
+    |T_i|, on integer enclosures scaled by 2^prec: with M the low end
+    of |T_i|*2^prec and Y(q) = q*t_lo - d_hi, a witness puts Y(q)
+    within e_hi + slack of a multiple of M, where the slack
+    bound*(t_hi-t_lo) + (d_hi-d_lo) + p_max*(m_hi-m_lo) covers every
+    enclosure width for q <= bound.  So every true witness is a first hit of (t_lo*x + B) mod M <= W
     (`_first_hit`, no scan over q).  A candidate is dropped when, for
     some T_i, no integer p at all puts p*|T_i| in the enclosure of
     [q*T - delta - eps, q*T - delta + eps]; every other one is decided
@@ -216,6 +215,8 @@ def kronecker_find(
     """
     if eps.sign() <= 0:
         raise ValueError("eps must be positive")
+    if not Ts:
+        raise EmptyInput("kronecker_find needs at least one T_i")
     if T.is_zero():
         raise DivisionByZero("zero step T")
     for t in Ts:
@@ -254,8 +255,7 @@ def kronecker_find(
         qt = T.scale(q)
         ps = []
         for t in Ts:
-            y = (qt - delta) / t
-            p = (y + Fraction(1, 2)).floor()
+            p = ((qt - delta).scale(2) + t) // t.scale(2)
             u = qt - t.scale(p) - delta
             if not _abs_less(u, eps):
                 return None

@@ -256,9 +256,9 @@ def _check_period_module():
     f = funcalg.parse("sgn(sqrt(3))", dom)
     pm = funcalg.period_module(f)
     want = (
-        ExactReal.rational(1, basis),
-        ExactReal.sqrt(2, basis),
-        ExactReal.sqrt(3, basis).scale(2),
+        ExactReal.rational(1),
+        ExactReal.sqrt(2),
+        ExactReal.sqrt(3).scale(2),
     )
     assert pm.generators_real == want
 

@@ -108,8 +108,8 @@ class ExactReal:
 
     `coords` maps squarefree radicand -> nonzero rational coefficient;
     absent keys mean 0.  The represented value is
-    sum(coords[d] * sqrt(d)).  A basis passed to a constructor is only
-    checked: every radicand must be in it.
+    sum(coords[d] * sqrt(d)).  The basis passed to `ExactReal(basis,
+    coords)` is only checked: every radicand must be in it.
     """
 
     __slots__ = ("coords",)
@@ -135,17 +135,15 @@ class ExactReal:
         return self
 
     @classmethod
-    def rational(cls, q: RationalLike, basis: RadicalBasis | None = None) -> "ExactReal":
+    def rational(cls, q: RationalLike) -> "ExactReal":
         f = _as_fraction(q)
         return cls._of({1: f} if f else {})
 
     @classmethod
-    def sqrt(cls, n: int, basis: RadicalBasis | None = None) -> "ExactReal":
+    def sqrt(cls, n: int) -> "ExactReal":
         """sqrt(n) for a positive integer, normalized: sqrt(8) = 2*sqrt(2)."""
         n = int(n)
         d = _squarefree_part(n)
-        if basis is not None and d not in basis:
-            raise ValueError(f"radicand {d} not in basis {basis.radicands}")
         return cls._of({d: Fraction(isqrt(n // d))})
 
     # -- predicates ----------------------------------------------------
@@ -297,23 +295,38 @@ class ExactReal:
         return lo * unit, hi * unit
 
     def floor(self) -> int:
-        """Unique n with n <= x < n+1; exact.
+        """Unique n with n <= x < n+1; exact (`x // 1`)."""
+        return self // 1
 
-        Rational values floor directly; irrational values refine the
-        dyadic enclosure, doubling precision from 64 bits, until both
-        ends have the same floor.  This terminates with no cap: an
-        irrational is never an integer, so it is a fixed distance from
-        the nearest one, and the enclosure width halves with every
+    def __floordiv__(self, other) -> int:
+        """floor(self / other); exact, with no field inversion.
+
+        A rational ratio (`commensurable`) floors directly.  Otherwise
+        both dyadic enclosures are refined, doubling precision from 64
+        bits, until the floors of the four corner quotients agree.  This
+        terminates with no cap: an irrational ratio is a fixed distance
+        from every integer, and the enclosure widths halve with every
         extra bit.
         """
-        if self.is_rational():
-            c = self.coords.get(1, Fraction(0))
-            return c.numerator // c.denominator
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero():
+            raise DivisionByZero("floor division by zero")
+        if self.is_zero():
+            return 0
+        r = commensurable(self, other)
+        if r is not None:
+            return r.numerator // r.denominator
         prec = INITIAL_PRECISION
         while True:
-            lo, hi = self._enclosure_scaled(prec)
-            if lo >> prec == hi >> prec:
-                return lo >> prec
+            a_lo, a_hi = self._enclosure_scaled(prec)
+            b_lo, b_hi = other._enclosure_scaled(prec)
+            # the quotient is monotone in each end while b keeps its sign
+            if b_lo > 0 or b_hi < 0:
+                k = a_lo // b_lo
+                if k == a_lo // b_hi == a_hi // b_lo == a_hi // b_hi:
+                    return k
             prec *= 2
 
     def __eq__(self, other) -> bool:

@@ -40,7 +40,7 @@ from .errors import (
     ShiftNotInDomain,
     UnknownRadicand,
 )
-from .exactreal import ExactReal
+from .exactreal import ExactReal, commensurable
 from .lattice import CoeffLattice, intersect, member
 
 ABS1 = "abs1"
@@ -770,14 +770,15 @@ def composition_check(slope: ExactReal, T: ExactReal, L: ExactReal) -> Compositi
 
     Exactly when slope * L / T is an integer n, every function with
     period T composes with the affine map to an L-periodic function.
+    The ratio is read off by `commensurable`, with no inversion of T.
     """
     if T.is_zero():
         raise DivisionByZero("zero period T")
     if L.is_zero():
         raise ValueError("zero period L")
-    ratio = slope * L / T
-    if ratio.is_rational():
-        q = ratio.as_rational()
-        if q.denominator == 1:
-            return CompositionResult(holds=True, n=int(q))
+    if slope.is_zero():
+        return CompositionResult(holds=True, n=0)
+    q = commensurable(slope * L, T)
+    if q is not None and q.denominator == 1:
+        return CompositionResult(holds=True, n=int(q))
     return CompositionResult(holds=False, n=None)

@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import EmptyPattern, FullLine, ModulusMismatch
-from .exactreal import INITIAL_PRECISION, ExactReal
+from .exactreal import ExactReal
 
 RealLike = Union[ExactReal, int, Fraction]
 
@@ -120,43 +120,21 @@ class IntervalPattern:
         return out
 
 
-def _reduce(alpha: ExactReal, L: ExactReal) -> ExactReal:
-    """alpha mod L: alpha - k*L in [0, L) for L > 0, with no inversion.
-
-    Integer enclosures of alpha and L bound alpha/L, refined until the
-    floors of the two bounds differ by at most one; then one exact sign
-    test picks k between them (alpha/L may be an integer, so the
-    enclosures alone need not decide).
-    """
-    prec = INITIAL_PRECISION
-    while True:
-        a_lo, a_hi = alpha._enclosure_scaled(prec)
-        l_lo, l_hi = L._enclosure_scaled(prec)
-        if l_lo > 0:
-            k = min(a_lo // l_lo, a_lo // l_hi)
-            k_hi = max(a_hi // l_lo, a_hi // l_hi)
-            if k_hi - k <= 1:
-                break
-        prec *= 2
-    r = alpha - L.scale(k)
-    if k_hi > k and (r - L).sign() >= 0:
-        r = r - L
-    return r
-
-
 def rotate(pattern: IntervalPattern, alpha: RealLike) -> IntervalPattern:
     """The pattern shifted by alpha, renormalized; an exact bijection.
 
-    Shifting by step in [0, L) moves the intervals that pass L to the
-    front, so the result is a cyclic shift of the input order and needs
-    no sort.  The new seam point is covered exactly when an interval
-    is split at L, and the image of the old seam point, when covered,
-    joins the last wrapped piece to the first unwrapped one.  Measure
-    is preserved exactly.
+    The shift is reduced to step = alpha - (alpha // L)*L in [0, L) by
+    the exact floor of a quotient, with no field inversion.  Shifting
+    by step moves the intervals that pass L to the front, so the result
+    is a cyclic shift of the input order and needs no sort.  The new
+    seam point is covered exactly when an interval is split at L, and
+    the image of the old seam point, when covered, joins the last
+    wrapped piece to the first unwrapped one.  Measure is preserved
+    exactly.
     """
     alpha = _as_real(alpha)
     L = pattern.modulus
-    step = _reduce(alpha, L)
+    step = alpha - L.scale(alpha // L)
     if step.is_zero():
         return pattern
     if not pattern.intervals:

@@ -29,14 +29,12 @@ from . import approx as approxmod
 from . import funcalg, lattice, pointsets
 from .errors import (
     AnalysisError,
-    NonIntegralShift,
     NotFound,
     ParseError,
     PeriodalgError,
     ScenarioError,
     ScenarioNameError,
     ScenarioSyntaxError,
-    ShiftNotInDomain,
 )
 from .exactreal import ExactReal, RadicalBasis
 from .funcalg import CanonicalForm
@@ -730,12 +728,10 @@ def _run_counterexample(args, options) -> dict:
         return out
     x = got
     exact: dict[str, Any] = {"found": True}
-    try:
-        vec = funcalg._shift_vector(args["shift"], f.domain)
-    except (ShiftNotInDomain, NonIntegralShift):
-        vec = None
-    shifted = tuple(a + b for a, b in zip(x, vec)) if vec is not None else None
-    if shifted is not None and lattice.member(f.domain, shifted):
+    # find_counterexample has already rejected a shift outside the basis
+    vec = funcalg._shift_vector(args["shift"], f.domain)
+    shifted = tuple(a + b for a, b in zip(x, vec))
+    if lattice.member(f.domain, shifted):
         exact["f_at_x"] = str(funcalg.evaluate(f, x))
         exact["f_at_x_plus_shift"] = str(funcalg.evaluate(f, shifted))
     else:

@@ -93,9 +93,9 @@ def test_two_incommensurable_periods_reproduction():
         dom = full_domain(1, 2, 3)
         f = parse("sgn(sqrt(3))", dom)
         pm = period_module(f)
-        one = ExactReal.rational(1, dom.basis)
-        s2 = ExactReal.sqrt(2, dom.basis)
-        s3 = ExactReal.sqrt(3, dom.basis)
+        one = ExactReal.rational(1)
+        s2 = ExactReal.sqrt(2)
+        s3 = ExactReal.sqrt(3)
         assert pm.generators_real == (one, s2, s3.scale(2))
         assert commensurable(one, s2) is None
         # both 1 and sqrt(2) really are periods, sqrt(3) is not, 2*sqrt(3) is
@@ -112,9 +112,9 @@ def test_cancelling_sum_reproduction():
         f2 = parse("recip(one) + recip(sqrt(3))", dom)
         h = f1 + f2
         assert h == parse("recip(one) + recip(sqrt(2))", dom)
-        one = ExactReal.rational(1, dom.basis)
-        s2 = ExactReal.sqrt(2, dom.basis)
-        s3 = ExactReal.sqrt(3, dom.basis)
+        one = ExactReal.rational(1)
+        s2 = ExactReal.sqrt(2)
+        s3 = ExactReal.sqrt(3)
         assert period_module(f1).generators_real == (one,)
         assert period_module(f2).generators_real == (s2,)
         assert commensurable(one, s2) is None
@@ -136,24 +136,24 @@ def test_product_domains_reproduction():
         assert inter.rank == 3
         gens = [inter.to_real(row) for row in inter.hnf]
         assert gens == [
-            ExactReal.rational(1, merged),
-            ExactReal.sqrt(2, merged),
-            ExactReal.sqrt(3, merged),
+            ExactReal.rational(1),
+            ExactReal.sqrt(2),
+            ExactReal.sqrt(3),
         ]
         g1 = parse("abs1(one) * abs1(sqrt(3))", d1)
         g2 = parse("abs1(sqrt(2)) / abs1(sqrt(3))", d2)
         assert period_module(g1).generators_real == (
-            ExactReal.sqrt(2, d1.basis),
-            ExactReal.sqrt(5, d1.basis),
+            ExactReal.sqrt(2),
+            ExactReal.sqrt(5),
         )
         assert period_module(g2).generators_real == (
-            ExactReal.rational(1, d2.basis),
-            ExactReal.sqrt(7, d2.basis),
+            ExactReal.rational(1),
+            ExactReal.sqrt(7),
         )
         h = g1 * g2
         assert h.domain.rank == 3
         pm = period_module(h)
-        assert pm.generators_real == (ExactReal.sqrt(3, h.domain.basis),)
+        assert pm.generators_real == (ExactReal.sqrt(3),)
 
 
 def test_discrete_or_dense_classification():

@@ -28,9 +28,11 @@ from periodalg.approx import (
 from periodalg.errors import (
     CommensurableInput,
     DivisionByZero,
+    EmptyInput,
     NotFound,
 )
 from periodalg.exactreal import ExactReal
+from periodalg.funcalg import composition_check
 
 from oracles import (
     float_star_discrepancy,
@@ -289,6 +291,37 @@ def test_kronecker_not_found_and_errors():
         )
     with pytest.raises(ValueError):
         kronecker_find(s2, [s2], s2, ExactReal.rational(-1))
+    with pytest.raises(EmptyInput):
+        kronecker_find(s2, [], s2, ExactReal.rational(Fraction(1, 10)))
+
+
+def test_rounding_inverts_no_field_element(monkeypatch):
+    # nearest integers are exact floors of quotients, so only the T2/T1
+    # that dirichlet_find expands divides, and only by an irrational T1
+    calls = [0]
+    real = ExactReal.invert
+
+    def counting(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(ExactReal, "invert", counting)
+    one = ExactReal.rational(1)
+    s2, s3, s6 = ExactReal.sqrt(2), ExactReal.sqrt(3), ExactReal.sqrt(6)
+    eps = ExactReal.rational(Fraction(1, 10**6))
+    got = kronecker_find(s2, [one, s3], ExactReal.rational(Fraction(1, 2)),
+                         ExactReal.rational(Fraction(1, 100)))
+    assert got == (3497, [4945, 2855])
+    assert kronecker_find(s2, [s3.scale(-1)], s6, eps, bound=1000) == NotFound(1000)
+    assert composition_check(s2, s6, s3).n == 1
+    assert composition_check(s2, s3, one).holds is False
+    assert composition_check(ExactReal.rational(0), s3, s2).n == 0
+    m, n = dirichlet_find(one, s2, s3, eps)
+    assert abs_less(one.scale(m) + s2.scale(n) - s3, eps)
+    assert calls[0] == 0
+    m, n = dirichlet_find(s2, s3, one, eps)
+    assert abs_less(s2.scale(m) + s3.scale(n) - one, eps)
+    assert calls[0] == 1
 
 
 def test_kronecker_least_q_matches_float_scan():

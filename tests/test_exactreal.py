@@ -7,6 +7,7 @@ library never touches floats on these paths.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -49,9 +50,7 @@ def test_constructors_check_a_given_basis():
     # the basis is checked, not stored
     with pytest.raises(ValueError):
         ExactReal(RadicalBasis([2]), {3: 1})
-    with pytest.raises(ValueError):
-        ExactReal.sqrt(3, RadicalBasis([2]))
-    assert ExactReal.sqrt(12, RadicalBasis([3])) == ExactReal.sqrt(3).scale(2)
+    assert ExactReal.sqrt(12) == ExactReal.sqrt(3).scale(2)
     assert not hasattr(ExactReal.sqrt(2), "basis")
 
 
@@ -63,9 +62,8 @@ def test_zero_coordinates_are_dropped():
 
 
 def test_known_inversion():
-    basis = RadicalBasis([2])
-    x = ExactReal.rational(1, basis) + ExactReal.sqrt(2, basis)
-    assert x.invert() == ExactReal.sqrt(2, basis) - ExactReal.rational(1, basis)
+    x = ExactReal.rational(1) + ExactReal.sqrt(2)
+    assert x.invert() == ExactReal.sqrt(2) - ExactReal.rational(1)
     assert (x * x.invert()).as_rational() == 1
 
 
@@ -129,9 +127,8 @@ def test_inversion_round_trips():
 
 def test_products_across_radicands():
     # a product lands on the squarefree part of the product of radicands
-    basis = RadicalBasis([2, 3])
-    x = ExactReal.sqrt(2, basis)
-    y = ExactReal.sqrt(3, basis)
+    x = ExactReal.sqrt(2)
+    y = ExactReal.sqrt(3)
     assert x * y == ExactReal.sqrt(6)
     assert ExactReal.sqrt(6) * ExactReal.sqrt(10) == ExactReal.sqrt(15).scale(2)
     assert ExactReal.sqrt(2) * ExactReal.sqrt(2) == ExactReal.rational(2)
@@ -160,6 +157,63 @@ def test_floor_is_exactly_consistent():
         n = x.floor()
         assert (x - ExactReal.rational(n)).sign() >= 0
         assert (x - ExactReal.rational(n + 1)).sign() < 0
+
+
+def test_floor_division_matches_mpmath():
+    rng = random.Random(1210)
+    basis = RadicalBasis([2, 3, 5, 7])
+    checked = 0
+    with mpmath.workdps(200):
+        for _ in range(300):
+            x = random_element(rng, basis)
+            y = random_element(rng, basis)
+            if x.is_zero() or y.is_zero():
+                continue
+            r = commensurable(x, y)
+            if r is not None:
+                assert x // y == r.numerator // r.denominator
+                continue
+            q = mp_value(x) / mp_value(y)
+            # an irrational ratio is far from every integer at 200 digits
+            assert abs(q - mpmath.nint(q)) > mpmath.mpf(10) ** -150
+            neg, man, exp, _ = q._mpf_  # q = (-1)^neg * man * 2^exp
+            assert x // y == math.floor((-1) ** neg * man * Fraction(2) ** exp)
+            checked += 1
+    assert checked > 100
+
+
+def test_floor_division_of_exact_integer_ratios():
+    # x = k*y: the enclosures straddle k at every precision, so only the
+    # exact ratio decides; a 2^-200 nudge either way is decided by them
+    tiny = ExactReal.sqrt(7).scale(Fraction(1, 2**200))
+    for y in (
+        ExactReal.rational(1) + ExactReal.sqrt(2),
+        ExactReal.sqrt(5) - ExactReal.sqrt(3),
+        -ExactReal.sqrt(3),
+    ):
+        below = 0 if y.sign() > 0 else -1
+        for k in range(-5, 6):
+            x = y.scale(k)
+            assert x // y == k
+            assert (x + tiny) // y == k + below
+            assert (x - tiny) // y == k - 1 - below
+
+
+def test_floor_division_edge_cases():
+    s2 = ExactReal.sqrt(2)
+    zero = ExactReal.rational(0)
+    assert zero // s2 == 0
+    assert zero // -s2 == 0
+    assert s2 // 1 == 1
+    assert s2.scale(10) // 3 == 4
+    assert s2 // Fraction(-1, 2) == -3
+    assert s2 // ExactReal.rational(Fraction(1, 3)) == 4
+    assert ExactReal.rational(Fraction(-7, 2)) // ExactReal.rational(2) == -2
+    for x in (s2, zero):
+        with pytest.raises(DivisionByZero):
+            x // zero
+        with pytest.raises(DivisionByZero):
+            x // 0
 
 
 def test_enclosure_brackets_the_value():

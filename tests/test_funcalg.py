@@ -189,8 +189,8 @@ def test_shift_requires_domain_point():
 def test_shift_difference_detects_periods():
     dom = full_domain(1, 2, 3)
     f = parse("sgn(sqrt(3))", dom)
-    one = ExactReal.rational(1, dom.basis)
-    s3 = ExactReal.sqrt(3, dom.basis)
+    one = ExactReal.rational(1)
+    s3 = ExactReal.sqrt(3)
     assert shift_difference(f, one).is_zero()
     assert not shift_difference(f, s3).is_zero()
     assert shift_difference(f, s3.scale(2)).is_zero()
@@ -207,9 +207,9 @@ def test_period_module_parity_wave():
     assert pm.parity_constraints == (frozenset({3}),)
     assert pm.as_lattice.hnf == ((1, 0, 0), (0, 1, 0), (0, 0, 2))
     assert pm.generators_real == (
-        ExactReal.rational(1, dom.basis),
-        ExactReal.sqrt(2, dom.basis),
-        ExactReal.sqrt(3, dom.basis).scale(2),
+        ExactReal.rational(1),
+        ExactReal.sqrt(2),
+        ExactReal.sqrt(3).scale(2),
     )
 
 
@@ -225,7 +225,7 @@ def test_period_module_pinned_coordinates():
     pm = period_module(parse("recip(one) + recip(sqrt(2))", dom))
     assert pm.zero_coords == frozenset({1, 2})
     assert pm.as_lattice.hnf == ((0, 0, 1),)
-    assert pm.generators_real == (ExactReal.sqrt(3, dom.basis),)
+    assert pm.generators_real == (ExactReal.sqrt(3),)
 
 
 def test_period_module_constant_is_everything():
@@ -255,7 +255,7 @@ def test_period_module_generators_are_formal_periods():
 def test_counterexample_for_reciprocal():
     dom = full_domain(1, 2, 3)
     f = parse("recip(sqrt(2))", dom)
-    got = find_counterexample(f, ExactReal.sqrt(2, dom.basis))
+    got = find_counterexample(f, ExactReal.sqrt(2))
     assert got == (0, 0, 0)
     assert evaluate(f, (0, 0, 0)) == 1
     assert evaluate(f, (0, 1, 0)) == Fraction(1, 2)
@@ -264,9 +264,9 @@ def test_counterexample_for_reciprocal():
 def test_counterexample_absent_for_true_period():
     dom = full_domain(1, 2, 3)
     f = parse("sgn(sqrt(3))", dom)
-    got = find_counterexample(f, ExactReal.sqrt(3, dom.basis).scale(2))
+    got = find_counterexample(f, ExactReal.sqrt(3).scale(2))
     assert got == NotFound(25)
-    got = find_counterexample(f, ExactReal.sqrt(3, dom.basis), bound=3)
+    got = find_counterexample(f, ExactReal.sqrt(3), bound=3)
     assert got == (0, 0, 0)
 
 
@@ -282,7 +282,7 @@ def test_counterexample_when_domain_not_invariant():
 def test_counterexample_respects_sublattice_domain():
     dom = CoeffLattice([(1, 0, 0), (0, 1, 0)], basis=RadicalBasis([2, 3]))
     f = parse("abs1(one) * abs1(sqrt(2))", dom)
-    got = find_counterexample(f, ExactReal.rational(1, dom.basis), bound=6)
+    got = find_counterexample(f, ExactReal.rational(1), bound=6)
     assert got != NotFound(6)
     assert member(dom, got)
     vec = (1, 0, 0)
@@ -293,7 +293,7 @@ def test_counterexample_respects_sublattice_domain():
 def test_counterexample_decides_formal_period_without_scanning(monkeypatch):
     dom = full_domain(1, 2, 3)
     f = parse("sgn(sqrt(3)) * recip(sqrt(2)) + abs1(one)", dom)
-    T = ExactReal.sqrt(3, dom.basis).scale(2)
+    T = ExactReal.sqrt(3).scale(2)
 
     def no_scan(form):
         raise AssertionError("a formal period needs no box point evaluated")
@@ -331,7 +331,7 @@ def test_counterexample_shift_outside_domain_is_origin_even_if_formal():
     assert shift_difference(full, ExactReal.sqrt(2).scale(2)).is_zero()
     dom = CoeffLattice([(1, 0, 0), (0, 4, 0), (0, 0, 1)], basis=RadicalBasis([2, 3]))
     assert not member(dom, (0, 2, 0))
-    T = ExactReal.sqrt(2, dom.basis).scale(2)
+    T = ExactReal.sqrt(2).scale(2)
     assert find_counterexample(parse(text, dom), T, bound=10**6) == (0, 0, 0)
 
 

@@ -135,9 +135,9 @@ def test_intersection_across_different_bases():
     assert meet.rank == 3
     gens = [meet.to_real(row) for row in meet.hnf]
     assert gens == [
-        ExactReal.rational(1, meet.basis),
-        ExactReal.sqrt(2, meet.basis),
-        ExactReal.sqrt(3, meet.basis),
+        ExactReal.rational(1),
+        ExactReal.sqrt(2),
+        ExactReal.sqrt(3),
     ]
 
 
