@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import approx, funcalg, lattice, pointsets, scenario
 from .errors import AnalysisError, PeriodalgError, ScenarioError
-from .exactreal import ExactReal
+from .exactreal import ExactReal, RadicalBasis
 from .funcalg import parse_real
 from .lattice import CoeffLattice, Dense, Discrete
 from .pointsets import IntervalPattern
@@ -235,13 +235,11 @@ def _check_classify():
 
 
 def _check_intersect_idempotent():
-    lat = CoeffLattice([(2, 0), (1, 3)], dim=2)
+    lat = CoeffLattice([(2, 0), (1, 3)], RadicalBasis([2]))
     assert lattice.intersect(lat, lat) == lat
 
 
 def _check_formula_roundtrip():
-    from .exactreal import RadicalBasis
-
     basis = RadicalBasis([1, 2, 3])
     dom = CoeffLattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)], basis=basis)
     f = funcalg.parse("recip(sqrt(2)) + sgn(sqrt(3))*abs1(one+1)", dom)
@@ -249,8 +247,6 @@ def _check_formula_roundtrip():
 
 
 def _check_period_module():
-    from .exactreal import RadicalBasis
-
     basis = RadicalBasis([1, 2, 3])
     dom = CoeffLattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)], basis=basis)
     f = funcalg.parse("sgn(sqrt(3))", dom)

@@ -24,12 +24,17 @@ INITIAL_PRECISION = 64
 
 
 def _squarefree_part(n: int) -> int:
-    """Largest squarefree divisor d of n with n/d a perfect square."""
+    """Largest squarefree divisor d of n with n/d a perfect square.
+
+    Trial division stops once p^3 > n: the cofactor left has no prime
+    factor below p and is less than p^3, so it is 1, q, q*r or q^2 for
+    primes q, r >= p, and one square test tells q^2 from the rest.
+    """
     if n <= 0:
         raise ValueError("radicand must be positive")
     out = 1
     p = 2
-    while p * p <= n:
+    while p * p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -38,7 +43,8 @@ def _squarefree_part(n: int) -> int:
             if e % 2:
                 out *= p
         p += 1 if p == 2 else 2
-    return out * n
+    r = isqrt(n)
+    return out if r * r == n else out * n
 
 
 def _is_squarefree(n: int) -> bool:

@@ -131,8 +131,6 @@ class CanonicalForm:
     __slots__ = ("domain", "terms", "_ordered")
 
     def __init__(self, domain: CoeffLattice, terms: Mapping[Monomial, Fraction]):
-        if domain.basis is None:
-            raise ValueError("a formula domain needs a radical basis")
         clean = {m: Fraction(c) for m, c in terms.items() if c != 0}
         self.domain = domain
         self.terms = clean
@@ -173,11 +171,7 @@ class CanonicalForm:
     def _aligned(self, other: "CanonicalForm") -> tuple[CoeffLattice, "CanonicalForm", "CanonicalForm"]:
         if self.domain == other.domain:
             return self.domain, self, other
-        d1, d2 = self.domain, other.domain
-        if d1.basis != d2.basis:
-            merged = d1.basis.merge(d2.basis)
-            d1, d2 = d1.embed(merged), d2.embed(merged)
-        dom = intersect(d1, d2)
+        dom = intersect(self.domain, other.domain)
         return dom, CanonicalForm(dom, self.terms), CanonicalForm(dom, other.terms)
 
     def __add__(self, other) -> "CanonicalForm":
@@ -514,8 +508,7 @@ class _Parser:
         elif self.accept_op("-"):
             s = -self.expect_num()
         self.expect_op(")")
-        basis = self.domain.basis
-        if basis is None or d not in basis:
+        if d not in self.domain.basis:
             err = UnknownRadicand(f"sqrt({d}) is not a coordinate of the domain basis")
             err.pos = pos
             raise err
@@ -554,17 +547,16 @@ def shift(f: CanonicalForm, s: Sequence[int]) -> CanonicalForm:
     abs1 atoms absorb s into their shift tag; each sgn atom contributes
     a factor (-1)**s_d to its term's coefficient.
     """
-    basis = f.domain.basis
+    index = f.domain.basis.index
     s = tuple(int(x) for x in s)
     if not member(f.domain, s):
         raise ShiftNotInDomain(f"{list(s)} is not in the domain lattice")
-    index = {d: i for i, d in enumerate(basis.radicands)}
     acc: dict[Monomial, Fraction] = {}
     for m, c in f.terms.items():
         items = []
         flips = 0
         for atom, e in m.factors:
-            move = s[index[atom.radicand]]
+            move = s[index(atom.radicand)]
             if atom.kind == ABS1:
                 items.append((Atom(ABS1, atom.radicand, atom.shift + move), e))
             else:
@@ -578,8 +570,6 @@ def shift(f: CanonicalForm, s: Sequence[int]) -> CanonicalForm:
 
 def _shift_vector(T: ExactReal, domain: CoeffLattice) -> tuple[int, ...]:
     basis = domain.basis
-    if basis is None:
-        raise ValueError("domain carries no radical basis")
     for d, c in T.coords.items():
         if d not in basis:
             raise ShiftNotInDomain(
@@ -649,18 +639,17 @@ def period_module(f: CanonicalForm) -> PeriodModule:
             for i, d in enumerate(basis.radicands)
             if d not in zero_coords
         ]
-        lat = intersect(f.domain, CoeffLattice(units, basis=basis, dim=k))
+        lat = intersect(f.domain, CoeffLattice(units, basis))
     else:
         lat = f.domain
     if parity and lat.rank:
         gens = lat.hnf
         r = len(gens)
-        index = {d: i for i, d in enumerate(basis.radicands)}
         masks = []
         for S in parity:
             mask = 0
             for i, g in enumerate(gens):
-                if sum(g[index[d]] for d in S) % 2:
+                if sum(g[basis.index(d)] for d in S) % 2:
                     mask |= 1 << i
             masks.append(mask)
         points = []
@@ -672,7 +661,7 @@ def period_module(f: CanonicalForm) -> PeriodModule:
             points.append(tuple(point))
         for g in gens:
             points.append(tuple(2 * x for x in g))
-        lat = CoeffLattice(points, basis=basis, dim=k)
+        lat = CoeffLattice(points, basis)
     gens_real = tuple(lat.to_real(row) for row in lat.hnf)
     return PeriodModule(
         zero_coords=zero_coords,
@@ -684,11 +673,11 @@ def period_module(f: CanonicalForm) -> PeriodModule:
 
 def _compile(f: CanonicalForm):
     """Closure evaluating f at an integer vector as an unreduced (num, den)."""
-    index = {d: i for i, d in enumerate(f.domain.basis.radicands)}
+    index = f.domain.basis.index
     spec = []
     for m, c in f._ordered:
         atoms = tuple(
-            (a.kind == SGN, index[a.radicand], a.shift, e) for a, e in m.factors
+            (a.kind == SGN, index(a.radicand), a.shift, e) for a, e in m.factors
         )
         spec.append((c.numerator, c.denominator, atoms))
 

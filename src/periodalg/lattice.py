@@ -95,33 +95,19 @@ def _hnf_with_transform(
 class CoeffLattice:
     """Sublattice of Z^k given by integer generators, canonicalized by HNF.
 
-    `basis` ties coordinate i to radicand d_i; it may be omitted for
-    purely combinatorial use, in which case only coordinate operations
-    are available.
+    `basis` is required: coordinate i stands for sqrt(d_i), and
+    k = len(basis).
     """
 
     __slots__ = ("basis", "hnf", "_pivots", "dim")
 
-    def __init__(
-        self,
-        generators: Iterable[Sequence[int]],
-        basis: RadicalBasis | None = None,
-        dim: int | None = None,
-    ):
+    def __init__(self, generators: Iterable[Sequence[int]], basis: RadicalBasis):
+        k = len(basis)
         gens = [tuple(int(x) for x in g) for g in generators]
-        gens = [g for g in gens if any(g)]
-        if basis is not None:
-            k = len(basis)
-        elif dim is not None:
-            k = dim
-        elif gens:
-            k = len(gens[0])
-        else:
-            raise ValueError("dimension of an empty lattice must be given")
         for g in gens:
             if len(g) != k:
                 raise DimensionMismatch(f"generator {g} has length {len(g)}, want {k}")
-        h, _, rank = _hnf_with_transform(gens, k)
+        h, _, rank = _hnf_with_transform([g for g in gens if any(g)], k)
         self.basis = basis
         self.hnf: tuple[Vector, ...] = tuple(tuple(r) for r in h[:rank])
         self._pivots: tuple[int, ...] = tuple(
@@ -152,8 +138,6 @@ class CoeffLattice:
 
     def to_real(self, v: Sequence[int]) -> ExactReal:
         """The real number a coordinate vector stands for."""
-        if self.basis is None:
-            raise ValueError("lattice carries no radical basis")
         if len(v) != len(self.basis):
             raise DimensionMismatch(f"vector length {len(v)}, want {len(self.basis)}")
         return ExactReal(
@@ -162,8 +146,6 @@ class CoeffLattice:
 
     def embed(self, basis: RadicalBasis) -> "CoeffLattice":
         """Re-express over a larger basis, zero-filling new coordinates."""
-        if self.basis is None:
-            raise ValueError("lattice carries no radical basis")
         if self.basis == basis:
             return self
         pos = {d: basis.index(d) for d in self.basis.radicands}
@@ -173,7 +155,7 @@ class CoeffLattice:
             for d, c in zip(self.basis.radicands, g):
                 w[pos[d]] = c
             gens.append(tuple(w))
-        return CoeffLattice(gens, basis=basis)
+        return CoeffLattice(gens, basis)
 
 
 def member(lat: CoeffLattice, v: Sequence[int]) -> bool:
@@ -198,22 +180,13 @@ def intersect(lat1: CoeffLattice, lat2: CoeffLattice) -> CoeffLattice:
     to both lattices, so the kernel rows of [[A], [-B]] project to a
     generating set of the intersection.
     """
-    if lat1.basis is not None and lat2.basis is not None:
-        merged = lat1.basis.merge(lat2.basis)
-        lat1 = lat1.embed(merged)
-        lat2 = lat2.embed(merged)
-        basis = merged
-    else:
-        if lat1.dim != lat2.dim:
-            raise DimensionMismatch(
-                f"lattice dimensions differ: {lat1.dim} vs {lat2.dim}"
-            )
-        basis = lat1.basis or lat2.basis
-    k = lat1.dim
+    basis = lat1.basis.merge(lat2.basis)
+    lat1, lat2 = lat1.embed(basis), lat2.embed(basis)
+    k = len(basis)
     a = [list(r) for r in lat1.hnf]
     b = [list(r) for r in lat2.hnf]
     if not a or not b:
-        return CoeffLattice([], basis=basis, dim=k)
+        return CoeffLattice([], basis)
     stacked = a + [[-x for x in row] for row in b]
     h, u, rank = _hnf_with_transform(stacked, k)
     points = []
@@ -224,7 +197,7 @@ def intersect(lat1: CoeffLattice, lat2: CoeffLattice) -> CoeffLattice:
             for j in range(k):
                 point[j] += c * row[j]
         points.append(tuple(point))
-    return CoeffLattice(points, basis=basis, dim=k)
+    return CoeffLattice(points, basis)
 
 
 @dataclass(frozen=True)

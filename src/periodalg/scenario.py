@@ -193,9 +193,9 @@ class _ScenarioParser(funcalg._Parser):
         rads = []
         while True:
             tok = self.peek()
-            if tok[0] == "num":
+            if tok[:2] == ("num", 1):
                 self.i += 1
-                rads.append(tok[1])
+                rads.append(1)
             elif self.accept_keyword("sqrt"):
                 rads.append(self.sqrt_arg())
             else:
@@ -235,14 +235,7 @@ class _ScenarioParser(funcalg._Parser):
             basis = self.parse_basis_literal()
         else:
             _, basis = self.lookup(self.sc.bases, "basis")
-        for vec in vectors:
-            if len(vec) != len(basis):
-                self.fail(
-                    f"vector {list(vec)} has {len(vec)} coordinates, "
-                    f"basis has {len(basis)}",
-                    tok,
-                )
-        self.sc.domains[name] = CoeffLattice(vectors, basis=basis)
+        self.sc.domains[name] = CoeffLattice(vectors, basis)
 
     def stmt_function(self):
         name = self.fresh_name()

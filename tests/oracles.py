@@ -174,6 +174,14 @@ def float_star_discrepancy(alpha: float, n: int) -> float:
     return worst
 
 
+_SQUAREFREE_POOL = [2, 3, 5, 6, 7, 10, 11, 13]
+
+
+def basis_of_dim(k: int) -> RadicalBasis:
+    """The radical basis of k coordinates: 1 and the pool's first k - 1."""
+    return RadicalBasis(_SQUAREFREE_POOL[: k - 1])
+
+
 def random_lattice(rng: random.Random, dim: int, spread: int = 3) -> CoeffLattice:
     """Random full-rank integer lattice with small entries."""
     while True:
@@ -181,12 +189,25 @@ def random_lattice(rng: random.Random, dim: int, spread: int = 3) -> CoeffLattic
             tuple(rng.randint(-spread, spread) for _ in range(dim))
             for _ in range(dim)
         ]
-        lat = CoeffLattice(gens, dim=dim)
+        lat = CoeffLattice(gens, basis_of_dim(dim))
         if lat.rank == dim:
             return lat
 
 
-_SQUAREFREE_POOL = [2, 3, 5, 6, 7, 10, 11, 13]
+def squarefree_part(n: int) -> int:
+    """Squarefree part of n > 0 by plain trial division up to sqrt(n)."""
+    out = 1
+    p = 2
+    while p * p <= n:
+        if n % p:
+            p += 1 if p == 2 else 2
+            continue
+        n //= p
+        if n % p:
+            out *= p
+        else:
+            n //= p
+    return out * n
 
 
 def random_basis(rng: random.Random, size: int) -> RadicalBasis:

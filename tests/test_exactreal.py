@@ -15,10 +15,10 @@ import mpmath
 import pytest
 
 from periodalg.errors import DivisionByZero
-from periodalg.exactreal import ExactReal, RadicalBasis, commensurable
+from periodalg.exactreal import ExactReal, RadicalBasis, _squarefree_part, commensurable
 from periodalg.funcalg import parse_real
 
-from oracles import mp_value
+from oracles import mp_value, squarefree_part
 
 mpmath.mp.dps = 60
 
@@ -36,6 +36,27 @@ def test_sqrt_normalizes_square_factors():
     assert ExactReal.sqrt(12) == ExactReal.sqrt(3).scale(2)
     assert ExactReal.sqrt(1) == ExactReal.rational(1)
     assert ExactReal.sqrt(49) == ExactReal.rational(7)
+
+
+def test_squarefree_part_against_trial_division():
+    for n in range(1, 3 * 10**5):
+        assert _squarefree_part(n) == squarefree_part(n), n
+    rng = random.Random(2217)
+    primes = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
+    for _ in range(20000):
+        n = 1
+        for _ in range(rng.randint(1, 4)):
+            n *= rng.choice(primes) ** rng.randint(1, 3)
+        assert _squarefree_part(n) == squarefree_part(n), n
+
+
+def test_large_radicands_factor_quickly():
+    # trial division stops at the cube root of the cofactor: a prime
+    # near 10^14 costs about 2*10^4 divisions, not 5*10^6
+    p = 100000000000031
+    assert ExactReal.sqrt(p).coords == {p: 1}
+    assert ExactReal.sqrt(7 * 1000003**2) == ExactReal.sqrt(7).scale(1000003)
+    assert ExactReal.sqrt(1000003 * 1000033).coords == {1000003 * 1000033: 1}
 
 
 def test_radical_basis_validation():

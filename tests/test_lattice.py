@@ -23,18 +23,25 @@ from periodalg.lattice import (
     member,
 )
 
-from oracles import common_points_by_box, random_lattice, solve_membership
+from oracles import (
+    basis_of_dim,
+    common_points_by_box,
+    random_lattice,
+    solve_membership,
+)
+
+B2 = basis_of_dim(2)
 
 
 def test_hnf_is_canonical_under_generator_changes():
-    base = CoeffLattice([(2, 0), (0, 3)])
-    same = CoeffLattice([(2, 3), (2, 0), (4, 3)])
+    base = CoeffLattice([(2, 0), (0, 3)], B2)
+    same = CoeffLattice([(2, 3), (2, 0), (4, 3)], B2)
     assert base == same
     assert base.hnf == ((2, 0), (0, 3))
 
 
 def test_hnf_removes_redundant_generators():
-    lat = CoeffLattice([(1, 2), (2, 4), (3, 6)])
+    lat = CoeffLattice([(1, 2), (2, 4), (3, 6)], B2)
     assert lat.rank == 1
     assert lat.hnf == ((1, 2),)
 
@@ -47,7 +54,7 @@ def test_hnf_pivots_positive_and_reduced():
             tuple(rng.randint(-6, 6) for _ in range(dim))
             for _ in range(rng.randint(1, dim + 1))
         ]
-        lat = CoeffLattice(gens, dim=dim)
+        lat = CoeffLattice(gens, basis_of_dim(dim))
         pivots = []
         for row in lat.hnf:
             j = next(i for i, x in enumerate(row) if x)
@@ -71,7 +78,7 @@ def test_hnf_invariant_under_unimodular_remix():
             i, j = rng.sample(range(len(gens)), 2)
             c = rng.randint(-2, 2)
             gens[i] = [a + c * b for a, b in zip(gens[i], gens[j])]
-        assert CoeffLattice(gens, dim=dim) == lat
+        assert CoeffLattice(gens, basis_of_dim(dim)) == lat
 
 
 def test_membership_against_rational_solver():
@@ -97,9 +104,17 @@ def test_membership_of_constructed_points():
 
 
 def test_membership_dimension_check():
-    lat = CoeffLattice([(1, 0), (0, 1)])
+    lat = CoeffLattice([(1, 0), (0, 1)], B2)
     with pytest.raises(DimensionMismatch):
         member(lat, (1, 2, 3))
+
+
+def test_generator_lengths_checked_before_zero_rows_drop():
+    basis = RadicalBasis([2])
+    with pytest.raises(DimensionMismatch):
+        CoeffLattice([(0, 0, 0)], basis)
+    with pytest.raises(DimensionMismatch):
+        CoeffLattice([(1, 0), (0, 0, 0)], basis)
 
 
 def test_intersection_against_box_enumeration():
@@ -118,8 +133,8 @@ def test_intersection_against_box_enumeration():
 
 
 def test_intersection_of_sublattice_is_itself():
-    fine = CoeffLattice([(1, 0), (0, 1)])
-    coarse = CoeffLattice([(2, 0), (0, 5)])
+    fine = CoeffLattice([(1, 0), (0, 1)], B2)
+    coarse = CoeffLattice([(2, 0), (0, 5)], B2)
     assert intersect(fine, coarse) == coarse
     assert intersect(coarse, fine) == coarse
 
@@ -213,9 +228,7 @@ def test_classify_errors():
 
 
 def test_empty_lattice_needs_dimension():
-    with pytest.raises(ValueError):
-        CoeffLattice([])
-    empty = CoeffLattice([], dim=3)
+    empty = CoeffLattice([], basis_of_dim(3))
     assert empty.rank == 0
     assert not member(empty, (1, 0, 0))
     assert member(empty, (0, 0, 0))

@@ -54,6 +54,9 @@ def test_parse_positions_in_syntax_errors():
         ('scenario "x";\nanalyze cfrac sqrt(0);\n', 2, 15),
         ('scenario "x";\npattern P mod 1 = (0, 1/ );\n', 2, 26),
         ('scenario "x";\nbasis B = basis(1)', 2, 19),  # final ; missing
+        # a basis literal takes 1 and sqrt(<int>), never another integer
+        ('scenario "x";\nbasis B = basis(1, 3);\n', 2, 20),
+        ('scenario "x";\nbasis B = basis(2);\n', 2, 17),
         # a value that fails to combine yields to its statement's syntax
         # errors, and comes before the checks its placeholder would fail
         ('scenario "x";\nanalyze cfrac 1/0 depth;\n', 2, 24),
@@ -84,6 +87,15 @@ def test_value_errors_while_parsing_have_positions(tmp_path, capsys):
         (
             head + "function g = (abs1(one)+sgn(one))^-2 on D;\n",
             4, 34, "divisor has 2 terms",
+        ),
+        # the lattice checks each row against the basis, zero rows too
+        (
+            'scenario "x";\ndomain D = lattice[(1,0,0)] over basis(1, sqrt(2));\n',
+            2, 1, "generator (1, 0, 0) has length 3, want 2",
+        ),
+        (
+            'scenario "x";\ndomain D = lattice[(1,0), (0,0,0)] over basis(1, sqrt(2));\n',
+            2, 1, "generator (0, 0, 0) has length 3, want 2",
         ),
     ):
         with pytest.raises(ScenarioError) as err:
