@@ -17,6 +17,7 @@ invariant suite over every module, and exits 1 on any mismatch.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from fractions import Fraction
@@ -44,12 +45,13 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("file", help="scenario file to execute")
     run_p.add_argument("--json", metavar="OUT", help="also write the report as JSON")
     run_p.add_argument(
-        "--bound", type=int, metavar="N",
-        help="default search box bound for counterexample analyses",
+        "--bound", type=int, metavar="N", default=RunOptions.bound,
+        help="default search box bound for counterexample analyses "
+        "(default %(default)s)",
     )
     run_p.add_argument(
-        "--depth", type=int, metavar="D",
-        help="default depth for continued fraction analyses",
+        "--depth", type=int, metavar="D", default=RunOptions.depth,
+        help="default depth for continued fraction analyses (default %(default)s)",
     )
     run_p.add_argument(
         "--eps", metavar="Q",
@@ -84,10 +86,10 @@ def _cmd_run(args) -> int:
             print("error: --eps must be positive", file=sys.stderr)
             return 2
         options.eps = eps
-    if args.bound is not None and args.bound < 1:
+    if args.bound < 1:
         print("error: --bound must be at least 1", file=sys.stderr)
         return 2
-    if args.depth is not None and args.depth < 1:
+    if args.depth < 1:
         print("error: --depth must be at least 1", file=sys.stderr)
         return 2
 
@@ -185,8 +187,6 @@ def _cmd_selfcheck(args) -> int:
     print(f"selfcheck: {len(rows) - len(failed)}/{len(rows)} checks passed")
 
     if args.json:
-        import json
-
         payload = {
             "selfcheck": "pass" if not failed else "fail",
             "version": scenario._VERSION,
@@ -197,6 +197,24 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _first_diff(want: str, got: str) -> str:
+    try:
+        want_doc, got_doc = json.loads(want), json.loads(got)
+    except ValueError:
+        want_doc = got_doc = None
+    found = _json_diff(want_doc, got_doc, [])
+    if found is not None:
+        path, w, g = found
+        where = _key_path(path) or "the top level"
+        if len(path) > 1 and path[0] == "results" and isinstance(path[1], int):
+            # name the analysis by its 1-based index and its kind
+            i = path[1]
+            entry = (want_doc if i < len(want_doc["results"]) else got_doc)["results"][i]
+            kind = entry.get("kind") if isinstance(entry, dict) else None
+            where = f"results[{i + 1}] ({kind})"
+            if len(path) > 2:
+                where += ": " + _key_path(path[2:])
+        w, g = ("absent" if v is _ABSENT else json.dumps(v) for v in (w, g))
+        return f"first difference at {where}: expected {w}, got {g}"
     want_lines = want.splitlines()
     got_lines = got.splitlines()
     for i, (w, g) in enumerate(zip(want_lines, got_lines), 1):
@@ -207,6 +225,33 @@ def _first_diff(want: str, got: str) -> str:
             f"line counts differ: expected {len(want_lines)}, got {len(got_lines)}"
         )
     return "outputs differ"
+
+
+_ABSENT = object()
+
+
+def _key_path(path: list) -> str:
+    text = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    return text.lstrip(".")
+
+
+def _json_diff(want, got, path: list):
+    """(key path, want, got) at the first difference of two JSON values."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        keys = [*want, *(k for k in got if k not in want)]
+        pairs = ((k, want.get(k, _ABSENT), got.get(k, _ABSENT)) for k in keys)
+    elif isinstance(want, list) and isinstance(got, list):
+        pad = [_ABSENT] * abs(len(want) - len(got))
+        pairs = ((i, w, g) for i, (w, g) in enumerate(zip(want + pad, got + pad)))
+    elif type(want) is type(got) and want == got:
+        return None
+    else:
+        return path, want, got
+    for key, w, g in pairs:
+        found = _json_diff(w, g, path + [key])
+        if found is not None:
+            return found
+    return None
 
 
 # -- invariant quick-suite ---------------------------------------------------

@@ -451,30 +451,25 @@ def _coerce(x) -> "ExactReal":
     return NotImplemented
 
 
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 2
-    return n
-
-
 def _invert(x: ExactReal) -> ExactReal:
     # pre: x nonzero
     if x.is_rational():
         return ExactReal._of({1: 1 / x.coords[1]})
-    q = _smallest_prime_factor(max(x.coords))
+    # a c > 1 that divides each radicand or is coprime to it: one pass of
+    # gcd refinement keeps that true for the radicands already passed
+    c = max(x.coords)
+    for d in x.coords:
+        if gcd(c, d) > 1:
+            c = gcd(c, d)
     a_coords: dict[int, Fraction] = {}
     b_coords: dict[int, Fraction] = {}
-    for d, c in x.coords.items():
-        (b_coords if d % q == 0 else a_coords)[d] = c
+    for d, k in x.coords.items():
+        (b_coords if d % c == 0 else a_coords)[d] = k
     a = ExactReal._of(a_coords)
     b = ExactReal._of(b_coords)
-    # x * (a - b) = a^2 - b^2, whose radicands are all coprime to q:
-    # for q | d1, q | d2 the squarefree part of d1*d2 loses the q^2.
+    # x * (a - b) = a^2 - b^2, whose radicands are all coprime to c: for
+    # c | d1, c | d2 the squarefree part of d1*d2 loses the c^2.  Each
+    # step drops the primes of c, so the recursion ends.
     return (a - b) * _invert(a * a - b * b)
 
 

@@ -41,27 +41,6 @@ from .funcalg import CanonicalForm
 from .lattice import CoeffLattice, Discrete
 from .pointsets import IntervalPattern
 
-ANALYSIS_KINDS = (
-    "period_module",
-    "commensurable",
-    "classify",
-    "intersect",
-    "fundamental_period",
-    "dirichlet",
-    "kronecker",
-    "cfrac",
-    "discrepancy",
-    "composition_check",
-    "counterexample",
-)
-
-_RESERVED = {
-    "scenario", "basis", "domain", "function", "pattern", "analyze",
-    "lattice", "over", "on", "mod", "wrap", "u", "one", "sqrt",
-    "abs1", "recip", "sgn", "target", "eps", "delta", "depth",
-    "bound", "n", "slope", "t", "l", "shift",
-} | set(ANALYSIS_KINDS)
-
 
 # -- parsed objects ----------------------------------------------------------
 
@@ -69,7 +48,7 @@ _RESERVED = {
 @dataclass
 class Analysis:
     kind: str
-    args: dict[str, Any]
+    args: dict[str, Any]  # slot -> value; an omitted optional slot is absent
 
 
 @dataclass
@@ -299,77 +278,39 @@ class _ScenarioParser(funcalg._Parser):
             if self.value_error is None:  # else a failed value explains it
                 self.fail(str(exc), tok)
 
+    def read(self, reader: str):
+        """One analysis argument, by its reader in the analysis table."""
+        if reader == "real":
+            return self.real_expr()
+        if reader == "int":
+            return self.expect_num()
+        if reader in ("function", "pattern", "domain"):
+            return self.lookup(getattr(self.sc, reader + "s"), reader)
+        bracketed = reader == "[real_list]"
+        if bracketed:
+            self.expect_op("[")
+        values = [self.real_expr()]
+        while self.accept_op(","):
+            values.append(self.real_expr())
+        if bracketed:
+            self.expect_op("]")
+        return values
+
     def stmt_analyze(self):
         tok = self.toks[self.i - 1]  # the 'analyze' keyword
         kind = self.expect_name()
-        if kind not in ANALYSIS_KINDS:
+        if kind not in ANALYSES:
             self.fail(f"unknown analysis kind {kind!r}", tok)
         args: dict[str, Any] = {}
-        if kind == "period_module":
-            args["name"], args["function"] = self.lookup(self.sc.functions, "function")
-        elif kind == "commensurable":
-            args["x"] = self.real_expr()
-            self.expect_op(",")
-            args["y"] = self.real_expr()
-        elif kind == "classify":
-            periods = [self.real_expr()]
-            while self.accept_op(","):
-                periods.append(self.real_expr())
-            args["periods"] = periods
-        elif kind == "intersect":
-            tok1 = self.peek()
-            name1 = self.expect_name()
-            self.expect_op(",")
-            tok2 = self.peek()
-            name2 = self.expect_name()
-            for nm, tk in ((name1, tok1), (name2, tok2)):
-                if nm not in self.sc.domains:
-                    raise ScenarioNameError(
-                        f"unknown domain {nm!r} at line {self.line(tk)}"
-                    )
-            args["names"] = (name1, name2)
-            args["domains"] = (self.sc.domains[name1], self.sc.domains[name2])
-        elif kind == "fundamental_period":
-            args["name"], args["pattern"] = self.lookup(self.sc.patterns, "pattern")
-        elif kind == "dirichlet":
-            args["T1"] = self.real_expr()
-            self.expect_op(",")
-            args["T2"] = self.real_expr()
-            self.expect_keyword("target")
-            args["target"] = self.real_expr()
-            args["eps"] = self.real_expr() if self.accept_keyword("eps") else None
-        elif kind == "kronecker":
-            args["T"] = self.real_expr()
-            self.expect_keyword("over")
-            self.expect_op("[")
-            ts = [self.real_expr()]
-            while self.accept_op(","):
-                ts.append(self.real_expr())
-            self.expect_op("]")
-            args["Ts"] = ts
-            self.expect_keyword("delta")
-            args["delta"] = self.real_expr()
-            args["eps"] = self.real_expr() if self.accept_keyword("eps") else None
-            args["bound"] = self.expect_num() if self.accept_keyword("bound") else None
-        elif kind == "cfrac":
-            args["x"] = self.real_expr()
-            args["depth"] = self.expect_num() if self.accept_keyword("depth") else None
-        elif kind == "discrepancy":
-            args["alpha"] = self.real_expr()
-            self.expect_keyword("n")
-            args["N"] = self.expect_num()
-        elif kind == "composition_check":
-            self.expect_keyword("slope")
-            args["slope"] = self.real_expr()
-            self.expect_keyword("t")
-            args["T"] = self.real_expr()
-            self.expect_keyword("l")
-            args["L"] = self.real_expr()
-        elif kind == "counterexample":
-            args["name"], args["function"] = self.lookup(self.sc.functions, "function")
-            self.expect_keyword("shift")
-            args["shift"] = self.real_expr()
-            args["bound"] = self.expect_num() if self.accept_keyword("bound") else None
+        for lead, slot, reader, fallback in ANALYSES[kind][0]:
+            if fallback is not None:
+                if not self.accept_keyword(lead):
+                    continue  # run_scenario fills it in
+            elif lead == ",":
+                self.expect_op(",")
+            elif lead:
+                self.expect_keyword(lead)
+            args[slot] = self.read(reader)
         self.sc.analyses.append(Analysis(kind=kind, args=args))
 
 
@@ -387,11 +328,11 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
 
 @dataclass
 class RunOptions:
-    """CLI-level defaults for analyses that omit optional arguments."""
+    """Defaults for optional analysis arguments, set by the CLI flags."""
 
-    bound: int | None = None  # counterexample box bound
-    depth: int | None = None  # continued fraction depth
-    eps: ExactReal | None = None  # dirichlet / kronecker tolerance
+    bound: int = 25  # counterexample box bound
+    depth: int = 10  # continued fraction depth
+    eps: ExactReal | None = None  # dirichlet / kronecker tolerance: no default
 
 
 @dataclass
@@ -458,35 +399,34 @@ def _lattice_out(lat: CoeffLattice) -> dict:
 
 _VERSION = "0.1.0"
 
-_DEFAULT_CE_BOUND = 25
-_DEFAULT_CF_DEPTH = 10
-_DEFAULT_KRON_BOUND = 10**6
-
-
-def _validate_options(sc: Scenario, options: RunOptions):
-    for idx, an in enumerate(sc.analyses, 1):
-        if an.kind in ("dirichlet", "kronecker"):
-            if an.args["eps"] is None and options.eps is None:
-                raise ScenarioError(
-                    f"analysis #{idx} ({an.kind}) has no eps and no --eps "
-                    f"was given"
-                )
-
 
 def run_scenario(sc: Scenario, options: RunOptions | None = None) -> Report:
     options = options or RunOptions()
-    _validate_options(sc, options)
+    calls = []
+    for idx, an in enumerate(sc.analyses, 1):
+        signature, runner = ANALYSES[an.kind]
+        args = dict(an.args)
+        for _, slot, _, fallback in signature:
+            if slot in args:
+                continue
+            # a required slot is always read, so `fallback` is not None here
+            value = getattr(options, fallback) if isinstance(fallback, str) else fallback
+            if value is None:
+                raise ScenarioError(
+                    f"analysis #{idx} ({an.kind}) has no {slot} and no "
+                    f"--{fallback} was given"
+                )
+            args[slot] = value
+        calls.append((an.kind, runner, args))
     results: list[dict] = []
     timings: list[tuple[str, float]] = []
-    for idx, an in enumerate(sc.analyses, 1):
+    for idx, (kind, runner, args) in enumerate(calls, 1):
         t0 = time.perf_counter()
         try:
-            results.append(_RUNNERS[an.kind](an.args, options))
-        except ScenarioError:
-            raise
+            results.append({"kind": kind, **runner(**args)})
         except Exception as exc:
-            raise AnalysisError(idx, an.kind, exc) from exc
-        timings.append((an.kind, time.perf_counter() - t0))
+            raise AnalysisError(idx, kind, exc) from exc
+        timings.append((kind, time.perf_counter() - t0))
     return Report(
         scenario_name=sc.name,
         version=_VERSION,
@@ -495,15 +435,18 @@ def run_scenario(sc: Scenario, options: RunOptions | None = None) -> Report:
     )
 
 
-def _run_period_module(args, options) -> dict:
-    f: CanonicalForm = args["function"]
-    pm = funcalg.period_module(f)
+# Runners take their signature's slots as keyword arguments; a function,
+# pattern or domain slot holds its (name, value) pair.
+
+
+def _run_period_module(f) -> dict:
+    name, form = f
+    pm = funcalg.period_module(form)
     return {
-        "kind": "period_module",
         "inputs": {
-            "function": args["name"],
-            "formula": f.text(),
-            "domain": _lattice_out(f.domain),
+            "function": name,
+            "formula": form.text(),
+            "domain": _lattice_out(form.domain),
         },
         "exact": {
             "zero_coords": sorted(pm.zero_coords),
@@ -516,11 +459,9 @@ def _run_period_module(args, options) -> dict:
     }
 
 
-def _run_commensurable(args, options) -> dict:
-    x, y = args["x"], args["y"]
+def _run_commensurable(x, y) -> dict:
     ratio = lattice.commensurable(x, y)
     out = {
-        "kind": "commensurable",
         "inputs": {"x": str(x), "y": str(y)},
         "exact": {"commensurable": ratio is not None},
         "approx": {"x": _approx_out(x), "y": _approx_out(y)},
@@ -531,8 +472,7 @@ def _run_commensurable(args, options) -> dict:
     return out
 
 
-def _run_classify(args, options) -> dict:
-    periods = args["periods"]
+def _run_classify(periods) -> dict:
     outcome = lattice.classify_group(periods)
     exact: dict[str, Any] = {}
     if isinstance(outcome, Discrete):
@@ -546,7 +486,6 @@ def _run_classify(args, options) -> dict:
         approx = {"T0": None}
         verdict = "dense in the reals"
     return {
-        "kind": "classify",
         "inputs": {"periods": [str(t) for t in periods]},
         "exact": exact,
         "approx": approx,
@@ -554,16 +493,11 @@ def _run_classify(args, options) -> dict:
     }
 
 
-def _run_intersect(args, options) -> dict:
-    d1, d2 = args["domains"]
-    meet = lattice.intersect(d1, d2)
+def _run_intersect(first, second) -> dict:
+    meet = lattice.intersect(first[1], second[1])
     gens = [meet.to_real(row) for row in meet.hnf]
     return {
-        "kind": "intersect",
-        "inputs": {
-            "first": args["names"][0],
-            "second": args["names"][1],
-        },
+        "inputs": {"first": first[0], "second": second[0]},
         "exact": {
             "lattice": _lattice_out(meet),
             "generators": [str(g) for g in gens],
@@ -580,29 +514,26 @@ def _pattern_out(p: IntervalPattern) -> str:
     return f"{body or 'empty'} mod {str(p.modulus)}"
 
 
-def _run_fundamental_period(args, options) -> dict:
-    p: IntervalPattern = args["pattern"]
-    t0 = pointsets.fundamental_period(p)
+def _run_fundamental_period(p) -> dict:
+    name, pattern = p
+    t0 = pointsets.fundamental_period(pattern)
     return {
-        "kind": "fundamental_period",
-        "inputs": {"pattern": args["name"], "definition": _pattern_out(p)},
+        "inputs": {"pattern": name, "definition": _pattern_out(pattern)},
         "exact": {"period": str(t0)},
         "approx": {"period": _approx_out(t0)},
         "verdict": f"fundamental period {str(t0)}",
     }
 
 
-def _run_dirichlet(args, options) -> dict:
-    eps = args["eps"] if args["eps"] is not None else options.eps
-    m, n = approxmod.dirichlet_find(args["T1"], args["T2"], args["target"], eps)
-    value = args["T1"].scale(m) + args["T2"].scale(n)
-    err = value - args["target"]
+def _run_dirichlet(T1, T2, target, eps) -> dict:
+    m, n = approxmod.dirichlet_find(T1, T2, target, eps)
+    value = T1.scale(m) + T2.scale(n)
+    err = value - target
     return {
-        "kind": "dirichlet",
         "inputs": {
-            "T1": str(args["T1"]),
-            "T2": str(args["T2"]),
-            "target": str(args["target"]),
+            "T1": str(T1),
+            "T2": str(T2),
+            "target": str(target),
             "eps": str(eps),
         },
         "exact": {
@@ -615,16 +546,13 @@ def _run_dirichlet(args, options) -> dict:
     }
 
 
-def _run_kronecker(args, options) -> dict:
-    eps = args["eps"] if args["eps"] is not None else options.eps
-    bound = args["bound"] if args["bound"] is not None else _DEFAULT_KRON_BOUND
-    got = approxmod.kronecker_find(args["T"], args["Ts"], args["delta"], eps, bound=bound)
-    out = {
-        "kind": "kronecker",
+def _run_kronecker(T, Ts, delta, eps, bound) -> dict:
+    got = approxmod.kronecker_find(T, Ts, delta, eps, bound=bound)
+    out: dict[str, Any] = {
         "inputs": {
-            "T": str(args["T"]),
-            "Ts": [str(t) for t in args["Ts"]],
-            "delta": str(args["delta"]),
+            "T": str(T),
+            "Ts": [str(t) for t in Ts],
+            "delta": str(delta),
             "eps": str(eps),
             "bound": bound,
         },
@@ -635,10 +563,7 @@ def _run_kronecker(args, options) -> dict:
         out["verdict"] = f"no witness up to q = {got.bound}"
         return out
     q, ps = got
-    residuals = [
-        args["T"].scale(q) - t.scale(p) - args["delta"]
-        for t, p in zip(args["Ts"], ps)
-    ]
+    residuals = [T.scale(q) - t.scale(p) - delta for t, p in zip(Ts, ps)]
     out["exact"] = {
         "found": True,
         "residuals": [str(r) for r in residuals],
@@ -649,48 +574,38 @@ def _run_kronecker(args, options) -> dict:
     return out
 
 
-def _run_cfrac(args, options) -> dict:
-    depth = args["depth"] if args["depth"] is not None else (
-        options.depth if options.depth is not None else _DEFAULT_CF_DEPTH
-    )
-    cf = approxmod.continued_fraction(args["x"], depth)
+def _run_cfrac(x, depth) -> dict:
+    cf = approxmod.continued_fraction(x, depth)
     verdict = f"{len(cf.quotients)} quotients"
     if cf.terminated:
         verdict += " (rational, expansion complete)"
     return {
-        "kind": "cfrac",
-        "inputs": {"x": str(args["x"]), "depth": depth},
+        "inputs": {"x": str(x), "depth": depth},
         "exact": {
             "quotients": list(cf.quotients),
             "convergents": [[p, q] for p, q in cf.convergents],
             "terminated": cf.terminated,
         },
-        "approx": {"x": _approx_out(args["x"])},
+        "approx": {"x": _approx_out(x)},
         "verdict": verdict,
     }
 
 
-def _run_discrepancy(args, options) -> dict:
-    dstar = approxmod.orbit_discrepancy(args["alpha"], args["N"])
+def _run_discrepancy(alpha, N) -> dict:
+    dstar = approxmod.orbit_discrepancy(alpha, N)
     as_real = ExactReal.rational(dstar)
     return {
-        "kind": "discrepancy",
-        "inputs": {"alpha": str(args["alpha"]), "N": args["N"]},
+        "inputs": {"alpha": str(alpha), "N": N},
         "exact": {"dstar_upper_bound": str(dstar)},
         "approx": {"dstar_upper_bound": _approx_out(as_real)},
         "verdict": f"star discrepancy at most {str(dstar)}",
     }
 
 
-def _run_composition_check(args, options) -> dict:
-    res = funcalg.composition_check(args["slope"], args["T"], args["L"])
+def _run_composition_check(slope, T, L) -> dict:
+    res = funcalg.composition_check(slope, T, L)
     return {
-        "kind": "composition_check",
-        "inputs": {
-            "slope": str(args["slope"]),
-            "T": str(args["T"]),
-            "L": str(args["L"]),
-        },
+        "inputs": {"slope": str(slope), "T": str(T), "L": str(L)},
         "exact": {"holds": res.holds, "n": res.n},
         "approx": {},
         "verdict": (
@@ -699,18 +614,14 @@ def _run_composition_check(args, options) -> dict:
     }
 
 
-def _run_counterexample(args, options) -> dict:
-    f: CanonicalForm = args["function"]
-    bound = args["bound"] if args["bound"] is not None else (
-        options.bound if options.bound is not None else _DEFAULT_CE_BOUND
-    )
-    got = funcalg.find_counterexample(f, args["shift"], bound)
-    out = {
-        "kind": "counterexample",
+def _run_counterexample(f, shift, bound) -> dict:
+    name, form = f
+    got = funcalg.find_counterexample(form, shift, bound)
+    out: dict[str, Any] = {
         "inputs": {
-            "function": args["name"],
-            "formula": f.text(),
-            "shift": str(args["shift"]),
+            "function": name,
+            "formula": form.text(),
+            "shift": str(shift),
             "bound": bound,
         },
     }
@@ -722,11 +633,11 @@ def _run_counterexample(args, options) -> dict:
     x = got
     exact: dict[str, Any] = {"found": True}
     # find_counterexample has already rejected a shift outside the basis
-    vec = funcalg._shift_vector(args["shift"], f.domain)
+    vec = funcalg._shift_vector(shift, form.domain)
     shifted = tuple(a + b for a, b in zip(x, vec))
-    if lattice.member(f.domain, shifted):
-        exact["f_at_x"] = str(funcalg.evaluate(f, x))
-        exact["f_at_x_plus_shift"] = str(funcalg.evaluate(f, shifted))
+    if lattice.member(form.domain, shifted):
+        exact["f_at_x"] = str(funcalg.evaluate(form, x))
+        exact["f_at_x_plus_shift"] = str(funcalg.evaluate(form, shifted))
     else:
         exact["domain_invariant"] = False
     out["exact"] = exact
@@ -736,16 +647,65 @@ def _run_counterexample(args, options) -> dict:
     return out
 
 
-_RUNNERS: dict[str, Callable[[dict, RunOptions], dict]] = {
-    "period_module": _run_period_module,
-    "commensurable": _run_commensurable,
-    "classify": _run_classify,
-    "intersect": _run_intersect,
-    "fundamental_period": _run_fundamental_period,
-    "dirichlet": _run_dirichlet,
-    "kronecker": _run_kronecker,
-    "cfrac": _run_cfrac,
-    "discrepancy": _run_discrepancy,
-    "composition_check": _run_composition_check,
-    "counterexample": _run_counterexample,
+# -- the analysis table ------------------------------------------------------
+
+# Each kind is one row `kind -> (signature, runner)`.  A signature lists
+# the slots of `analyze <kind> ...` in order, each as (lead, slot,
+# reader, fallback): the keyword or "," read before the value ("" for
+# none); the runner's parameter the value fills; the reader, one of
+# real, real_list, [real_list] (in brackets), int, function, pattern,
+# domain; and None for a required slot, else what an omitted value
+# falls back to: a RunOptions field by name, or a constant.  A fallback
+# that comes out None is an error before any analysis runs.
+_Slot = tuple[str, str, str, Any]
+
+ANALYSES: dict[str, tuple[tuple[_Slot, ...], Callable[..., dict]]] = {
+    "period_module": ((("", "f", "function", None),), _run_period_module),
+    "commensurable": (
+        (("", "x", "real", None), (",", "y", "real", None)),
+        _run_commensurable,
+    ),
+    "classify": ((("", "periods", "real_list", None),), _run_classify),
+    "intersect": (
+        (("", "first", "domain", None), (",", "second", "domain", None)),
+        _run_intersect,
+    ),
+    "fundamental_period": ((("", "p", "pattern", None),), _run_fundamental_period),
+    "dirichlet": (
+        (("", "T1", "real", None), (",", "T2", "real", None),
+         ("target", "target", "real", None), ("eps", "eps", "real", "eps")),
+        _run_dirichlet,
+    ),
+    "kronecker": (
+        (("", "T", "real", None), ("over", "Ts", "[real_list]", None),
+         ("delta", "delta", "real", None), ("eps", "eps", "real", "eps"),
+         ("bound", "bound", "int", 10**6)),
+        _run_kronecker,
+    ),
+    "cfrac": (
+        (("", "x", "real", None), ("depth", "depth", "int", "depth")),
+        _run_cfrac,
+    ),
+    "discrepancy": (
+        (("", "alpha", "real", None), ("n", "N", "int", None)),
+        _run_discrepancy,
+    ),
+    "composition_check": (
+        (("slope", "slope", "real", None), ("t", "T", "real", None),
+         ("l", "L", "real", None)),
+        _run_composition_check,
+    ),
+    "counterexample": (
+        (("", "f", "function", None), ("shift", "shift", "real", None),
+         ("bound", "bound", "int", "bound")),
+        _run_counterexample,
+    ),
 }
+
+_RESERVED = (
+    set(_STATEMENTS)
+    | {"lattice", "over", "on", "mod", "wrap", "u"}
+    | {"one", "sqrt", "abs1", "recip", "sgn"}
+    | set(ANALYSES)
+    | {lead for sig, _ in ANALYSES.values() for lead, *_ in sig if lead.isidentifier()}
+)

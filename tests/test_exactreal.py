@@ -86,6 +86,18 @@ def test_known_inversion():
     x = ExactReal.rational(1) + ExactReal.sqrt(2)
     assert x.invert() == ExactReal.sqrt(2) - ExactReal.rational(1)
     assert (x * x.invert()).as_rational() == 1
+    # the conjugation splits on a c > 1 that divides each radicand or is
+    # coprime to it, found by gcds: c = 6 for 2 + sqrt(5) - sqrt(6)
+    one = ExactReal.rational(1)
+    for x in (
+        one + ExactReal.sqrt(6) + ExactReal.sqrt(10) + ExactReal.sqrt(15),
+        one.scale(2) + ExactReal.sqrt(5) - ExactReal.sqrt(6),
+    ):
+        assert x * x.invert() == one
+    # a prime radicand near 10^14 is split on, never factored
+    p = 100000000000031
+    x = one + ExactReal.sqrt(p)
+    assert x.invert() == (ExactReal.sqrt(p) - one).scale(Fraction(1, p - 1))
 
 
 def test_known_floor_and_sign():

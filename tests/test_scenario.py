@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,13 @@ from periodalg.errors import (
 )
 from periodalg.exactreal import ExactReal
 from periodalg.funcalg import parse_real
-from periodalg.scenario import RunOptions, parse_scenario, run_scenario
+from periodalg.scenario import (
+    _RESERVED,
+    ANALYSES,
+    RunOptions,
+    parse_scenario,
+    run_scenario,
+)
 
 BASIC = """\
 scenario "small check";
@@ -120,6 +127,12 @@ def test_name_resolution_errors():
     with pytest.raises(ScenarioError):
         # no `on` clause and no earlier function to inherit a domain from
         parse_scenario('scenario "x";\nfunction f = abs1(one);\n')
+    # a name is resolved where it is read, before a later syntax error
+    with pytest.raises(ScenarioNameError, match="^unknown domain 'X' at line 3$"):
+        parse_scenario(
+            'scenario "x";\ndomain D = lattice[(1)] over basis(1);\n'
+            "analyze intersect X D;\n"
+        )
 
 
 def test_function_domain_inheritance():
@@ -211,6 +224,42 @@ def test_analysis_failure_wraps_index_and_kind():
     assert err.value.kind == "discrepancy"
 
 
+def test_optional_arguments_fall_back_through_the_table():
+    text = (
+        'scenario "x";\n'
+        "analyze cfrac sqrt(2);\n"
+        "analyze cfrac sqrt(2) depth 8;\n"
+        "analyze kronecker sqrt(2) over [1] delta 0 eps 1/10;\n"
+    )
+    sc = parse_scenario(text)
+    results = run_scenario(sc, RunOptions(bound=2, depth=3)).results
+    assert [r["inputs"]["depth"] for r in results[:2]] == [3, 8]
+    assert len(results[0]["exact"]["quotients"]) == 3
+    assert results[2]["inputs"]["bound"] == 1000000  # --bound is not kronecker's
+    assert [r["inputs"]["depth"] for r in run_scenario(sc).results[:2]] == [10, 8]
+
+    missing = parse_scenario('scenario "x";\nanalyze dirichlet 1, sqrt(2) target sqrt(3);\n')
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(missing)
+    assert str(err.value) == "analysis #1 (dirichlet) has no eps and no --eps was given"
+
+
+def test_analysis_table_matches_the_format_doc():
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "scenario-format.md").read_text()
+    section = doc.split("## Analyses", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    assert {row.split("`")[1].split()[0] for row in rows} == set(ANALYSES)
+
+
+def test_reserved_words_cover_every_argument_keyword():
+    leads = {lead for sig, _ in ANALYSES.values() for lead, *_ in sig if lead not in ("", ",")}
+    assert leads and leads <= _RESERVED
+    assert set(ANALYSES) <= _RESERVED
+    for word in sorted(leads):
+        with pytest.raises(ScenarioNameError, match="reserved word"):
+            parse_scenario(f'scenario "x";\npattern {word} mod 1 = (0, 1/2);\n')
+
+
 def test_cli_run_exit_codes(tmp_path, capsys):
     good = tmp_path / "ok.scn"
     good.write_text(BASIC)
@@ -297,3 +346,12 @@ def test_cli_selfcheck_catches_tampering(tmp_path, capsys):
     assert cli.main(["selfcheck", "--scenario-dir", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "fail" in out
+    # the JSON reports are compared by key path, naming the analysis
+    assert (
+        "first difference at results[1] (period_module): exact.generators[0]: "
+        'expected "17", got "1"'
+    ) in out
+    # a side that is not JSON falls back to the first differing line
+    victim.write_text("not json\n")
+    assert cli.main(["selfcheck", "--scenario-dir", str(tmp_path)]) == 1
+    assert "first difference at line 1: expected 'not json', got '{'" in capsys.readouterr().out
