@@ -206,11 +206,15 @@ def _first_diff(want: str, got: str) -> str:
         path, w, g = found
         where = _key_path(path) or "the top level"
         if len(path) > 1 and path[0] == "results" and isinstance(path[1], int):
-            # name the analysis by its 1-based index and its kind
+            # name the analysis by its 1-based index, its kind and the
+            # library module the kind runs in
             i = path[1]
             entry = (want_doc if i < len(want_doc["results"]) else got_doc)["results"][i]
             kind = entry.get("kind") if isinstance(entry, dict) else None
-            where = f"results[{i + 1}] ({kind})"
+            if isinstance(kind, str) and kind in scenario.ANALYSES:
+                where = f"results[{i + 1}] ({kind}, {scenario.ANALYSES[kind][2]})"
+            else:
+                where = f"results[{i + 1}] ({kind})"
             if len(path) > 2:
                 where += ": " + _key_path(path[2:])
         w, g = ("absent" if v is _ABSENT else json.dumps(v) for v in (w, g))

@@ -11,6 +11,11 @@ combined with rationals and + - * / ^.  Formulas normalize into a
 canonical term map (monomial -> coefficient), which makes sums cancel
 literally, products collapse literally, and the shift action x -> x + s
 computable: abs1 atoms pick up an integer shift tag, sgn atoms a sign.
+A monomial is a sorted tuple of (kind, radicand, shift, exponent)
+atoms; sgn exponents live mod 2, and a sgn shift folds into the
+coefficient sign.  Two forms are equal when their term maps are, and
+the canonical text renders the sorted map.  A shift moves every tag on
+a coordinate by the same amount, so shifted monomials stay sorted.
 
 Because a shift strictly translates every abs1 tag and flips signs by
 parity, formal invariance under a shift is decidable, and the full
@@ -47,96 +52,46 @@ ABS1 = "abs1"
 SGN = "sgn"
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    """One coordinate reader; (kind, radicand, shift) is its identity.
+def _monomial(atoms: Iterable[tuple[str, int, int, int]]) -> tuple:
+    """The canonical monomial of (kind, radicand, shift, exponent) atoms.
 
-    sgn atoms keep shift 0: a shifted sgn folds into the coefficient
-    sign, so the tag carries no information.
+    Exponents of equal (kind, radicand, shift) add up, sgn exponents
+    live mod 2 (the atom squares to 1), zero exponents drop out, and the
+    rest is sorted; the empty tuple is the constant 1.
     """
-
-    kind: str
-    radicand: int
-    shift: int = 0
-
-    def text(self) -> str:
-        arg = "one" if self.radicand == 1 else f"sqrt({self.radicand})"
-        if self.shift > 0:
-            arg += f"+{self.shift}"
-        elif self.shift < 0:
-            arg += str(self.shift)
-        return f"{self.kind}({arg})"
+    acc: dict[tuple[str, int, int], int] = {}
+    for kind, d, s, e in atoms:
+        acc[kind, d, s] = acc.get((kind, d, s), 0) + e
+    out = []
+    for (kind, d, s), e in acc.items():
+        if kind == SGN:
+            e %= 2
+        if e:
+            out.append((kind, d, s, e))
+    return tuple(sorted(out))
 
 
-class Monomial:
-    """Product of atoms with integer exponents, canonically ordered.
-
-    sgn exponents live mod 2 (the atom squares to 1), abs1 exponents are
-    arbitrary nonzero integers.  The empty product is the constant 1.
-    """
-
-    __slots__ = ("factors", "_hash")
-
-    def __init__(self, items: Iterable[tuple[Atom, int]] = ()):
-        acc: dict[Atom, int] = {}
-        for atom, e in items:
-            acc[atom] = acc.get(atom, 0) + int(e)
-        out = []
-        for atom in sorted(acc):
-            e = acc[atom]
-            if atom.kind == SGN:
-                if e % 2:
-                    out.append((atom, 1))
-            elif e:
-                out.append((atom, e))
-        self.factors: tuple[tuple[Atom, int], ...] = tuple(out)
-        self._hash = hash(self.factors)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.factors + other.factors)
-
-    def __pow__(self, n: int) -> "Monomial":
-        return Monomial((a, e * n) for a, e in self.factors)
-
-    def invert(self) -> "Monomial":
-        return Monomial((a, -e) for a, e in self.factors)
-
-    def is_constant(self) -> bool:
-        return not self.factors
-
-    def sort_key(self):
-        return tuple((a.kind, a.radicand, a.shift, e) for a, e in self.factors)
-
-    def text(self) -> str:
-        return "*".join(
-            a.text() + (f"^{e}" if e != 1 else "") for a, e in self.factors
-        )
-
-    def __repr__(self) -> str:
-        return f"Monomial({self.text() or '1'})"
-
-
-_ONE = Monomial()
+def _monomial_text(m: tuple) -> str:
+    parts = []
+    for kind, d, s, e in m:
+        arg = "one" if d == 1 else f"sqrt({d})"
+        if s:
+            arg += f"{s:+d}"
+        parts.append(f"{kind}({arg})" + (f"^{e}" if e != 1 else ""))
+    return "*".join(parts)
 
 
 class CanonicalForm:
-    """Normalized formula: domain lattice plus monomial -> coefficient map."""
+    """Normalized formula: domain lattice plus monomial -> coefficient map.
 
-    __slots__ = ("domain", "terms", "_ordered")
+    Monomials are the tuples `_monomial` builds; sgn atoms keep shift 0.
+    """
 
-    def __init__(self, domain: CoeffLattice, terms: Mapping[Monomial, Fraction]):
-        clean = {m: Fraction(c) for m, c in terms.items() if c != 0}
+    __slots__ = ("domain", "terms")
+
+    def __init__(self, domain: CoeffLattice, terms: Mapping[tuple, Fraction]):
         self.domain = domain
-        self.terms = clean
-        self._ordered: tuple[tuple[Monomial, Fraction], ...] = tuple(
-            sorted(clean.items(), key=lambda mc: mc[0].sort_key())
-        )
+        self.terms = {m: Fraction(c) for m, c in terms.items() if c != 0}
 
     # -- construction --------------------------------------------------
 
@@ -146,7 +101,7 @@ class CanonicalForm:
 
     @classmethod
     def constant(cls, q, domain: CoeffLattice) -> "CanonicalForm":
-        return cls(domain, {_ONE: Fraction(q)})
+        return cls(domain, {(): Fraction(q)})
 
     # -- predicates -----------------------------------------------------
 
@@ -154,17 +109,17 @@ class CanonicalForm:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m.is_constant() for m in self.terms)
+        return not any(self.terms)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CanonicalForm)
             and self.domain == other.domain
-            and self._ordered == other._ordered
+            and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.domain, self._ordered))
+        return hash(frozenset(self.terms.items()))
 
     # -- ring structure ---------------------------------------------------
 
@@ -206,10 +161,10 @@ class CanonicalForm:
         if not isinstance(other, CanonicalForm):
             return NotImplemented
         dom, f, g = self._aligned(other)
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[tuple, Fraction] = {}
         for m1, c1 in f.terms.items():
             for m2, c2 in g.terms.items():
-                m = m1 * m2
+                m = _monomial(m1 + m2)
                 acc[m] = acc.get(m, Fraction(0)) + c1 * c2
         return CanonicalForm(dom, acc)
 
@@ -217,17 +172,6 @@ class CanonicalForm:
         if isinstance(other, (int, Fraction)):
             return self.__mul__(other)
         return NotImplemented
-
-    def _monomial_inverse(self) -> "CanonicalForm":
-        if self.is_zero():
-            raise DivisionByZero("division by the zero formula")
-        if len(self.terms) != 1:
-            raise NonMonomialDivisor(
-                f"divisor has {len(self.terms)} terms; only single-monomial "
-                f"denominators are invertible"
-            )
-        ((m, c),) = self.terms.items()
-        return CanonicalForm(self.domain, {m.invert(): 1 / c})
 
     def __truediv__(self, other) -> "CanonicalForm":
         if isinstance(other, (int, Fraction)):
@@ -237,12 +181,22 @@ class CanonicalForm:
             return self * (1 / q)
         if not isinstance(other, CanonicalForm):
             return NotImplemented
-        return self * other._monomial_inverse()
+        return self * other ** -1
 
     def __pow__(self, n: int) -> "CanonicalForm":
         n = int(n)
+        if len(self.terms) == 1:
+            # one term: raise it in one step, whatever the size of n
+            ((m, c),) = self.terms.items()
+            m = _monomial((k, d, s, e * n) for k, d, s, e in m)
+            return CanonicalForm(self.domain, {m: c**n})
         if n < 0:
-            return self._monomial_inverse() ** (-n)
+            if self.is_zero():
+                raise DivisionByZero("division by the zero formula")
+            raise NonMonomialDivisor(
+                f"divisor has {len(self.terms)} terms; only single-monomial "
+                f"denominators are invertible"
+            )
         out = CanonicalForm.constant(1, self.domain)
         for _ in range(n):
             out = out * self
@@ -262,8 +216,8 @@ class CanonicalForm:
         if not self.terms:
             return "0"
         parts: list[str] = []
-        for m, c in self._ordered:
-            body = m.text()
+        for m, c in sorted(self.terms.items()):
+            body = _monomial_text(m)
             mag = abs(c)
             if not body:
                 piece = str(mag)
@@ -513,13 +467,9 @@ class _Parser:
             err.pos = pos
             raise err
         if name == SGN:
-            mono = Monomial([(Atom(SGN, d, 0), 1)])
-            coeff = Fraction(-1 if s % 2 else 1)
-        else:
-            exp = 1 if name == ABS1 else -1
-            mono = Monomial([(Atom(ABS1, d, s), exp)])
-            coeff = Fraction(1)
-        return CanonicalForm(self.domain, {mono: coeff})
+            return CanonicalForm(self.domain, {((SGN, d, 0, 1),): -1 if s % 2 else 1})
+        exp = 1 if name == ABS1 else -1
+        return CanonicalForm(self.domain, {((ABS1, d, s, exp),): 1})
 
 
 def parse(expr: str, domain: CoeffLattice) -> CanonicalForm:
@@ -551,21 +501,22 @@ def shift(f: CanonicalForm, s: Sequence[int]) -> CanonicalForm:
     s = tuple(int(x) for x in s)
     if not member(f.domain, s):
         raise ShiftNotInDomain(f"{list(s)} is not in the domain lattice")
-    acc: dict[Monomial, Fraction] = {}
+    # A shift adds s_d to every abs1 tag on coordinate d, so the atoms of
+    # a monomial keep their order and stay distinct, and distinct
+    # monomials stay distinct: the shifted tuples need no normalizing.
+    terms = {}
     for m, c in f.terms.items():
-        items = []
         flips = 0
-        for atom, e in m.factors:
-            move = s[index(atom.radicand)]
-            if atom.kind == ABS1:
-                items.append((Atom(ABS1, atom.radicand, atom.shift + move), e))
+        atoms = []
+        for kind, d, t, e in m:
+            move = s[index(d)]
+            if kind == ABS1:
+                t += move
             else:
-                items.append((atom, e))
                 flips += move
-        mono = Monomial(items)
-        coeff = -c if flips % 2 else c
-        acc[mono] = acc.get(mono, Fraction(0)) + coeff
-    return CanonicalForm(f.domain, acc)
+            atoms.append((kind, d, t, e))
+        terms[tuple(atoms)] = -c if flips % 2 else c
+    return CanonicalForm(f.domain, terms)
 
 
 def _shift_vector(T: ExactReal, domain: CoeffLattice) -> tuple[int, ...]:
@@ -623,13 +574,10 @@ def period_module(f: CanonicalForm) -> PeriodModule:
     basis = f.domain.basis
     k = len(basis)
     zero_coords = frozenset(
-        a.radicand for m, _ in f._ordered for a, _e in m.factors if a.kind == ABS1
+        d for m in f.terms for kind, d, _, _ in m if kind == ABS1
     )
     parity = sorted(
-        {
-            frozenset(a.radicand for a, _e in m.factors if a.kind == SGN)
-            for m, _ in f._ordered
-        }
+        {frozenset(d for kind, d, _, _ in m if kind == SGN) for m in f.terms}
         - {frozenset()},
         key=sorted,
     )
@@ -675,10 +623,8 @@ def _compile(f: CanonicalForm):
     """Closure evaluating f at an integer vector as an unreduced (num, den)."""
     index = f.domain.basis.index
     spec = []
-    for m, c in f._ordered:
-        atoms = tuple(
-            (a.kind == SGN, index(a.radicand), a.shift, e) for a, e in m.factors
-        )
+    for m, c in f.terms.items():
+        atoms = tuple((kind == SGN, index(d), t, e) for kind, d, t, e in m)
         spec.append((c.numerator, c.denominator, atoms))
 
     def ev(x) -> tuple[int, int]:

@@ -404,7 +404,7 @@ def run_scenario(sc: Scenario, options: RunOptions | None = None) -> Report:
     options = options or RunOptions()
     calls = []
     for idx, an in enumerate(sc.analyses, 1):
-        signature, runner = ANALYSES[an.kind]
+        signature, runner, _ = ANALYSES[an.kind]
         args = dict(an.args)
         for _, slot, _, fallback in signature:
             if slot in args:
@@ -649,9 +649,11 @@ def _run_counterexample(f, shift, bound) -> dict:
 
 # -- the analysis table ------------------------------------------------------
 
-# Each kind is one row `kind -> (signature, runner)`.  A signature lists
-# the slots of `analyze <kind> ...` in order, each as (lead, slot,
-# reader, fallback): the keyword or "," read before the value ("" for
+# Each kind is one row `kind -> (signature, runner, layer)`.  The layer
+# is the periodalg module the runner calls into; selfcheck names it for
+# an analysis that diverges.  A signature lists the slots of
+# `analyze <kind> ...` in order, each as (lead, slot, reader,
+# fallback): the keyword or "," read before the value ("" for
 # none); the runner's parameter the value fills; the reader, one of
 # real, real_list, [real_list] (in brackets), int, function, pattern,
 # domain; and None for a required slot, else what an omitted value
@@ -659,46 +661,50 @@ def _run_counterexample(f, shift, bound) -> dict:
 # that comes out None is an error before any analysis runs.
 _Slot = tuple[str, str, str, Any]
 
-ANALYSES: dict[str, tuple[tuple[_Slot, ...], Callable[..., dict]]] = {
-    "period_module": ((("", "f", "function", None),), _run_period_module),
+ANALYSES: dict[str, tuple[tuple[_Slot, ...], Callable[..., dict], str]] = {
+    "period_module": (
+        (("", "f", "function", None),), _run_period_module, "funcalg",
+    ),
     "commensurable": (
         (("", "x", "real", None), (",", "y", "real", None)),
-        _run_commensurable,
+        _run_commensurable, "lattice",
     ),
-    "classify": ((("", "periods", "real_list", None),), _run_classify),
+    "classify": ((("", "periods", "real_list", None),), _run_classify, "lattice"),
     "intersect": (
         (("", "first", "domain", None), (",", "second", "domain", None)),
-        _run_intersect,
+        _run_intersect, "lattice",
     ),
-    "fundamental_period": ((("", "p", "pattern", None),), _run_fundamental_period),
+    "fundamental_period": (
+        (("", "p", "pattern", None),), _run_fundamental_period, "pointsets",
+    ),
     "dirichlet": (
         (("", "T1", "real", None), (",", "T2", "real", None),
          ("target", "target", "real", None), ("eps", "eps", "real", "eps")),
-        _run_dirichlet,
+        _run_dirichlet, "approx",
     ),
     "kronecker": (
         (("", "T", "real", None), ("over", "Ts", "[real_list]", None),
          ("delta", "delta", "real", None), ("eps", "eps", "real", "eps"),
          ("bound", "bound", "int", 10**6)),
-        _run_kronecker,
+        _run_kronecker, "approx",
     ),
     "cfrac": (
         (("", "x", "real", None), ("depth", "depth", "int", "depth")),
-        _run_cfrac,
+        _run_cfrac, "approx",
     ),
     "discrepancy": (
         (("", "alpha", "real", None), ("n", "N", "int", None)),
-        _run_discrepancy,
+        _run_discrepancy, "approx",
     ),
     "composition_check": (
         (("slope", "slope", "real", None), ("t", "T", "real", None),
          ("l", "L", "real", None)),
-        _run_composition_check,
+        _run_composition_check, "funcalg",
     ),
     "counterexample": (
         (("", "f", "function", None), ("shift", "shift", "real", None),
          ("bound", "bound", "int", "bound")),
-        _run_counterexample,
+        _run_counterexample, "funcalg",
     ),
 }
 
@@ -707,5 +713,5 @@ _RESERVED = (
     | {"lattice", "over", "on", "mod", "wrap", "u"}
     | {"one", "sqrt", "abs1", "recip", "sgn"}
     | set(ANALYSES)
-    | {lead for sig, _ in ANALYSES.values() for lead, *_ in sig if lead.isidentifier()}
+    | {lead for sig, *_ in ANALYSES.values() for lead, *_ in sig if lead.isidentifier()}
 )

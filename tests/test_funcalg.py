@@ -79,6 +79,16 @@ def test_parse_distinct_shifts_stay_distinct():
     assert len(f.terms) == 2
 
 
+def test_power_of_one_term_is_one_step():
+    # the power is one monomial, so its cost must not grow with n
+    dom = full_domain(1, 2)
+    f = parse("abs1(one)^1000000000000*sgn(sqrt(2))^1000000001", dom)
+    assert f.text() == "abs1(one)^1000000000000*sgn(sqrt(2))"
+    assert parse("sgn(one)^-1", dom) == parse("sgn(one)", dom)
+    assert parse("recip(one-2)^3", dom).text() == "abs1(one-2)^-3"
+    assert parse("(2*recip(one))^-2", dom).text() == "1/4*abs1(one)^2"
+
+
 def test_parse_errors():
     dom = full_domain(1, 2)
     with pytest.raises(ParseError) as err:
@@ -135,6 +145,27 @@ def test_ring_ops_are_pointwise():
         assert evaluate(f - g, v) == evaluate(f, v) - evaluate(g, v)
         assert evaluate(f * g, v) == evaluate(f, v) * evaluate(g, v)
         assert evaluate(f ** 2, v) == evaluate(f, v) ** 2
+
+
+def test_canonical_identity_ignores_construction_order():
+    rng = random.Random(3409)
+    dom = full_domain(1, 2, 3)
+    rads = [1, 2, 3]
+    for _ in range(100):
+        f = parse(random_formula_text(rng, rads), dom)
+        g = parse(random_formula_text(rng, rads), dom)
+        for a, b in ((f * g, g * f), (f + g, g + f)):
+            assert a == b
+            assert hash(a) == hash(b)
+            assert a.text() == b.text()
+        s = tuple(rng.randint(-4, 4) for _ in range(3))
+        assert parse(shift(f, s).text(), dom) == shift(f, s)
+    # two tags on one coordinate keep their order when both move past 0
+    f = parse("abs1(sqrt(2)) * abs1(sqrt(2)+1)^-1", dom)
+    g = shift(f, (0, -3, 0))
+    assert g.text() == "abs1(sqrt(2)-3)*abs1(sqrt(2)-2)^-1"
+    assert parse(g.text(), dom) == g
+    assert hash(parse(g.text(), dom)) == hash(g)
 
 
 def test_division_by_monomial_is_pointwise():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -251,8 +252,16 @@ def test_analysis_table_matches_the_format_doc():
     assert {row.split("`")[1].split()[0] for row in rows} == set(ANALYSES)
 
 
+def test_every_analysis_names_a_periodalg_layer():
+    for kind, (_, runner, layer) in ANALYSES.items():
+        module = importlib.import_module(f"periodalg.{layer}")
+        # the runner calls into the module its row names
+        used = [runner.__globals__.get(name) for name in runner.__code__.co_names]
+        assert module in used, kind
+
+
 def test_reserved_words_cover_every_argument_keyword():
-    leads = {lead for sig, _ in ANALYSES.values() for lead, *_ in sig if lead not in ("", ",")}
+    leads = {lead for sig, *_ in ANALYSES.values() for lead, *_ in sig if lead not in ("", ",")}
     assert leads and leads <= _RESERVED
     assert set(ANALYSES) <= _RESERVED
     for word in sorted(leads):
@@ -348,7 +357,7 @@ def test_cli_selfcheck_catches_tampering(tmp_path, capsys):
     assert "fail" in out
     # the JSON reports are compared by key path, naming the analysis
     assert (
-        "first difference at results[1] (period_module): exact.generators[0]: "
+        "first difference at results[1] (period_module, funcalg): exact.generators[0]: "
         'expected "17", got "1"'
     ) in out
     # a side that is not JSON falls back to the first differing line
