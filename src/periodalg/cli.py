@@ -6,8 +6,9 @@
 `run` executes one scenario file and prints its report to stdout; the
 report is a pure function of the scenario text, so repeated runs emit
 identical bytes.  Timing goes to stderr only.  Exit codes: 0 success,
-2 scenario problem (unreadable file, syntax, names, missing options),
-3 analysis failure.
+2 scenario problem (unreadable file, unwritable --json file, syntax,
+names, missing options), 3 analysis failure (also a report integer too
+long for Python's integer string limit).
 
 `selfcheck` re-runs the bundled scenarios, compares their reports
 byte-for-byte against the frozen expected output, runs a quick
@@ -116,9 +117,19 @@ def _cmd_run(args) -> int:
         return 3
     total = time.perf_counter() - t0
 
-    sys.stdout.write(report.to_text())
-    if args.json:
-        Path(args.json).write_text(report.to_json())
+    try:
+        text = report.to_text()
+        payload = report.to_json() if args.json else None
+    except ValueError as exc:  # an integer past Python's string limit
+        print(f"error: {args.file}: cannot render the report: {exc}", file=sys.stderr)
+        return 3
+    sys.stdout.write(text)
+    if payload is not None:
+        try:
+            Path(args.json).write_text(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
+            return 2
     for idx, (kind, dt) in enumerate(report.timings, 1):
         print(f"# timing [{idx}] {kind}: {dt * 1000:.3f} ms", file=sys.stderr)
     print(f"# timing total: {total * 1000:.3f} ms", file=sys.stderr)
@@ -136,17 +147,21 @@ def _cmd_selfcheck(args) -> int:
     src = Path(args.scenario_dir) if args.scenario_dir else _bundled_dir()
     rows: list[dict] = []
 
-    entries = sorted(
-        (p for p in src.iterdir() if p.name.endswith(".scn")),
-        key=lambda p: p.name,
-    )
+    try:
+        entries = sorted(
+            (p for p in src.iterdir() if p.name.endswith(".scn")),
+            key=lambda p: p.name,
+        )
+        empty = "no .scn files found"
+    except OSError as exc:
+        entries, empty = [], f"cannot read the scenario directory: {exc}"
     if not entries:
         rows.append(
             {
                 "kind": "scenario",
                 "name": str(src),
                 "verdict": "fail",
-                "detail": "no .scn files found",
+                "detail": empty,
             }
         )
     for entry in entries:
@@ -156,7 +171,8 @@ def _cmd_selfcheck(args) -> int:
             sc = parse_scenario(entry.read_text(), default_name=name)
             got = run_scenario(sc, RunOptions()).to_json()
             want = src.joinpath(name + ".expected.json").read_text()
-        except (PeriodalgError, OSError) as exc:
+        except (PeriodalgError, OSError, ValueError) as exc:
+            # ValueError: a report integer past Python's string limit
             row["verdict"] = "fail"
             row["detail"] = str(exc)
             rows.append(row)

@@ -219,13 +219,14 @@ class ExactReal:
         return NotImplemented
 
     def invert(self) -> "ExactReal":
-        """Exact reciprocal, by conjugation over one prime at a time.
+        """Exact reciprocal, by conjugation on a common factor.
 
-        Split x = a + b where b collects the radicands divisible by a
-        prime q and a the rest; then x * (a - b) = a^2 - b^2 has no
-        radicand divisible by q, so recursion strips one prime per level
-        and bottoms out at a rational.  Every step works on the
-        coordinate maps alone.
+        gcd refinement over the radicands finds a c > 1 that divides
+        each radicand or is coprime to it.  Split x = a + b where b
+        collects the radicands divisible by c and a the rest; then
+        x * (a - b) = a^2 - b^2 has every radicand coprime to c, so
+        recursion strips the primes of c per level and bottoms out at a
+        rational.  Every step works on the coordinate maps alone.
         """
         if self.is_zero():
             raise DivisionByZero("invert of zero element")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -268,15 +269,18 @@ _TOKEN = re.compile(
     r'\s+|#[^\n]*|(\d+)|([^\W\d]\w*)|"([^"\n]*)"|([-+*/^()\[\],=;])|(.)', re.S
 )
 _KINDS = (None, "num", "name", "str", "op")
+_max_str_digits = getattr(sys, "get_int_max_str_digits", None)  # Python >= 3.11
 
 
 def _tokenize(text: str) -> list[tuple]:
     """(kind, value, offset) tokens, closed by ("end", "", len(text)).
 
-    A character outside the lexicon becomes a ("bad", message, offset)
-    token, which `_Parser.peek` raises only when parsing reaches it, so
-    errors are reported in reading order.
+    A character outside the lexicon, or a numeral longer than Python's
+    integer string limit, becomes a ("bad", message, offset) token,
+    which `_Parser.peek` raises only when parsing reaches it, so errors
+    are reported in reading order.
     """
+    limit = _max_str_digits() if _max_str_digits else 0  # 0: no limit
     toks = []
     for m in _TOKEN.finditer(text):
         g = m.lastindex
@@ -290,6 +294,10 @@ def _tokenize(text: str) -> list[tuple]:
                 toks.append(("bad", f"unexpected character {text[pos]!r}", pos))
             continue
         val = m.group(g)
+        if g == 1 and limit and len(val) > limit:
+            msg = f"numeral of {len(val)} digits exceeds Python's integer string limit"
+            toks.append(("bad", f"{msg} ({limit} digits)", pos))
+            continue
         toks.append((_KINDS[g], int(val) if g == 1 else val, pos))
     toks.append(("end", "", len(text)))
     return toks
@@ -537,31 +545,6 @@ def shift_difference(f: CanonicalForm, T: ExactReal) -> CanonicalForm:
     return shift(f, vec) - f
 
 
-def _gf2_kernel(rows: list[int], n: int) -> list[int]:
-    """Kernel basis (as bitmasks over n unknowns) of GF(2) constraint rows."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        for col, prow in pivots.items():
-            if (row >> col) & 1:
-                row ^= prow
-        if row:
-            col = (row & -row).bit_length() - 1
-            for c2 in list(pivots):
-                if (pivots[c2] >> col) & 1:
-                    pivots[c2] ^= row
-            pivots[col] = row
-    basis = []
-    for j in range(n):
-        if j in pivots:
-            continue
-        v = 1 << j
-        for col, prow in pivots.items():
-            if (prow >> j) & 1:
-                v |= 1 << col
-        basis.append(v)
-    return basis
-
-
 def period_module(f: CanonicalForm) -> PeriodModule:
     """All formal periods of f, as an explicit sublattice of the domain.
 
@@ -570,6 +553,12 @@ def period_module(f: CanonicalForm) -> PeriodModule:
     coordinate is forced to zero.  Each term's sgn atoms multiply the
     coefficient by (-1) to the sum of their s_d, forcing even parity per
     term.  Those conditions are also sufficient, term by term.
+
+    The lattice is cut twice.  The zero coordinates intersect the domain
+    with the unit lattice on the other coordinates.  Each parity set S
+    then takes the kernel of v -> sum(v_d for d in S) mod 2: with g0 the
+    first HNF row of odd sum, the kernel is spanned by the even rows,
+    g + g0 for every other odd row g, and 2*g0.
     """
     basis = f.domain.basis
     k = len(basis)
@@ -581,35 +570,23 @@ def period_module(f: CanonicalForm) -> PeriodModule:
         - {frozenset()},
         key=sorted,
     )
+    lat = f.domain
     if zero_coords:
         units = [
             tuple(1 if j == i else 0 for j in range(k))
             for i, d in enumerate(basis.radicands)
             if d not in zero_coords
         ]
-        lat = intersect(f.domain, CoeffLattice(units, basis))
-    else:
-        lat = f.domain
-    if parity and lat.rank:
-        gens = lat.hnf
-        r = len(gens)
-        masks = []
-        for S in parity:
-            mask = 0
-            for i, g in enumerate(gens):
-                if sum(g[basis.index(d)] for d in S) % 2:
-                    mask |= 1 << i
-            masks.append(mask)
-        points = []
-        for vmask in _gf2_kernel(masks, r):
-            point = [0] * k
-            for i in range(r):
-                if (vmask >> i) & 1:
-                    point = [x + y for x, y in zip(point, gens[i])]
-            points.append(tuple(point))
-        for g in gens:
-            points.append(tuple(2 * x for x in g))
-        lat = CoeffLattice(points, basis)
+        lat = intersect(lat, CoeffLattice(units, basis))
+    for S in parity:
+        cols = [basis.index(d) for d in S]
+        even, odd = [], []
+        for g in lat.hnf:
+            (odd if sum(g[j] for j in cols) % 2 else even).append(g)
+        if odd:
+            g0 = odd[0]
+            even += [tuple(x + y for x, y in zip(g, g0)) for g in odd[1:]]
+            lat = CoeffLattice(even + [tuple(2 * x for x in g0)], basis)
     gens_real = tuple(lat.to_real(row) for row in lat.hnf)
     return PeriodModule(
         zero_coords=zero_coords,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -38,10 +39,12 @@ from periodalg.funcalg import (
 from periodalg.lattice import CoeffLattice, member
 
 from oracles import (
+    basis_of_dim,
     first_box_witness,
     py_formula_evaluator,
     random_basis,
     random_formula_text,
+    random_lattice,
 )
 
 
@@ -108,6 +111,20 @@ def test_parse_errors():
         with pytest.raises(ParseError) as err:
             parse_real(text)
         assert err.value.pos == pos
+    # Python >= 3.11 refuses int() of more digits than its integer string
+    # limit (0: no limit); such a numeral is a syntax error, not a crash
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        assert parse_real("1" + "0" * (limit - 1)) == ExactReal.rational(10 ** (limit - 1))
+        for text in ("2 + 1" + "0" * limit, "2 + 1" + "0" * 5000):
+            with pytest.raises(ParseError) as err:
+                parse_real(text)
+            assert err.value.pos == 4
+            assert f"{len(text) - 4} digits exceeds" in err.value.message
+            assert f"limit ({limit} digits)" in err.value.message
+        with pytest.raises(ParseError) as err:
+            parse("abs1(one) * 1" + "0" * limit, dom)
+        assert err.value.pos == 12
 
 
 def test_text_round_trip_random():
@@ -281,6 +298,43 @@ def test_period_module_generators_are_formal_periods():
                 v = tuple(rng.randint(-4, 4) for _ in range(dom.dim))
                 moved = tuple(a + b for a, b in zip(v, row))
                 assert evaluate(f, v) == evaluate(f, moved)
+
+
+def test_period_module_is_complete_on_sublattice_domains():
+    # box oracle: a domain point s is a formal period exactly when
+    # shift(f, s) == f, so every box point must agree with membership
+    rng = random.Random(3413)
+    for _ in range(100):
+        dim = rng.choice([2, 3])
+        dom = random_lattice(rng, dim)
+        radicands = list(basis_of_dim(dim).radicands)
+        subsets = [
+            S for r in range(1, dim + 1) for S in itertools.combinations(radicands, r)
+        ]
+        arg = {d: "one" if d == 1 else f"sqrt({d})" for d in radicands}
+        terms = [
+            f"{rng.choice([1, -1, 2, -3])}*" + "*".join(f"sgn({arg[d]})" for d in S)
+            for S in rng.sample(subsets, rng.randint(2, 3))
+        ]
+        if rng.random() < 0.3:
+            terms.append(f"recip({arg[rng.choice(radicands)]}+1)")
+        f = parse(" + ".join(terms), dom)
+        pm = period_module(f)
+        assert len(pm.parity_constraints) >= 2
+        for a in itertools.product(range(-3, 4), repeat=dim):
+            s = tuple(sum(c * row[j] for c, row in zip(a, dom.hnf)) for j in range(dim))
+            assert (shift(f, s) == f) == member(pm.as_lattice, s), (f.text(), s)
+
+
+def test_period_module_pinned_sublattice_cases():
+    dom = CoeffLattice([(1, 1, 0), (0, 2, 1), (0, 0, 3)], RadicalBasis([1, 2, 3]))
+    pair = "sgn(one)*sgn(sqrt(2)) + sgn(sqrt(2))*sgn(sqrt(3))"
+    for text, hnf in (
+        (pair, ((1, 1, 3), (0, 2, 4), (0, 0, 6))),
+        (pair + " + 2*sgn(sqrt(3))", ((2, 0, 2), (0, 2, 4), (0, 0, 6))),
+        ("sgn(one) + sgn(sqrt(2)) + recip(sqrt(3))", ((2, 2, 0), (0, 6, 0))),
+    ):
+        assert period_module(parse(text, dom)).as_lattice.hnf == hnf
 
 
 def test_counterexample_for_reciprocal():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,6 +78,16 @@ def test_parse_positions_in_syntax_errors():
         with pytest.raises(ScenarioSyntaxError) as err:
             parse_scenario(text)
         assert (err.value.line, err.value.col) == (line, col)
+
+    # a numeral past Python's integer string limit (Python >= 3.11; 0 is
+    # no limit) is a syntax error at the numeral, not a bare ValueError
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        big = "1" + "0" * limit
+        with pytest.raises(ScenarioSyntaxError) as err:
+            parse_scenario(f'scenario "x";\nanalyze cfrac 1/{big};\n')
+        assert (err.value.line, err.value.col) == (2, 17)
+        assert f"limit ({limit} digits)" in str(err.value)
 
 
 def test_value_errors_while_parsing_have_positions(tmp_path, capsys):
@@ -296,7 +307,45 @@ def test_cli_flag_validation(tmp_path, capsys):
     assert cli.main(["run", str(good), "--eps", "not a number"]) == 2
     assert cli.main(["run", str(good), "--bound", "0"]) == 2
     assert cli.main(["run", str(good), "--depth", "0"]) == 2
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        assert cli.main(["run", str(good), "--eps", "1/1" + "0" * limit]) == 2
+        assert "integer string limit" in capsys.readouterr().err
     capsys.readouterr()
+
+
+def test_cli_file_errors_are_reported(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert cli.main(["selfcheck", "--scenario-dir", str(missing)]) == 1
+    out = capsys.readouterr().out
+    assert f"fail  scenario   {missing}  (cannot read the scenario directory" in out
+
+    good = tmp_path / "ok.scn"
+    good.write_text(BASIC)
+    assert cli.main(["run", str(good), "--json", str(missing / "x.json")]) == 2
+    assert f"error: cannot write {missing / 'x.json'}" in capsys.readouterr().err
+
+
+def test_cli_report_past_the_int_string_limit(tmp_path, capsys):
+    # the analysis finishes, but a convergent of about 650 digits cannot
+    # be printed under the lowest limit Python allows
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("Python < 3.11 has no integer string limit")
+    scn = tmp_path / "deep.scn"
+    scn.write_text('scenario "x";\nanalyze cfrac sqrt(2) depth 1700;\n')
+    out = tmp_path / "deep.json"
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert cli.main(["run", str(scn), "--json", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"error: {scn}: cannot render the report: ")
+        assert "640 digits" in captured.err
+        assert cli.main(["selfcheck", "--scenario-dir", str(tmp_path)]) == 1
+        assert "fail  scenario   deep  (Exceeds the limit (640 digits)" in capsys.readouterr().out
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_cli_json_output_is_byte_stable(tmp_path, capsys):
