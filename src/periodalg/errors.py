@@ -55,7 +55,10 @@ class NonMonomialDivisor(PeriodalgError):
 
 
 class UnknownRadicand(PeriodalgError):
-    """An atom references a radicand absent from the domain's basis.
+    """A radicand is absent from the basis it must be read in.
+
+    A formula atom's radicand must be in its domain's basis, and a
+    lattice's radicands in the basis `CoeffLattice.embed` targets.
 
     `pos`, when the parser raised it, is the 0-based offset of the
     atom's opening parenthesis.

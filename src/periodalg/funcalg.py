@@ -506,7 +506,7 @@ def shift(f: CanonicalForm, s: Sequence[int]) -> CanonicalForm:
     a factor (-1)**s_d to its term's coefficient.
     """
     index = f.domain.basis.index
-    s = tuple(int(x) for x in s)
+    s = tuple(map(operator.index, s))
     if not member(f.domain, s):
         raise ShiftNotInDomain(f"{list(s)} is not in the domain lattice")
     # A shift adds s_d to every abs1 tag on coordinate d, so the atoms of
@@ -671,7 +671,7 @@ def find_counterexample(
 
 def evaluate(f: CanonicalForm, v: Sequence[int]) -> Fraction:
     """Exact rational value of f at a domain point."""
-    v = tuple(int(x) for x in v)
+    v = tuple(map(operator.index, v))
     if not member(f.domain, v):
         raise NotInDomain(f"{list(v)} is not in the domain lattice")
     return Fraction(*_compile(f)(v))

@@ -5,7 +5,11 @@ square roots of distinct squarefree integers are linearly independent
 over Q, that map is injective, so lattice questions about the numbers
 (membership, intersection of domains) reduce to integer linear algebra
 on coordinates.  Canonical form is the Hermite normal form of the
-generator matrix, computed with exact integer arithmetic.
+generator matrix, computed with exact integer arithmetic by one routine,
+`_hnf`.  `intersect` reads the common points of two lattices from extra
+columns carried through that same HNF, with no transform matrix.
+Coordinates enter through `operator.index`, so a float or a `Fraction`
+raises `TypeError` instead of being truncated.
 
 `classify_group` settles the structure of a finitely generated group of
 real periods: pairwise commensurable generators span a discrete group
@@ -18,9 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd
+from operator import index
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, DivisionByZero, EmptyInput
+from .errors import DimensionMismatch, DivisionByZero, EmptyInput, UnknownRadicand
 from .exactreal import ExactReal, RadicalBasis, commensurable
 
 Vector = tuple[int, ...]
@@ -41,20 +46,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _hnf_with_transform(
-    rows: Sequence[Sequence[int]], width: int
-) -> tuple[list[list[int]], list[list[int]], int]:
-    """Row-style HNF of the matrix whose rows are `rows`.
+def _hnf(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], int]:
+    """Row-style HNF of the matrix `rows` on its first `width` columns.
 
-    Returns (H, U, rank) with U unimodular, U @ rows == H, the first
-    `rank` rows of H in echelon form with positive pivots and entries
-    above each pivot reduced into [0, pivot), and all later rows zero.
-    Rows of U opposite the zero rows of H form a basis of the left
-    kernel, which is what `intersect` consumes.
+    Returns (H, rank): the first `rank` rows of H are in echelon form
+    on those columns, with positive pivots and entries above each pivot
+    reduced into [0, pivot), and every later row is zero on them.  Any
+    columns past `width` are carried through the same row operations,
+    which is how `intersect` reads its kernel.
     """
     m = len(rows)
-    a = [list(map(int, r)) for r in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    a = [list(r) for r in rows]
     rank = 0
     for col in range(width):
         pivot = None
@@ -65,7 +67,6 @@ def _hnf_with_transform(
         if pivot is None:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
-        u[rank], u[pivot] = u[pivot], u[rank]
         for i in range(rank + 1, m):
             if not a[i][col]:
                 continue
@@ -75,21 +76,15 @@ def _hnf_with_transform(
                 [s * x + t * y for x, y in zip(a[rank], a[i])],
                 [-ai * x + ar * y for x, y in zip(a[rank], a[i])],
             )
-            u[rank], u[i] = (
-                [s * x + t * y for x, y in zip(u[rank], u[i])],
-                [-ai * x + ar * y for x, y in zip(u[rank], u[i])],
-            )
         if a[rank][col] < 0:
             a[rank] = [-x for x in a[rank]]
-            u[rank] = [-x for x in u[rank]]
         p = a[rank][col]
         for i in range(rank):
             q = a[i][col] // p
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[rank])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[rank])]
         rank += 1
-    return a, u, rank
+    return a, rank
 
 
 class CoeffLattice:
@@ -103,11 +98,11 @@ class CoeffLattice:
 
     def __init__(self, generators: Iterable[Sequence[int]], basis: RadicalBasis):
         k = len(basis)
-        gens = [tuple(int(x) for x in g) for g in generators]
+        gens = [tuple(map(index, g)) for g in generators]
         for g in gens:
             if len(g) != k:
                 raise DimensionMismatch(f"generator {g} has length {len(g)}, want {k}")
-        h, _, rank = _hnf_with_transform([g for g in gens if any(g)], k)
+        h, rank = _hnf([g for g in gens if any(g)], k)
         self.basis = basis
         self.hnf: tuple[Vector, ...] = tuple(tuple(r) for r in h[:rank])
         self._pivots: tuple[int, ...] = tuple(
@@ -141,13 +136,20 @@ class CoeffLattice:
         if len(v) != len(self.basis):
             raise DimensionMismatch(f"vector length {len(v)}, want {len(self.basis)}")
         return ExactReal(
-            self.basis, {d: int(c) for d, c in zip(self.basis.radicands, v)}
+            self.basis, {d: index(c) for d, c in zip(self.basis.radicands, v)}
         )
 
     def embed(self, basis: RadicalBasis) -> "CoeffLattice":
-        """Re-express over a larger basis, zero-filling new coordinates."""
+        """Re-express over a larger basis, zero-filling new coordinates.
+
+        Raises UnknownRadicand when `basis` lacks one of this lattice's
+        radicands.
+        """
         if self.basis == basis:
             return self
+        for d in self.basis.radicands:
+            if d not in basis:
+                raise UnknownRadicand(f"sqrt({d}) is not a coordinate of {basis!r}")
         pos = {d: basis.index(d) for d in self.basis.radicands}
         gens = []
         for g in self.hnf:
@@ -163,7 +165,7 @@ def member(lat: CoeffLattice, v: Sequence[int]) -> bool:
     k = lat.dim
     if len(v) != k:
         raise DimensionMismatch(f"vector length {len(v)}, want {k}")
-    w = [int(x) for x in v]
+    w = [index(x) for x in v]
     for row, j in zip(lat.hnf, lat._pivots):
         if w[j] % row[j]:
             return False
@@ -174,30 +176,21 @@ def member(lat: CoeffLattice, v: Sequence[int]) -> bool:
 
 
 def intersect(lat1: CoeffLattice, lat2: CoeffLattice) -> CoeffLattice:
-    """Exact intersection via the left kernel of the stacked generators.
+    """Exact intersection from the kernel columns carried through one HNF.
 
-    (u, v) with u*A - v*B = 0 enumerates exactly the points u*A common
-    to both lattices, so the kernel rows of [[A], [-B]] project to a
-    generating set of the intersection.
+    Each row a of the first lattice enters as (a, a) and each row b of
+    the second as (-b, 0).  The HNF rows that vanish on the first k
+    columns are the kernel of [[A], [-B]], and their last k columns are
+    the common points u*A, a generating set of the intersection.
     """
     basis = lat1.basis.merge(lat2.basis)
     lat1, lat2 = lat1.embed(basis), lat2.embed(basis)
     k = len(basis)
-    a = [list(r) for r in lat1.hnf]
-    b = [list(r) for r in lat2.hnf]
-    if not a or not b:
-        return CoeffLattice([], basis)
-    stacked = a + [[-x for x in row] for row in b]
-    h, u, rank = _hnf_with_transform(stacked, k)
-    points = []
-    for i in range(rank, len(stacked)):
-        coeffs = u[i][: len(a)]
-        point = [0] * k
-        for c, row in zip(coeffs, a):
-            for j in range(k):
-                point[j] += c * row[j]
-        points.append(tuple(point))
-    return CoeffLattice(points, basis)
+    stacked = [r + r for r in lat1.hnf] + [
+        tuple(-x for x in r) + (0,) * k for r in lat2.hnf
+    ]
+    h, rank = _hnf(stacked, k)
+    return CoeffLattice([row[k:] for row in h[rank:]], basis)
 
 
 @dataclass(frozen=True)

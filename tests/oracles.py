@@ -194,6 +194,14 @@ def random_lattice(rng: random.Random, dim: int, spread: int = 3) -> CoeffLattic
             return lat
 
 
+def random_operand(rng: random.Random, basis: RadicalBasis) -> CoeffLattice:
+    """Random lattice over `basis` of any rank, the empty one included."""
+    k = len(basis)
+    n = rng.choice([0, 1, k - 1, k, k + 1])
+    gens = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(n)]
+    return CoeffLattice(gens, basis)
+
+
 def squarefree_part(n: int) -> int:
     """Squarefree part of n > 0 by plain trial division up to sqrt(n)."""
     out = 1

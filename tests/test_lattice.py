@@ -12,8 +12,14 @@ from fractions import Fraction
 
 import pytest
 
-from periodalg.errors import DimensionMismatch, DivisionByZero, EmptyInput
+from periodalg.errors import (
+    DimensionMismatch,
+    DivisionByZero,
+    EmptyInput,
+    UnknownRadicand,
+)
 from periodalg.exactreal import ExactReal, RadicalBasis
+from periodalg.funcalg import evaluate, parse, shift
 from periodalg.lattice import (
     CoeffLattice,
     Dense,
@@ -26,7 +32,9 @@ from periodalg.lattice import (
 from oracles import (
     basis_of_dim,
     common_points_by_box,
+    random_basis,
     random_lattice,
+    random_operand,
     solve_membership,
 )
 
@@ -119,17 +127,53 @@ def test_generator_lengths_checked_before_zero_rows_drop():
 
 def test_intersection_against_box_enumeration():
     rng = random.Random(2305)
+    pairs = []
     for _ in range(110):
         dim = rng.choice([2, 2, 3])
-        l1 = random_lattice(rng, dim)
-        l2 = random_lattice(rng, dim)
+        pairs.append((random_lattice(rng, dim), random_lattice(rng, dim)))
+    # operands of any rank, the empty one on either side, over one basis
+    # or over two bases whose merge has at most three coordinates
+    full = CoeffLattice([(1, 0), (0, 1)], B2)
+    pairs += [(CoeffLattice([], B2), full), (full, CoeffLattice([], B2))]
+    for _ in range(110):
+        if rng.random() < 0.5:
+            b1 = b2 = basis_of_dim(rng.choice([2, 3]))
+        else:
+            b1, b2 = random_basis(rng, 1), random_basis(rng, 1)
+        pairs.append((random_operand(rng, b1), random_operand(rng, b2)))
+    for l1, l2 in pairs:
         meet = intersect(l1, l2)
+        basis = l1.basis.merge(l2.basis)
+        assert meet.basis == basis
+        l1, l2 = l1.embed(basis), l2.embed(basis)
         # soundness: the intersection is inside both inputs
         for row in meet.hnf:
             assert member(l1, row) and member(l2, row)
         # completeness on a box: every common point is in the result
         for v in common_points_by_box(l1, l2, 6):
             assert member(meet, v)
+
+
+def test_non_integer_coordinates_are_rejected():
+    basis = RadicalBasis([2])
+    z2 = CoeffLattice([(1, 0), (0, 1)], basis)
+    sgn = parse("sgn(one)", z2)
+    for call in [
+        lambda: member(CoeffLattice([(2, 0), (0, 2)], basis), (2.5, 0)),
+        lambda: member(z2, (Fraction(1, 2), 0)),
+        lambda: CoeffLattice([(Fraction(3, 2), 0)], basis),
+        lambda: z2.to_real((Fraction(1, 2), 0)),
+        lambda: evaluate(sgn, (Fraction(1, 2), 0)),
+        lambda: shift(sgn, (1.5, 0)),
+    ]:
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_embed_names_a_missing_radicand():
+    lat = CoeffLattice([(1, 0)], RadicalBasis([2]))
+    with pytest.raises(UnknownRadicand, match=r"sqrt\(2\)"):
+        lat.embed(RadicalBasis([3]))
 
 
 def test_intersection_of_sublattice_is_itself():
