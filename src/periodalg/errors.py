@@ -116,7 +116,16 @@ class ScenarioSyntaxError(ScenarioError):
 
 
 class ScenarioNameError(ScenarioError):
-    """Unbound or rebound name in a scenario file."""
+    """Unbound or rebound name in a scenario file.
+
+    `line` and `col` are 1-based and point at the name; the message
+    ends in ` at line N`.
+    """
+
+    def __init__(self, message: str, line: int, col: int):
+        super().__init__(f"{message} at line {line}")
+        self.line = line
+        self.col = col
 
 
 class AnalysisError(PeriodalgError):

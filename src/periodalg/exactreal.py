@@ -11,6 +11,7 @@ zero short-circuit.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -67,7 +68,7 @@ class RadicalBasis:
     __slots__ = ("radicands", "_index")
 
     def __init__(self, radicands: Iterable[int]):
-        rads = sorted(set(int(d) for d in radicands) | {1})
+        rads = sorted(set(map(operator.index, radicands)) | {1})
         for d in rads:
             if not _is_squarefree(d):
                 raise ValueError(f"radicand {d} is not squarefree")
@@ -148,7 +149,7 @@ class ExactReal:
     @classmethod
     def sqrt(cls, n: int) -> "ExactReal":
         """sqrt(n) for a positive integer, normalized: sqrt(8) = 2*sqrt(2)."""
-        n = int(n)
+        n = operator.index(n)
         d = _squarefree_part(n)
         return cls._of({d: Fraction(isqrt(n // d))})
 

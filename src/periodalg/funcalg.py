@@ -86,11 +86,12 @@ class CanonicalForm:
     """Normalized formula: domain lattice plus monomial -> coefficient map.
 
     Monomials are the tuples `_monomial` builds; sgn atoms keep shift 0.
+    The domain is None only while a parser reads the formula.
     """
 
     __slots__ = ("domain", "terms")
 
-    def __init__(self, domain: CoeffLattice, terms: Mapping[tuple, Fraction]):
+    def __init__(self, domain: CoeffLattice | None, terms: Mapping[tuple, Fraction]):
         self.domain = domain
         self.terms = {m: Fraction(c) for m, c in terms.items() if c != 0}
 
@@ -314,20 +315,23 @@ class _Parser:
             (('+'|'-') INT)? ')'
 
     Powers belong to formulas only.  NAME is a key of `functions`, the
-    caller's name -> CanonicalForm mapping.  Errors carry the offset of
-    the token at fault.  A value that fails to combine (a division by
-    zero, a non-monomial divisor) gets its operator's offset as `pos`
-    and is kept in `value_error` while parsing goes on with the left
-    operand, so a syntax error anywhere in the text is reported first;
-    `done` raises the kept error once the whole text has parsed.
+    caller's name -> CanonicalForm mapping.  A formula is read with no
+    domain: `refs` collects the domains of the functions it names,
+    `atoms` its (radicand, offset of '(') pairs, and `bind` places it.
+    Errors carry the offset of the token at fault.  A value that fails
+    (a division by zero, a non-monomial divisor, an atom outside the
+    domain basis) is kept in `value_error` at its offset while parsing
+    goes on, so a syntax error anywhere in the text is reported first;
+    `done` raises the earliest kept error once the whole text has parsed.
     """
 
     def __init__(self, text: str, functions: Mapping[str, CanonicalForm]):
         self.toks = _tokenize(text)
         self.i = 0
         self.functions = functions
-        self.domain: CoeffLattice | None = None  # None while reading a real
-        self.value_error: PeriodalgError | None = None  # first one only
+        self.refs: list[CoeffLattice] | None = None  # None while reading a real
+        self.atoms: list[tuple[int, int]] = []
+        self.value_error: PeriodalgError | None = None  # the earliest one
 
     def peek(self):
         tok = self.toks[self.i]
@@ -373,23 +377,47 @@ class _Parser:
         if self.value_error is not None:
             raise self.value_error
 
+    def keep(self, exc: PeriodalgError, pos: int):
+        """Keep a failed value at `pos`, unless an earlier one is kept."""
+        if self.value_error is None or pos < self.value_error.pos:
+            exc.pos = pos
+            self.value_error = exc
+
     def combine(self, pos: int, op, v, rhs):
         """op(v, rhs), or v with the failure kept at the operator's pos."""
         try:
             return op(v, rhs)
         except PeriodalgError as exc:
-            if self.value_error is None:
-                exc.pos = pos
-                self.value_error = exc
+            self.keep(exc, pos)
             return v
 
     def real_expr(self) -> ExactReal:
-        self.domain = None
+        self.refs = None
         return self.expr()
 
-    def form_expr(self, domain: CoeffLattice) -> CanonicalForm:
-        self.domain = domain
+    def form_expr(self) -> CanonicalForm:
+        """A formula with no domain yet; `bind` gives it one."""
+        self.refs, self.atoms = [], []
         return self.expr()
+
+    def bind(self, form: CanonicalForm, domains: Sequence[CoeffLattice], pos: int):
+        """`form` on the meet of `domains` and the domains it names.
+
+        Every atom's radicand must be in the meet's basis.  A formula
+        with no domain at all fails at `pos`.
+        """
+        dom = None
+        for d in (*domains, *self.refs):
+            dom = d if dom is None or d == dom else intersect(dom, d)
+        if dom is None:
+            msg = "the formula needs 'on <domain>' or a function reference"
+            self.keep(ParseError(msg, pos), pos)
+            return form
+        for d, apos in self.atoms:
+            if d not in dom.basis:
+                msg = f"sqrt({d}) is not a coordinate of the domain basis"
+                self.keep(UnknownRadicand(msg), apos)
+        return CanonicalForm(dom, form.terms)
 
     def expr(self):
         v = self.term()
@@ -416,7 +444,7 @@ class _Parser:
         if self.accept_op("+"):
             return self.factor()
         v = self.primary()
-        if self.domain is not None:
+        if self.refs is not None:
             while True:
                 pos = self.peek()[2]
                 if not self.accept_op("^"):
@@ -428,14 +456,14 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "num":
             self.i += 1
-            if self.domain is None:
+            if self.refs is None:
                 return ExactReal.rational(val)
-            return CanonicalForm.constant(val, self.domain)
+            return CanonicalForm.constant(val, None)
         if self.accept_op("("):
             v = self.expr()
             self.expect_op(")")
             return v
-        if self.domain is None:
+        if self.refs is None:
             if kind == "name" and val == "sqrt":
                 self.i += 1
                 d = self.sqrt_arg()
@@ -446,7 +474,9 @@ class _Parser:
         if kind == "name":
             self.i += 1
             if val in self.functions:
-                return self.functions[val]
+                f = self.functions[val]
+                self.refs.append(f.domain)
+                return CanonicalForm(None, f.terms)
             if val in (ABS1, "recip", SGN):
                 return self.call(val)
             raise ParseError(f"unknown function {val!r}", pos)
@@ -470,20 +500,17 @@ class _Parser:
         elif self.accept_op("-"):
             s = -self.expect_num()
         self.expect_op(")")
-        if d not in self.domain.basis:
-            err = UnknownRadicand(f"sqrt({d}) is not a coordinate of the domain basis")
-            err.pos = pos
-            raise err
+        self.atoms.append((d, pos))
         if name == SGN:
-            return CanonicalForm(self.domain, {((SGN, d, 0, 1),): -1 if s % 2 else 1})
+            return CanonicalForm(None, {((SGN, d, 0, 1),): -1 if s % 2 else 1})
         exp = 1 if name == ABS1 else -1
-        return CanonicalForm(self.domain, {((ABS1, d, s, exp),): 1})
+        return CanonicalForm(None, {((ABS1, d, s, exp),): 1})
 
 
 def parse(expr: str, domain: CoeffLattice) -> CanonicalForm:
     """Parse a formula over the domain's coordinates into canonical form."""
     p = _Parser(expr, {})
-    f = p.form_expr(domain)
+    f = p.bind(p.form_expr(), [domain], 0)
     p.done()
     return f
 

@@ -67,14 +67,17 @@ _STATEMENTS = ("scenario", "basis", "domain", "function", "pattern", "analyze")
 class _ScenarioParser(funcalg._Parser):
     """Statements on top of funcalg's tokens and real/formula grammar.
 
-    Every syntax error is raised as a ParseError at a token offset, and
-    so is a value that fails while a statement is read (a division by
-    zero, a non-monomial divisor): at the offset the grammar attached
-    to the error, else at the statement keyword.  As in funcalg, a
-    failed value is reported only once its statement has parsed up to
-    the closing ';', and before any error that statement's checks
-    raise afterwards.  parse_scenario turns the offset into a line and
-    column.
+    A `function` statement reads its formula, then its optional `on D`,
+    and `bind` puts the formula on the meet of D and the domains it
+    names.  Every syntax error is raised as a ParseError at a token
+    offset, and so is a value that fails while a statement is read (a
+    division by zero, a non-monomial divisor, an atom outside the
+    domain basis, a formula with no domain): at the offset the grammar
+    attached to the error, else at the statement keyword.  As in
+    funcalg, a failed value is reported only once its statement has
+    parsed up to the closing ';', and before any error that statement's
+    checks raise afterwards.  parse_scenario turns the offset into a
+    line and column; a ScenarioNameError carries the name's.
     """
 
     def __init__(self, text: str, default_name: str):
@@ -86,9 +89,6 @@ class _ScenarioParser(funcalg._Parser):
 
     def fail(self, message: str, tok=None):
         raise ParseError(message, (tok or self.peek())[2])
-
-    def line(self, tok) -> int:
-        return self.text.count("\n", 0, tok[2]) + 1
 
     def accept_keyword(self, word: str) -> bool:
         kind, val, _ = self.peek()
@@ -108,22 +108,24 @@ class _ScenarioParser(funcalg._Parser):
         self.i += 1
         return val
 
+    def name_error(self, message: str, tok) -> ScenarioNameError:
+        return ScenarioNameError(message, *_line_col(self.text, tok[2]))
+
     def fresh_name(self) -> str:
+        tok = self.peek()
         name = self.expect_name()
         if name in _RESERVED:
-            raise ScenarioNameError(f"{name!r} is a reserved word")
+            raise self.name_error(f"{name!r} is a reserved word", tok)
         for space in (self.sc.bases, self.sc.domains, self.sc.functions, self.sc.patterns):
             if name in space:
-                raise ScenarioNameError(f"{name!r} is already bound")
+                raise self.name_error(f"{name!r} is already bound", tok)
         return name
 
     def lookup(self, space: dict, what: str) -> tuple[str, Any]:
         tok = self.peek()
         name = self.expect_name()
         if name not in space:
-            raise ScenarioNameError(
-                f"unknown {what} {name!r} at line {self.line(tok)}"
-            )
+            raise self.name_error(f"unknown {what} {name!r}", tok)
         return name, space[name]
 
     # statements
@@ -155,7 +157,7 @@ class _ScenarioParser(funcalg._Parser):
                 pos = getattr(exc, "pos", None)
                 if pos is None:
                     pos = tok[2]
-                raise ParseError(str(exc), pos) from None
+                raise ParseError(getattr(exc, "message", str(exc)), pos) from None
             first = False
         return self.sc
 
@@ -169,23 +171,25 @@ class _ScenarioParser(funcalg._Parser):
     def parse_basis_literal(self) -> RadicalBasis:
         self.expect_keyword("basis")
         self.expect_op("(")
-        rads = []
+        rads = []  # (radicand, its token)
         while True:
             tok = self.peek()
             if tok[:2] == ("num", 1):
                 self.i += 1
-                rads.append(1)
+                rads.append((1, tok))
             elif self.accept_keyword("sqrt"):
-                rads.append(self.sqrt_arg())
+                rads.append((self.sqrt_arg(), tok))
             else:
                 self.fail("expected 1 or sqrt(<int>)")
             if not self.accept_op(","):
                 break
         self.expect_op(")")
-        try:
-            return RadicalBasis(rads)
-        except ValueError as exc:
-            self.fail(str(exc), tok)
+        for d, tok in rads:  # the first bad radicand, where it was read
+            try:
+                RadicalBasis([d])
+            except ValueError as exc:
+                self.fail(str(exc), tok)
+        return RadicalBasis(d for d, _ in rads)
 
     def stmt_basis(self):
         name = self.fresh_name()
@@ -219,41 +223,12 @@ class _ScenarioParser(funcalg._Parser):
     def stmt_function(self):
         name = self.fresh_name()
         self.expect_op("=")
-        # the domain is declared after the expression; scan ahead for it
-        domain = None
-        depth = 0
-        for j in range(self.i, len(self.toks)):
-            kind, val, _ = self.toks[j]
-            if kind == "op" and val in "([":
-                depth += 1
-            elif kind == "op" and val in ")]":
-                depth -= 1
-            elif kind == "op" and val == ";" and depth == 0:
-                break
-            elif kind == "name" and val == "on" and depth == 0:
-                ref = self.toks[j + 1]
-                if ref[0] == "bad":
-                    raise ParseError(ref[1], ref[2])
-                if ref[0] != "name" or ref[1] not in self.sc.domains:
-                    raise ScenarioNameError(
-                        f"unknown domain after 'on' at line {self.line(ref)}"
-                    )
-                domain = self.sc.domains[ref[1]]
-                break
-        if domain is None:
-            for j in range(self.i, len(self.toks)):
-                kind, val, _ = self.toks[j]
-                if kind == "op" and val == ";":
-                    break
-                if kind == "name" and val in self.sc.functions:
-                    domain = self.sc.functions[val].domain
-                    break
-        if domain is None:
-            self.fail("the formula needs 'on <domain>' or a function reference")
-        form = self.form_expr(domain)
+        pos = self.peek()[2]
+        form = self.form_expr()
+        domains = []
         if self.accept_keyword("on"):
-            self.expect_name()  # already resolved by the scan above
-        self.sc.functions[name] = form
+            domains.append(self.lookup(self.sc.domains, "domain")[1])
+        self.sc.functions[name] = self.bind(form, domains, pos)
 
     def stmt_pattern(self):
         name = self.fresh_name()
@@ -314,13 +289,16 @@ class _ScenarioParser(funcalg._Parser):
         self.sc.analyses.append(Analysis(kind=kind, args=args))
 
 
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of offset `pos`."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
 def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
     try:
         return _ScenarioParser(text, default_name).parse()
     except ParseError as exc:
-        line = text.count("\n", 0, exc.pos) + 1
-        col = exc.pos - text.rfind("\n", 0, exc.pos)
-        raise ScenarioSyntaxError(exc.message, line, col) from None
+        raise ScenarioSyntaxError(exc.message, *_line_col(text, exc.pos)) from None
 
 
 # -- execution ---------------------------------------------------------------

@@ -67,6 +67,16 @@ def test_radical_basis_validation():
     assert basis.merge(RadicalBasis([5])).radicands == (1, 2, 3, 5)
 
 
+def test_non_integer_radicands_are_rejected():
+    # radicands are read with operator.index, never truncated
+    for bad in (2.7, Fraction(7, 2), Fraction(4, 2)):
+        with pytest.raises(TypeError):
+            RadicalBasis([bad])
+    with pytest.raises(TypeError):
+        ExactReal.sqrt(2.9)
+    assert RadicalBasis([True, 2]).radicands == (1, 2)
+
+
 def test_constructors_check_a_given_basis():
     # the basis is checked, not stored
     with pytest.raises(ValueError):

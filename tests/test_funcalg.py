@@ -97,8 +97,17 @@ def test_parse_errors():
     with pytest.raises(ParseError) as err:
         parse("abs1(sqrt(2)) + $", dom)
     assert err.value.pos == 16
-    with pytest.raises(UnknownRadicand):
+    with pytest.raises(UnknownRadicand) as err:
         parse("abs1(sqrt(5))", dom)
+    assert err.value.pos == 4
+    # a bad radicand yields to any later syntax error, and comes before
+    # a later value that fails to combine
+    with pytest.raises(ParseError) as err:
+        parse("abs1(sqrt(5)) + )", dom)
+    assert err.value.pos == 16
+    with pytest.raises(UnknownRadicand) as err:
+        parse("abs1(sqrt(5)) / (abs1(one) + abs1(sqrt(2)))", dom)
+    assert err.value.pos == 4
     with pytest.raises(NonMonomialDivisor):
         parse("1 / (abs1(one) + abs1(sqrt(2)))", dom)
     with pytest.raises(DivisionByZero):

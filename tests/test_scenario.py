@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from periodalg import cli
+from periodalg import cli, lattice
 from periodalg.errors import (
     AnalysisError,
     ScenarioError,
@@ -74,10 +74,19 @@ def test_parse_positions_in_syntax_errors():
         # a bad character is an error only where parsing reaches it
         ('scenario "x";\nanalyze cfrac 1/0;\nanalyze cfrac $;\n', 2, 16),
         (head + "function f = abs1(one) on $;\n", 4, 27),
+        # a basis literal names the first bad radicand where it stands
+        ('scenario "x";\nbasis B = basis(1, sqrt(4), sqrt(2));\n', 2, 20),
+        # the formula is read before its `on`, so a syntax error in it
+        # is not hidden behind a missing domain
+        (head + "function f = abs1(sqrt(5)) + ) on D;\n", 4, 30),
     ):
         with pytest.raises(ScenarioSyntaxError) as err:
             parse_scenario(text)
         assert (err.value.line, err.value.col) == (line, col)
+
+    with pytest.raises(ScenarioNameError, match="^unknown domain 'X' at line 4$") as err:
+        parse_scenario(head + "function f = abs1(one) on X;\n")
+    assert (err.value.line, err.value.col) == (4, 27)
 
     # a numeral past Python's integer string limit (Python >= 3.11; 0 is
     # no limit) is a syntax error at the numeral, not a bare ValueError
@@ -128,14 +137,18 @@ def test_value_errors_while_parsing_have_positions(tmp_path, capsys):
 
 
 def test_name_resolution_errors():
-    with pytest.raises(ScenarioNameError):
-        parse_scenario('scenario "x";\nanalyze period_module nope;\n')
-    with pytest.raises(ScenarioNameError):
-        parse_scenario(
-            'scenario "x";\nbasis B = basis(1);\nbasis B = basis(1, sqrt(2));\n'
-        )
-    with pytest.raises(ScenarioNameError):
-        parse_scenario('scenario "x";\nbasis sqrt = basis(1);\n')
+    # every name error points at the name: line, col and message
+    for text, message, col in (
+        ('scenario "x";\nanalyze period_module nope;\n', "unknown function 'nope'", 23),
+        ('scenario "x";\nbasis B = basis(1);\nbasis B = basis(1, sqrt(2));\n',
+         "'B' is already bound", 7),
+        ('scenario "x";\nbasis sqrt = basis(1);\n', "'sqrt' is a reserved word", 7),
+    ):
+        with pytest.raises(ScenarioNameError) as err:
+            parse_scenario(text)
+        line = text.count("\n")
+        assert str(err.value) == f"{message} at line {line}"
+        assert (err.value.line, err.value.col) == (line, col)
     with pytest.raises(ScenarioError):
         # no `on` clause and no earlier function to inherit a domain from
         parse_scenario('scenario "x";\nfunction f = abs1(one);\n')
@@ -158,6 +171,17 @@ def test_function_domain_inheritance():
     )
     sc = parse_scenario(text)
     assert sc.functions["g"].domain == sc.functions["f"].domain
+
+    # an explicit `on E` meets the domains of the functions named, in
+    # every spelling of the formula
+    head = text.replace("analyze period_module g;\n", "domain E = lattice[(2,0), (0,1)] over B;\n")
+    sc = parse_scenario(head)
+    meet = lattice.intersect(sc.domains["E"], sc.domains["D"])
+    assert meet != sc.domains["D"]
+    for formula in ("f", "-f", "f^2", "f + f", "1*f"):
+        sc = parse_scenario(head + f"function h = {formula} on E;\n")
+        assert sc.functions["h"].domain == meet, formula
+    assert sc.functions["h"].terms == sc.functions["f"].terms
 
 
 def test_wrap_pattern_and_fundamental_period():
