@@ -1,10 +1,11 @@
 """Constructive Diophantine approximation over exact reals.
 
 Continued fractions come from integer Euclid on the two ends of a
-dyadic enclosure of x (exact Euclid on a rational x): the quotients the
-two ends share, less the last shared one, are the quotients of x, and
-the enclosure is refined until as many are certain as are asked for.
-No field element is inverted.  On top of them sit two witness finders:
+rational enclosure of x/y, read off dyadic enclosures of x and y
+(exact Euclid on a rational x/y): the quotients the two ends share,
+less the last shared one, are the quotients of x/y, and the enclosures
+are refined until as many are certain as are asked for.  No field
+element is inverted.  On top of them sit two witness finders:
 `dirichlet_find` produces integers m, n with m*T1 + n*T2 within eps of
 a target (density of T1*Z + T2*Z for an irrational ratio), and
 `kronecker_find` produces a simultaneous approximation q*T - p_i*T_i
@@ -34,6 +35,7 @@ from .errors import CommensurableInput, DivisionByZero, EmptyInput, NotFound
 from .exactreal import INITIAL_PRECISION, ExactReal, commensurable
 
 SCREEN_PRECISION = 192
+_ONE = ExactReal.rational(1)
 
 
 @dataclass(frozen=True)
@@ -50,20 +52,22 @@ class ContinuedFraction:
     terminated: bool
 
 
-def _quotients(x: ExactReal) -> Iterator[int]:
-    """Partial quotients a_0, a_1, ... of x, by integer Euclid.
+def _quotients(x: ExactReal, y: ExactReal = _ONE) -> Iterator[int]:
+    """Partial quotients a_0, a_1, ... of x/y, by integer Euclid; y != 0.
 
-    A rational x runs Euclid on its numerator and denominator, which
-    ends with the last quotient.  An irrational x runs Euclid in
-    lockstep on both ends of its enclosure scaled by 2^prec: x lies
-    between the ends, so it shares every quotient the two ends share,
-    and the last shared one is dropped as well, which keeps the rule
-    valid for either expansion of a rational end.  Lazy: when more
-    quotients are asked for than are certain, prec doubles from
-    INITIAL_PRECISION.  The stream of an irrational x never ends.
+    A rational x/y runs Euclid on its numerator and denominator, which
+    ends with the last quotient.  An irrational one runs Euclid in
+    lockstep on two rational ends, each a ratio of ends of the
+    enclosures of x and y scaled by 2^prec, both negated when y < 0:
+    x/y lies between them, so it shares every quotient the two ends
+    share, and the last shared one is dropped as well, which keeps the
+    rule valid for either expansion of a rational end.  Lazy: when more
+    quotients are asked for than are certain, or while the enclosure
+    of y still holds 0, prec doubles from INITIAL_PRECISION.  The
+    stream of an irrational x/y never ends.
     """
-    if x.is_rational():
-        c = x.as_rational()
+    c = Fraction(0) if x.is_zero() else commensurable(x, y)
+    if c is not None:
         n, d = c.numerator, c.denominator
         while d:
             a, r = divmod(n, d)
@@ -73,8 +77,16 @@ def _quotients(x: ExactReal) -> Iterator[int]:
     done = 0
     prec = INITIAL_PRECISION
     while True:
-        n_lo, n_hi = x._enclosure_scaled(prec)
-        d_lo = d_hi = 1 << prec
+        x_lo, x_hi = x._enclosure_scaled(prec)
+        y_lo, y_hi = y._enclosure_scaled(prec)
+        prec *= 2
+        if y_hi < 0:  # x/y = (-x)/(-y)
+            x_lo, x_hi, y_lo, y_hi = -x_hi, -x_lo, -y_hi, -y_lo
+        if y_lo <= 0:
+            continue
+        # the least and the greatest ratio of the two enclosures
+        n_lo, d_lo = x_lo, y_hi if x_lo >= 0 else y_lo
+        n_hi, d_hi = x_hi, y_lo if x_hi >= 0 else y_hi
         shared = []
         while d_lo and d_hi:
             a, r_lo = divmod(n_lo, d_lo)
@@ -84,18 +96,17 @@ def _quotients(x: ExactReal) -> Iterator[int]:
             n_lo, d_lo, n_hi, d_hi = d_lo, r_lo, d_hi, n_hi - a * d_hi
         yield from shared[done:-1]
         done = max(done, len(shared) - 1)
-        prec *= 2
 
 
-def _convergents(x: ExactReal) -> Iterator[tuple[int, int, int]]:
-    """Yield (a_n, p_n, q_n) for n = 0, 1, ... from `_quotients`.
+def _convergents(x: ExactReal, y: ExactReal = _ONE) -> Iterator[tuple[int, int, int]]:
+    """Yield (a_n, p_n, q_n) for n = 0, 1, ... from `_quotients(x, y)`.
 
-    Ends after p_n/q_n == x, which happens only for a rational x; for an
-    irrational x the stream never ends.
+    Ends after p_n/q_n == x/y, which happens only for a rational x/y;
+    for an irrational one the stream never ends.
     """
     p, p_prev = 1, 0
     q, q_prev = 0, 1
-    for a in _quotients(x):
+    for a in _quotients(x, y):
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
         yield a, p, q
@@ -135,9 +146,11 @@ def dirichlet_find(
     walk reaches |u| < eps after finitely many steps.  At the first
     such convergent, k = round(target/u) = (2*target + u) // (2*u)
     copies of u land within |u|/2 of target, so m = -k*p, n = k*q is a
-    witness.  Only theta divides; the rounding is an exact floor of a
-    quotient.  The witness is re-checked by exact sign tests; a failed
-    re-check is an internal error, not a reason to search.
+    witness.  Nothing divides: theta's quotients come from the
+    enclosures of T2 and T1 (`_quotients(T2, T1)`), and the rounding is
+    an exact floor of a quotient.  The witness is re-checked by exact
+    sign tests; a failed re-check is an internal error, not a reason to
+    search.
     """
     if eps.sign() <= 0:
         raise ValueError("eps must be positive")
@@ -146,7 +159,7 @@ def dirichlet_find(
             "T1 and T2 are commensurable; T1*Z + T2*Z is discrete, not dense"
         )
     # T2/T1 is irrational, so the convergents never run out
-    for _, p, q in _convergents(T2 / T1):
+    for _, p, q in _convergents(T2, T1):
         u = T2.scale(q) - T1.scale(p)
         if _abs_less(u, eps):
             k = (target.scale(2) + u) // u.scale(2)

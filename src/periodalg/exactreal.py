@@ -48,10 +48,6 @@ def _squarefree_part(n: int) -> int:
     return out if r * r == n else out * n
 
 
-def _is_squarefree(n: int) -> bool:
-    return n >= 1 and _squarefree_part(n) == n
-
-
 @lru_cache(maxsize=None)
 def _sqrt_floor_scaled(d: int, prec: int) -> int:
     # s with s <= sqrt(d) * 2^prec < s + 1
@@ -70,7 +66,7 @@ class RadicalBasis:
     def __init__(self, radicands: Iterable[int]):
         rads = sorted(set(map(operator.index, radicands)) | {1})
         for d in rads:
-            if not _is_squarefree(d):
+            if _squarefree_part(d) != d:  # raises for d <= 0
                 raise ValueError(f"radicand {d} is not squarefree")
         self.radicands: tuple[int, ...] = tuple(rads)
         self._index = {d: i for i, d in enumerate(self.radicands)}

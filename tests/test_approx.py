@@ -163,6 +163,14 @@ def test_cf_matches_floor_invert_walk():
         # the walk ends within depth + 1 steps exactly when x is rational
         # with at most depth quotients
         assert continued_fraction(x, depth).terminated == (len(want) <= depth)
+    # quotients of x/y from the two enclosures, for an irrational y of
+    # either sign
+    for _ in range(12):
+        x = random_multiquadratic(rng, rng.randint(0, 2))
+        y = random_multiquadratic(rng, rng.randint(1, 2))
+        want = list(islice(floor_invert_convergents(x / y), 21))
+        assert list(islice(_convergents(x, y), 20)) == want[:20]
+    assert list(_convergents(ExactReal.rational(0), ExactReal.sqrt(2))) == [(0, 0, 1)]
 
 
 def test_cf_depth_1000_matches_mpmath():
@@ -211,11 +219,21 @@ def test_dirichlet_frozen_witness():
             assert abs(m + n * mp.sqrt(2) - mp.sqrt(3)) < mp.mpf(10) ** -digits
 
 
-def test_dirichlet_random_instances():
+def test_dirichlet_random_instances(monkeypatch):
+    # theta = T2/T1 is expanded from the enclosures of T2 and T1, so an
+    # irrational or negative T1 is never inverted
+    def no_invert(self):
+        raise AssertionError(f"invert({self}) called")
+
+    monkeypatch.setattr(ExactReal, "invert", no_invert)
     rng = random.Random(5603)
-    for _ in range(25):
+    for i in range(40):
         d = rng.choice([2, 3, 5, 7])
         t1 = ExactReal.rational(Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+        if i % 2:
+            t1 = t1 + ExactReal.sqrt(rng.choice([6, 10, 11]))
+        if i % 3 == 0:
+            t1 = -t1
         t2 = ExactReal.sqrt(d).scale(Fraction(rng.randint(1, 3), rng.randint(1, 3)))
         target = ExactReal.rational(Fraction(rng.randint(-8, 8), rng.randint(1, 5)))
         eps = ExactReal.rational(Fraction(1, rng.choice([100, 1000])))
@@ -296,8 +314,8 @@ def test_kronecker_not_found_and_errors():
 
 
 def test_rounding_inverts_no_field_element(monkeypatch):
-    # nearest integers are exact floors of quotients, so only the T2/T1
-    # that dirichlet_find expands divides, and only by an irrational T1
+    # nearest integers are exact floors of quotients, and dirichlet_find
+    # expands T2/T1 from the enclosures of T2 and T1, so nothing divides
     calls = [0]
     real = ExactReal.invert
 
@@ -321,7 +339,7 @@ def test_rounding_inverts_no_field_element(monkeypatch):
     assert calls[0] == 0
     m, n = dirichlet_find(s2, s3, one, eps)
     assert abs_less(s2.scale(m) + s3.scale(n) - one, eps)
-    assert calls[0] == 1
+    assert calls[0] == 0
 
 
 def test_kronecker_least_q_matches_float_scan():

@@ -60,8 +60,14 @@ def test_large_radicands_factor_quickly():
 
 
 def test_radical_basis_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^radicand 4 is not squarefree$"):
         RadicalBasis([4])
+    # a nonpositive radicand gets the message ExactReal.sqrt gives it
+    for bad in (-2, 0):
+        with pytest.raises(ValueError, match="^radicand must be positive$"):
+            RadicalBasis([bad])
+        with pytest.raises(ValueError, match="^radicand must be positive$"):
+            ExactReal.sqrt(bad)
     basis = RadicalBasis([2, 3])
     assert basis.radicands == (1, 2, 3)
     assert basis.merge(RadicalBasis([5])).radicands == (1, 2, 3, 5)

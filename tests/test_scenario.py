@@ -116,6 +116,8 @@ def test_value_errors_while_parsing_have_positions(tmp_path, capsys):
             head + "function g = (abs1(one)+sgn(one))^-2 on D;\n",
             4, 34, "divisor has 2 terms",
         ),
+        # a nonpositive radicand is named as such, not as non-squarefree
+        ('scenario "x";\nbasis B = basis(1, sqrt(0));\n', 2, 20, "radicand must be positive"),
         # the lattice checks each row against the basis, zero rows too
         (
             'scenario "x";\ndomain D = lattice[(1,0,0)] over basis(1, sqrt(2));\n',
@@ -409,8 +411,29 @@ def test_cli_option_fallbacks(tmp_path, capsys):
 
 def test_cli_selfcheck_passes(capsys):
     assert cli.main(["selfcheck"]) == 0
-    out = capsys.readouterr().out
-    assert "fail" not in out.splitlines()[-1] or "0 fail" in out
+    *rows, summary = capsys.readouterr().out.splitlines()
+    # the frozen reports, then only the invariants no report pins
+    assert [tuple(row.split(maxsplit=2)) for row in rows] == [
+        ("pass", "scenario", "cancelling_sum"),
+        ("pass", "scenario", "diophantine_toolkit"),
+        ("pass", "scenario", "product_domains"),
+        ("pass", "scenario", "two_irrational_periods"),
+        ("pass", "invariant", "exactreal inversion"),
+        ("pass", "invariant", "exactreal floor and sign"),
+        ("pass", "invariant", "lattice intersect idempotent"),
+        ("pass", "invariant", "funcalg parse roundtrip"),
+        ("pass", "invariant", "pointsets rotation roundtrip"),
+    ]
+    assert summary == "selfcheck: 9/9 checks passed"
+
+
+def test_cli_selfcheck_invariant_says_what_it_got(monkeypatch, capsys):
+    monkeypatch.setattr(ExactReal, "floor", lambda self: 4)
+    assert cli.main(["selfcheck"]) == 1
+    assert (
+        "fail  invariant  exactreal floor and sign  "
+        "(AssertionError: floor(sqrt(2) + sqrt(3)): expected 3, got 4)"
+    ) in capsys.readouterr().out.splitlines()
 
 
 def test_cli_selfcheck_catches_tampering(tmp_path, capsys):
