@@ -11,7 +11,9 @@ plus sqrt(7) to each depth.  `kronecker K...` searches q*sqrt(3) - p
 within eps = 10^-(K+2) of a displacement delta at bound 10^K, with an
 exact witness planted at q0 = 10^K - 10^K // 3, so the search must
 return some q <= q0.  `discrepancy N...` bounds the star discrepancy
-of the first N points of the orbits of sqrt(7) - 2 and (sqrt(5) - 1)/2.
+of the first N points of the orbits of sqrt(7) - 2 and (sqrt(5) - 1)/2,
+on the integer walk, and of 1/3 + sqrt(2)/2^200, whose neighbouring
+enclosures overlap, so it takes the exact fallback.
 It prints one JSON line per case with the fastest of --repeat
 wall-clock timings and checks each result: the first quotients against
 a Fraction expansion of a 64-digit decimal enclosure, q <= q0 for
@@ -93,6 +95,7 @@ def bench_discrepancy(sizes, repeat: int) -> None:
     alphas = {
         "sqrt(7)-2": ExactReal.sqrt(7) - ExactReal.rational(2),
         "(sqrt(5)-1)/2": (ExactReal.sqrt(5) - one).scale(Fraction(1, 2)),
+        "1/3+sqrt(2)/2^200": one / 3 + ExactReal.sqrt(2) / 2**200,
     }
     for name, alpha in alphas.items():
         lo, hi = alpha.enclosure(64)

@@ -504,6 +504,41 @@ PLANTED_ALPHAS = [
 ]
 
 
+def record_walk(monkeypatch, alpha: ExactReal, N: int) -> tuple[Fraction, dict]:
+    """orbit_discrepancy(alpha, N) and the branches its walk took.
+
+    `start` is the point the per-point walk of the top zone started at
+    (None if the constant steps fell back first) and `top` the number
+    of points it visited above that one; `floors` counts exact floors
+    and `exact` the fallbacks to `_exact_walk`.
+    """
+    rec = {"start": None, "top": 0, "floors": 0, "exact": 0}
+    real_floor = ExactReal.floor
+
+    def order(N, a, b, i=0):
+        if rec["start"] is None and not rec["exact"]:
+            rec["start"] = i
+            for n, x in enumerate(_orbit_order(N, a, b, i)):
+                rec["top"] = n
+                yield x
+        else:
+            yield from _orbit_order(N, a, b, i)
+
+    def walk(*args):
+        rec["exact"] += 1
+        return _exact_walk(*args)
+
+    def floor(self):
+        rec["floors"] += 1
+        return real_floor(self)
+
+    with monkeypatch.context() as m:
+        m.setattr("periodalg.approx._orbit_order", order)
+        m.setattr("periodalg.approx._exact_walk", walk)
+        m.setattr(ExactReal, "floor", floor)
+        return orbit_discrepancy(alpha, N), rec
+
+
 def test_discrepancy_matches_sorted_oracle(monkeypatch):
     exact_walks = [0]
     floors = [0]
@@ -537,6 +572,48 @@ def test_discrepancy_matches_sorted_oracle(monkeypatch):
     monkeypatch.undo()
     assert floors[0] == 1 and exact_walks[0] == fallbacks
     assert got == sorted_orbit_discrepancy(alpha, 4)
+    # each branch of the walk: the constant steps, their overlap test,
+    # the top zone with and without a straddle, the extreme step sizes
+    one = ExactReal.rational(1)
+    near_third = one.scale(Fraction(1, 3)) - ExactReal.sqrt(2).scale(Fraction(1, 2**200))
+    sqrt7 = ExactReal.sqrt(7) - one.scale(2)
+    golden = (ExactReal.sqrt(5) - one).scale(Fraction(1, 2))
+    small = ExactReal.sqrt(2).scale(Fraction(1, 100))
+    assert _walk_steps(small, 50) == (1, 49) and _walk_steps(one - small, 50) == (49, 1)
+    near_half = one / 2 - ExactReal.sqrt(2) / 2**70
+    # 1/3 + p - q*sqrt(2) for the first convergent p/q of sqrt(2) with
+    # q >= 2^52: near 1/3, with a large negative coordinate
+    p, q = 1, 1
+    while q < 2**52:
+        p, q = p + 2 * q, p + q
+    wide = one / 3 + ExactReal.rational(p) - ExactReal.sqrt(2).scale(q)
+    cases = [
+        # 0, 1, 2 by constant steps, then 3*alpha, which straddles 1
+        (near_third, 4, {"start": 2, "top": 1, "floors": 1, "exact": 0}),
+        # two points in the top zone, neither near an integer
+        (sqrt7, 10, {"start": 9, "top": 2, "floors": 0, "exact": 0}),
+        # 1*alpha and 4*alpha overlap: the constant steps fall back
+        (near_third, 5, {"start": None, "top": 0, "floors": 1, "exact": 1}),
+        # the overlap comes at i = last + 1, the least i the test flags
+        (near_half, 6, {"start": None, "top": 0, "floors": 0, "exact": 1}),
+        # the exact walk's integer enclosures of a wide coordinate
+        (wide, 100, {"start": None, "top": 0, "floors": 33, "exact": 1}),
+        # a = 1: every step below the top zone is +1
+        (small, 50, {"start": 48, "top": 1, "floors": 0, "exact": 0}),
+        # b = 1: the largest gap is {49*alpha}, so the top zone holds
+        # the points above 0.69
+        (one - small, 50, {"start": 22, "top": 21, "floors": 0, "exact": 0}),
+    ]
+    for alpha, N, want in cases:
+        got, rec = record_walk(monkeypatch, alpha, N)
+        assert rec == want, (alpha, N)
+        assert got == sorted_orbit_discrepancy(alpha, N), (alpha, N)
+    # prec = 2*log2(N) + 64 changes between 2^k - 1 and 2^k
+    for alpha in (sqrt7, golden):
+        for N in (1023, 1024, 4095, 4096):
+            got, rec = record_walk(monkeypatch, alpha, N)
+            assert rec["start"] > 0 and rec["floors"] == rec["exact"] == 0
+            assert got == sorted_orbit_discrepancy(alpha, N), (alpha, N)
 
 
 def test_walk_steps_are_the_extreme_points():
@@ -558,24 +635,34 @@ def test_walk_steps_are_the_extreme_points():
 
 
 def test_discrepancy_makes_no_sign_tests_per_point(monkeypatch):
-    alpha = ExactReal.sqrt(7) - ExactReal.rational(2)
-    calls = [0]
-    real = ExactReal.sign
+    alphas = [
+        ExactReal.sqrt(7) - ExactReal.rational(2),
+        (ExactReal.sqrt(5) - ExactReal.rational(1)).scale(Fraction(1, 2)),
+    ]
+    calls = {"sign": 0, "floor": 0}
+    real_sign, real_floor = ExactReal.sign, ExactReal.floor
 
-    def counting(self):
-        calls[0] += 1
-        return real(self)
+    def sign(self):
+        calls["sign"] += 1
+        return real_sign(self)
 
-    monkeypatch.setattr(ExactReal, "sign", counting)
+    def floor(self):
+        calls["floor"] += 1
+        return real_floor(self)
+
+    monkeypatch.setattr(ExactReal, "sign", sign)
+    monkeypatch.setattr(ExactReal, "floor", floor)
     sizes, counts, got = (10**3, 10**5), [], []
-    for N in sizes:
-        calls[0] = 0
-        got.append(orbit_discrepancy(alpha, N))
-        counts.append(calls[0])
+    for alpha in alphas:
+        for N in sizes:
+            calls.update(sign=0, floor=0)
+            got.append((alpha, N, orbit_discrepancy(alpha, N)))
+            counts.append(dict(calls))
     monkeypatch.undo()
-    # the two input checks; the walk itself makes no sign test
-    assert counts == [2, 2]
-    for N, bound in zip(sizes, got):
+    # the two input checks; the walk itself makes no sign test and
+    # takes no exact floor
+    assert counts == [{"sign": 2, "floor": 0}] * 4
+    for alpha, N, bound in got:
         assert abs(float(bound) - float_star_discrepancy(float(mp_value(alpha)), N)) < 1e-9
 
 
