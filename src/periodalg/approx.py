@@ -23,8 +23,8 @@ the star discrepancy.  It visits the points in increasing order by the
 three-distance theorem, with steps read off the continued fraction of
 alpha, so nothing is sorted.  Each step is one of three, so the integer
 enclosure of the next point and both maximized quantities move by one
-of three constants: below the top of the interval a point costs a few
-integer additions and comparisons, and no exact floor or sign test.
+of three constants: unless its enclosure may reach 1, a point costs a
+few integer additions and comparisons, and no exact floor or sign test.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .errors import CommensurableInput, DivisionByZero, EmptyInput, NotFound
-from .exactreal import INITIAL_PRECISION, ExactReal, _sqrt_floor_scaled, commensurable
+from .exactreal import INITIAL_PRECISION, ExactReal, commensurable
 
 SCREEN_PRECISION = 192
 _ONE = ExactReal.rational(1)
@@ -312,14 +312,14 @@ def _walk_steps(alpha: ExactReal, N: int) -> tuple[int, int]:
             return side[0], side[1]
 
 
-def _orbit_order(N: int, a: int, b: int, i: int = 0) -> Iterator[int]:
+def _orbit_order(N: int, a: int, b: int) -> Iterator[int]:
     """0..N-1 in increasing order of {i*alpha}, for (a, b) = `_walk_steps`.
 
     Three-distance theorem (Sos 1958): the neighbour above {i*alpha} is
     {(i+a)*alpha} when i + a < N, else {(i-b)*alpha} when i >= b, else
-    {(i+a-b)*alpha}; {0} = 0 is the least point.  A walk started at
-    another point i yields it and the points above it first.
+    {(i+a-b)*alpha}; {0} = 0 is the least point.
     """
+    i = 0
     for _ in range(N):
         yield i
         i = i + a if i < N - a else i - b if i >= b else i + a - b
@@ -336,26 +336,26 @@ def orbit_discrepancy(alpha: ExactReal, N: int) -> Fraction:
     alpha, `_walk_steps`).  Each point gets an integer enclosure at
     prec = 2*log2(N) + 64 bits: with [a_lo, a_hi] the enclosure of
     alpha*2^prec and width = a_hi - a_lo, {i*alpha}*2^prec lies in
-    [f_lo, f_lo + i*width], f_lo = i*a_lo mod 2^prec.  The discrepancy
-    formula is maximized over the enclosure endpoints as the walk goes,
-    so the result can only overestimate.
+    [r, r + i*width], r = i*a_lo mod 2^prec.  The discrepancy formula
+    is maximized over the enclosure endpoints as the walk goes, so the
+    result can only overestimate.
 
     Constant steps: a step adds di = a, -b or a - b to i, so it adds
-    g = di*a_lo mod 2^prec to f_lo unless the sum wraps past 2^prec.
-    The two maximized quantities at the j-th point, (j+1)*2^prec - N*f_lo
-    and N*(f_lo + i*width) - j*2^prec, then move by the constants
-    2^prec - N*g and N*(g + di*width) - 2^prec.  While f_lo is below
-    top = 2^prec - N*width - max(g), the next f_lo + i*width is below
-    2^prec: f_lo adds with no wrap and the next enclosure straddles no
-    integer, so a point costs three big-integer additions and three
-    comparisons besides the small-integer step on i.  The enclosure of
-    the point p before ends past the next one's f_lo exactly when
-    p*width > g; then the bound is taken instead on enclosures of the
-    exact fractional parts (`_exact_walk`).  From the first f_lo >= top
-    on, which leaves the points within about one largest gap of 1 (few
-    for a well-spread orbit), each point is enclosed on its own, with
-    the same bound and overlap test, and one whose enclosure reaches an
-    integer takes the exact floor of i*alpha.
+    g = di*a_lo mod 2^prec to r unless the sum wraps past 2^prec.  The
+    two maximized quantities at the j-th point, (j+1)*2^prec - N*r and
+    N*(r + i*width) - j*2^prec, then move by the constants 2^prec - N*g
+    and N*(g + di*width) - 2^prec.  While r is below the step's limit
+    2^prec - N*width - g, the next r + i*width is below 2^prec: r adds
+    with no wrap and the next enclosure straddles no integer, so a point
+    costs three big-integer additions and three comparisons besides the
+    small-integer step on i.  The enclosure of the point p before ends
+    past the next one's r exactly when p*width > g; then the bound is
+    taken instead on enclosures of the exact fractional parts
+    (`_exact_walk`).  A step from r at or above its limit, whose next
+    point may lie within N*width of 1 (or whose g wrapped: the gap is
+    below di*width), encloses the next point on its own
+    (`_own_enclosure`), with the same bound and overlap test.  For a
+    generic alpha no point lies that near 1, and no step does.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -375,101 +375,84 @@ def orbit_discrepancy(alpha: ExactReal, N: int) -> Fraction:
     a_lo, a_hi = alpha._enclosure_scaled(prec)
     width = a_hi - a_lo
     # per step kind: (di, g, the changes of the two maximized
-    # quantities, the greatest i whose enclosure ends by f_lo + g)
+    # quantities, the greatest i whose enclosure ends by r + g, the
+    # limit on r below which the step is constant)
     steps = []
     for di in (a, -b, a - b):
         g = di * a_lo % unit
-        steps.append((di, g, unit - N * g, N * (g + di * width) - unit, g // width))
+        steps.append(
+            (di, g, unit - N * g, N * (g + di * width) - unit, g // width, unit - N * width - g)
+        )
     step_a, step_b, step_ab = steps
-    top = unit - N * width - max(g for _, g, _, _, _ in steps)
     n_a = N - a
-    # the point 0: f_lo = f_hi = 0
-    i = j = f_lo = 0
+    # the point 0: r = f_lo = f_hi = 0
+    i = r = 0
     best_lo = dev_lo = unit  # maximize (j+1)*unit - N*f_lo over the j-th point
     best_hi = dev_hi = 0  # maximize N*f_hi - j*unit
-    if top > 0:
-        for j in range(1, N):
-            di, g, step_lo, step_hi, last = (
-                step_a if i < n_a else step_b if i >= b else step_ab
-            )
+    for j in range(1, N):
+        di, g, step_lo, step_hi, last, limit = (
+            step_a if i < n_a else step_b if i >= b else step_ab
+        )
+        if r < limit:
             if i > last:
                 return _exact_walk(alpha, N, a, b, prec)
             i += di
-            f_lo += g
+            r += g
             dev_lo += step_lo
             dev_hi += step_hi
-            if dev_lo > best_lo:
-                best_lo = dev_lo
-            if dev_hi > best_hi:
-                best_hi = dev_hi
-            if f_lo >= top:
-                break
-    # the points above the j-th, each enclosed on its own
-    prev_hi = f_lo + i * width
-    rank = (j + 1) * unit  # (j+1)*unit at the j-th point
-    for i in islice(_orbit_order(N, a, b, i), 1, N - j):
-        f_lo = i * a_lo & (unit - 1)
-        f_hi = f_lo + i * width
-        if f_hi >= unit:
-            k = alpha.scale(i).floor()
-            f_lo = max(i * a_lo - (k << prec), 0)
-            f_hi = min(i * a_hi - (k << prec), unit)
-        if prev_hi > f_lo:
-            return _exact_walk(alpha, N, a, b, prec)
-        prev_hi = f_hi
-        rank += unit
-        if rank - N * f_lo > best_lo:
-            best_lo = rank - N * f_lo
-        if N * f_hi - rank + unit > best_hi:
-            best_hi = N * f_hi - rank + unit
+        else:
+            prev_hi = (dev_hi + (j - 1) * unit) // N  # f_hi of the point before
+            i += di
+            r = i * a_lo & (unit - 1)
+            f_lo, f_hi = _own_enclosure(alpha, i, a_lo, width, prec)
+            if prev_hi > f_lo:
+                return _exact_walk(alpha, N, a, b, prec)
+            dev_lo = (j + 1) * unit - N * f_lo
+            dev_hi = N * f_hi - j * unit
+        if dev_lo > best_lo:
+            best_lo = dev_lo
+        if dev_hi > best_hi:
+            best_hi = dev_hi
     return Fraction(max(best_lo, best_hi), N * unit)
+
+
+def _own_enclosure(alpha: ExactReal, i: int, a_lo: int, width: int, prec: int) -> tuple[int, int]:
+    """Integers (f_lo, f_hi) enclosing {i*alpha}*2^prec, for
+    alpha*2^prec in [a_lo, a_lo + width].
+
+    The enclosure [i*a_lo, i*a_lo + i*width] of i*alpha*2^prec less the
+    multiple of 2^prec below i*a_lo; if that reaches the next multiple,
+    the exact floor k of i*alpha says which side holds the value, and
+    the enclosure less k*2^prec is cut to [0, 2^prec].
+    """
+    unit = 1 << prec
+    v_lo = i * a_lo
+    f_lo = v_lo & (unit - 1)
+    f_hi = f_lo + i * width
+    if f_hi >= unit:
+        k = alpha.scale(i).floor()
+        f_lo = max(v_lo - (k << prec), 0)
+        f_hi = min(v_lo + i * width - (k << prec), unit)
+    return f_lo, f_hi
 
 
 def _exact_walk(alpha: ExactReal, N: int, a: int, b: int, prec: int) -> Fraction:
     """`orbit_discrepancy` on enclosures of the exact fractional parts.
 
     The same walk, for when neighbouring enclosures of i*alpha overlap.
-    The enclosure of i*alpha*2^prec is read off integers, coordinate by
-    coordinate: for c*sqrt(d) it is [floor(i*c*s_lo), ceil(i*c*s_hi)],
-    with [s_lo, s_hi] the ends of [s, s + 1], s = isqrt(d*4^prec),
-    ordered by the sign of c (s_lo = s_hi = 2^prec for d = 1), which
-    sums to `alpha.scale(i)._enclosure_scaled(prec)` exactly.  Less
-    k << prec, with k the floor of i*alpha, taken exactly only when the
-    enclosure straddles an integer, it is the enclosure of
-    i*alpha - k.  Neighbours whose enclosures still overlap must be in
-    order: they differ by (i - p)*alpha - (k - k_p), one of a few
-    values, and each distinct one gets one exact sign test.
+    Each neighbour pair whose enclosures still overlap is checked by one
+    exact sign test, which the order of `_orbit_order` must pass.
     """
     unit = 1 << prec
-    # (lo, hi, den) per coordinate: i*alpha*2^prec lies in
-    # [sum(i*lo // den), sum(ceil(i*hi / den))]
-    coords = []
-    for d, c in alpha.coords.items():
-        if d == 1:
-            lo = hi = c.numerator << prec
-        else:
-            s = _sqrt_floor_scaled(d, prec)
-            lo, hi = (s, s + 1) if c > 0 else (s + 1, s)
-            lo, hi = c.numerator * lo, c.numerator * hi
-        coords.append((lo, hi, c.denominator))
     best_lo = best_hi = prev_hi = 0
-    prev = None  # (i, k) of the point below; the first, 0, overlaps nothing
-    rising = set()  # (i - p, k - k_p) shown positive
+    prev = None  # the first point, 0, overlaps nothing below it
     for j, i in enumerate(_orbit_order(N, a, b)):
-        v_lo = sum(i * lo // den for lo, _, den in coords)
-        v_hi = -sum(-i * hi // den for _, hi, den in coords)
-        k = v_lo >> prec
-        if v_hi >> prec != k:
-            k = alpha.scale(i).floor()
-        f_lo, f_hi = v_lo - (k << prec), v_hi - (k << prec)
-        if prev_hi > f_lo:
-            step, carry = i - prev[0], k - prev[1]
-            if (step, carry) not in rising:
-                if (alpha.scale(step) - carry).sign() <= 0:
-                    f, f_prev = alpha.scale(i) - k, alpha.scale(prev[0]) - prev[1]
-                    raise AssertionError(f"orbit points {f_prev} and {f} are out of order")
-                rising.add((step, carry))
-        prev, prev_hi = (i, k), f_hi
+        v = alpha.scale(i)
+        f = v - v.floor()
+        f_lo, f_hi = f._enclosure_scaled(prec)
+        if prev_hi > f_lo and (f - prev).sign() <= 0:
+            raise AssertionError(f"orbit points {prev} and {f} are out of order")
+        prev, prev_hi = f, f_hi
         best_lo = max(best_lo, (j + 1) * unit - N * f_lo)
         best_hi = max(best_hi, N * f_hi - j * unit)
     return Fraction(max(best_lo, best_hi), N * unit)

@@ -19,6 +19,7 @@ from periodalg.approx import (
     _exact_walk,
     _first_hit,
     _orbit_order,
+    _own_enclosure,
     _walk_steps,
     continued_fraction,
     dirichlet_find,
@@ -507,33 +508,31 @@ PLANTED_ALPHAS = [
 def record_walk(monkeypatch, alpha: ExactReal, N: int) -> tuple[Fraction, dict]:
     """orbit_discrepancy(alpha, N) and the branches its walk took.
 
-    `start` is the point the per-point walk of the top zone started at
-    (None if the constant steps fell back first) and `top` the number
-    of points it visited above that one; `floors` counts exact floors
-    and `exact` the fallbacks to `_exact_walk`.
+    `own` counts the points enclosed on their own, `straddles` those of
+    them that took an exact floor, and `exact` the fallbacks to
+    `_exact_walk`.
     """
-    rec = {"start": None, "top": 0, "floors": 0, "exact": 0}
+    rec = {"own": 0, "straddles": 0, "exact": 0}
+    floors = [0]
     real_floor = ExactReal.floor
 
-    def order(N, a, b, i=0):
-        if rec["start"] is None and not rec["exact"]:
-            rec["start"] = i
-            for n, x in enumerate(_orbit_order(N, a, b, i)):
-                rec["top"] = n
-                yield x
-        else:
-            yield from _orbit_order(N, a, b, i)
+    def own(*args):
+        before = floors[0]
+        out = _own_enclosure(*args)
+        rec["own"] += 1
+        rec["straddles"] += floors[0] > before
+        return out
 
     def walk(*args):
         rec["exact"] += 1
         return _exact_walk(*args)
 
     def floor(self):
-        rec["floors"] += 1
+        floors[0] += 1
         return real_floor(self)
 
     with monkeypatch.context() as m:
-        m.setattr("periodalg.approx._orbit_order", order)
+        m.setattr("periodalg.approx._own_enclosure", own)
         m.setattr("periodalg.approx._exact_walk", walk)
         m.setattr(ExactReal, "floor", floor)
         return orbit_discrepancy(alpha, N), rec
@@ -573,7 +572,8 @@ def test_discrepancy_matches_sorted_oracle(monkeypatch):
     assert floors[0] == 1 and exact_walks[0] == fallbacks
     assert got == sorted_orbit_discrepancy(alpha, 4)
     # each branch of the walk: the constant steps, their overlap test,
-    # the top zone with and without a straddle, the extreme step sizes
+    # a point enclosed on its own with and without a straddle, the
+    # extreme step sizes
     one = ExactReal.rational(1)
     near_third = one.scale(Fraction(1, 3)) - ExactReal.sqrt(2).scale(Fraction(1, 2**200))
     sqrt7 = ExactReal.sqrt(7) - one.scale(2)
@@ -581,38 +581,32 @@ def test_discrepancy_matches_sorted_oracle(monkeypatch):
     small = ExactReal.sqrt(2).scale(Fraction(1, 100))
     assert _walk_steps(small, 50) == (1, 49) and _walk_steps(one - small, 50) == (49, 1)
     near_half = one / 2 - ExactReal.sqrt(2) / 2**70
-    # 1/3 + p - q*sqrt(2) for the first convergent p/q of sqrt(2) with
-    # q >= 2^52: near 1/3, with a large negative coordinate
-    p, q = 1, 1
-    while q < 2**52:
-        p, q = p + 2 * q, p + q
-    wide = one / 3 + ExactReal.rational(p) - ExactReal.sqrt(2).scale(q)
-    cases = [
+    # 1 - sqrt(2)/2^68: at N = 2 the point alpha lies within N*width
+    # of 1, so the step to it is not constant, yet its enclosure ends
+    # below 1
+    near_one = one - ExactReal.sqrt(2) / 2**68
+    reached = [
         # 0, 1, 2 by constant steps, then 3*alpha, which straddles 1
-        (near_third, 4, {"start": 2, "top": 1, "floors": 1, "exact": 0}),
-        # two points in the top zone, neither near an integer
-        (sqrt7, 10, {"start": 9, "top": 2, "floors": 0, "exact": 0}),
+        (near_third, 4, "straddles"),
+        (near_one, 2, "own"),
         # 1*alpha and 4*alpha overlap: the constant steps fall back
-        (near_third, 5, {"start": None, "top": 0, "floors": 1, "exact": 1}),
+        (near_third, 5, "exact"),
         # the overlap comes at i = last + 1, the least i the test flags
-        (near_half, 6, {"start": None, "top": 0, "floors": 0, "exact": 1}),
-        # the exact walk's integer enclosures of a wide coordinate
-        (wide, 100, {"start": None, "top": 0, "floors": 33, "exact": 1}),
-        # a = 1: every step below the top zone is +1
-        (small, 50, {"start": 48, "top": 1, "floors": 0, "exact": 0}),
-        # b = 1: the largest gap is {49*alpha}, so the top zone holds
-        # the points above 0.69
-        (one - small, 50, {"start": 22, "top": 21, "floors": 0, "exact": 0}),
+        (near_half, 6, "exact"),
     ]
-    for alpha, N, want in cases:
+    for alpha, N, branch in reached:
         got, rec = record_walk(monkeypatch, alpha, N)
-        assert rec == want, (alpha, N)
+        assert rec[branch] > 0, (alpha, N, rec)
         assert got == sorted_orbit_discrepancy(alpha, N), (alpha, N)
-    # prec = 2*log2(N) + 64 changes between 2^k - 1 and 2^k
+    # a = 1 and b = 1: alpha below 1/N and above 1 - 1/N
+    for alpha in (small, one - small):
+        assert orbit_discrepancy(alpha, 50) == sorted_orbit_discrepancy(alpha, 50)
+    # prec = 2*log2(N) + 64 changes between 2^k - 1 and 2^k; a generic
+    # alpha takes the constant step at every point
     for alpha in (sqrt7, golden):
         for N in (1023, 1024, 4095, 4096):
             got, rec = record_walk(monkeypatch, alpha, N)
-            assert rec["start"] > 0 and rec["floors"] == rec["exact"] == 0
+            assert rec == {"own": 0, "straddles": 0, "exact": 0}, (alpha, N)
             assert got == sorted_orbit_discrepancy(alpha, N), (alpha, N)
 
 
