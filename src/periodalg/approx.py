@@ -19,12 +19,15 @@ quantity they must separate is a fixed distance away.
 
 `orbit_discrepancy` measures how evenly the rotation orbit {i*alpha}
 fills the unit interval, returning a rigorous rational upper bound on
-the star discrepancy.  It visits the points in increasing order by the
+the star discrepancy.  It takes the points in increasing order by the
 three-distance theorem, with steps read off the continued fraction of
 alpha, so nothing is sorted.  Each step is one of three, so the integer
 enclosure of the next point and both maximized quantities move by one
-of three constants: unless its enclosure may reach 1, a point costs a
-few integer additions and comparisons, and no exact floor or sign test.
+of three constants.  That walk is a rotation of Z/(a+b) with a hole, so
+when an O(1) check shows that no enclosure lies near 0, 1 or another,
+the maxima are one max-plus product taken by Rauzy induction in
+O(log N) steps, with no exact floor or sign test and no walk over the
+points.  An alpha extremely near a rational is walked point by point.
 """
 
 from __future__ import annotations
@@ -331,31 +334,29 @@ def orbit_discrepancy(alpha: ExactReal, N: int) -> Fraction:
 
     Rational alpha = c/d is computed exactly, on the sorted residues
     i*c mod d over the common denominator N*d.  For an irrational alpha
-    the points are visited in increasing order with no sort (the steps
+    the points are taken in increasing order with no sort (the steps
     of `_orbit_order`; a and b come from the continued fraction of
     alpha, `_walk_steps`).  Each point gets an integer enclosure at
     prec = 2*log2(N) + 64 bits: with [a_lo, a_hi] the enclosure of
     alpha*2^prec and width = a_hi - a_lo, {i*alpha}*2^prec lies in
     [r, r + i*width], r = i*a_lo mod 2^prec.  The discrepancy formula
-    is maximized over the enclosure endpoints as the walk goes, so the
-    result can only overestimate.
+    is maximized over the enclosure endpoints, so the result can only
+    overestimate.
 
-    Constant steps: a step adds di = a, -b or a - b to i, so it adds
-    g = di*a_lo mod 2^prec to r unless the sum wraps past 2^prec.  The
-    two maximized quantities at the j-th point, (j+1)*2^prec - N*r and
-    N*(r + i*width) - j*2^prec, then move by the constants 2^prec - N*g
-    and N*(g + di*width) - 2^prec.  While r is below the step's limit
-    2^prec - N*width - g, the next r + i*width is below 2^prec: r adds
-    with no wrap and the next enclosure straddles no integer, so a point
-    costs three big-integer additions and three comparisons besides the
-    small-integer step on i.  The enclosure of the point p before ends
-    past the next one's r exactly when p*width > g; then the bound is
-    taken instead on enclosures of the exact fractional parts
-    (`_exact_walk`).  A step from r at or above its limit, whose next
-    point may lie within N*width of 1 (or whose g wrapped: the gap is
-    below di*width), encloses the next point on its own
-    (`_own_enclosure`), with the same bound and overlap test.  For a
-    generic alpha no point lies that near 1, and no step does.
+    With r_x = x*a_lo mod 2^prec, the checks N*width < r_a,
+    r_a + a*width < r_b and r_b + (b + N)*width < 2^prec put the least
+    point's enclosure far from 0, the greatest one's far from 1, and
+    keep any two enclosures apart.  Then every step of the walk moves
+    both maximized quantities by the constant of its kind, and the
+    walk is the rotation x -> x + a of Z/(a+b) restricted to 0..N-1: a
+    step of i by a - b is a step by a into the hole N..a+b-1 and one
+    by -b out of it.  The rotation's three arcs [0, N-a), [N-a, b) and
+    [b, a+b) are three elements (changes of the two quantities, their
+    greatest sampled prefix sums) of a max-plus monoid, and the maxima
+    are their product along one period from 0, taken by Rauzy
+    induction in O(log N) steps (`_period_word`).  When a check fails,
+    for an alpha extremely near a rational, the points are walked one
+    by one (`_linear_walk`); both paths give the same bound.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -372,6 +373,131 @@ def orbit_discrepancy(alpha: ExactReal, N: int) -> Fraction:
     prec = 2 * N.bit_length() + 64
     unit = 1 << prec
     a, b = _walk_steps(alpha, N)
+    a_lo, a_hi = alpha._enclosure_scaled(prec)
+    width = a_hi - a_lo
+    r_a, r_b = a * a_lo % unit, b * a_lo % unit
+    if not (N * width < r_a and r_a + a * width < r_b and r_b + (b + N) * width < unit):
+        return _linear_walk(alpha, N, a, b, prec)
+    g_a, g_b = r_a, unit - r_b
+    step_a = (unit - N * g_a, N * (g_a + a * width) - unit)
+    step_b = (unit - N * g_b, N * (g_b - b * width) - unit)
+    # the arcs [0, N-a), [N-a, b), [b, a+b) of Z/(a+b) and the
+    # elements (dlo, dhi, mlo, mhi) of their steps; a step into the
+    # hole reaches no point, so j does not advance and nothing is
+    # sampled
+    lengths = [N - a, a + b - N, a]
+    words = [step_a + step_a, (step_a[0] - unit, step_a[1] + unit, None, None), step_b + step_b]
+    # the maxima of (j+1)*unit - N*f_lo and N*f_hi - j*unit, which are
+    # unit and 0 at the point 0; the period's last step, from b back to
+    # 0, samples those start values again
+    _, _, m_lo, m_hi = _period_word(lengths, words)
+    return Fraction(max(unit + m_lo, m_hi), N * unit)
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    """x then y in the max-plus monoid of (dlo, dhi, mlo, mhi): the
+    sums d add, and m is the greatest sampled prefix sum (None: none)."""
+    out = [x[0] + y[0], x[1] + y[1]]
+    for m1, d1, m2 in ((x[2], x[0], y[2]), (x[3], x[1], y[3])):
+        out.append(m1 if m2 is None else d1 + m2 if m1 is None else max(m1, d1 + m2))
+    return tuple(out)
+
+
+def _pow(x: tuple, k: int) -> tuple:
+    """x repeated k >= 1 times: the greatest prefix sum is that of the
+    first copy or of the last, as the sums d grow or shrink."""
+    d_lo, d_hi, m_lo, m_hi = x
+    return (
+        k * d_lo,
+        k * d_hi,
+        None if m_lo is None else m_lo + max(0, (k - 1) * d_lo),
+        None if m_hi is None else m_hi + max(0, (k - 1) * d_hi),
+    )
+
+
+def _period_word(lengths: list[int], words: list[tuple]) -> tuple:
+    """The product of `words` along one period of the orbit of 0 under
+    an interval exchange of the integers 0..sum(lengths)-1.
+
+    The exchange has top order 0, 1, 2 (the intervals by position) and
+    bottom order 2, 0, 1 (their images); a zero length is no interval.
+    Discrete right Rauzy induction replaces it by its first-return map
+    on a shorter initial interval, until the one point 0 is left, whose
+    return word is the period.  The last interval of the top and that
+    of the bottom are compared: on the top winning, the bottom one's
+    word takes the top one's appended and moves next to it in the
+    bottom order; on the bottom winning, the top one's word takes the
+    bottom one's prepended and moves next to it in the top order; the
+    winner loses the loser's length, and on a tie the top one is
+    dropped.  A winner beats every letter after it in the other order
+    in turn, so k such cycles are taken at once (Zorich).
+    """
+    top = [x for x in (0, 1, 2) if lengths[x]]
+    bot = [x for x in (2, 0, 1) if lengths[x]]
+    lengths, words = list(lengths), list(words)
+    while len(top) > 1:
+        t, u = top[-1], bot[-1]
+        if t == u:
+            raise AssertionError(f"the exchange of {lengths} fixes an interval")
+        if lengths[t] > lengths[u]:
+            after = bot[bot.index(t) + 1 :]
+            cycle = sum(lengths[x] for x in after)
+            k = (lengths[t] - 1) // cycle
+            if k:
+                wk = _pow(words[t], k)
+                for x in after:
+                    words[x] = _mul(words[x], wk)
+                lengths[t] -= k * cycle
+                continue
+            words[u] = _mul(words[u], words[t])
+            lengths[t] -= lengths[u]
+            bot.pop()
+            bot.insert(bot.index(t) + 1, u)
+        elif lengths[u] > lengths[t]:
+            after = top[top.index(u) + 1 :]
+            cycle = sum(lengths[x] for x in after)
+            k = (lengths[u] - 1) // cycle
+            if k:
+                wk = _pow(words[u], k)
+                for x in after:
+                    words[x] = _mul(wk, words[x])
+                lengths[u] -= k * cycle
+                continue
+            words[t] = _mul(words[u], words[t])
+            lengths[u] -= lengths[t]
+            top.pop()
+            top.insert(top.index(u) + 1, t)
+        else:
+            words[u] = _mul(words[u], words[t])
+            top.pop()
+            bot.pop()
+            bot[bot.index(t)] = u
+    if lengths[top[0]] != 1:
+        raise AssertionError(f"the exchange of {lengths} is not one cycle")
+    return words[top[0]]
+
+
+def _linear_walk(alpha: ExactReal, N: int, a: int, b: int, prec: int) -> Fraction:
+    """`orbit_discrepancy` of an irrational alpha, N >= 2, walked point
+    by point in the order of `_orbit_order`.
+
+    Constant steps: a step adds di = a, -b or a - b to i, so it adds
+    g = di*a_lo mod 2^prec to r unless the sum wraps past 2^prec.  The
+    two maximized quantities at the j-th point, (j+1)*2^prec - N*r and
+    N*(r + i*width) - j*2^prec, then move by the constants 2^prec - N*g
+    and N*(g + di*width) - 2^prec.  While r is below the step's limit
+    2^prec - N*width - g, the next r + i*width is below 2^prec: r adds
+    with no wrap and the next enclosure straddles no integer, so a point
+    costs three big-integer additions and three comparisons besides the
+    small-integer step on i.  The enclosure of the point p before ends
+    past the next one's r exactly when p*width > g; then the bound is
+    taken instead on enclosures of the exact fractional parts
+    (`_exact_walk`).  A step from r at or above its limit, whose next
+    point may lie within N*width of 1 (or whose g wrapped: the gap is
+    below di*width), encloses the next point on its own
+    (`_own_enclosure`), with the same bound and overlap test.
+    """
+    unit = 1 << prec
     a_lo, a_hi = alpha._enclosure_scaled(prec)
     width = a_hi - a_lo
     # per step kind: (di, g, the changes of the two maximized

@@ -14,12 +14,17 @@ from itertools import islice
 import mpmath as mp
 import pytest
 
+from periodalg import approx
 from periodalg.approx import (
     _convergents,
     _exact_walk,
     _first_hit,
+    _linear_walk,
+    _mul,
     _orbit_order,
     _own_enclosure,
+    _period_word,
+    _pow,
     _walk_steps,
     continued_fraction,
     dirichlet_find,
@@ -508,13 +513,17 @@ PLANTED_ALPHAS = [
 def record_walk(monkeypatch, alpha: ExactReal, N: int) -> tuple[Fraction, dict]:
     """orbit_discrepancy(alpha, N) and the branches its walk took.
 
-    `own` counts the points enclosed on their own, `straddles` those of
-    them that took an exact floor, and `exact` the fallbacks to
-    `_exact_walk`.
+    `linear` counts the walks point by point (`_linear_walk`), `own`
+    the points enclosed on their own, `straddles` those of them that
+    took an exact floor, and `exact` the fallbacks to `_exact_walk`.
     """
-    rec = {"own": 0, "straddles": 0, "exact": 0}
+    rec = {"linear": 0, "own": 0, "straddles": 0, "exact": 0}
     floors = [0]
     real_floor = ExactReal.floor
+
+    def linear(*args):
+        rec["linear"] += 1
+        return _linear_walk(*args)
 
     def own(*args):
         before = floors[0]
@@ -532,6 +541,7 @@ def record_walk(monkeypatch, alpha: ExactReal, N: int) -> tuple[Fraction, dict]:
         return real_floor(self)
 
     with monkeypatch.context() as m:
+        m.setattr("periodalg.approx._linear_walk", linear)
         m.setattr("periodalg.approx._own_enclosure", own)
         m.setattr("periodalg.approx._exact_walk", walk)
         m.setattr(ExactReal, "floor", floor)
@@ -572,14 +582,9 @@ def test_discrepancy_matches_sorted_oracle(monkeypatch):
     assert floors[0] == 1 and exact_walks[0] == fallbacks
     assert got == sorted_orbit_discrepancy(alpha, 4)
     # each branch of the walk: the constant steps, their overlap test,
-    # a point enclosed on its own with and without a straddle, the
-    # extreme step sizes
+    # a point enclosed on its own with and without a straddle
     one = ExactReal.rational(1)
     near_third = one.scale(Fraction(1, 3)) - ExactReal.sqrt(2).scale(Fraction(1, 2**200))
-    sqrt7 = ExactReal.sqrt(7) - one.scale(2)
-    golden = (ExactReal.sqrt(5) - one).scale(Fraction(1, 2))
-    small = ExactReal.sqrt(2).scale(Fraction(1, 100))
-    assert _walk_steps(small, 50) == (1, 49) and _walk_steps(one - small, 50) == (49, 1)
     near_half = one / 2 - ExactReal.sqrt(2) / 2**70
     # 1 - sqrt(2)/2^68: at N = 2 the point alpha lies within N*width
     # of 1, so the step to it is not constant, yet its enclosure ends
@@ -594,20 +599,126 @@ def test_discrepancy_matches_sorted_oracle(monkeypatch):
         # the overlap comes at i = last + 1, the least i the test flags
         (near_half, 6, "exact"),
     ]
+    # each fails the condition of the renormalized path and is walked
+    # point by point
     for alpha, N, branch in reached:
         got, rec = record_walk(monkeypatch, alpha, N)
-        assert rec[branch] > 0, (alpha, N, rec)
+        assert rec["linear"] == 1 and rec[branch] > 0, (alpha, N, rec)
         assert got == sorted_orbit_discrepancy(alpha, N), (alpha, N)
-    # a = 1 and b = 1: alpha below 1/N and above 1 - 1/N
-    for alpha in (small, one - small):
-        assert orbit_discrepancy(alpha, 50) == sorted_orbit_discrepancy(alpha, 50)
-    # prec = 2*log2(N) + 64 changes between 2^k - 1 and 2^k; a generic
-    # alpha takes the constant step at every point
-    for alpha in (sqrt7, golden):
-        for N in (1023, 1024, 4095, 4096):
-            got, rec = record_walk(monkeypatch, alpha, N)
-            assert rec == {"own": 0, "straddles": 0, "exact": 0}, (alpha, N)
+
+
+def linear_walk(alpha: ExactReal, N: int) -> Fraction:
+    """The bound of `orbit_discrepancy`, walked point by point."""
+    return _linear_walk(alpha, N, *_walk_steps(alpha, N), 2 * N.bit_length() + 64)
+
+
+def count_calls(monkeypatch, names: tuple[str, ...]) -> dict[str, int]:
+    """Wrap the named functions of periodalg.approx in call counters."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(approx, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(approx, name, counted)
+    return calls
+
+
+def test_renormalized_discrepancy_matches_linear_walk(monkeypatch):
+    one = ExactReal.rational(1)
+    golden = (ExactReal.sqrt(5) - one).scale(Fraction(1, 2))
+    sqrt7 = ExactReal.sqrt(7) - one.scale(2)
+    small = ExactReal.sqrt(2).scale(Fraction(1, 100))
+    calls = count_calls(monkeypatch, ("_linear_walk", "_pow"))
+
+    def renormalized(alpha, N):
+        """Whether the bound took the renormalized path; it must agree
+        with the walk and, up to N = 3000, with the sort."""
+        calls.update(_linear_walk=0, _pow=0)
+        got = orbit_discrepancy(alpha, N)
+        assert got == linear_walk(alpha, N), (alpha, N)
+        if N <= 3000:
             assert got == sorted_orbit_discrepancy(alpha, N), (alpha, N)
+        return calls["_linear_walk"] == 0
+
+    rng = random.Random(7003)
+    taken = [
+        renormalized(random_unit_irrational(rng), rng.choice([rng.randint(2, 30), rng.randint(31, 3000)]))
+        for _ in range(60)
+    ]
+    assert sum(taken) >= 40
+    for alpha in PLANTED_ALPHAS:
+        for N in (2, 5, 57, 1000):
+            renormalized(alpha, N)
+    # prec = 2*log2(N) + 64 changes between 2^k - 1 and 2^k; N = 2 has
+    # a = b = 1, one step kind, and takes the walk
+    for alpha in (golden, sqrt7):
+        assert not renormalized(alpha, 2)
+        for k in range(2, 13):
+            assert renormalized(alpha, 2**k - 1) and renormalized(alpha, 2**k), (alpha, k)
+    # at a Fibonacci N for the golden ratio a + b = N: the hole is empty
+    for N in (8, 13, 21, 34, 55, 89, 144):
+        assert sum(_walk_steps(golden, N)) == N
+        assert renormalized(golden, N), N
+    # a = 1 and b = 1
+    for alpha, steps in ((small, (1, 49)), (one - small, (49, 1))):
+        assert _walk_steps(alpha, 50) == steps
+        assert renormalized(alpha, 50), alpha
+    # one step kind repeated about N times: the accelerated induction
+    for alpha in (ExactReal.sqrt(2) / 10**9, one / 1000 + ExactReal.sqrt(2) / 10**6):
+        for N in (50, 999, 3000):
+            assert renormalized(alpha, N) and calls["_pow"] > 0, (alpha, N)
+
+
+def test_period_word_products():
+    rng = random.Random(7004)
+    for _ in range(50):
+        m = rng.choice([None, rng.randint(-50, 50)])
+        x = (rng.randint(-9, 9), rng.randint(-9, 9), m, rng.randint(-50, 50))
+        y = (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-50, 50), None)
+        z = (rng.randint(-9, 9), rng.randint(-9, 9), None, rng.randint(-50, 50))
+        assert _mul(_mul(x, y), z) == _mul(x, _mul(y, z))
+        k = rng.randint(1, 12)
+        power = x
+        for _ in range(k - 1):
+            power = _mul(power, x)
+        assert _pow(x, k) == power, (x, k)
+    # x -> x + 2 on Z/4 is two cycles, and an interval that is last in
+    # both orders is fixed
+    word = (0, 0, 0, 0)
+    with pytest.raises(AssertionError):
+        _period_word([2, 0, 2], [word] * 3)
+    with pytest.raises(AssertionError):
+        _period_word([1, 1, 0], [word] * 3)
+
+
+def test_renormalized_discrepancy_at_scale(monkeypatch):
+    one = ExactReal.rational(1)
+    golden = (ExactReal.sqrt(5) - one).scale(Fraction(1, 2))
+    sqrt7 = ExactReal.sqrt(7) - one.scale(2)
+    for alpha in (golden, sqrt7):
+        assert orbit_discrepancy(alpha, 10**6) == linear_walk(alpha, 10**6)
+    calls = count_calls(monkeypatch, ("_linear_walk", "_mul"))
+    for alpha in (golden, sqrt7, ExactReal.sqrt(2) / 10**9, one - ExactReal.sqrt(2) / 100):
+        calls.update(_linear_walk=0, _mul=0)
+        bound = orbit_discrepancy(alpha, 2**60)
+        assert calls["_linear_walk"] == 0 and 0 < calls["_mul"] <= 8 * 60, (alpha, calls)
+        # every N points have a star discrepancy of at least 1/(2N)
+        assert Fraction(1, 2**61) <= bound < Fraction(1, 10**6), (alpha, bound)
+
+
+def test_exact_walk_rejects_swapped_steps():
+    # with a and b swapped the walk leaves the increasing order; the
+    # enclosures of the out-of-order neighbours overlap, so only the
+    # exact sign test can tell
+    one = ExactReal.rational(1)
+    alpha = one / 3 - ExactReal.sqrt(2) / 2**200
+    for N in (5, 10, 57):
+        a, b = _walk_steps(alpha, N)
+        with pytest.raises(AssertionError, match="out of order"):
+            _exact_walk(alpha, N, b, a, 2 * N.bit_length() + 64)
 
 
 def test_walk_steps_are_the_extreme_points():
@@ -646,18 +757,19 @@ def test_discrepancy_makes_no_sign_tests_per_point(monkeypatch):
 
     monkeypatch.setattr(ExactReal, "sign", sign)
     monkeypatch.setattr(ExactReal, "floor", floor)
-    sizes, counts, got = (10**3, 10**5), [], []
+    sizes, counts, got = (10**3, 10**5, 10**9), [], []
     for alpha in alphas:
         for N in sizes:
             calls.update(sign=0, floor=0)
             got.append((alpha, N, orbit_discrepancy(alpha, N)))
             counts.append(dict(calls))
     monkeypatch.undo()
-    # the two input checks; the walk itself makes no sign test and
+    # the two input checks; the bound itself makes no sign test and
     # takes no exact floor
-    assert counts == [{"sign": 2, "floor": 0}] * 4
+    assert counts == [{"sign": 2, "floor": 0}] * 6
     for alpha, N, bound in got:
-        assert abs(float(bound) - float_star_discrepancy(float(mp_value(alpha)), N)) < 1e-9
+        if N <= 10**5:
+            assert abs(float(bound) - float_star_discrepancy(float(mp_value(alpha)), N)) < 1e-9
 
 
 def test_discrepancy_input_validation():
