@@ -12,10 +12,10 @@ within eps = 10^-(K+2) of a displacement delta at bound 10^K, with an
 exact witness planted at q0 = 10^K - 10^K // 3, so the search must
 return some q <= q0.  `discrepancy N...` bounds the star discrepancy
 of the first N points of the orbits of sqrt(7) - 2 and (sqrt(5) - 1)/2,
-which take the renormalized path in O(log N) steps, and of
-1/3 + sqrt(2)/2^200, whose neighbouring enclosures overlap, so it takes
-the exact fallback at 40-60 us per point; that one is timed only for
-N <= 10^5.
+which take one product in O(log N) steps at the first precision; of
+1/3 + sqrt(2)/2^200, whose points lie so near the thirds that the
+precision is raised first; and of the rational 1/3, whose N points are
+three residues counted with their multiplicities.
 It prints one JSON line per case with the fastest of --repeat
 wall-clock timings and checks each result: the first quotients against
 a Fraction expansion of a 64-digit decimal enclosure, q <= q0 for
@@ -35,7 +35,6 @@ from periodalg.approx import continued_fraction, kronecker_find, orbit_discrepan
 from periodalg.exactreal import ExactReal
 
 RADICANDS = {3: (2, 3, 5), 4: (2, 3, 5, 7)}
-EXACT_FALLBACK_MAX_N = 10**5  # the per-point exact fallback takes a minute at 10^6
 
 
 def fastest(fn, repeat: int):
@@ -99,12 +98,11 @@ def bench_discrepancy(sizes, repeat: int) -> None:
         "sqrt(7)-2": ExactReal.sqrt(7) - ExactReal.rational(2),
         "(sqrt(5)-1)/2": (ExactReal.sqrt(5) - one).scale(Fraction(1, 2)),
         "1/3+sqrt(2)/2^200": one / 3 + ExactReal.sqrt(2) / 2**200,
+        "1/3": one / 3,
     }
     for name, alpha in alphas.items():
         lo, hi = alpha.enclosure(64)
         for n in sizes:
-            if name == "1/3+sqrt(2)/2^200" and n > EXACT_FALLBACK_MAX_N:
-                continue
             t, got = fastest(lambda: orbit_discrepancy(alpha, n), repeat)
             # float points drift by about n * 2^-53
             assert abs(float(got) - float_star_discrepancy(float(lo + hi) / 2, n)) < 1e-8, got

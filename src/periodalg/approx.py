@@ -21,13 +21,13 @@ quantity they must separate is a fixed distance away.
 fills the unit interval, returning a rigorous rational upper bound on
 the star discrepancy.  It takes the points in increasing order by the
 three-distance theorem, with steps read off the continued fraction of
-alpha, so nothing is sorted.  Each step is one of three, so the integer
-enclosure of the next point and both maximized quantities move by one
-of three constants.  That walk is a rotation of Z/(a+b) with a hole, so
-when an O(1) check shows that no enclosure lies near 0, 1 or another,
-the maxima are one max-plus product taken by Rauzy induction in
-O(log N) steps, with no exact floor or sign test and no walk over the
-points.  An alpha extremely near a rational is walked point by point.
+alpha, so nothing is sorted.  Each step is one of three, so once three
+O(1) checks show that no enclosure lies near 0, 1 or another, the
+integer enclosure of the next point and both maximized quantities move
+by one of three constants; prec doubles until the checks hold.  That
+walk is a rotation of Z/(a+b) with a hole, so the maxima are one
+max-plus product taken by Rauzy induction in O(log N) steps, with no
+exact floor or sign test and no walk over the points.
 """
 
 from __future__ import annotations
@@ -315,48 +315,44 @@ def _walk_steps(alpha: ExactReal, N: int) -> tuple[int, int]:
             return side[0], side[1]
 
 
-def _orbit_order(N: int, a: int, b: int) -> Iterator[int]:
-    """0..N-1 in increasing order of {i*alpha}, for (a, b) = `_walk_steps`.
-
-    Three-distance theorem (Sos 1958): the neighbour above {i*alpha} is
-    {(i+a)*alpha} when i + a < N, else {(i-b)*alpha} when i >= b, else
-    {(i+a-b)*alpha}; {0} = 0 is the least point.
-    """
-    i = 0
-    for _ in range(N):
-        yield i
-        i = i + a if i < N - a else i - b if i >= b else i + a - b
-
-
 def orbit_discrepancy(alpha: ExactReal, N: int) -> Fraction:
     """Rigorous rational upper bound on the star discrepancy of
     {i*alpha mod 1 : i = 0..N-1}.
 
-    Rational alpha = c/d is computed exactly, on the sorted residues
-    i*c mod d over the common denominator N*d.  For an irrational alpha
-    the points are taken in increasing order with no sort (the steps
-    of `_orbit_order`; a and b come from the continued fraction of
-    alpha, `_walk_steps`).  Each point gets an integer enclosure at
-    prec = 2*log2(N) + 64 bits: with [a_lo, a_hi] the enclosure of
-    alpha*2^prec and width = a_hi - a_lo, {i*alpha}*2^prec lies in
-    [r, r + i*width], r = i*a_lo mod 2^prec.  The discrepancy formula
-    is maximized over the enclosure endpoints, so the result can only
-    overestimate.
+    Rational alpha = c/d is computed exactly over the common
+    denominator N*d.  With N = q*d + s, the residue i*c mod d occurs
+    q + 1 times for i < s and q times for the other i < d, and a run of
+    m equal points from the j-th gives the larger of (j+m)*d - N*r and
+    N*r - j*d.  The residues are taken in order, all d of them when
+    q > 0 and the N sorted ones otherwise: O(min(N, d)).
+
+    For an irrational alpha the points are taken in increasing order
+    with no sort.  By the three-distance theorem (Sos 1958) the
+    neighbour above {i*alpha} is {(i+a)*alpha} when i + a < N, else
+    {(i-b)*alpha} when i >= b, else {(i+a-b)*alpha}, where a and b
+    index the least and the greatest point (`_walk_steps`).  Each point
+    gets an integer enclosure at prec bits: with [a_lo, a_hi] the
+    enclosure of alpha*2^prec and width = a_hi - a_lo, {i*alpha}*2^prec
+    lies in [r, r + i*width], r = i*a_lo mod 2^prec.  The discrepancy
+    formula is maximized over the enclosure endpoints, so the result
+    can only overestimate.
 
     With r_x = x*a_lo mod 2^prec, the checks N*width < r_a,
-    r_a + a*width < r_b and r_b + (b + N)*width < 2^prec put the least
-    point's enclosure far from 0, the greatest one's far from 1, and
-    keep any two enclosures apart.  Then every step of the walk moves
-    both maximized quantities by the constant of its kind, and the
-    walk is the rotation x -> x + a of Z/(a+b) restricted to 0..N-1: a
-    step of i by a - b is a step by a into the hole N..a+b-1 and one
-    by -b out of it.  The rotation's three arcs [0, N-a), [N-a, b) and
-    [b, a+b) are three elements (changes of the two quantities, their
-    greatest sampled prefix sums) of a max-plus monoid, and the maxima
-    are their product along one period from 0, taken by Rauzy
-    induction in O(log N) steps (`_period_word`).  When a check fails,
-    for an alpha extremely near a rational, the points are walked one
-    by one (`_linear_walk`); both paths give the same bound.
+    r_a + a*width < r_b (unless a == b, at N = 2) and
+    r_b + (b + N)*width < 2^prec put the least point's enclosure far
+    from 0, the greatest one's far from 1, and keep any two enclosures
+    apart.  prec starts at 2*log2(N) + 64 and doubles until they hold.
+    That ends: {a*alpha} > 0, 1 - {b*alpha} > 0 and their difference
+    are fixed distances, while N*width/2^prec halves per bit.  Then
+    every step of the walk moves both maximized quantities by the
+    constant of its kind, and the walk is the rotation x -> x + a of
+    Z/(a+b) restricted to 0..N-1: a step of i by a - b is a step by a
+    into the hole N..a+b-1 and one by -b out of it.  The rotation's
+    three arcs [0, N-a), [N-a, b) and [b, a+b) are three elements
+    (changes of the two quantities, their greatest sampled prefix sums)
+    of a max-plus monoid, and the maxima are their product along one
+    period from 0, taken by Rauzy induction in O(log N) steps
+    (`_period_word`).
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -364,20 +360,31 @@ def orbit_discrepancy(alpha: ExactReal, N: int) -> Fraction:
         raise ValueError("alpha must lie strictly between 0 and 1")
     if alpha.is_rational():
         c, d = alpha.as_rational().as_integer_ratio()
-        best = 0  # over N*d: the larger of (i+1)*d - N*r and N*r - i*d
-        for i, r in enumerate(sorted(i * c % d for i in range(N))):
-            best = max(best, (i + 1) * d - N * r, N * r - i * d)
+        q, s = divmod(N, d)
+        if q:
+            counts = [q] * d  # the multiplicity of each residue
+            for i in range(s):
+                counts[i * c % d] += 1
+            runs = enumerate(counts)
+        else:
+            runs = ((r, 1) for r in sorted(i * c % d for i in range(N)))
+        best = j = 0  # over N*d
+        for r, m in runs:
+            best = max(best, (j + m) * d - N * r, N * r - j * d)
+            j += m
         return Fraction(best, N * d)
     if N == 1:
         return Fraction(1)  # the one point 0
-    prec = 2 * N.bit_length() + 64
-    unit = 1 << prec
     a, b = _walk_steps(alpha, N)
-    a_lo, a_hi = alpha._enclosure_scaled(prec)
-    width = a_hi - a_lo
-    r_a, r_b = a * a_lo % unit, b * a_lo % unit
-    if not (N * width < r_a and r_a + a * width < r_b and r_b + (b + N) * width < unit):
-        return _linear_walk(alpha, N, a, b, prec)
+    prec = 2 * N.bit_length() + 64
+    while True:
+        unit = 1 << prec
+        a_lo, a_hi = alpha._enclosure_scaled(prec)
+        width = a_hi - a_lo
+        r_a, r_b = a * a_lo % unit, b * a_lo % unit
+        if N * width < r_a and (a == b or r_a + a * width < r_b) and r_b + (b + N) * width < unit:
+            break
+        prec *= 2
     g_a, g_b = r_a, unit - r_b
     step_a = (unit - N * g_a, N * (g_a + a * width) - unit)
     step_b = (unit - N * g_b, N * (g_b - b * width) - unit)
@@ -475,110 +482,3 @@ def _period_word(lengths: list[int], words: list[tuple]) -> tuple:
     if lengths[top[0]] != 1:
         raise AssertionError(f"the exchange of {lengths} is not one cycle")
     return words[top[0]]
-
-
-def _linear_walk(alpha: ExactReal, N: int, a: int, b: int, prec: int) -> Fraction:
-    """`orbit_discrepancy` of an irrational alpha, N >= 2, walked point
-    by point in the order of `_orbit_order`.
-
-    Constant steps: a step adds di = a, -b or a - b to i, so it adds
-    g = di*a_lo mod 2^prec to r unless the sum wraps past 2^prec.  The
-    two maximized quantities at the j-th point, (j+1)*2^prec - N*r and
-    N*(r + i*width) - j*2^prec, then move by the constants 2^prec - N*g
-    and N*(g + di*width) - 2^prec.  While r is below the step's limit
-    2^prec - N*width - g, the next r + i*width is below 2^prec: r adds
-    with no wrap and the next enclosure straddles no integer, so a point
-    costs three big-integer additions and three comparisons besides the
-    small-integer step on i.  The enclosure of the point p before ends
-    past the next one's r exactly when p*width > g; then the bound is
-    taken instead on enclosures of the exact fractional parts
-    (`_exact_walk`).  A step from r at or above its limit, whose next
-    point may lie within N*width of 1 (or whose g wrapped: the gap is
-    below di*width), encloses the next point on its own
-    (`_own_enclosure`), with the same bound and overlap test.
-    """
-    unit = 1 << prec
-    a_lo, a_hi = alpha._enclosure_scaled(prec)
-    width = a_hi - a_lo
-    # per step kind: (di, g, the changes of the two maximized
-    # quantities, the greatest i whose enclosure ends by r + g, the
-    # limit on r below which the step is constant)
-    steps = []
-    for di in (a, -b, a - b):
-        g = di * a_lo % unit
-        steps.append(
-            (di, g, unit - N * g, N * (g + di * width) - unit, g // width, unit - N * width - g)
-        )
-    step_a, step_b, step_ab = steps
-    n_a = N - a
-    # the point 0: r = f_lo = f_hi = 0
-    i = r = 0
-    best_lo = dev_lo = unit  # maximize (j+1)*unit - N*f_lo over the j-th point
-    best_hi = dev_hi = 0  # maximize N*f_hi - j*unit
-    for j in range(1, N):
-        di, g, step_lo, step_hi, last, limit = (
-            step_a if i < n_a else step_b if i >= b else step_ab
-        )
-        if r < limit:
-            if i > last:
-                return _exact_walk(alpha, N, a, b, prec)
-            i += di
-            r += g
-            dev_lo += step_lo
-            dev_hi += step_hi
-        else:
-            prev_hi = (dev_hi + (j - 1) * unit) // N  # f_hi of the point before
-            i += di
-            r = i * a_lo & (unit - 1)
-            f_lo, f_hi = _own_enclosure(alpha, i, a_lo, width, prec)
-            if prev_hi > f_lo:
-                return _exact_walk(alpha, N, a, b, prec)
-            dev_lo = (j + 1) * unit - N * f_lo
-            dev_hi = N * f_hi - j * unit
-        if dev_lo > best_lo:
-            best_lo = dev_lo
-        if dev_hi > best_hi:
-            best_hi = dev_hi
-    return Fraction(max(best_lo, best_hi), N * unit)
-
-
-def _own_enclosure(alpha: ExactReal, i: int, a_lo: int, width: int, prec: int) -> tuple[int, int]:
-    """Integers (f_lo, f_hi) enclosing {i*alpha}*2^prec, for
-    alpha*2^prec in [a_lo, a_lo + width].
-
-    The enclosure [i*a_lo, i*a_lo + i*width] of i*alpha*2^prec less the
-    multiple of 2^prec below i*a_lo; if that reaches the next multiple,
-    the exact floor k of i*alpha says which side holds the value, and
-    the enclosure less k*2^prec is cut to [0, 2^prec].
-    """
-    unit = 1 << prec
-    v_lo = i * a_lo
-    f_lo = v_lo & (unit - 1)
-    f_hi = f_lo + i * width
-    if f_hi >= unit:
-        k = alpha.scale(i).floor()
-        f_lo = max(v_lo - (k << prec), 0)
-        f_hi = min(v_lo + i * width - (k << prec), unit)
-    return f_lo, f_hi
-
-
-def _exact_walk(alpha: ExactReal, N: int, a: int, b: int, prec: int) -> Fraction:
-    """`orbit_discrepancy` on enclosures of the exact fractional parts.
-
-    The same walk, for when neighbouring enclosures of i*alpha overlap.
-    Each neighbour pair whose enclosures still overlap is checked by one
-    exact sign test, which the order of `_orbit_order` must pass.
-    """
-    unit = 1 << prec
-    best_lo = best_hi = prev_hi = 0
-    prev = None  # the first point, 0, overlaps nothing below it
-    for j, i in enumerate(_orbit_order(N, a, b)):
-        v = alpha.scale(i)
-        f = v - v.floor()
-        f_lo, f_hi = f._enclosure_scaled(prec)
-        if prev_hi > f_lo and (f - prev).sign() <= 0:
-            raise AssertionError(f"orbit points {prev} and {f} are out of order")
-        prev, prev_hi = f, f_hi
-        best_lo = max(best_lo, (j + 1) * unit - N * f_lo)
-        best_hi = max(best_hi, N * f_hi - j * unit)
-    return Fraction(max(best_lo, best_hi), N * unit)

@@ -360,17 +360,19 @@ def linear_kronecker_find(
 
 # `approx.orbit_discrepancy` as it was before the three-distance walk:
 # it sorts the enclosures, and on an overlap sorts the exact fractional
-# parts by sign tests.
-def sorted_orbit_discrepancy(alpha: ExactReal, N: int) -> Fraction:
+# parts by sign tests.  It sorts all N points, so it is a reference up
+# to a few thousand of them.  At a `prec` where the library's three
+# checks hold, both take the same enclosures and give the same bound.
+def sorted_orbit_discrepancy(alpha: ExactReal, N: int, prec: int | None = None) -> Fraction:
     """Rigorous rational upper bound on the star discrepancy of
     {i*alpha mod 1 : i = 0..N-1}.
 
     Rational alpha is computed exactly.  Otherwise every fractional
-    part gets an integer enclosure at 2*log2(N) + 64 bits (exact floors
-    resolve any integer-boundary straddle), the points are sorted by
-    enclosure with exact sign tests refereeing any overlap, and the
-    discrepancy formula is maximized over the enclosure endpoints, so
-    the result can only overestimate.
+    part gets an integer enclosure at `prec` bits, by default
+    2*log2(N) + 64 (exact floors resolve any integer-boundary
+    straddle), the points are sorted by enclosure with exact sign tests
+    refereeing any overlap, and the discrepancy formula is maximized
+    over the enclosure endpoints, so the result can only overestimate.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -386,7 +388,8 @@ def sorted_orbit_discrepancy(alpha: ExactReal, N: int) -> Fraction:
         for i, x in enumerate(pts):
             best = max(best, Fraction(i + 1, N) - x, x - Fraction(i, N))
         return best
-    prec = 2 * N.bit_length() + 64
+    if prec is None:
+        prec = 2 * N.bit_length() + 64
     unit = 1 << prec
     a_lo, a_hi = alpha._enclosure_scaled(prec)
     encl: list[tuple[int, int]] = []

@@ -17,12 +17,8 @@ import pytest
 from periodalg import approx
 from periodalg.approx import (
     _convergents,
-    _exact_walk,
     _first_hit,
-    _linear_walk,
     _mul,
-    _orbit_order,
-    _own_enclosure,
     _period_word,
     _pow,
     _walk_steps,
@@ -470,6 +466,18 @@ def test_discrepancy_rational_orbits_exact():
     assert orbit_discrepancy(ExactReal.rational(Fraction(1, 3)), 3) == Fraction(1, 3)
     assert orbit_discrepancy(ExactReal.rational(Fraction(1, 2)), 4) == Fraction(1, 2)
     assert orbit_discrepancy(ExactReal.rational(Fraction(1, 7)), 7) == Fraction(1, 7)
+    # 10^9 points as three residues of multiplicity about 3.3*10^8
+    assert orbit_discrepancy(ExactReal.rational(Fraction(1, 3)), 10**9) == Fraction(
+        166666667, 500000000
+    )
+    # the counted residues (N >= d) and the sorted ones (N < d) against
+    # the sort of all N points
+    rng = random.Random(7005)
+    for _ in range(300):
+        d = rng.randint(2, 60)
+        alpha = ExactReal.rational(Fraction(rng.randint(1, d - 1), d))
+        N = rng.choice([rng.randint(1, d), rng.randint(1, 400)])
+        assert orbit_discrepancy(alpha, N) == sorted_orbit_discrepancy(alpha, N), (alpha, N)
 
 
 def test_discrepancy_golden_frozen_value():
@@ -501,115 +509,62 @@ def random_unit_irrational(rng: random.Random) -> ExactReal:
     return x - x.floor()
 
 
-# near-rational rotation numbers: their neighbouring enclosures overlap
-# (the exact fallback) and some straddle an integer at small N
+# near-rational rotation numbers: some i*alpha, i < N, lies so near an
+# integer that the three checks fail at the base prec = 2*log2(N) + 64
 PLANTED_ALPHAS = [
     ExactReal.rational(Fraction(1, 3)) + ExactReal.sqrt(2).scale(Fraction(1, 2**80)),
     ExactReal.rational(Fraction(2, 7)) - ExactReal.sqrt(3).scale(Fraction(1, 2**90)),
     ExactReal.rational(1) - ExactReal.sqrt(2).scale(Fraction(1, 2**75)),
 ]
+_ONE = ExactReal.rational(1)
+NEAR_RATIONAL = PLANTED_ALPHAS + [
+    _ONE / 3 + ExactReal.sqrt(2) / 2**200,
+    _ONE / 3 - ExactReal.sqrt(2) / 2**200,
+    _ONE / 2 - ExactReal.sqrt(2) / 2**70,
+    _ONE - ExactReal.sqrt(2) / 2**68,
+]
 
 
-def record_walk(monkeypatch, alpha: ExactReal, N: int) -> tuple[Fraction, dict]:
-    """orbit_discrepancy(alpha, N) and the branches its walk took.
+def base_prec(N: int) -> int:
+    """The prec at which `orbit_discrepancy` first tries its checks."""
+    return 2 * N.bit_length() + 64
 
-    `linear` counts the walks point by point (`_linear_walk`), `own`
-    the points enclosed on their own, `straddles` those of them that
-    took an exact floor, and `exact` the fallbacks to `_exact_walk`.
-    """
-    rec = {"linear": 0, "own": 0, "straddles": 0, "exact": 0}
-    floors = [0]
-    real_floor = ExactReal.floor
 
-    def linear(*args):
-        rec["linear"] += 1
-        return _linear_walk(*args)
+def discrepancy_and_prec(monkeypatch, alpha: ExactReal, N: int) -> tuple[Fraction, int]:
+    """orbit_discrepancy(alpha, N) and the prec it took: that of its
+    last enclosure of alpha."""
+    precs = []
+    real = ExactReal._enclosure_scaled
 
-    def own(*args):
-        before = floors[0]
-        out = _own_enclosure(*args)
-        rec["own"] += 1
-        rec["straddles"] += floors[0] > before
-        return out
-
-    def walk(*args):
-        rec["exact"] += 1
-        return _exact_walk(*args)
-
-    def floor(self):
-        floors[0] += 1
-        return real_floor(self)
+    def enclosure(self, prec):
+        if self is alpha:
+            precs.append(prec)
+        return real(self, prec)
 
     with monkeypatch.context() as m:
-        m.setattr("periodalg.approx._linear_walk", linear)
-        m.setattr("periodalg.approx._own_enclosure", own)
-        m.setattr("periodalg.approx._exact_walk", walk)
-        m.setattr(ExactReal, "floor", floor)
-        return orbit_discrepancy(alpha, N), rec
+        m.setattr(ExactReal, "_enclosure_scaled", enclosure)
+        return orbit_discrepancy(alpha, N), precs[-1]
 
 
 def test_discrepancy_matches_sorted_oracle(monkeypatch):
-    exact_walks = [0]
-    floors = [0]
-    real_floor = ExactReal.floor
-
-    def counting_walk(*args):
-        exact_walks[0] += 1
-        return _exact_walk(*args)
-
-    def counting_floor(self):
-        floors[0] += 1
-        return real_floor(self)
-
-    monkeypatch.setattr("periodalg.approx._exact_walk", counting_walk)
     rng = random.Random(7001)
     for _ in range(60):
         alpha = random_unit_irrational(rng)
         N = rng.choice([rng.randint(1, 30), rng.randint(31, 3000)])
         assert orbit_discrepancy(alpha, N) == sorted_orbit_discrepancy(alpha, N), (alpha, N)
-    assert exact_walks[0] == 0
-    for alpha in PLANTED_ALPHAS:
-        for N in (1, 2, 3, 4, 5, 10, 57, 300, 1000):
-            assert orbit_discrepancy(alpha, N) == sorted_orbit_discrepancy(alpha, N), (alpha, N)
-    alpha = PLANTED_ALPHAS[0]
-    assert orbit_discrepancy(alpha, 3000) == sorted_orbit_discrepancy(alpha, 3000)
-    assert exact_walks[0] >= 10
-    # at N = 4 the point 3*alpha straddles 1 and no enclosures overlap
-    fallbacks = exact_walks[0]
-    monkeypatch.setattr(ExactReal, "floor", counting_floor)
-    got = orbit_discrepancy(alpha, 4)
-    monkeypatch.undo()
-    assert floors[0] == 1 and exact_walks[0] == fallbacks
-    assert got == sorted_orbit_discrepancy(alpha, 4)
-    # each branch of the walk: the constant steps, their overlap test,
-    # a point enclosed on its own with and without a straddle
-    one = ExactReal.rational(1)
-    near_third = one.scale(Fraction(1, 3)) - ExactReal.sqrt(2).scale(Fraction(1, 2**200))
-    near_half = one / 2 - ExactReal.sqrt(2) / 2**70
-    # 1 - sqrt(2)/2^68: at N = 2 the point alpha lies within N*width
-    # of 1, so the step to it is not constant, yet its enclosure ends
-    # below 1
-    near_one = one - ExactReal.sqrt(2) / 2**68
-    reached = [
-        # 0, 1, 2 by constant steps, then 3*alpha, which straddles 1
-        (near_third, 4, "straddles"),
-        (near_one, 2, "own"),
-        # 1*alpha and 4*alpha overlap: the constant steps fall back
-        (near_third, 5, "exact"),
-        # the overlap comes at i = last + 1, the least i the test flags
-        (near_half, 6, "exact"),
-    ]
-    # each fails the condition of the renormalized path and is walked
-    # point by point
-    for alpha, N, branch in reached:
-        got, rec = record_walk(monkeypatch, alpha, N)
-        assert rec["linear"] == 1 and rec[branch] > 0, (alpha, N, rec)
-        assert got == sorted_orbit_discrepancy(alpha, N), (alpha, N)
-
-
-def linear_walk(alpha: ExactReal, N: int) -> Fraction:
-    """The bound of `orbit_discrepancy`, walked point by point."""
-    return _linear_walk(alpha, N, *_walk_steps(alpha, N), 2 * N.bit_length() + 64)
+    # near a rational the checks fail at the base prec, and prec
+    # doubles: the bound is the sort's at the prec taken, and at most
+    # the sort's at the base prec
+    raised = 0
+    for k, alpha in enumerate(NEAR_RATIONAL):
+        for N in (2, 3, 4, 5, 6, 10, 57, 300, 1000) + ((3000,) if k < 2 else ()):
+            got, prec = discrepancy_and_prec(monkeypatch, alpha, N)
+            assert base_prec(N) <= prec <= 4 * base_prec(N), (alpha, N, prec)
+            assert got == sorted_orbit_discrepancy(alpha, N, prec), (alpha, N)
+            if prec > base_prec(N):
+                raised += 1
+                assert got <= sorted_orbit_discrepancy(alpha, N), (alpha, N)
+    assert raised >= 30
 
 
 def count_calls(monkeypatch, names: tuple[str, ...]) -> dict[str, int]:
@@ -626,36 +581,34 @@ def count_calls(monkeypatch, names: tuple[str, ...]) -> dict[str, int]:
     return calls
 
 
-def test_renormalized_discrepancy_matches_linear_walk(monkeypatch):
+def test_renormalized_discrepancy_matches_sorted_oracle(monkeypatch):
     one = ExactReal.rational(1)
     golden = (ExactReal.sqrt(5) - one).scale(Fraction(1, 2))
     sqrt7 = ExactReal.sqrt(7) - one.scale(2)
     small = ExactReal.sqrt(2).scale(Fraction(1, 100))
-    calls = count_calls(monkeypatch, ("_linear_walk", "_pow"))
+    calls = count_calls(monkeypatch, ("_period_word", "_pow"))
 
     def renormalized(alpha, N):
-        """Whether the bound took the renormalized path; it must agree
-        with the walk and, up to N = 3000, with the sort."""
-        calls.update(_linear_walk=0, _pow=0)
-        got = orbit_discrepancy(alpha, N)
-        assert got == linear_walk(alpha, N), (alpha, N)
-        if N <= 3000:
-            assert got == sorted_orbit_discrepancy(alpha, N), (alpha, N)
-        return calls["_linear_walk"] == 0
+        """Whether the bound took one product at the base prec; it must
+        agree with the sort at the prec taken."""
+        calls.update(_period_word=0, _pow=0)
+        got, prec = discrepancy_and_prec(monkeypatch, alpha, N)
+        assert calls["_period_word"] == 1, (alpha, N)
+        assert got == sorted_orbit_discrepancy(alpha, N, prec), (alpha, N)
+        return prec == base_prec(N)
 
     rng = random.Random(7003)
-    taken = [
-        renormalized(random_unit_irrational(rng), rng.choice([rng.randint(2, 30), rng.randint(31, 3000)]))
-        for _ in range(60)
-    ]
-    assert sum(taken) >= 40
+    for _ in range(60):
+        alpha = random_unit_irrational(rng)
+        N = rng.choice([rng.randint(2, 30), rng.randint(31, 3000)])
+        assert renormalized(alpha, N), (alpha, N)
     for alpha in PLANTED_ALPHAS:
         for N in (2, 5, 57, 1000):
             renormalized(alpha, N)
     # prec = 2*log2(N) + 64 changes between 2^k - 1 and 2^k; N = 2 has
-    # a = b = 1, one step kind, and takes the walk
+    # a = b = 1, one step kind and an empty hole
     for alpha in (golden, sqrt7):
-        assert not renormalized(alpha, 2)
+        assert renormalized(alpha, 2)
         for k in range(2, 13):
             assert renormalized(alpha, 2**k - 1) and renormalized(alpha, 2**k), (alpha, k)
     # at a Fibonacci N for the golden ratio a + b = N: the hole is empty
@@ -698,27 +651,21 @@ def test_renormalized_discrepancy_at_scale(monkeypatch):
     one = ExactReal.rational(1)
     golden = (ExactReal.sqrt(5) - one).scale(Fraction(1, 2))
     sqrt7 = ExactReal.sqrt(7) - one.scale(2)
-    for alpha in (golden, sqrt7):
-        assert orbit_discrepancy(alpha, 10**6) == linear_walk(alpha, 10**6)
-    calls = count_calls(monkeypatch, ("_linear_walk", "_mul"))
+    # frozen from the point-by-point walk this product replaced; the
+    # sort takes seconds at this size
+    frozen = [
+        (golden, Fraction(186410407034330185549378283213, 79228162514264337593543950336000000)),
+        (sqrt7, Fraction(1025433412086161136000698201557, 316912650057057350374175801344000000)),
+    ]
+    for alpha, bound in frozen:
+        assert orbit_discrepancy(alpha, 10**6) == bound
+    calls = count_calls(monkeypatch, ("_mul",))
     for alpha in (golden, sqrt7, ExactReal.sqrt(2) / 10**9, one - ExactReal.sqrt(2) / 100):
-        calls.update(_linear_walk=0, _mul=0)
+        calls.update(_mul=0)
         bound = orbit_discrepancy(alpha, 2**60)
-        assert calls["_linear_walk"] == 0 and 0 < calls["_mul"] <= 8 * 60, (alpha, calls)
+        assert 0 < calls["_mul"] <= 8 * 60, (alpha, calls)
         # every N points have a star discrepancy of at least 1/(2N)
         assert Fraction(1, 2**61) <= bound < Fraction(1, 10**6), (alpha, bound)
-
-
-def test_exact_walk_rejects_swapped_steps():
-    # with a and b swapped the walk leaves the increasing order; the
-    # enclosures of the out-of-order neighbours overlap, so only the
-    # exact sign test can tell
-    one = ExactReal.rational(1)
-    alpha = one / 3 - ExactReal.sqrt(2) / 2**200
-    for N in (5, 10, 57):
-        a, b = _walk_steps(alpha, N)
-        with pytest.raises(AssertionError, match="out of order"):
-            _exact_walk(alpha, N, b, a, 2 * N.bit_length() + 64)
 
 
 def test_walk_steps_are_the_extreme_points():
@@ -735,15 +682,21 @@ def test_walk_steps_are_the_extreme_points():
                 b = n
             assert _walk_steps(alpha, N) == (a, b), (alpha, N)
         for N in (2, 3, 17, 100, 499):
+            a, b = _walk_steps(alpha, N)
+            # three-distance theorem: the neighbour above {i*alpha}
+            order = [0]
+            for _ in range(N - 1):
+                i = order[-1]
+                order.append(i + a if i < N - a else i - b if i >= b else i + a - b)
             want = sorted(range(N), key=lambda i: mp_value(alpha * i) % 1)
-            assert list(_orbit_order(N, *_walk_steps(alpha, N))) == want
+            assert order == want, (alpha, N)
 
 
 def test_discrepancy_makes_no_sign_tests_per_point(monkeypatch):
     alphas = [
         ExactReal.sqrt(7) - ExactReal.rational(2),
         (ExactReal.sqrt(5) - ExactReal.rational(1)).scale(Fraction(1, 2)),
-    ]
+    ] + NEAR_RATIONAL[:5]
     calls = {"sign": 0, "floor": 0}
     real_sign, real_floor = ExactReal.sign, ExactReal.floor
 
@@ -765,9 +718,11 @@ def test_discrepancy_makes_no_sign_tests_per_point(monkeypatch):
             counts.append(dict(calls))
     monkeypatch.undo()
     # the two input checks; the bound itself makes no sign test and
-    # takes no exact floor
-    assert counts == [{"sign": 2, "floor": 0}] * 6
-    for alpha, N, bound in got:
+    # takes no exact floor, near a rational too
+    assert counts == [{"sign": 2, "floor": 0}] * len(got)
+    # floats merge the points of a near-rational orbit: the float check
+    # is for the first two
+    for alpha, N, bound in got[: 2 * len(sizes)]:
         if N <= 10**5:
             assert abs(float(bound) - float_star_discrepancy(float(mp_value(alpha)), N)) < 1e-9
 
