@@ -155,7 +155,7 @@ class ExactReal:
         return not self.coords
 
     def is_rational(self) -> bool:
-        return all(d == 1 for d in self.coords)
+        return self.coords.keys() <= {1}
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
@@ -401,8 +401,17 @@ class ExactReal:
     def approx_str(self, digits: int = 12) -> str:
         """Decimal rendering, correct to `digits` significant digits.
 
+        The dyadic enclosure is refined until its width is below
+        10^-(digits+2) of the value, and its midpoint num / 2^(prec+1)
+        is rendered in integers: the decimal exponent comes from the bit
+        length, corrected by the integer quotient, and one divmod gives
+        the digits, rounded half up (a remainder of at least half the
+        divisor rounds up).  A carry that rounds 0.999... up to 10^digits
+        moves the exponent by one.  Trailing zeros after the point drop.
         Display only; never feeds back into any decision.
         """
+        if digits < 1:
+            raise ValueError("approx_str needs at least one digit")
         if self.is_zero():
             return "0"
         prec = INITIAL_PRECISION
@@ -411,20 +420,25 @@ class ExactReal:
             if lo * hi > 0 and (hi - lo) * 10 ** (digits + 2) < abs(lo):
                 break
             prec *= 2
-        mid = Fraction(lo + hi, 1 << (prec + 1))
-        neg = mid < 0
-        m = abs(mid)
-        # place m in [1/10, 1): exp is the count of digits left of the point
-        exp = 0
-        while m >= 1:
-            m /= 10
-            exp += 1
-        while m < Fraction(1, 10):
-            m *= 10
-            exp -= 1
-        scaled = m * 10**digits
-        q, r = divmod(scaled.numerator, scaled.denominator)
-        if 2 * r >= scaled.denominator:
+        num, den = abs(lo + hi), 1 << (prec + 1)
+        # exp counts the digits left of the point: 10^(exp-1) <= num/den
+        # < 10^exp.  With b = num.bit_length() - prec - 1, num/den lies in
+        # [2^(b-1), 2^b), which leaves two values of exp; the guess takes
+        # the upper one (1233/4096 is just below log10(2)), and a quotient
+        # outside [10^(digits-1), 10^digits) moves it by one until it fits.
+        exp = (num.bit_length() - prec - 1) * 1233 // 4096 + 1
+        low, high = 10 ** (digits - 1), 10**digits
+        while True:
+            k = digits - exp
+            n, d = (num * 10**k, den) if k >= 0 else (num, den * 10**-k)
+            q, r = divmod(n, d)
+            if q < low:
+                exp -= 1
+            elif q >= high:
+                exp += 1
+            else:
+                break
+        if 2 * r >= d:
             q += 1
         s = str(q)
         if len(s) > digits:  # carry from rounding 0.999... up
@@ -438,7 +452,7 @@ class ExactReal:
             text = s[:exp] + "." + s[exp:]
         if "." in text:
             text = text.rstrip("0").rstrip(".")
-        return f"-{text}" if neg else text
+        return f"-{text}" if lo < 0 else text
 
 
 def _coerce(x) -> "ExactReal":

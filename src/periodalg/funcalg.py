@@ -93,7 +93,11 @@ class CanonicalForm:
 
     def __init__(self, domain: CoeffLattice | None, terms: Mapping[tuple, Fraction]):
         self.domain = domain
-        self.terms = {m: Fraction(c) for m, c in terms.items() if c != 0}
+        self.terms = {
+            m: c if isinstance(c, Fraction) else Fraction(c)
+            for m, c in terms.items()
+            if c
+        }
 
     # -- construction --------------------------------------------------
 
@@ -263,12 +267,11 @@ class CompositionResult:
 
 # -- parsing ---------------------------------------------------------------
 
-# One lexicon for formulas, reals and scenario files.  Whitespace and
-# `#` comments match no group; groups 1-4 are the token kinds below, and
-# group 5 catches any character the lexicon does not know.
-_TOKEN = re.compile(
-    r'\s+|#[^\n]*|(\d+)|([^\W\d]\w*)|"([^"\n]*)"|([-+*/^()\[\],=;])|(.)', re.S
-)
+# One lexicon for formulas, reals and scenario files.  Groups 1-4 are
+# the token kinds below, group 5 a `#` comment, and group 6 any other
+# character the lexicon does not know.  Whitespace matches nothing, so
+# the scan passes over it without a match object.
+_TOKEN = re.compile(r'(\d+)|([^\W\d]\w*)|"([^"\n]*)"|([-+*/^()\[\],=;])|(#[^\n]*)|(\S)')
 _KINDS = (None, "num", "name", "str", "op")
 _max_str_digits = getattr(sys, "get_int_max_str_digits", None)  # Python >= 3.11
 
@@ -285,21 +288,23 @@ def _tokenize(text: str) -> list[tuple]:
     toks = []
     for m in _TOKEN.finditer(text):
         g = m.lastindex
-        if g is None:
+        if g == 5:
             continue
         pos = m.start()
-        if g == 5:
+        if g == 6:
             if text[pos] == '"':
                 toks.append(("bad", "unterminated string", pos))
             else:
                 toks.append(("bad", f"unexpected character {text[pos]!r}", pos))
             continue
-        val = m.group(g)
-        if g == 1 and limit and len(val) > limit:
-            msg = f"numeral of {len(val)} digits exceeds Python's integer string limit"
-            toks.append(("bad", f"{msg} ({limit} digits)", pos))
-            continue
-        toks.append((_KINDS[g], int(val) if g == 1 else val, pos))
+        val = m[g]
+        if g == 1:
+            if limit and len(val) > limit:
+                msg = f"numeral of {len(val)} digits exceeds Python's integer string limit"
+                toks.append(("bad", f"{msg} ({limit} digits)", pos))
+                continue
+            val = int(val)
+        toks.append((_KINDS[g], val, pos))
     toks.append(("end", "", len(text)))
     return toks
 
@@ -339,23 +344,27 @@ class _Parser:
             raise ParseError(tok[1], tok[2])
         return tok
 
+    # The accessors below read `toks` directly.  A "bad" token never
+    # matches, and every error at the current token goes through `peek`,
+    # so a bad token still raises its own message at its own offset.
+
     def accept_op(self, *ops):
-        kind, val, _ = self.peek()
+        kind, val, _ = self.toks[self.i]
         if kind == "op" and val in ops:
             self.i += 1
             return val
         return None
 
     def expect_op(self, op: str):
-        kind, val, pos = self.peek()
+        kind, val, _ = self.toks[self.i]
         if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
+            raise ParseError(f"expected {op!r}", self.peek()[2])
         self.i += 1
 
     def expect_num(self) -> int:
-        kind, val, pos = self.peek()
+        kind, val, _ = self.toks[self.i]
         if kind != "num":
-            raise ParseError("expected an integer", pos)
+            raise ParseError("expected an integer", self.peek()[2])
         self.i += 1
         return val
 
@@ -431,7 +440,7 @@ class _Parser:
     def term(self):
         v = self.factor()
         while True:
-            pos = self.peek()[2]
+            pos = self.toks[self.i][2]
             op = self.accept_op("*", "/")
             if not op:
                 return v
@@ -439,14 +448,14 @@ class _Parser:
             v = self.combine(pos, operator.truediv if op == "/" else operator.mul, v, rhs)
 
     def factor(self):
-        if self.accept_op("-"):
-            return -self.factor()
-        if self.accept_op("+"):
-            return self.factor()
+        sign = self.accept_op("-", "+")
+        if sign:
+            v = self.factor()
+            return -v if sign == "-" else v
         v = self.primary()
         if self.refs is not None:
             while True:
-                pos = self.peek()[2]
+                pos = self.toks[self.i][2]
                 if not self.accept_op("^"):
                     break
                 v = self.combine(pos, operator.pow, v, self.signed_num())

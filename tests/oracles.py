@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -172,6 +173,42 @@ def float_star_discrepancy(alpha: float, n: int) -> float:
     for i, x in enumerate(pts):
         worst = max(worst, (i + 1) / n - x, x - i / n)
     return worst
+
+
+def decimal_text(q: Fraction, digits: int = 12) -> str:
+    """`q` to `digits` significant digits, rounded half up, in the
+    report's style: no exponent, no trailing zeros after the point.
+
+    Fraction comparisons against powers of ten place the leading digit,
+    `floor(m + 1/2)` rounds, and `Decimal` writes the fixed-point text.
+    """
+    if q == 0:
+        return "0"
+    m = abs(q)
+    exp = 0  # 10^(exp-1) <= m < 10^exp
+    while m >= Fraction(10) ** exp:
+        exp += 1
+    while m < Fraction(10) ** (exp - 1):
+        exp -= 1
+    n = math.floor(m / Fraction(10) ** (exp - digits) + Fraction(1, 2))
+    text = format(Decimal(n).scaleb(exp - digits), "f")
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return text if q > 0 else "-" + text
+
+
+def approx_str_reference(x: ExactReal, digits: int = 12) -> str:
+    """`ExactReal.approx_str` from Fraction enclosures: the midpoint of
+    the first enclosure (precision doubling from 64 bits) narrower than
+    10^-(digits+2) of its lower end, written by `decimal_text`."""
+    if x.is_zero():
+        return "0"
+    prec = 64
+    while True:
+        lo, hi = x.enclosure(prec)
+        if lo * hi > 0 and (hi - lo) * 10 ** (digits + 2) < abs(lo):
+            return decimal_text((lo + hi) / 2, digits)
+        prec *= 2
 
 
 _SQUAREFREE_POOL = [2, 3, 5, 6, 7, 10, 11, 13]

@@ -18,7 +18,7 @@ from periodalg.errors import DivisionByZero
 from periodalg.exactreal import ExactReal, RadicalBasis, _squarefree_part, commensurable
 from periodalg.funcalg import parse_real
 
-from oracles import mp_value, squarefree_part
+from oracles import approx_str_reference, decimal_text, mp_value, squarefree_part
 
 mpmath.mp.dps = 60
 
@@ -314,6 +314,47 @@ def test_approx_str_is_12_significant_digits():
             continue
         rel = abs(mpmath.mpf(s) - mp_value(x)) / abs(mp_value(x))
         assert rel < mpmath.mpf(10) ** -11
+
+
+def test_approx_str_matches_fraction_reference():
+    # seeded differential against the Fraction rendering of the same
+    # enclosure midpoint, on signed values from 1e-30 to 1e30
+    rng = random.Random(2026)
+    bases = [RadicalBasis([2, 3]), RadicalBasis([5, 6, 7]), RadicalBasis([])]
+    for _ in range(600):
+        x = random_element(rng, rng.choice(bases), span=10**6)
+        x = x.scale(Fraction(10) ** rng.randint(-30, 30))
+        for digits in (12, rng.randint(1, 20)):
+            assert x.approx_str(digits) == approx_str_reference(x, digits), (x, digits)
+
+    # exact decimals, the carry at 0.999..., and exact half units (dyadic,
+    # so the enclosure midpoint is the value itself) rounding half up
+    for q, text in (
+        (Fraction(12345, 1000), "12.345"),
+        (Fraction(-7, 10**30), "-0.000000000000000000000000000007"),
+        (Fraction(10**30), "1000000000000000000000000000000"),
+        (Fraction(9999999999996, 10**13), "1"),
+        (Fraction(-9999999999996, 10**13), "-1"),
+        (Fraction(9999999999994, 10**13), "0.999999999999"),
+        (Fraction(2469135780245, 10), "246913578025"),
+        (Fraction(2469135780235, 10), "246913578024"),
+        (Fraction(-2469135780245, 10), "-246913578025"),
+        (Fraction(1234567890125, 2**3 * 10**9), "154.320986266"),
+    ):
+        x = ExactReal.rational(q)
+        assert x.approx_str(12) == decimal_text(q) == text, q
+    for _ in range(300):
+        # a / 2^j = a * 5^j / 10^j, with a odd and a * 5^j of 13 digits:
+        # the 13th significant digit is an exact 5
+        j = rng.randint(1, 18)
+        lo, hi = -(-(10**12) // 5**j), -(-(10**13) // 5**j)
+        a = 2 * rng.randint(lo // 2, (hi - 2) // 2) + 1
+        q = Fraction(a * rng.choice((1, -1)), 2**j) * 10 ** rng.randint(0, 20)
+        text = ExactReal.rational(q).approx_str(12)
+        assert text == decimal_text(q), q
+        assert text.lstrip("-0.").replace(".", "").startswith(str((a * 5**j + 5) // 10).rstrip("0"))
+    with pytest.raises(ValueError):
+        ExactReal.sqrt(2).approx_str(0)
 
 
 def test_division_by_zero():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -97,6 +98,78 @@ def test_parse_positions_in_syntax_errors():
             parse_scenario(f'scenario "x";\nanalyze cfrac 1/{big};\n')
         assert (err.value.line, err.value.col) == (2, 17)
         assert f"limit ({limit} digits)" in str(err.value)
+
+
+PARITY_HEAD = (
+    'scenario "x";\nbasis B = basis(1, sqrt(2));\n'
+    "domain D = lattice[(1,0), (0,1)] over B;\n"
+)
+# A statement on line 4 with a bad token at `{X}`, reached through each
+# token accessor of the parser, and the column of `{X}`.  The last entry
+# is what the numeral gives when the interpreter has no integer string
+# limit, so it is a plain integer: None where the statement parses, else
+# (message, column), or "skip" where it is a radicand, whose factoring
+# takes too long at 4301 digits.
+PARITY_CASES = (
+    ("analyze cfrac 2*{X};", 17, None),  # factor after '*'
+    ("function f = abs1(one)^{X} on D;", 24, None),  # after '^'
+    ("function f = abs1(one)^-{X} on D;", 25, None),
+    ("function f = 2*abs1(one) {X} abs1(one) on D;", 26, ("expected ';'", 26)),
+    ("basis C {X} basis(1);", 9, ("expected '='", 9)),  # expect_op
+    ("analyze cfrac sqrt {X};", 20, ("expected '('", 20)),
+    ("analyze cfrac sqrt(2 {X});", 22, ("expected ')'", 22)),
+    ("analyze commensurable 1 {X} sqrt(2);", 25, ("expected ','", 25)),
+    ("analyze cfrac sqrt({X});", 20, "skip"),  # expect_num
+    ("analyze cfrac sqrt(2) depth {X};", 29, None),
+    ("analyze kronecker sqrt(2) over [1] delta 0 eps 1/10 bound {X};", 59, None),
+    ("analyze cfrac sqrt(2) {X};", 23, ("expected ';'", 23)),  # accept_keyword
+    ("function f = abs1(one) {X} D;", 24, ("expected ';'", 24)),
+    ("domain E = lattice[(1,0)] {X} B;", 27, ("expected keyword 'over'", 27)),
+    ("domain E = lattice[({X})] over B;", 21, ("generator (", 1)),  # lattice[...]
+    ("domain E = lattice[(1 {X} 0)] over B;", 23, ("expected ')'", 23)),
+    ("domain E = lattice[(1,0) {X}] over B;", 26, ("expected ']'", 26)),
+    ("pattern P mod {X} = (0, 1/4);", 15, None),  # pattern
+    ("pattern P mod 1 = (0, {X});", 23, ("bad interval (0, 9", 23 + 4301 + 1)),
+    ("pattern P mod 1 = (0 {X} 1/4);", 22, ("expected ','", 22)),
+    ("pattern P mod 1 = (0, 1/4) {X};", 28, ("expected ';'", 28)),
+    ("analyze kronecker sqrt(2) over [1 {X}] delta 0 eps 1/10;", 35, ("expected ']'", 35)),
+    ("analyze cfrac 1/0 {X};", 19, ("expected ';'", 19)),  # after a failed value
+)
+
+
+def test_bad_tokens_raise_where_parsing_reaches_them():
+    # each bad token raises its own message at its own column, however
+    # the parser reaches it; run with the interpreter's default integer
+    # string limit and with none (PYTHONINTMAXSTRDIGITS=0)
+    numeral = "9" * 4301
+    limited = "numeral of 4301 digits exceeds Python's integer string limit (4300 digits)"
+    limits = (4300, 0) if hasattr(sys, "set_int_max_str_digits") else (0,)
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        for limit in limits:
+            if limits != (0,):
+                sys.set_int_max_str_digits(limit)
+            for stmt, col, unlimited in PARITY_CASES:
+                bad = [("$", "unexpected character '$'"), ('"ab', "unterminated string")]
+                if limit:
+                    bad.append((numeral, limited))
+                for token, message in bad:
+                    with pytest.raises(ScenarioSyntaxError) as err:
+                        parse_scenario(PARITY_HEAD + stmt.replace("{X}", token) + "\n")
+                    assert str(err.value) == f"line 4, col {col}: {message}", stmt
+                if limit or unlimited == "skip":
+                    continue
+                text = PARITY_HEAD + stmt.replace("{X}", numeral) + "\n"
+                if unlimited is None:
+                    parse_scenario(text)
+                    continue
+                with pytest.raises(ScenarioSyntaxError) as err:
+                    parse_scenario(text)
+                assert (err.value.line, err.value.col) == (4, unlimited[1]), stmt
+                assert str(err.value).startswith(f"line 4, col {unlimited[1]}: {unlimited[0]}")
+    finally:
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(old)
 
 
 def test_value_errors_while_parsing_have_positions(tmp_path, capsys):
@@ -224,6 +297,65 @@ def test_report_shape_and_determinism():
     json.loads(r1.to_json())
     text = r1.to_text()
     assert "period_module" in text and "verdict" in text
+
+
+def _random_json(rng, depth: int = 0):
+    """A report-shaped value: str keys; str, int, bool, None leaves."""
+    roll = rng.random()
+    if depth < 4 and roll < 0.3:
+        return {
+            _random_text(rng): _random_json(rng, depth + 1)
+            for _ in range(rng.choice((0, 1, 2, 5)))
+        }
+    if depth < 4 and roll < 0.5:
+        return [_random_json(rng, depth + 1) for _ in range(rng.choice((0, 1, 3, 6)))]
+    if roll < 0.75:
+        return _random_text(rng)
+    if roll < 0.9:
+        return rng.choice((1, -1)) * rng.randrange(2 ** rng.choice((4, 63, 64, 65, 200)))
+    return rng.choice((True, False, None))
+
+
+def _random_text(rng) -> str:
+    alphabet = 'ab 1"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u03c0\U0001f600'
+    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(8)))
+
+
+def test_to_json_writes_what_json_dumps_writes():
+    from periodalg.scenario import Report
+
+    scenarios = Path(__file__).resolve().parent.parent / "src" / "periodalg" / "scenarios"
+    bundled = sorted(scenarios.glob("*.scn"))
+    assert len(bundled) == 4
+    for scn in bundled:
+        report = run_scenario(parse_scenario(scn.read_text(), default_name=scn.stem))
+        got = report.to_json()
+        assert got == json.dumps(report.to_json_dict(), indent=2) + "\n"
+        assert got == scn.with_name(scn.stem + ".expected.json").read_text()
+    rng = random.Random(20)
+    for _ in range(300):
+        report = Report(
+            _random_text(rng), _random_text(rng), [_random_json(rng) for _ in range(3)], []
+        )
+        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2) + "\n"
+    empty = Report("", "", [{}, [], {"a": {}, "b": []}, [[], {}], True, False, None], [])
+    assert empty.to_json() == json.dumps(empty.to_json_dict(), indent=2) + "\n"
+    with pytest.raises(TypeError):
+        Report("x", "y", [0.5], []).to_json()
+
+    # an int past the interpreter's digit limit fails as in json.dumps
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        big = Report("x", "y", [{"n": 10**4300}], [])
+        with pytest.raises(ValueError, match="4300 digits"):
+            json.dumps(big.to_json_dict(), indent=2)
+        with pytest.raises(ValueError, match="4300 digits"):
+            big.to_json()
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_exact_strings_parse_back():
@@ -370,6 +502,14 @@ def test_cli_report_past_the_int_string_limit(tmp_path, capsys):
         assert "640 digits" in captured.err
         assert cli.main(["selfcheck", "--scenario-dir", str(tmp_path)]) == 1
         assert "fail  scenario   deep  (Exceeds the limit (640 digits)" in capsys.readouterr().out
+        # under the default limit, depth 12000 reaches it
+        sys.set_int_max_str_digits(4300)
+        scn.write_text('scenario "x";\nanalyze cfrac sqrt(2) depth 12000;\n')
+        assert cli.main(["run", str(scn)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {scn}: cannot render the report: ")
+        assert "4300 digits" in captured.err
     finally:
         sys.set_int_max_str_digits(old)
 
