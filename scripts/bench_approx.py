@@ -1,10 +1,11 @@
-"""Scaled timings of approx.continued_fraction, kronecker_find and orbit_discrepancy.
+"""Scaled timings of floor division, continued_fraction, kronecker_find and orbit_discrepancy.
 
 Run from the root of a checkout (stdlib only):
 
     PYTHONPATH=src python3 scripts/bench_approx.py cfrac 60 200 1000
     PYTHONPATH=src python3 scripts/bench_approx.py kronecker 5 6 10 30
     PYTHONPATH=src python3 scripts/bench_approx.py discrepancy 10000 100000 1000000
+    PYTHONPATH=src python3 scripts/bench_approx.py floor 1000 10000
 
 `cfrac DEPTH...` expands sqrt(2) + sqrt(3) + sqrt(5) and that value
 plus sqrt(7) to each depth.  `kronecker K...` searches q*sqrt(3) - p
@@ -15,24 +16,32 @@ of the first N points of the orbits of sqrt(7) - 2 and (sqrt(5) - 1)/2,
 which take one product in O(log N) steps at the first precision; of
 1/3 + sqrt(2)/2^200, whose points lie so near the thirds that the
 precision is raised first; and of the rational 1/3, whose N points are
-three residues counted with their multiplicities.
+three residues counted with their multiplicities.  `floor N...` times
+x // y on N seeded pairs of each shape: random ratios over 1-3
+radicands, rational ratios, divisors within 2^-62 of 0 (whose 64-bit
+enclosure may hold 0), `(2*target + u) // (2*u)` for the residuals
+u = q*T2 - p*T1 of the convergents of T2/T1, and near-rationals
+c + sqrt(d)/2^k over 1 with k up to 400.
 It prints one JSON line per case with the fastest of --repeat
 wall-clock timings and checks each result: the first quotients against
 a Fraction expansion of a 64-digit decimal enclosure, q <= q0 for
-Kronecker (the library re-verifies its witness exactly), and the
-discrepancy bound against the textbook formula in floats.
+Kronecker (the library re-verifies its witness exactly), the
+discrepancy bound against the textbook formula in floats, and each
+floor k by the exact signs of x - k*y and x - (k+1)*y.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import time
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 
-from periodalg.approx import continued_fraction, kronecker_find, orbit_discrepancy
-from periodalg.exactreal import ExactReal
+from periodalg.approx import _convergents, continued_fraction, kronecker_find, orbit_discrepancy
+from periodalg.exactreal import ExactReal, commensurable
 
 RADICANDS = {3: (2, 3, 5), 4: (2, 3, 5, 7)}
 
@@ -109,14 +118,60 @@ def bench_discrepancy(sizes, repeat: int) -> None:
             print(json.dumps({"kind": "discrepancy", "alpha": name, "N": n, "seconds": t}))
 
 
+def random_real(rng: random.Random, n_rads: int) -> ExactReal:
+    """A nonzero rational plus signed rational multiples of n_rads roots."""
+    x = ExactReal.rational(Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, 9)))
+    for d in rng.sample([2, 3, 5, 6, 7, 10, 11], n_rads):
+        x = x + ExactReal.sqrt(d).scale(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    return x if x else ExactReal.rational(1)
+
+
+def floor_pairs(rng: random.Random, shape: str, n: int) -> list[tuple[ExactReal, ExactReal]]:
+    one = ExactReal.rational(1)
+    pairs = []
+    while len(pairs) < n:
+        if shape == "random":
+            pairs.append((random_real(rng, rng.randint(0, 3)), random_real(rng, rng.randint(1, 3))))
+        elif shape == "rational":
+            y = random_real(rng, rng.randint(1, 3))
+            pairs.append((y.scale(Fraction(rng.randint(-30, 30), rng.randint(1, 7))), y))
+        elif shape == "straddle":
+            d, k = rng.choice([2, 3, 5, 7]), rng.randint(62, 90)
+            y = ExactReal.sqrt(d) - ExactReal.rational(Fraction(isqrt(d << 2 * k), 2**k))
+            pairs.append((random_real(rng, 2), y if rng.random() < 0.5 else -y))
+        elif shape == "dirichlet":
+            T1, T2, target = random_real(rng, 1), random_real(rng, 2), random_real(rng, 2)
+            if commensurable(T1, T2) is not None:
+                continue
+            for _, p, q in islice(_convergents(T2, T1), 8):
+                u = T2.scale(q) - T1.scale(p)
+                pairs.append((target.scale(2) + u, u.scale(2)))
+        else:
+            tiny = ExactReal.sqrt(rng.choice([2, 3, 5, 7])).scale(Fraction(1, 2 ** rng.randint(1, 400)))
+            c = ExactReal.rational(Fraction(rng.randint(-50, 50), rng.randint(1, 12)))
+            pairs.append((c + tiny if rng.random() < 0.5 else c - tiny, one))
+    return pairs[:n]
+
+
+def bench_floor(sizes, repeat: int) -> None:
+    for n in sizes:
+        for shape in ("random", "rational", "straddle", "dirichlet", "near_rational"):
+            pairs = floor_pairs(random.Random(f"floor:{shape}:{n}"), shape, n)
+            t, got = fastest(lambda: [x // y for x, y in pairs], repeat)
+            for (x, y), k in zip(pairs, got):
+                s = y.sign()
+                assert (x - y.scale(k)).sign() * s >= 0 > (x - y.scale(k + 1)).sign() * s, (x, y, k)
+            print(json.dumps({"kind": "floor", "shape": shape, "cases": n, "seconds": t}))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("what", choices=("cfrac", "kronecker", "discrepancy"))
+    ap.add_argument("what", choices=("cfrac", "kronecker", "discrepancy", "floor"))
     ap.add_argument(
         "sizes",
         type=int,
         nargs="+",
-        help="cfrac depths, Kronecker bound exponents, or discrepancy point counts",
+        help="cfrac depths, Kronecker bound exponents, discrepancy point counts, or floor pairs per shape",
     )
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
@@ -124,6 +179,8 @@ def main() -> None:
         bench_cfrac(args.sizes, args.repeat)
     elif args.what == "kronecker":
         bench_kronecker(args.sizes, args.repeat)
+    elif args.what == "floor":
+        bench_floor(args.sizes, args.repeat)
     else:
         bench_discrepancy(args.sizes, args.repeat)
 

@@ -1,21 +1,19 @@
 """Constructive Diophantine approximation over exact reals.
 
-Continued fractions come from integer Euclid on the two ends of a
-rational enclosure of x/y, read off dyadic enclosures of x and y
-(exact Euclid on a rational x/y): the quotients the two ends share,
-less the last shared one, are the quotients of x/y, and the enclosures
-are refined until as many are certain as are asked for.  No field
-element is inverted.  On top of them sit two witness finders:
-`dirichlet_find` produces integers m, n with m*T1 + n*T2 within eps of
-a target (density of T1*Z + T2*Z for an irrational ratio), and
-`kronecker_find` produces a simultaneous approximation q*T - p_i*T_i
-close to a prescribed displacement.  Its candidates q are the first
-hits of an integer rotation, found by a Euclid-style recursion instead
-of a scan over q.  Both verify their witnesses by exact sign tests
-before returning; screening uses rigorous integer interval enclosures,
-never floats.  Neither has an iteration or precision cap: every
-refinement loop ends because enclosure widths halve per bit while the
-quantity they must separate is a fixed distance away.
+Continued fractions come from `exactreal.quotients`, the one Euclid on
+enclosures: every quotient both ends of an enclosure of x/y share is a
+quotient of x/y.  No field element is inverted.  On top of them sit
+two witness finders: `dirichlet_find` produces integers m, n with
+m*T1 + n*T2 within eps of a target (density of T1*Z + T2*Z for an
+irrational ratio), and `kronecker_find` produces a simultaneous
+approximation q*T - p_i*T_i close to a prescribed displacement.  Its
+candidates q are the first hits of an integer rotation, found by a
+Euclid-style recursion instead of a scan over q.  Both verify their
+witnesses by exact sign tests before returning; screening uses
+rigorous integer interval enclosures, never floats.  Neither has an
+iteration or precision cap: every refinement loop ends because
+enclosure widths halve per bit while the quantity they must separate
+is a fixed distance away.
 
 `orbit_discrepancy` measures how evenly the rotation orbit {i*alpha}
 fills the unit interval, returning a rigorous rational upper bound on
@@ -38,7 +36,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .errors import CommensurableInput, DivisionByZero, EmptyInput, NotFound
-from .exactreal import INITIAL_PRECISION, ExactReal, commensurable
+from .exactreal import ExactReal, commensurable, quotients
 
 SCREEN_PRECISION = 192
 _ONE = ExactReal.rational(1)
@@ -58,68 +56,22 @@ class ContinuedFraction:
     terminated: bool
 
 
-def _quotients(x: ExactReal, y: ExactReal = _ONE) -> Iterator[int]:
-    """Partial quotients a_0, a_1, ... of x/y, by integer Euclid; y != 0.
-
-    A rational x/y runs Euclid on its numerator and denominator, which
-    ends with the last quotient.  An irrational one runs Euclid in
-    lockstep on two rational ends, each a ratio of ends of the
-    enclosures of x and y scaled by 2^prec, both negated when y < 0:
-    x/y lies between them, so it shares every quotient the two ends
-    share, and the last shared one is dropped as well, which keeps the
-    rule valid for either expansion of a rational end.  Lazy: when more
-    quotients are asked for than are certain, or while the enclosure
-    of y still holds 0, prec doubles from INITIAL_PRECISION.  The
-    stream of an irrational x/y never ends.
-    """
-    c = Fraction(0) if x.is_zero() else commensurable(x, y)
-    if c is not None:
-        n, d = c.numerator, c.denominator
-        while d:
-            a, r = divmod(n, d)
-            yield a
-            n, d = d, r
-        return
-    done = 0
-    prec = INITIAL_PRECISION
-    while True:
-        x_lo, x_hi = x._enclosure_scaled(prec)
-        y_lo, y_hi = y._enclosure_scaled(prec)
-        prec *= 2
-        if y_hi < 0:  # x/y = (-x)/(-y)
-            x_lo, x_hi, y_lo, y_hi = -x_hi, -x_lo, -y_hi, -y_lo
-        if y_lo <= 0:
-            continue
-        # the least and the greatest ratio of the two enclosures
-        n_lo, d_lo = x_lo, y_hi if x_lo >= 0 else y_lo
-        n_hi, d_hi = x_hi, y_lo if x_hi >= 0 else y_hi
-        shared = []
-        while d_lo and d_hi:
-            a, r_lo = divmod(n_lo, d_lo)
-            if n_hi // d_hi != a:
-                break
-            shared.append(a)
-            n_lo, d_lo, n_hi, d_hi = d_lo, r_lo, d_hi, n_hi - a * d_hi
-        yield from shared[done:-1]
-        done = max(done, len(shared) - 1)
-
-
 def _convergents(x: ExactReal, y: ExactReal = _ONE) -> Iterator[tuple[int, int, int]]:
-    """Yield (a_n, p_n, q_n) for n = 0, 1, ... from `_quotients(x, y)`.
+    """Yield (a_n, p_n, q_n) for n = 0, 1, ... from `quotients(x, y)`.
 
     Ends after p_n/q_n == x/y, which happens only for a rational x/y;
     for an irrational one the stream never ends.
     """
     p, p_prev = 1, 0
     q, q_prev = 0, 1
-    for a in _quotients(x, y):
+    for a in quotients(x, y):
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
         yield a, p, q
 
 
 def continued_fraction(x: ExactReal, depth: int) -> ContinuedFraction:
-    """First `depth` quotients of x, each certain (see `_quotients`)."""
+    """First `depth` quotients of x, each certain (see `quotients`)."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     steps = list(islice(_convergents(x), depth))
@@ -152,10 +104,9 @@ def dirichlet_find(
     walk reaches |u| < eps after finitely many steps.  At the first
     such convergent, k = round(target/u) = (2*target + u) // (2*u)
     copies of u land within |u|/2 of target, so m = -k*p, n = k*q is a
-    witness.  Nothing divides: theta's quotients come from the
-    enclosures of T2 and T1 (`_quotients(T2, T1)`), and the rounding is
-    an exact floor of a quotient.  The witness is re-checked by exact
-    sign tests; a failed re-check is an internal error, not a reason to
+    witness.  Nothing divides: theta's quotients and the rounding are
+    both read by `quotients`.  The witness is re-checked by exact sign
+    tests; a failed re-check is an internal error, not a reason to
     search.
     """
     if eps.sign() <= 0:

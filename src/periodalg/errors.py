@@ -1,11 +1,12 @@
 """Exception types and shared result flags used across the package.
 
 Every error names something about the input or the caller: a malformed
-text, a value outside a domain, a zero divisor.  None of them stands
-for an internal precision or iteration cap: exact signs and floors
-refine until they are decided, and `dirichlet_find` walks convergents
-until one is close enough.  A search bounded by the caller that finds
-nothing returns `NotFound` instead of raising.
+text, a value outside a domain, a zero divisor, an input past one of the
+library's own size limits.  None of them stands for an internal
+precision or iteration cap: exact signs and floors refine until they
+are decided, and `dirichlet_find` walks convergents until one is close
+enough.  A search bounded by the caller that finds nothing returns
+`NotFound` instead of raising.
 """
 
 from dataclasses import dataclass
@@ -89,6 +90,14 @@ class FullLine(PeriodalgError):
 
 class EmptyPattern(PeriodalgError):
     """The pattern is empty; the fundamental period is undefined."""
+
+
+class SizeLimit(PeriodalgError):
+    """An input past one of the library's own size limits, named in the
+    message and checked before the work it would take.  `pos`, when the
+    parser raised it, is the 0-based offset of the literal."""
+
+    pos: int | None = None
 
 
 class CommensurableInput(PeriodalgError):

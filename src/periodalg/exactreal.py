@@ -5,8 +5,9 @@ squarefree positive integers.  Because those roots are linearly
 independent over Q, an element is zero exactly when every coordinate is
 zero, which makes equality, sign, floor, and commensurability decidable
 with no floating point anywhere in a decision path.  Nonzero signs are
-determined by adaptive dyadic interval refinement with an exact
-zero short-circuit.
+determined by adaptive dyadic interval refinement with an exact zero
+short-circuit, and floors and partial quotients by one Euclid on the
+ends of dyadic enclosures (`quotients`).
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, SizeLimit
 
 RationalLike = Union[int, Fraction]
 
 INITIAL_PRECISION = 64
+MAX_RADICAND = 10**18
 
 
 def _squarefree_part(n: int) -> int:
@@ -48,6 +50,14 @@ def _squarefree_part(n: int) -> int:
     return out if r * r == n else out * n
 
 
+def _radicand_part(n: int) -> int:
+    """`_squarefree_part` of n <= MAX_RADICAND, in at most 5*10^5 trial
+    divisions; a larger n raises SizeLimit before the first one."""
+    if n > MAX_RADICAND:
+        raise SizeLimit(f"radicand exceeds the limit of {MAX_RADICAND}")
+    return _squarefree_part(n)
+
+
 @lru_cache(maxsize=None)
 def _sqrt_floor_scaled(d: int, prec: int) -> int:
     # s with s <= sqrt(d) * 2^prec < s + 1
@@ -66,7 +76,7 @@ class RadicalBasis:
     def __init__(self, radicands: Iterable[int]):
         rads = sorted(set(map(operator.index, radicands)) | {1})
         for d in rads:
-            if _squarefree_part(d) != d:  # raises for d <= 0
+            if _radicand_part(d) != d:  # raises for d <= 0 or too large
                 raise ValueError(f"radicand {d} is not squarefree")
         self.radicands: tuple[int, ...] = tuple(rads)
         self._index = {d: i for i, d in enumerate(self.radicands)}
@@ -146,7 +156,7 @@ class ExactReal:
     def sqrt(cls, n: int) -> "ExactReal":
         """sqrt(n) for a positive integer, normalized: sqrt(8) = 2*sqrt(2)."""
         n = operator.index(n)
-        d = _squarefree_part(n)
+        d = _radicand_part(n)
         return cls._of({d: Fraction(isqrt(n // d))})
 
     # -- predicates ----------------------------------------------------
@@ -243,8 +253,9 @@ class ExactReal:
         return self * other.invert()
 
     def __rtruediv__(self, other) -> "ExactReal":
-        inv = self.invert()
-        return inv.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self.invert().scale(other)
 
     # -- order ----------------------------------------------------------
 
@@ -303,35 +314,14 @@ class ExactReal:
         return self // 1
 
     def __floordiv__(self, other) -> int:
-        """floor(self / other); exact, with no field inversion.
-
-        A rational ratio (`commensurable`) floors directly.  Otherwise
-        both dyadic enclosures are refined, doubling precision from 64
-        bits, until the floors of the four corner quotients agree.  This
-        terminates with no cap: an irrational ratio is a fixed distance
-        from every integer, and the enclosure widths halve with every
-        extra bit.
-        """
+        """floor(self / other), the first partial quotient of
+        self/other (`quotients`); exact, with no field inversion."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("floor division by zero")
-        if self.is_zero():
-            return 0
-        r = commensurable(self, other)
-        if r is not None:
-            return r.numerator // r.denominator
-        prec = INITIAL_PRECISION
-        while True:
-            a_lo, a_hi = self._enclosure_scaled(prec)
-            b_lo, b_hi = other._enclosure_scaled(prec)
-            # the quotient is monotone in each end while b keeps its sign
-            if b_lo > 0 or b_hi < 0:
-                k = a_lo // b_lo
-                if k == a_lo // b_hi == a_hi // b_lo == a_hi // b_hi:
-                    return k
-            prec *= 2
+        return next(quotients(self, other))
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -340,6 +330,9 @@ class ExactReal:
         return self.coords == other.coords
 
     def __hash__(self) -> int:
+        # a rational element equals its Fraction, so it hashes as one
+        if self.is_rational():
+            return hash(self.coords.get(1, 0))
         return hash(tuple(sorted(self.coords.items())))
 
     def __lt__(self, other) -> bool:
@@ -504,3 +497,47 @@ def commensurable(x: ExactReal, y: ExactReal) -> Fraction | None:
         if x.coords[d] != r * c:
             return None
     return r
+
+
+def quotients(x: ExactReal, y: ExactReal) -> Iterator[int]:
+    """Partial quotients a_0 = floor(x/y), a_1, ... of x/y; y != 0.
+
+    A rational x/y runs Euclid on its numerator and denominator.  An
+    irrational one runs Euclid in lockstep on the least and the greatest
+    ratio of the enclosures of x and y at 2^prec, which x/y lies
+    strictly between; r -> 1/(r - a) is monotone between two ends that
+    share a, so each quotient they share is x/y's, yielded at once.
+    When they part, or while y's enclosure holds 0, prec doubles from
+    INITIAL_PRECISION and Euclid restarts past the quotients yielded.
+    """
+    c = Fraction(0) if x.is_zero() else commensurable(x, y)
+    if c is not None:
+        n, d = c.numerator, c.denominator
+        while d:
+            a, r = divmod(n, d)
+            yield a
+            n, d = d, r
+        return
+    done = 0
+    prec = INITIAL_PRECISION
+    while True:
+        x_lo, x_hi = x._enclosure_scaled(prec)
+        y_lo, y_hi = y._enclosure_scaled(prec)
+        prec *= 2
+        if y_hi < 0:  # x/y = (-x)/(-y)
+            x_lo, x_hi, y_lo, y_hi = -x_hi, -x_lo, -y_hi, -y_lo
+        if y_lo <= 0:
+            continue
+        # the least and the greatest ratio of the two enclosures
+        n_lo, d_lo = x_lo, y_hi if x_lo >= 0 else y_lo
+        n_hi, d_hi = x_hi, y_lo if x_hi >= 0 else y_hi
+        k = 0  # quotients shared at this prec
+        while d_lo and d_hi:
+            a, r_lo = divmod(n_lo, d_lo)
+            if n_hi // d_hi != a:
+                break
+            if k == done:
+                yield a
+                done += 1
+            k += 1
+            n_lo, d_lo, n_hi, d_hi = d_lo, r_lo, d_hi, n_hi - a * d_hi

@@ -44,6 +44,7 @@ from .errors import (
     ParseError,
     PeriodalgError,
     ShiftNotInDomain,
+    SizeLimit,
     UnknownRadicand,
 )
 from .exactreal import ExactReal, commensurable
@@ -100,10 +101,6 @@ class CanonicalForm:
         }
 
     # -- construction --------------------------------------------------
-
-    @classmethod
-    def zero(cls, domain: CoeffLattice) -> "CanonicalForm":
-        return cls(domain, {})
 
     @classmethod
     def constant(cls, q, domain: CoeffLattice) -> "CanonicalForm":
@@ -478,7 +475,11 @@ class _Parser:
                 d = self.sqrt_arg()
                 if d <= 0:
                     raise ParseError("sqrt needs a positive integer", pos)
-                return ExactReal.sqrt(d)
+                try:
+                    return ExactReal.sqrt(d)
+                except SizeLimit as exc:
+                    exc.pos = pos
+                    raise
             raise ParseError("expected a number or sqrt(...)", pos)
         if kind == "name":
             self.i += 1

@@ -35,6 +35,7 @@ from .errors import (
     ScenarioError,
     ScenarioNameError,
     ScenarioSyntaxError,
+    SizeLimit,
 )
 from .exactreal import ExactReal, RadicalBasis
 from .funcalg import CanonicalForm
@@ -187,7 +188,7 @@ class _ScenarioParser(funcalg._Parser):
         for d, tok in rads:  # the first bad radicand, where it was read
             try:
                 RadicalBasis([d])
-            except ValueError as exc:
+            except (ValueError, SizeLimit) as exc:
                 self.fail(str(exc), tok)
         return RadicalBasis(d for d, _ in rads)
 

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the code paths under test: numeric
 evaluation goes through mpmath at high precision, lattice questions are
 answered by rational Gaussian elimination or box enumeration, and
-discrepancy is recomputed from the textbook formula.
+discrepancy is recomputed from the textbook formula.  The two floors
+read from enclosures keep the earlier forms of `exactreal.quotients`:
+four corner quotients, and a lockstep Euclid that drops the last
+quotient the ends share.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterator, Sequence
 import mpmath
 
 from periodalg.errors import NotFound
-from periodalg.exactreal import ExactReal, RadicalBasis
+from periodalg.exactreal import INITIAL_PRECISION, ExactReal, RadicalBasis, commensurable
 from periodalg.lattice import CoeffLattice, member
 from periodalg.pointsets import IntervalPattern, is_invariant
 
@@ -338,6 +341,126 @@ def floor_invert_convergents(x: ExactReal) -> Iterator[tuple[int, int, int]]:
         if r.is_zero():
             return
         r = r.invert()
+
+
+def corner_floor(x: ExactReal, y: ExactReal) -> int:
+    """floor(x/y) for y != 0 from the four corner quotients.
+
+    A rational ratio floors directly.  Otherwise both enclosures are
+    refined, doubling prec from INITIAL_PRECISION, until the floors of
+    the four ratios of their ends agree.
+    """
+    if x.is_zero():
+        return 0
+    r = commensurable(x, y)
+    if r is not None:
+        return r.numerator // r.denominator
+    prec = INITIAL_PRECISION
+    while True:
+        a_lo, a_hi = x._enclosure_scaled(prec)
+        b_lo, b_hi = y._enclosure_scaled(prec)
+        # the quotient is monotone in each end while b keeps its sign
+        if b_lo > 0 or b_hi < 0:
+            k = a_lo // b_lo
+            if k == a_lo // b_hi == a_hi // b_lo == a_hi // b_hi:
+                return k
+        prec *= 2
+
+
+def drop_last_quotients(x: ExactReal, y: ExactReal) -> Iterator[int]:
+    """Partial quotients of x/y for y != 0, dropping the last shared one.
+
+    Euclid in lockstep on the least and the greatest ratio of the
+    enclosures of x and y; of the quotients both share, all but the
+    last are taken, which holds even if x/y were one of the ends.
+    prec doubles from INITIAL_PRECISION when more are asked for.
+    """
+    c = Fraction(0) if x.is_zero() else commensurable(x, y)
+    if c is not None:
+        n, d = c.numerator, c.denominator
+        while d:
+            a, r = divmod(n, d)
+            yield a
+            n, d = d, r
+        return
+    done = 0
+    prec = INITIAL_PRECISION
+    while True:
+        x_lo, x_hi = x._enclosure_scaled(prec)
+        y_lo, y_hi = y._enclosure_scaled(prec)
+        prec *= 2
+        if y_hi < 0:
+            x_lo, x_hi, y_lo, y_hi = -x_hi, -x_lo, -y_hi, -y_lo
+        if y_lo <= 0:
+            continue
+        n_lo, d_lo = x_lo, y_hi if x_lo >= 0 else y_lo
+        n_hi, d_hi = x_hi, y_lo if x_hi >= 0 else y_hi
+        shared = []
+        while d_lo and d_hi:
+            a, r_lo = divmod(n_lo, d_lo)
+            if n_hi // d_hi != a:
+                break
+            shared.append(a)
+            n_lo, d_lo, n_hi, d_hi = d_lo, r_lo, d_hi, n_hi - a * d_hi
+        yield from shared[done:-1]
+        done = max(done, len(shared) - 1)
+
+
+def floor_cases(rng: random.Random) -> list[tuple[ExactReal, ExactReal]]:
+    """Seeded (x, y) pairs, y != 0, for differentials of x // y.
+
+    Random ratios over 1-3 radicands, rational ratios, a zero dividend,
+    divisors of both signs, divisors whose 64-bit enclosure holds 0,
+    `(2*target + u) // (2*u)` for residuals u = q*T2 - p*T1 of the
+    convergents of T2/T1, near-rationals c + sqrt(d)/2^k over 1 with k
+    up to 400, and 3 + sqrt(2)/2^200, whose low end at 64 bits is 3.
+    """
+    one = ExactReal.rational(1)
+
+    def element(n_rads: int) -> ExactReal:
+        x = ExactReal.rational(Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
+        for d in rng.sample([2, 3, 5, 6, 7, 10, 11], n_rads):
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4))
+            x = x + ExactReal.sqrt(d).scale(c)
+        return x
+
+    def nonzero(n_rads: int) -> ExactReal:
+        while True:
+            y = element(n_rads)
+            if not y.is_zero():
+                return y
+
+    cases = []
+    for _ in range(300):
+        cases.append((element(rng.randint(0, 3)), nonzero(rng.randint(0, 3))))
+    for _ in range(60):
+        y = nonzero(rng.randint(0, 2))
+        cases.append((y.scale(Fraction(rng.randint(-30, 30), rng.randint(1, 7))), y))
+        cases.append((ExactReal.rational(0), y))
+    for _ in range(60):
+        d, k = rng.choice([2, 3, 5, 7]), rng.randint(62, 90)
+        # within 2^-k of 0: sqrt(d)/2^k, or sqrt(d) less its k-bit floor
+        y = ExactReal.sqrt(d).scale(Fraction(1, 2**k))
+        if rng.random() < 0.5:
+            y = ExactReal.sqrt(d) - ExactReal.rational(Fraction(math.isqrt(d << 2 * k), 2**k))
+        y = y if rng.random() < 0.5 else -y
+        cases.append((nonzero(rng.randint(0, 2)), y))
+    for _ in range(20):
+        T1, T2, target = nonzero(1), nonzero(2), element(2)
+        if commensurable(T1, T2) is not None:
+            continue
+        p, p_prev, q, q_prev = 1, 0, 0, 1
+        for a in itertools.islice(drop_last_quotients(T2, T1), 8):
+            p, p_prev = a * p + p_prev, p
+            q, q_prev = a * q + q_prev, q
+            u = T2.scale(q) - T1.scale(p)
+            cases.append((target.scale(2) + u, u.scale(2)))
+    for _ in range(80):
+        c = Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+        tiny = ExactReal.sqrt(rng.choice([2, 3, 5, 7])).scale(Fraction(1, 2 ** rng.randint(1, 400)))
+        cases.append((ExactReal.rational(c) + (tiny if rng.random() < 0.5 else -tiny), one))
+    cases.append((ExactReal.rational(3) + ExactReal.sqrt(2).scale(Fraction(1, 2**200)), one))
+    return cases
 
 
 def _abs_less(u: ExactReal, bound: ExactReal) -> bool:

@@ -33,11 +33,13 @@ from periodalg.errors import (
     EmptyInput,
     NotFound,
 )
-from periodalg.exactreal import ExactReal
+from periodalg.exactreal import ExactReal, quotients
 from periodalg.funcalg import composition_check
 
 from oracles import (
+    drop_last_quotients,
     float_star_discrepancy,
+    floor_cases,
     floor_invert_convergents,
     linear_kronecker_find,
     mp_value,
@@ -173,6 +175,39 @@ def test_cf_matches_floor_invert_walk():
         want = list(islice(floor_invert_convergents(x / y), 21))
         assert list(islice(_convergents(x, y), 20)) == want[:20]
     assert list(_convergents(ExactReal.rational(0), ExactReal.sqrt(2))) == [(0, 0, 1)]
+
+
+def test_cf_matches_drop_last_euclid(monkeypatch):
+    # the lockstep Euclid against its form that dropped the last
+    # quotient both ends share: the same quotients of x/y, from no more
+    # enclosures, on the floor cases (straddling and negative divisors,
+    # rational ratios, Dirichlet residuals) and on 600 near-rationals
+    # c + sqrt(d)/2^k; continued_fraction on every y = 1 case
+    precs = []
+    real = ExactReal._enclosure_scaled
+
+    def recorded(self, prec):
+        precs.append(prec)
+        return real(self, prec)
+
+    monkeypatch.setattr(ExactReal, "_enclosure_scaled", recorded)
+    rng = random.Random(5611)
+    one = ExactReal.rational(1)
+    cases = floor_cases(rng)
+    for _ in range(600):
+        c = Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+        tiny = ExactReal.sqrt(rng.choice([2, 3, 5, 6, 7])).scale(Fraction(1, 2 ** rng.randint(1, 400)))
+        cases.append((ExactReal.rational(c) + (tiny if rng.random() < 0.5 else -tiny), one))
+    for x, y in cases:
+        depth = rng.randint(1, 30)
+        precs.clear()
+        got = list(islice(quotients(x, y), depth))
+        work = len(precs)
+        precs.clear()
+        assert got == list(islice(drop_last_quotients(x, y), depth)), (x, y)
+        assert work <= len(precs), (x, y)
+        if y == one:
+            assert continued_fraction(x, depth).quotients == tuple(got)
 
 
 def test_cf_depth_1000_matches_mpmath():

@@ -14,11 +14,26 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from periodalg.errors import DivisionByZero
-from periodalg.exactreal import ExactReal, RadicalBasis, _squarefree_part, commensurable
+from periodalg.errors import DivisionByZero, SizeLimit
+from periodalg.exactreal import (
+    MAX_RADICAND,
+    ExactReal,
+    RadicalBasis,
+    _squarefree_part,
+    commensurable,
+    quotients,
+)
 from periodalg.funcalg import parse_real
 
-from oracles import approx_str_reference, decimal_text, mp_value, squarefree_part
+from oracles import (
+    approx_str_reference,
+    corner_floor,
+    decimal_text,
+    drop_last_quotients,
+    floor_cases,
+    mp_value,
+    squarefree_part,
+)
 
 mpmath.mp.dps = 60
 
@@ -57,6 +72,23 @@ def test_large_radicands_factor_quickly():
     assert ExactReal.sqrt(p).coords == {p: 1}
     assert ExactReal.sqrt(7 * 1000003**2) == ExactReal.sqrt(7).scale(1000003)
     assert ExactReal.sqrt(1000003 * 1000033).coords == {1000003 * 1000033: 1}
+
+
+def test_radicands_past_the_cap_raise_before_factoring():
+    # a prime just below the cap factors in about 5*10^5 divisions; one
+    # above it raises at once, however large
+    p = 999999999999999989
+    assert ExactReal.sqrt(p).coords == {p: 1}
+    assert RadicalBasis([p]).radicands == (1, p)
+    assert ExactReal.sqrt(MAX_RADICAND) == ExactReal.rational(10**9)
+    for n in (MAX_RADICAND + 1, 10**4301 - 1):
+        with pytest.raises(SizeLimit, match=f"^radicand exceeds the limit of {MAX_RADICAND}$"):
+            ExactReal.sqrt(n)
+        with pytest.raises(SizeLimit):
+            RadicalBasis([2, n])
+    with pytest.raises(SizeLimit) as err:
+        parse_real(f"1 + sqrt({MAX_RADICAND + 1})")
+    assert err.value.pos == 4
 
 
 def test_radical_basis_validation():
@@ -248,6 +280,53 @@ def test_floor_division_of_exact_integer_ratios():
             assert (x - tiny) // y == k - 1 - below
 
 
+def _enclosures_taken(monkeypatch) -> list[int]:
+    """The prec of every enclosure taken from now on, in order."""
+    precs: list[int] = []
+    real = ExactReal._enclosure_scaled
+
+    def recorded(self, prec):
+        precs.append(prec)
+        return real(self, prec)
+
+    monkeypatch.setattr(ExactReal, "_enclosure_scaled", recorded)
+    return precs
+
+
+def test_floor_division_matches_corner_quotients(monkeypatch):
+    # x // y, the first partial quotient, against the four-corner floor
+    # it replaced: the same floor from the same enclosures, and exact,
+    # k <= x/y < k + 1 by two sign tests
+    precs = _enclosures_taken(monkeypatch)
+    cases = floor_cases(random.Random(2101))
+    assert len(cases) > 600
+    for x, y in cases:
+        precs.clear()
+        k = x // y
+        taken = list(precs)
+        precs.clear()
+        assert k == corner_floor(x, y), (x, y)
+        assert taken == precs, (x, y)
+        s = y.sign()
+        assert (x - y.scale(k)).sign() * s >= 0 and (y.scale(k + 1) - x).sign() * s > 0
+
+
+def test_a_shared_quotient_is_yielded_at_once(monkeypatch):
+    # at 64 bits the low end of x = 3 + sqrt(2)/2^200 is exactly 3, so
+    # that end's Euclid stops after one quotient.  x lies strictly above
+    # it, so 3 is certain from that one enclosure; dropping the last
+    # shared quotient waited for 512 bits
+    precs = _enclosures_taken(monkeypatch)
+    x = ExactReal.rational(3) + ExactReal.sqrt(2).scale(Fraction(1, 2**200))
+    one = ExactReal.rational(1)
+    assert next(quotients(x, one)) == 3
+    assert precs == [64, 64]
+    precs.clear()
+    assert next(drop_last_quotients(x, one)) == 3
+    assert max(precs) == 512
+    assert x.floor() == (-x).floor() + 7 == 3
+
+
 def test_floor_division_edge_cases():
     s2 = ExactReal.sqrt(2)
     zero = ExactReal.rational(0)
@@ -364,6 +443,29 @@ def test_division_by_zero():
         x / zero
     with pytest.raises(DivisionByZero):
         zero.invert()
+
+
+def test_rational_elements_hash_as_their_fractions():
+    # x == 3 must put x and 3 in one set bucket
+    assert ExactReal.rational(3) == 3
+    assert 3 in {ExactReal.rational(3)}
+    assert ExactReal.rational(3) in {3}
+    assert Fraction(-1, 2) in {ExactReal.rational(Fraction(-1, 2))}
+    assert hash(ExactReal.rational(0)) == hash(0)
+    assert len({ExactReal.rational(2), 2, Fraction(4, 2)}) == 1
+    s2 = ExactReal.sqrt(2)
+    assert hash(s2 + 1) == hash(1 + s2) and s2 + 1 in {s2 + 1}
+
+
+def test_reflected_division_by_a_non_number_is_a_type_error():
+    # the operand type is checked before the divisor is inverted
+    for x in (ExactReal.rational(0), ExactReal.sqrt(2)):
+        assert x.__rtruediv__("a") is NotImplemented
+        with pytest.raises(TypeError):
+            "a" / x
+    with pytest.raises(DivisionByZero):
+        1 / ExactReal.rational(0)
+    assert 1 / ExactReal.sqrt(2) == ExactReal.sqrt(2).scale(Fraction(1, 2))
 
 
 def test_commensurable_cases():

@@ -18,7 +18,7 @@ from periodalg.errors import (
     ScenarioNameError,
     ScenarioSyntaxError,
 )
-from periodalg.exactreal import ExactReal
+from periodalg.exactreal import MAX_RADICAND, ExactReal
 from periodalg.funcalg import parse_real
 from periodalg.scenario import (
     _RESERVED,
@@ -100,6 +100,7 @@ def test_parse_positions_in_syntax_errors():
         assert f"limit ({limit} digits)" in str(err.value)
 
 
+_RADICAND_CAP = f"radicand exceeds the limit of {MAX_RADICAND}"
 PARITY_HEAD = (
     'scenario "x";\nbasis B = basis(1, sqrt(2));\n'
     "domain D = lattice[(1,0), (0,1)] over B;\n"
@@ -108,8 +109,7 @@ PARITY_HEAD = (
 # token accessor of the parser, and the column of `{X}`.  The last entry
 # is what the numeral gives when the interpreter has no integer string
 # limit, so it is a plain integer: None where the statement parses, else
-# (message, column), or "skip" where it is a radicand, whose factoring
-# takes too long at 4301 digits.
+# (message, column); a radicand past the cap is placed at its sqrt.
 PARITY_CASES = (
     ("analyze cfrac 2*{X};", 17, None),  # factor after '*'
     ("function f = abs1(one)^{X} on D;", 24, None),  # after '^'
@@ -119,7 +119,7 @@ PARITY_CASES = (
     ("analyze cfrac sqrt {X};", 20, ("expected '('", 20)),
     ("analyze cfrac sqrt(2 {X});", 22, ("expected ')'", 22)),
     ("analyze commensurable 1 {X} sqrt(2);", 25, ("expected ','", 25)),
-    ("analyze cfrac sqrt({X});", 20, "skip"),  # expect_num
+    ("analyze cfrac sqrt({X});", 20, (_RADICAND_CAP, 15)),  # expect_num
     ("analyze cfrac sqrt(2) depth {X};", 29, None),
     ("analyze kronecker sqrt(2) over [1] delta 0 eps 1/10 bound {X};", 59, None),
     ("analyze cfrac sqrt(2) {X};", 23, ("expected ';'", 23)),  # accept_keyword
@@ -157,7 +157,7 @@ def test_bad_tokens_raise_where_parsing_reaches_them():
                     with pytest.raises(ScenarioSyntaxError) as err:
                         parse_scenario(PARITY_HEAD + stmt.replace("{X}", token) + "\n")
                     assert str(err.value) == f"line 4, col {col}: {message}", stmt
-                if limit or unlimited == "skip":
+                if limit:
                     continue
                 text = PARITY_HEAD + stmt.replace("{X}", numeral) + "\n"
                 if unlimited is None:
@@ -167,6 +167,36 @@ def test_bad_tokens_raise_where_parsing_reaches_them():
                     parse_scenario(text)
                 assert (err.value.line, err.value.col) == (4, unlimited[1]), stmt
                 assert str(err.value).startswith(f"line 4, col {unlimited[1]}: {unlimited[0]}")
+    finally:
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(old)
+
+
+def test_radicand_past_the_cap_is_a_syntax_error_at_its_sqrt():
+    # with the interpreter's integer string limit and with none, a
+    # radicand above MAX_RADICAND is refused before it is factored, in a
+    # real and in a basis literal alike
+    big = MAX_RADICAND + 1
+    cases = (
+        (f'scenario "x";\nanalyze cfrac 1 + sqrt({big});\n', 2, 19),
+        (f'scenario "x";\nbasis B = basis(1, sqrt(2), sqrt({big}));\n', 2, 29),
+        (f'scenario "x";\ndomain D = lattice[(1,0)] over basis(1, sqrt({big}));\n', 2, 41),
+        # the cap, not the factoring time, decides: a 19-digit radicand
+        # is refused like a 4301-digit numeral
+        ('scenario "x";\nanalyze cfrac sqrt(1000000000000000003);\n', 2, 15),
+    )
+    limits = (4300, 0) if hasattr(sys, "set_int_max_str_digits") else (0,)
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        for limit in limits:
+            if limits != (0,):
+                sys.set_int_max_str_digits(limit)
+            for text, line, col in cases:
+                with pytest.raises(ScenarioSyntaxError) as err:
+                    parse_scenario(text)
+                assert str(err.value) == f"line {line}, col {col}: {_RADICAND_CAP}", text
+            # the largest radicand allowed still parses
+            parse_scenario(f'scenario "x";\nanalyze cfrac sqrt({MAX_RADICAND}) depth 3;\n')
     finally:
         if hasattr(sys, "set_int_max_str_digits"):
             sys.set_int_max_str_digits(old)
