@@ -1,14 +1,17 @@
-"""Scaled timings of floor division, continued_fraction, kronecker_find and orbit_discrepancy.
+"""Scaled timings of floor division, continued_fraction, dirichlet_find, kronecker_find and orbit_discrepancy.
 
 Run from the root of a checkout (stdlib only):
 
     PYTHONPATH=src python3 scripts/bench_approx.py cfrac 60 200 1000
+    PYTHONPATH=src python3 scripts/bench_approx.py dirichlet 10 60 200
     PYTHONPATH=src python3 scripts/bench_approx.py kronecker 5 6 10 30
     PYTHONPATH=src python3 scripts/bench_approx.py discrepancy 10000 100000 1000000
     PYTHONPATH=src python3 scripts/bench_approx.py floor 1000 10000
 
 `cfrac DEPTH...` expands sqrt(2) + sqrt(3) + sqrt(5) and that value
-plus sqrt(7) to each depth.  `kronecker K...` searches q*sqrt(3) - p
+plus sqrt(7) to each depth.  `dirichlet EXP...` runs dirichlet_find
+at eps = 10^-EXP on 40 seeded cases: signed T1 with a root or not, T2
+and the target over other roots.  `kronecker K...` searches q*sqrt(3) - p
 within eps = 10^-(K+2) of a displacement delta at bound 10^K, with an
 exact witness planted at q0 = 10^K - 10^K // 3, so the search must
 return some q <= q0.  `discrepancy N...` bounds the star discrepancy
@@ -24,7 +27,9 @@ u = q*T2 - p*T1 of the convergents of T2/T1, and near-rationals
 c + sqrt(d)/2^k over 1 with k up to 400.
 It prints one JSON line per case with the fastest of --repeat
 wall-clock timings and checks each result: the first quotients against
-a Fraction expansion of a 64-digit decimal enclosure, q <= q0 for
+a Fraction expansion of a 64-digit decimal enclosure, each Dirichlet
+witness by the exact signs of eps - r and eps + r for its residual r
+= m*T1 + n*T2 - target, q <= q0 for
 Kronecker (the library re-verifies its witness exactly), the
 discrepancy bound against the textbook formula in floats, and each
 floor k by the exact signs of x - k*y and x - (k+1)*y.
@@ -40,7 +45,13 @@ from fractions import Fraction
 from itertools import islice
 from math import isqrt
 
-from periodalg.approx import _convergents, continued_fraction, kronecker_find, orbit_discrepancy
+from periodalg.approx import (
+    _convergents,
+    continued_fraction,
+    dirichlet_find,
+    kronecker_find,
+    orbit_discrepancy,
+)
 from periodalg.exactreal import ExactReal, commensurable
 
 RADICANDS = {3: (2, 3, 5), 4: (2, 3, 5, 7)}
@@ -78,6 +89,26 @@ def bench_cfrac(depths, repeat: int) -> None:
             t, cf = fastest(lambda: continued_fraction(x, depth), repeat)
             assert list(cf.quotients[:10]) == head[: min(depth, 10)], cf.quotients[:10]
             print(json.dumps({"kind": "cfrac", "radicands": n, "depth": depth, "seconds": t}))
+
+
+def dirichlet_cases(rng: random.Random, n: int) -> list[tuple[ExactReal, ...]]:
+    cases = []
+    while len(cases) < n:
+        T1, T2, target = random_real(rng, rng.randint(0, 1)), random_real(rng, 1), random_real(rng, 2)
+        if commensurable(T1, T2) is None:
+            cases.append((T1, T2, target))
+    return cases
+
+
+def bench_dirichlet(exponents, repeat: int) -> None:
+    cases = dirichlet_cases(random.Random("dirichlet"), 40)
+    for k in exponents:
+        eps = ExactReal.rational(Fraction(1, 10**k))
+        t, got = fastest(lambda: [dirichlet_find(*case, eps) for case in cases], repeat)
+        for (T1, T2, target), (m, n) in zip(cases, got):
+            r = T1.scale(m) + T2.scale(n) - target
+            assert (eps - r).sign() > 0 and (eps + r).sign() > 0, (T1, T2, target, m, n)
+        print(json.dumps({"kind": "dirichlet", "eps": f"1e-{k}", "cases": len(cases), "seconds": t}))
 
 
 def bench_kronecker(exponents, repeat: int) -> None:
@@ -166,17 +197,20 @@ def bench_floor(sizes, repeat: int) -> None:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("what", choices=("cfrac", "kronecker", "discrepancy", "floor"))
+    ap.add_argument("what", choices=("cfrac", "dirichlet", "kronecker", "discrepancy", "floor"))
     ap.add_argument(
         "sizes",
         type=int,
         nargs="+",
-        help="cfrac depths, Kronecker bound exponents, discrepancy point counts, or floor pairs per shape",
+        help="cfrac depths, Dirichlet or Kronecker eps/bound exponents, "
+        "discrepancy point counts, or floor pairs per shape",
     )
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
     if args.what == "cfrac":
         bench_cfrac(args.sizes, args.repeat)
+    elif args.what == "dirichlet":
+        bench_dirichlet(args.sizes, args.repeat)
     elif args.what == "kronecker":
         bench_kronecker(args.sizes, args.repeat)
     elif args.what == "floor":

@@ -1,4 +1,5 @@
-"""Scaled timings of pointsets.fundamental_period and symdiff_measure.
+"""Scaled timings of pointsets.fundamental_period, symdiff_measure, rotate
+and IntervalPattern construction.
 
 Run from the root of a checkout (stdlib only):
 
@@ -8,8 +9,11 @@ For each interval count n (a multiple of 8) it builds one pattern of n
 intervals on modulus 1 + sqrt(2) with planted period L/8, and a second
 one, the first rotated by sqrt(2) - 1, so their endpoints differ in
 every coordinate.  It prints one JSON line per n with the fastest of
---repeat wall-clock timings of fundamental_period(P) and
-symdiff_measure(P, Q), and checks the period found is the planted one.
+--repeat wall-clock timings of fundamental_period(P),
+symdiff_measure(P, Q), rotate(P, sqrt(2) - 1) and the validating
+constructor IntervalPattern(L, intervals of Q).  It checks the period
+found is the planted one, that the rotation is Q and that the
+constructor rebuilds Q.
 """
 
 from __future__ import annotations
@@ -60,13 +64,24 @@ def main() -> None:
     ap.add_argument("sizes", type=int, nargs="+", help="interval counts, multiples of 8")
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
+    alpha = ExactReal.sqrt(2) - ExactReal.rational(1)
     for n in args.sizes:
         p = planted(n)
-        q = rotate(p, ExactReal.sqrt(2) - ExactReal.rational(1))
+        q = rotate(p, alpha)
         t_fp, period = fastest(lambda: fundamental_period(p), args.repeat)
         assert period == p.modulus.scale(Fraction(1, 8)), period
         t_sd, _ = fastest(lambda: symdiff_measure(p, q), args.repeat)
-        row = {"intervals": n, "fundamental_period_s": t_fp, "symdiff_measure_s": t_sd}
+        t_rot, out = fastest(lambda: rotate(p, alpha), args.repeat)
+        assert out == q
+        t_new, out = fastest(lambda: IntervalPattern(q.modulus, q.intervals, q.wrap_point), args.repeat)
+        assert out == q
+        row = {
+            "intervals": n,
+            "fundamental_period_s": t_fp,
+            "symdiff_measure_s": t_sd,
+            "rotate_s": t_rot,
+            "construct_s": t_new,
+        }
         print(json.dumps(row))
 
 

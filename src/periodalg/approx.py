@@ -8,12 +8,17 @@ m*T1 + n*T2 within eps of a target (density of T1*Z + T2*Z for an
 irrational ratio), and `kronecker_find` produces a simultaneous
 approximation q*T - p_i*T_i close to a prescribed displacement.  Its
 candidates q are the first hits of an integer rotation, found by a
-Euclid-style recursion instead of a scan over q.  Both verify their
-witnesses by exact sign tests before returning; screening uses
-rigorous integer interval enclosures, never floats.  Neither has an
-iteration or precision cap: every refinement loop ends because
-enclosure widths halve per bit while the quantity they must separate
-is a fixed distance away.
+Euclid-style recursion instead of a scan over q.  Both decide from
+rigorous integer enclosures taken once, never floats, and take exact
+sign tests only where the enclosures cannot decide: `dirichlet_find`
+bounds each residual q*T2 - p*T1 from the enclosures of T1, T2 and
+eps.  Both verify their witnesses by exact sign tests before
+returning.  Neither has an iteration or precision cap: every
+refinement loop ends because enclosure widths halve per bit while the
+quantity they must separate is a fixed distance away, or, for a
+residual equal to eps, because the exact test takes over once the
+bound is narrow.  A convergent or witness integer of more than
+MAX_DIGITS decimal digits raises SizeLimit.
 
 `orbit_discrepancy` measures how evenly the rotation orbit {i*alpha}
 fills the unit interval, returning a rigorous rational upper bound on
@@ -35,8 +40,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .errors import CommensurableInput, DivisionByZero, EmptyInput, NotFound
-from .exactreal import ExactReal, commensurable, quotients
+from .errors import CommensurableInput, DivisionByZero, EmptyInput, NotFound, SizeLimit
+from .exactreal import INITIAL_PRECISION, MAX_DIGITS, ExactReal, commensurable, quotients
 
 SCREEN_PRECISION = 192
 _ONE = ExactReal.rational(1)
@@ -70,11 +75,30 @@ def _convergents(x: ExactReal, y: ExactReal = _ONE) -> Iterator[tuple[int, int, 
         yield a, p, q
 
 
+def _too_long(n: int) -> bool:
+    """|n| has more than MAX_DIGITS decimal digits.
+
+    |n| < 2^b <= 10^MAX_DIGITS for a bit length b of at most
+    MAX_DIGITS*log2(10), so only a longer n is compared with the power.
+    """
+    return n.bit_length() > MAX_DIGITS * 3321928 // 10**6 and abs(n) >= 10**MAX_DIGITS
+
+
 def continued_fraction(x: ExactReal, depth: int) -> ContinuedFraction:
-    """First `depth` quotients of x, each certain (see `quotients`)."""
+    """First `depth` quotients of x, each certain (see `quotients`).
+
+    Raises SizeLimit at the first convergent whose numerator or
+    denominator has more than MAX_DIGITS digits.
+    """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    steps = list(islice(_convergents(x), depth))
+    steps = []
+    for a, p, q in islice(_convergents(x), depth):
+        if _too_long(p) or _too_long(q):
+            raise SizeLimit(
+                f"convergent {len(steps) + 1} exceeds the limit of {MAX_DIGITS} digits"
+            )
+        steps.append((a, p, q))
     convergents = tuple((p, q) for _, p, q in steps)
     return ContinuedFraction(
         x=x,
@@ -105,9 +129,19 @@ def dirichlet_find(
     such convergent, k = round(target/u) = (2*target + u) // (2*u)
     copies of u land within |u|/2 of target, so m = -k*p, n = k*q is a
     witness.  Nothing divides: theta's quotients and the rounding are
-    both read by `quotients`.  The witness is re-checked by exact sign
+    both read by `quotients`.
+
+    Each |u| < eps is decided on integers: T1, T2 and eps are enclosed
+    once at a shared 2^prec, and u*2^prec lies between q*t2_lo and
+    q*t2_hi less the extreme ends of p*[t1_lo, t1_hi].  A bound clear
+    of eps's enclosure decides.  One that straddles it doubles prec for
+    this and every later convergent while it is at least a quarter of
+    eps wide; a narrower one calls the two exact sign tests, so
+    |u| == eps is decided too.  u is built as an ExactReal only for
+    those tests and at the witness, which is re-checked by exact sign
     tests; a failed re-check is an internal error, not a reason to
-    search.
+    search.  A witness coefficient of more than MAX_DIGITS digits raises
+    SizeLimit.
     """
     if eps.sign() <= 0:
         raise ValueError("eps must be positive")
@@ -115,15 +149,37 @@ def dirichlet_find(
         raise CommensurableInput(
             "T1 and T2 are commensurable; T1*Z + T2*Z is discrete, not dense"
         )
+    prec = INITIAL_PRECISION
+    (t1_lo, t1_hi), (t2_lo, t2_hi), (e_lo, e_hi) = (
+        x._enclosure_scaled(prec) for x in (T1, T2, eps)
+    )
     # T2/T1 is irrational, so the convergents never run out
     for _, p, q in _convergents(T2, T1):
-        u = T2.scale(q) - T1.scale(p)
-        if _abs_less(u, eps):
-            k = (target.scale(2) + u) // u.scale(2)
-            m, n = -k * p, k * q
-            if not _abs_less(T1.scale(m) + T2.scale(n) - target, eps):
-                raise AssertionError(f"witness ({m}, {n}) failed its exact re-check")
-            return m, n
+        while True:
+            # q > 0, and p has either sign
+            lo = q * t2_lo - max(p * t1_lo, p * t1_hi)
+            hi = q * t2_hi - min(p * t1_lo, p * t1_hi)
+            # |u|*2^prec lies in [abs_lo, abs_hi]
+            abs_lo, abs_hi = max(lo, -hi, 0), max(hi, -lo)
+            if abs_lo >= e_hi:  # |u| >= eps
+                break
+            if abs_hi < e_lo or 4 * (abs_hi - abs_lo + e_hi - e_lo) < e_lo:
+                u = T2.scale(q) - T1.scale(p)
+                if abs_hi < e_lo or _abs_less(u, eps):
+                    k = (target.scale(2) + u) // u.scale(2)
+                    m, n = -k * p, k * q
+                    if _too_long(m) or _too_long(n):
+                        raise SizeLimit(
+                            f"witness coefficient exceeds the limit of {MAX_DIGITS} digits"
+                        )
+                    if not _abs_less(T1.scale(m) + T2.scale(n) - target, eps):
+                        raise AssertionError(f"witness ({m}, {n}) failed its exact re-check")
+                    return m, n
+                break
+            prec *= 2
+            (t1_lo, t1_hi), (t2_lo, t2_hi), (e_lo, e_hi) = (
+                x._enclosure_scaled(prec) for x in (T1, T2, eps)
+            )
 
 
 def _first_hit(A: int, B: int, M: int, W: int) -> int | None:

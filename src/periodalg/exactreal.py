@@ -24,6 +24,9 @@ RationalLike = Union[int, Fraction]
 
 INITIAL_PRECISION = 64
 MAX_RADICAND = 10**18
+# the most decimal digits a result integer may have: the library's own
+# limit, where the interpreter's integer string limit is a setting
+MAX_DIGITS = 4300
 
 
 def _squarefree_part(n: int) -> int:

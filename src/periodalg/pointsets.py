@@ -9,23 +9,24 @@ invariant the patterns are exactly the finite unions of open arcs on
 the circle R/LZ, the class is closed under rotation, and equal sets
 have equal representations.
 
-Everything here is decided by exact endpoint arithmetic: invariance is
-equality after rotation, the fundamental period is L/k for the largest
-divisor k of the arc count whose rotation is an invariance (the
-invariant rotations permute the arcs with no arc left in place), and
-symmetric-difference measure is one merge sweep over both sorted
-endpoint lists.
+Everything here is decided by exact endpoint arithmetic.  Order
+comparisons are filtered: each endpoint is enclosed once at
+INITIAL_PRECISION, two disjoint enclosures decide, and only overlapping
+ones take an exact sign test (`_compare`).  Invariance is equality
+after rotation.  The fundamental period is L/k for the largest divisor
+k of the arc count n under whose rotation each arc j lands on arc
+j + n/k; that is checked by equality alone, with no sign test and no
+rotation.  Symmetric-difference measure is one merge sweep over both
+sorted endpoint lists.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import EmptyPattern, FullLine, ModulusMismatch
-from .exactreal import ExactReal
+from .exactreal import INITIAL_PRECISION, ExactReal
 
 RealLike = Union[ExactReal, int, Fraction]
 
@@ -34,6 +35,21 @@ def _as_real(x: RealLike) -> ExactReal:
     if isinstance(x, ExactReal):
         return x
     return ExactReal.rational(x)
+
+
+def _enclose(x: ExactReal) -> tuple[int, int]:
+    return x._enclosure_scaled(INITIAL_PRECISION)
+
+
+def _compare(x: ExactReal, ex: tuple[int, int], y: ExactReal, ey: tuple[int, int]) -> int:
+    """Sign of x - y, given enclosures ex of x and ey of y at
+    INITIAL_PRECISION: disjoint ones decide, and only overlapping ones
+    take the exact sign test."""
+    if ex[1] < ey[0]:
+        return -1
+    if ex[0] > ey[1]:
+        return 1
+    return (x - y).sign()
 
 
 class IntervalPattern:
@@ -52,13 +68,20 @@ class IntervalPattern:
             raise ValueError("modulus must be positive")
         ivs = [(_as_real(a), _as_real(b)) for a, b in intervals]
         zero = ExactReal.rational(0)
+        e_zero = e_prev = (0, 0)
+        e_L = _enclose(L)
         prev_hi = zero
         for a, b in ivs:
-            if a.sign() < 0 or (b - a).sign() <= 0 or (L - b).sign() < 0:
+            e_a, e_b = _enclose(a), _enclose(b)
+            if (
+                _compare(a, e_a, zero, e_zero) < 0
+                or _compare(b, e_b, a, e_a) <= 0
+                or _compare(L, e_L, b, e_b) < 0
+            ):
                 raise ValueError(f"bad interval ({a}, {b}) for modulus {L}")
-            if (a - prev_hi).sign() < 0:
+            if _compare(a, e_a, prev_hi, e_prev) < 0:
                 raise ValueError("intervals must be sorted and disjoint")
-            prev_hi = b
+            prev_hi, e_prev = b, e_b
         if wrap_point:
             if not ivs or ivs[0][0] != zero or ivs[-1][1] != L:
                 raise ValueError(
@@ -130,7 +153,9 @@ def rotate(pattern: IntervalPattern, alpha: RealLike) -> IntervalPattern:
     seam point is covered exactly when an interval is split at L, and
     the image of the old seam point, when covered, joins the last
     wrapped piece to the first unwrapped one.  Measure is preserved
-    exactly.
+    exactly.  The wrap tests compare the sum of an endpoint's and the
+    step's enclosures with L's, and take an exact sign test only where
+    they overlap.
     """
     alpha = _as_real(alpha)
     L = pattern.modulus
@@ -140,14 +165,21 @@ def rotate(pattern: IntervalPattern, alpha: RealLike) -> IntervalPattern:
     if not pattern.intervals:
         return pattern
     zero = ExactReal.rational(0)
+    e_L = _enclose(L)
+    s_lo, s_hi = _enclose(step)
+
+    def shifted(x: ExactReal) -> tuple[int, int]:  # encloses x + step
+        lo, hi = _enclose(x)
+        return lo + s_lo, hi + s_hi
+
     wrapped: list[tuple[ExactReal, ExactReal]] = []
     unwrapped: list[tuple[ExactReal, ExactReal]] = []
     split = False
     for a, b in pattern.intervals:
         a2, b2 = a + step, b + step
-        if (b2 - L).sign() <= 0:
+        if _compare(b2, shifted(b), L, e_L) <= 0:
             unwrapped.append((a2, b2))
-        elif (a2 - L).sign() >= 0:
+        elif _compare(a2, shifted(a), L, e_L) >= 0:
             wrapped.append((a2 - L, b2 - L))
         else:
             # the one interval over the new seam: every interval before
@@ -172,19 +204,35 @@ def fundamental_period(pattern: IntervalPattern) -> ExactReal:
 
     The invariant shifts mod L form a finite cyclic group of rotations,
     generated by L/K.  A nonzero rotation maps no arc onto itself, so
-    the group permutes the pattern's arcs freely and K divides their
-    count; the answer is L/k for the largest divisor k of the arc count
-    that passes `is_invariant`, or L when none does.
+    the group permutes the pattern's n arcs freely and K divides n; the
+    answer is L/k for the largest divisor k of n under which the
+    pattern is invariant, or L when there is none.
+
+    With the arcs (a_j, b_j) sorted by start in [0, L), the seam-crossing
+    one as (a, L + b), a rotation by t = L/k keeps their cyclic order,
+    and each of the k translates of [a_0, a_0 + t) holds n/k starts: an
+    invariant rotation maps arc j to arc j + n/k, shifted by t, or to
+    arc j + n/k - n, shifted by t - L.  Those n equalities of exact
+    reals decide invariance, with no sign test.
     """
     if pattern.is_full_line():
         raise FullLine("every real is a period of the full line")
     if pattern.is_empty():
         raise EmptyPattern("the empty pattern has no fundamental period")
     L = pattern.modulus
-    # a seam-crossing arc is stored as two intervals
-    arcs = len(pattern.intervals) - pattern.wrap_point
-    for k in range(arcs, 1, -1):
-        if arcs % k == 0 and is_invariant(pattern, t := L.scale(Fraction(1, k))):
+    arcs = pattern.intervals
+    if pattern.wrap_point:  # the seam-crossing arc is stored as two intervals
+        arcs = arcs[1:-1] + ((arcs[-1][0], arcs[0][1] + L),)
+    n = len(arcs)
+    for k in range(n, 1, -1):
+        if n % k:
+            continue
+        t = L.scale(Fraction(1, k))
+        s, back = n // k, t - L
+        if all(
+            arcs[j + s] == (a + t, b + t) if j + s < n else arcs[j + s - n] == (a + back, b + back)
+            for j, (a, b) in enumerate(arcs)
+        ):
             return t
     return L
 
@@ -192,24 +240,27 @@ def fundamental_period(pattern: IntervalPattern) -> ExactReal:
 def symdiff_measure(p: IntervalPattern, q: IntervalPattern) -> ExactReal:
     """Exact measure per period of (P minus Q) union (Q minus P).
 
-    One merge of the two sorted endpoint lists: each endpoint toggles
-    its pattern's membership, so between consecutive endpoints the
-    membership of both patterns is known and the cell counts in full
-    when exactly one covers it.  Linear in the number of intervals.
-    Wrap bits carry no measure and are ignored.
+    One merge of the two sorted endpoint lists, ordered by `_compare`
+    and taking p's endpoint first on a tie.  Each endpoint toggles its
+    own pattern's membership, and both patterns are outside before the
+    first, so exactly one covers the cells from the (2i)-th merged
+    endpoint to the next: the measure is their alternating sum.  Linear
+    in the number of intervals.  Wrap bits carry no measure and are
+    ignored.
     """
     if p.modulus != q.modulus:
         raise ModulusMismatch(f"moduli differ: {p.modulus} vs {q.modulus}")
-    total = ExactReal.rational(0)
-    inside = [False, False]
-    prev = total
-    for x, who in heapq.merge(
-        ((e, 0) for e in p.endpoints()),
-        ((e, 1) for e in q.endpoints()),
-        key=itemgetter(0),
-    ):
-        if inside[0] != inside[1]:
-            total = total + (x - prev)
-        inside[who] = not inside[who]
-        prev = x
-    return total
+    xs, ys = p.endpoints(), q.endpoints()
+    e_xs, e_ys = [_enclose(x) for x in xs], [_enclose(y) for y in ys]
+    merged = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        if _compare(xs[i], e_xs[i], ys[j], e_ys[j]) <= 0:
+            merged.append(xs[i])
+            i += 1
+        else:
+            merged.append(ys[j])
+            j += 1
+    merged += xs[i:] + ys[j:]
+    zero = ExactReal.rational(0)
+    return sum(merged[1::2], zero) - sum(merged[0::2], zero)

@@ -6,7 +6,10 @@ answered by rational Gaussian elimination or box enumeration, and
 discrepancy is recomputed from the textbook formula.  The two floors
 read from enclosures keep the earlier forms of `exactreal.quotients`:
 four corner quotients, and a lockstep Euclid that drops the last
-quotient the ends share.
+quotient the ends share.  `fresh_residual_dirichlet_find` and
+`rotate_scan_period` keep the earlier, unfiltered forms of
+`dirichlet_find` and `fundamental_period`: exact sign tests on every
+residual, and a rotation per divisor.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Iterator, Sequence
 
 import mpmath
 
+from periodalg.approx import _convergents
 from periodalg.errors import NotFound
 from periodalg.exactreal import INITIAL_PRECISION, ExactReal, RadicalBasis, commensurable
 from periodalg.lattice import CoeffLattice, member
@@ -465,6 +469,30 @@ def floor_cases(rng: random.Random) -> list[tuple[ExactReal, ExactReal]]:
 
 def _abs_less(u: ExactReal, bound: ExactReal) -> bool:
     return (bound - u).sign() > 0 and (bound + u).sign() > 0
+
+
+def fresh_residual_dirichlet_find(
+    T1: ExactReal, T2: ExactReal, target: ExactReal, eps: ExactReal
+) -> tuple[int, int]:
+    """(m, n) from the first convergent p/q of T2/T1 with |u| < eps,
+    u = q*T2 - p*T1 built afresh and tested by two exact sign tests at
+    every convergent; k = (2*target + u) // (2*u)."""
+    for _, p, q in _convergents(T2, T1):
+        u = T2.scale(q) - T1.scale(p)
+        if _abs_less(u, eps):
+            k = (target.scale(2) + u) // u.scale(2)
+            return -k * p, k * q
+
+
+def rotate_scan_period(pattern: IntervalPattern) -> ExactReal:
+    """L/k for the largest divisor k of the arc count with
+    `is_invariant(pattern, L/k)`, or L: one rotation per divisor."""
+    L = pattern.modulus
+    arcs = len(pattern.intervals) - pattern.wrap_point  # a seam arc is two intervals
+    for k in range(arcs, 1, -1):
+        if arcs % k == 0 and is_invariant(pattern, t := L.scale(Fraction(1, k))):
+            return t
+    return L
 
 
 def linear_kronecker_find(

@@ -32,8 +32,9 @@ from periodalg.errors import (
     DivisionByZero,
     EmptyInput,
     NotFound,
+    SizeLimit,
 )
-from periodalg.exactreal import ExactReal, quotients
+from periodalg.exactreal import MAX_DIGITS, ExactReal, commensurable, quotients
 from periodalg.funcalg import composition_check
 
 from oracles import (
@@ -41,6 +42,7 @@ from oracles import (
     float_star_discrepancy,
     floor_cases,
     floor_invert_convergents,
+    fresh_residual_dirichlet_find,
     linear_kronecker_find,
     mp_value,
     random_basis,
@@ -294,6 +296,109 @@ def test_dirichlet_rejects_commensurable_steps():
             ExactReal.rational(1),
             ExactReal.rational(0),
         )
+
+
+def random_dirichlet_case(rng: random.Random):
+    """Signed T1, rational or not; T2 over another root; eps = c*10^-e."""
+    d1, d2 = rng.sample([2, 3, 5, 6, 7, 10, 11], 2)
+    T1 = ExactReal.rational(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+    if rng.random() < 0.5:
+        T1 = T1 + ExactReal.sqrt(d1).scale(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)))
+    if rng.random() < 0.5:
+        T1 = -T1
+    T2 = ExactReal.sqrt(d2).scale(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)))
+    T2 = T2 + ExactReal.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    target = random_multiquadratic(rng, rng.randint(0, 2))
+    scale = Fraction(1, 10 ** rng.randint(1, 80))
+    c = ExactReal.sqrt(rng.choice([2, 3])) if rng.random() < 0.3 else ExactReal.rational(1)
+    return T1, T2, target, c.scale(scale)
+
+
+def test_dirichlet_matches_fresh_residual_loop():
+    rng = random.Random(5604)
+    cases = [random_dirichlet_case(rng) for _ in range(150)]
+    for T1, T2, target, eps in cases:
+        assert commensurable(T1, T2) is None
+        assert dirichlet_find(T1, T2, target, eps) == fresh_residual_dirichlet_find(
+            T1, T2, target, eps
+        ), (T1, T2, target, eps)
+
+
+def count_abs_less(monkeypatch) -> list:
+    calls = []
+    real = approx._abs_less
+
+    def counting(u, bound):
+        calls.append(u)
+        return real(u, bound)
+
+    monkeypatch.setattr(approx, "_abs_less", counting)
+    return calls
+
+
+@pytest.mark.parametrize("gap", [0, 70])
+def test_dirichlet_straddle_takes_the_exact_test(monkeypatch, gap):
+    # eps is |u_5| itself, or |u_5| + 2^-70: the 64-bit bound on |u_5|
+    # straddles eps and is narrow, so only the exact test can decide
+    one = ExactReal.rational(1)
+    instances = [
+        (one, ExactReal.sqrt(2), ExactReal.sqrt(3)),
+        (-(ExactReal.rational(Fraction(3, 2)) + ExactReal.sqrt(6)),
+         ExactReal.sqrt(5).scale(Fraction(1, 2)), ExactReal.rational(Fraction(-7, 3))),
+        (ExactReal.sqrt(7), ExactReal.sqrt(3).scale(-3), ExactReal.sqrt(2)),
+    ]
+    for T1, T2, target in instances:
+        _, p, q = next(islice(_convergents(T2, T1), 5, None))
+        u5 = T2.scale(q) - T1.scale(p)
+        eps = abs(u5) + ExactReal.rational(Fraction(1, 2**gap) if gap else 0)
+        want = fresh_residual_dirichlet_find(T1, T2, target, eps)
+        calls = count_abs_less(monkeypatch)
+        got = dirichlet_find(T1, T2, target, eps)
+        monkeypatch.undo()
+        assert got == want
+        assert u5 in calls
+        if gap:  # the witness is a multiple of (-p_5, q_5)
+            assert got[0] * q == -got[1] * p
+
+
+def test_dirichlet_decides_from_enclosures(monkeypatch):
+    # one sign test on eps, and two each for the witness's re-check
+    one, s2, s3 = ExactReal.rational(1), ExactReal.sqrt(2), ExactReal.sqrt(3)
+    real = ExactReal.sign
+    calls = [0]
+
+    def counting(self):
+        calls[0] += 1
+        return real(self)
+
+    for digits in (4, 40, 80):
+        eps = ExactReal.rational(Fraction(1, 10**digits))
+        want = fresh_residual_dirichlet_find(one, s2, s3, eps)
+        calls[0] = 0
+        monkeypatch.setattr(ExactReal, "sign", counting)
+        assert dirichlet_find(one, s2, s3, eps) == want
+        monkeypatch.undo()
+        assert calls[0] == 3, digits
+
+
+def test_results_past_the_digit_limit_raise():
+    one, s2 = ExactReal.rational(1), ExactReal.sqrt(2)
+    big = 10**MAX_DIGITS
+    # a_0 = 10^MAX_DIGITS - 1 has MAX_DIGITS digits, and 10^MAX_DIGITS one more
+    assert continued_fraction(ExactReal.rational(big - 1), 1).quotients == (big - 1,)
+    for x in (big, -big):
+        with pytest.raises(SizeLimit, match=f"convergent 1 exceeds the limit of {MAX_DIGITS} digits"):
+            continued_fraction(ExactReal.rational(x), 1)
+    # sqrt(2)'s convergents pass 4300 digits at the 11235th
+    assert len(str(continued_fraction(s2, 11234).convergents[-1][0])) == MAX_DIGITS
+    with pytest.raises(SizeLimit, match="convergent 11235 exceeds"):
+        continued_fraction(s2, 11235)
+    # k = round(target/u) copies of a residual u > 10^-2 reach 10^4400;
+    # with T2/T1 near 10^20, m = -k*p is past the limit while n = k*q is not
+    eps = ExactReal.rational(Fraction(1, 100))
+    for T2, target in ((s2, 10**4400), (s2.scale(10**20), 10**4280)):
+        with pytest.raises(SizeLimit, match=f"witness coefficient exceeds the limit of {MAX_DIGITS}"):
+            dirichlet_find(one, T2, ExactReal.rational(target) + ExactReal.sqrt(3), eps)
 
 
 def test_kronecker_small_case():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import endpoint_difference_period
+from oracles import endpoint_difference_period, rotate_scan_period
 from periodalg import pointsets
 from periodalg.errors import EmptyPattern, FullLine, ModulusMismatch
 from periodalg.exactreal import ExactReal
@@ -353,19 +353,163 @@ CELL_8 = [(1, 5), (7, 9), (12, 20), (21, 30), (33, 34), (40, 55), (60, 71), (80,
 
 
 def test_fundamental_period_tries_only_divisors_of_the_arc_count(monkeypatch):
+    # each candidate L/k is made by one L.scale(1/k), and no rotation
     p = planted_64(SILVER, CELL_8)
-    calls = []
-    real = pointsets.is_invariant
+    want = SILVER.scale(Fraction(1, 8))
+    tried = []
+    real = ExactReal.scale
 
-    def counting(pattern, t):
-        calls.append(t)
-        return real(pattern, t)
+    def recording(self, q):
+        if self == SILVER:
+            tried.append(q)
+        return real(self, q)
 
-    monkeypatch.setattr(pointsets, "is_invariant", counting)
-    assert fundamental_period(p) == SILVER.scale(Fraction(1, 8))
-    # d(64) - 1 = 6 divisors k >= 2 of the arc count; only L/k is tried
-    assert len(calls) <= 6
-    assert all(SILVER.scale(Fraction(1, 64 // 2**i)) == t for i, t in enumerate(calls))
+    def no_rotate(pattern, alpha):
+        raise AssertionError("fundamental_period rotated the pattern")
+
+    monkeypatch.setattr(ExactReal, "scale", recording)
+    monkeypatch.setattr(pointsets, "rotate", no_rotate)
+    assert fundamental_period(p) == want
+    # of the d(64) - 1 = 6 divisors k >= 2 of the arc count, the largest
+    # four are tried, down to the planted 8
+    assert tried == [Fraction(1, 64), Fraction(1, 32), Fraction(1, 16), Fraction(1, 8)]
+
+
+def touching_patterns(rng: random.Random, count: int):
+    """Patterns whose arcs touch: at a shared endpoint, at 0 and at L
+    with and without the wrap bit, over a rational or irrational L."""
+    for _ in range(count):
+        L = rng.choice([ExactReal.rational(1), SILVER])
+        k = rng.choice([1, 2, 3, 4, 6])
+        # one cell of width 1/k, cut at 0 < c1 < c2 <= 24 on a 1/24 grid:
+        # arcs (0, c1) and (c1, c2), or just (0, c2)
+        c1, c2 = sorted(rng.sample(range(1, 25), 2))
+        cell = [(0, c1), (c1, c2)] if rng.random() < 0.7 else [(0, c2)]
+        offset = Fraction(rng.randint(0, 23), 24 * k) if rng.random() < 0.4 else Fraction(0)
+        arcs = [
+            ((i + Fraction(lo, 24)) / k + offset, (i + Fraction(hi, 24)) / k + offset)
+            for i in range(k)
+            for lo, hi in cell
+        ]
+        arcs = [(s - 1, e - 1) if s >= 1 else (s, e) for s, e in arcs]
+        p = circle_pattern(L, arcs)
+        if p.is_full_line():
+            continue
+        if rng.random() < 0.3:
+            p = perturb_one_endpoint(rng, p)
+        yield p
+
+
+def test_fundamental_period_matches_rotate_scan(monkeypatch):
+    rng = random.Random(4508)
+    patterns = list(seeded_patterns(rng, 150)) + list(touching_patterns(rng, 150))
+    kinds = {"irrational": 0, "wrap": 0, "touch": 0, "first_at_0": 0, "last_at_L": 0, "planted": 0}
+    for p in patterns:
+        want = rotate_scan_period(p)
+        monkeypatch.setattr(pointsets, "rotate", None)  # fundamental_period must not rotate
+        assert fundamental_period(p) == want, p
+        monkeypatch.undo()
+        ivs = p.intervals
+        kinds["irrational"] += len(p.modulus.coords) > 1
+        kinds["wrap"] += p.wrap_point
+        kinds["touch"] += any(b == a for (_, b), (a, _) in zip(ivs, ivs[1:]))
+        kinds["first_at_0"] += not p.wrap_point and ivs[0][0].is_zero()
+        kinds["last_at_L"] += not p.wrap_point and ivs[-1][1] == p.modulus
+        kinds["planted"] += want != p.modulus
+    assert all(v >= 20 for v in kinds.values()), kinds
+
+
+def count_signs(monkeypatch) -> list:
+    calls = [0]
+    real = ExactReal.sign
+
+    def counting(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(ExactReal, "sign", counting)
+    return calls
+
+
+# endpoints this close share their 64-bit enclosures
+TINY = ExactReal.sqrt(2).scale(Fraction(1, 2**81))
+
+
+def test_validation_falls_back_to_exact_signs(monkeypatch):
+    L = SILVER
+    a, b, c = SILVER.scale(Fraction(1, 5)), ExactReal.sqrt(2), SILVER.scale(Fraction(4, 5))
+    ok = [
+        [(a, b), (b, c)],
+        [(a, b), (b + TINY, c)],
+        [(a, b), (b, b + TINY)],
+        [(a, L - TINY)],
+        [(a, L)],
+    ]
+    bad = [
+        ([(a, b), (b - TINY, c)], "sorted and disjoint"),
+        ([(a, b), (b, b)], "bad interval"),
+        ([(a, b), (b, b - TINY)], "bad interval"),
+        ([(a, L + TINY)], "bad interval"),
+        ([(-TINY, a)], "bad interval"),
+    ]
+    for ivs in ok:
+        calls = count_signs(monkeypatch)
+        IntervalPattern(L, ivs)
+        monkeypatch.undo()
+        assert calls[0] >= 2, ivs  # the modulus's sign, and at least one fallback
+    for ivs, message in bad:
+        with pytest.raises(ValueError, match=message):
+            IntervalPattern(L, ivs)
+
+
+def test_rotate_falls_back_to_exact_signs(monkeypatch):
+    L = SILVER
+    a, b = ExactReal.sqrt(2).scale(Fraction(1, 3)), ExactReal.sqrt(2)
+    p = IntervalPattern(L, [(a, b)])
+    zero = ExactReal.rational(0)
+    cases = [
+        (L - b, [(a + L - b, L)], False),
+        (L - b + TINY, [(zero, TINY), (a + L - b + TINY, L)], True),
+        (L - b - TINY, [(a + L - b - TINY, L - TINY)], False),
+        (L - a, [(zero, b - a)], False),
+        (L - a + TINY, [(TINY, b - a + TINY)], False),
+        (L - a - TINY, [(zero, b - a - TINY), (L - TINY, L)], True),
+    ]
+    for t, ivs, wrap in cases:
+        calls = count_signs(monkeypatch)
+        got = rotate(p, t)
+        monkeypatch.undo()
+        assert got == IntervalPattern(L, ivs, wrap), t
+        assert calls[0] >= 1, t
+        assert rotate(got, -t) == p
+    # a step over three roots takes a rational endpoint e within 2^-68
+    # above L: the shifted enclosure must take both ends of the step's
+    c, e = ExactReal.rational(Fraction(1, 122)), ExactReal.rational(Fraction(1, 61))
+    q = IntervalPattern(L, [(c, e)])
+    for k in range(1, 9):
+        d = ExactReal.sqrt(3).scale(Fraction(k, 2**68)) - ExactReal.sqrt(6).scale(Fraction(k, 2**69))
+        t = L - e + d
+        assert rotate(q, t) == IntervalPattern(L, [(zero, d), (c + t, L)], True), k
+
+
+def test_symdiff_falls_back_to_exact_signs(monkeypatch):
+    L = SILVER
+    a, b, c = SILVER.scale(Fraction(1, 5)), ExactReal.sqrt(2), SILVER.scale(Fraction(4, 5))
+    p = IntervalPattern(L, [(a, b), (b, c)])
+    cases = [
+        ([(a, b), (b, c)], ExactReal.rational(0)),
+        ([(a, b + TINY), (b + TINY.scale(2), c)], TINY),
+        ([(a, b - TINY)], c - b + TINY),
+        ([(a - TINY, b), (b + TINY, c + TINY)], TINY.scale(3)),
+    ]
+    for ivs, want in cases:
+        q = IntervalPattern(L, ivs)
+        calls = count_signs(monkeypatch)
+        got = symdiff_measure(p, q), symdiff_measure(q, p)
+        monkeypatch.undo()
+        assert got == (want, want), ivs
+        assert got[0] == pairwise_overlap_symdiff(p, q)
+        assert calls[0] >= 2, ivs
 
 
 def test_symdiff_makes_linearly_many_sign_tests(monkeypatch):

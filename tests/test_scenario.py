@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -532,16 +534,28 @@ def test_cli_report_past_the_int_string_limit(tmp_path, capsys):
         assert "640 digits" in captured.err
         assert cli.main(["selfcheck", "--scenario-dir", str(tmp_path)]) == 1
         assert "fail  scenario   deep  (Exceeds the limit (640 digits)" in capsys.readouterr().out
-        # under the default limit, depth 12000 reaches it
-        sys.set_int_max_str_digits(4300)
-        scn.write_text('scenario "x";\nanalyze cfrac sqrt(2) depth 12000;\n')
-        assert cli.main(["run", str(scn)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {scn}: cannot render the report: ")
-        assert "4300 digits" in captured.err
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def test_cfrac_past_the_digit_limit_is_a_typed_analysis_error(tmp_path):
+    # the library's own MAX_DIGITS stops the expansion, whatever the
+    # interpreter's integer string limit is
+    scn = tmp_path / "deep.scn"
+    scn.write_text('scenario "x";\nanalyze cfrac sqrt(2) depth 12000;\n')
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for limit in (None, "0"):
+        run_env = env if limit is None else {**env, "PYTHONINTMAXSTRDIGITS": limit}
+        done = subprocess.run(
+            [sys.executable, "-m", "periodalg", "run", str(scn)],
+            env=run_env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (3, ""), limit
+        assert done.stderr == (
+            "error: analysis #1 (cfrac): convergent 11235 exceeds the limit of 4300 digits\n"
+        ), limit
 
 
 def test_cli_json_output_is_byte_stable(tmp_path, capsys):
