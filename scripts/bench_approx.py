@@ -1,4 +1,4 @@
-"""Scaled timings of floor division, continued_fraction, dirichlet_find, kronecker_find and orbit_discrepancy.
+"""Scaled timings of floor division, order comparison, continued_fraction, dirichlet_find, kronecker_find and orbit_discrepancy.
 
 Run from the root of a checkout (stdlib only):
 
@@ -7,6 +7,7 @@ Run from the root of a checkout (stdlib only):
     PYTHONPATH=src python3 scripts/bench_approx.py kronecker 5 6 10 30
     PYTHONPATH=src python3 scripts/bench_approx.py discrepancy 10000 100000 1000000
     PYTHONPATH=src python3 scripts/bench_approx.py floor 1000 10000
+    PYTHONPATH=src python3 scripts/bench_approx.py compare 1000 10000
 
 `cfrac DEPTH...` expands sqrt(2) + sqrt(3) + sqrt(5) and that value
 plus sqrt(7) to each depth.  `dirichlet EXP...` runs dirichlet_find
@@ -24,15 +25,18 @@ x // y on N seeded pairs of each shape: random ratios over 1-3
 radicands, rational ratios, divisors within 2^-62 of 0 (whose 64-bit
 enclosure may hold 0), `(2*target + u) // (2*u)` for the residuals
 u = q*T2 - p*T1 of the convergents of T2/T1, and near-rationals
-c + sqrt(d)/2^k over 1 with k up to 400.
+c + sqrt(d)/2^k over 1 with k up to 400.  `compare N...` times x < y
+on the same pairs, each repeat on fresh copies that keep no comparison
+box yet.
 It prints one JSON line per case with the fastest of --repeat
 wall-clock timings and checks each result: the first quotients against
 a Fraction expansion of a 64-digit decimal enclosure, each Dirichlet
 witness by the exact signs of eps - r and eps + r for its residual r
 = m*T1 + n*T2 - target, q <= q0 for
 Kronecker (the library re-verifies its witness exactly), the
-discrepancy bound against the textbook formula in floats, and each
-floor k by the exact signs of x - k*y and x - (k+1)*y.
+discrepancy bound against the textbook formula in floats, each
+floor k by the exact signs of x - k*y and x - (k+1)*y, and each x < y
+by the sign of x - y.
 """
 
 from __future__ import annotations
@@ -195,15 +199,37 @@ def bench_floor(sizes, repeat: int) -> None:
             print(json.dumps({"kind": "floor", "shape": shape, "cases": n, "seconds": t}))
 
 
+def fresh(x: ExactReal) -> ExactReal:
+    """A copy of x that keeps no comparison box yet."""
+    return ExactReal._of(dict(x.coords))
+
+
+def bench_compare(sizes, repeat: int) -> None:
+    for n in sizes:
+        for shape in ("random", "rational", "straddle", "dirichlet", "near_rational"):
+            pairs = floor_pairs(random.Random(f"floor:{shape}:{n}"), shape, n)
+            best = float("inf")
+            for _ in range(repeat):
+                copies = [(fresh(x), fresh(y)) for x, y in pairs]
+                t0 = time.perf_counter()
+                got = [x < y for x, y in copies]
+                best = min(best, time.perf_counter() - t0)
+            for (x, y), less in zip(pairs, got):
+                assert less == ((x - y).sign() < 0), (x, y, less)
+            print(json.dumps({"kind": "compare", "shape": shape, "cases": n, "seconds": best}))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("what", choices=("cfrac", "dirichlet", "kronecker", "discrepancy", "floor"))
+    ap.add_argument(
+        "what", choices=("cfrac", "dirichlet", "kronecker", "discrepancy", "floor", "compare")
+    )
     ap.add_argument(
         "sizes",
         type=int,
         nargs="+",
         help="cfrac depths, Dirichlet or Kronecker eps/bound exponents, "
-        "discrepancy point counts, or floor pairs per shape",
+        "discrepancy point counts, or floor or compare pairs per shape",
     )
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
@@ -215,6 +241,8 @@ def main() -> None:
         bench_kronecker(args.sizes, args.repeat)
     elif args.what == "floor":
         bench_floor(args.sizes, args.repeat)
+    elif args.what == "compare":
+        bench_compare(args.sizes, args.repeat)
     else:
         bench_discrepancy(args.sizes, args.repeat)
 

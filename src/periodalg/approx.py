@@ -12,13 +12,13 @@ Euclid-style recursion instead of a scan over q.  Both decide from
 rigorous integer enclosures taken once, never floats, and take exact
 sign tests only where the enclosures cannot decide: `dirichlet_find`
 bounds each residual q*T2 - p*T1 from the enclosures of T1, T2 and
-eps.  Both verify their witnesses by exact sign tests before
+eps.  Both verify their witnesses by exact comparisons before
 returning.  Neither has an iteration or precision cap: every
 refinement loop ends because enclosure widths halve per bit while the
 quantity they must separate is a fixed distance away, or, for a
 residual equal to eps, because the exact test takes over once the
-bound is narrow.  A convergent or witness integer of more than
-MAX_DIGITS decimal digits raises SizeLimit.
+bound is narrow.  A convergent, witness integer or discrepancy bound
+with more than MAX_DIGITS decimal digits raises SizeLimit.
 
 `orbit_discrepancy` measures how evenly the rotation orbit {i*alpha}
 fills the unit interval, returning a rigorous rational upper bound on
@@ -41,7 +41,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .errors import CommensurableInput, DivisionByZero, EmptyInput, NotFound, SizeLimit
-from .exactreal import INITIAL_PRECISION, MAX_DIGITS, ExactReal, commensurable, quotients
+from .exactreal import INITIAL_PRECISION, MAX_DIGITS, ExactReal, _too_long, commensurable, quotients
 
 SCREEN_PRECISION = 192
 _ONE = ExactReal.rational(1)
@@ -75,15 +75,6 @@ def _convergents(x: ExactReal, y: ExactReal = _ONE) -> Iterator[tuple[int, int, 
         yield a, p, q
 
 
-def _too_long(n: int) -> bool:
-    """|n| has more than MAX_DIGITS decimal digits.
-
-    |n| < 2^b <= 10^MAX_DIGITS for a bit length b of at most
-    MAX_DIGITS*log2(10), so only a longer n is compared with the power.
-    """
-    return n.bit_length() > MAX_DIGITS * 3321928 // 10**6 and abs(n) >= 10**MAX_DIGITS
-
-
 def continued_fraction(x: ExactReal, depth: int) -> ContinuedFraction:
     """First `depth` quotients of x, each certain (see `quotients`).
 
@@ -94,7 +85,7 @@ def continued_fraction(x: ExactReal, depth: int) -> ContinuedFraction:
         raise ValueError("depth must be at least 1")
     steps = []
     for a, p, q in islice(_convergents(x), depth):
-        if _too_long(p) or _too_long(q):
+        if _too_long(p, q):
             raise SizeLimit(
                 f"convergent {len(steps) + 1} exceeds the limit of {MAX_DIGITS} digits"
             )
@@ -107,11 +98,6 @@ def continued_fraction(x: ExactReal, depth: int) -> ContinuedFraction:
         # the stream ends exactly when a convergent equals x
         terminated=x.is_rational() and x.as_rational() == Fraction(*convergents[-1]),
     )
-
-
-def _abs_less(u: ExactReal, bound: ExactReal) -> bool:
-    """|u| < bound by two exact sign tests."""
-    return (bound - u).sign() > 0 and (bound + u).sign() > 0
 
 
 def dirichlet_find(
@@ -136,14 +122,14 @@ def dirichlet_find(
     q*t2_hi less the extreme ends of p*[t1_lo, t1_hi].  A bound clear
     of eps's enclosure decides.  One that straddles it doubles prec for
     this and every later convergent while it is at least a quarter of
-    eps wide; a narrower one calls the two exact sign tests, so
+    eps wide; a narrower one compares -eps < u < eps exactly, so
     |u| == eps is decided too.  u is built as an ExactReal only for
-    those tests and at the witness, which is re-checked by exact sign
-    tests; a failed re-check is an internal error, not a reason to
+    that comparison and at the witness, which is re-checked the same
+    way; a failed re-check is an internal error, not a reason to
     search.  A witness coefficient of more than MAX_DIGITS digits raises
     SizeLimit.
     """
-    if eps.sign() <= 0:
+    if eps <= 0:
         raise ValueError("eps must be positive")
     if commensurable(T1, T2) is not None:
         raise CommensurableInput(
@@ -165,14 +151,14 @@ def dirichlet_find(
                 break
             if abs_hi < e_lo or 4 * (abs_hi - abs_lo + e_hi - e_lo) < e_lo:
                 u = T2.scale(q) - T1.scale(p)
-                if abs_hi < e_lo or _abs_less(u, eps):
+                if abs_hi < e_lo or -eps < u < eps:
                     k = (target.scale(2) + u) // u.scale(2)
                     m, n = -k * p, k * q
-                    if _too_long(m) or _too_long(n):
+                    if _too_long(m, n):
                         raise SizeLimit(
                             f"witness coefficient exceeds the limit of {MAX_DIGITS} digits"
                         )
-                    if not _abs_less(T1.scale(m) + T2.scale(n) - target, eps):
+                    if not -eps < T1.scale(m) + T2.scale(n) - target < eps:
                         raise AssertionError(f"witness ({m}, {n}) failed its exact re-check")
                     return m, n
                 break
@@ -238,8 +224,9 @@ def kronecker_find(
     SCREEN_PRECISION and doubles until every T_i has a certain sign and
     the slack is at most e_hi.  When the window covers a whole period
     of M every q is a candidate, and the search steps q one at a time.
+    A witness p_i of more than MAX_DIGITS digits raises SizeLimit.
     """
-    if eps.sign() <= 0:
+    if eps <= 0:
         raise ValueError("eps must be positive")
     if not Ts:
         raise EmptyInput("kronecker_find needs at least one T_i")
@@ -283,7 +270,7 @@ def kronecker_find(
         for t in Ts:
             p = ((qt - delta).scale(2) + t) // t.scale(2)
             u = qt - t.scale(p) - delta
-            if not _abs_less(u, eps):
+            if not -eps < u < eps:
                 return None
             ps.append(p)
         return ps
@@ -295,6 +282,8 @@ def kronecker_find(
             break
         q += x
         if may_hit(q) and (ps := exact_witness(q)) is not None:
+            if _too_long(*ps):
+                raise SizeLimit(f"witness coefficient exceeds the limit of {MAX_DIGITS} digits")
             return q, ps
         q += 1
     return NotFound(bound)
@@ -360,10 +349,13 @@ def orbit_discrepancy(alpha: ExactReal, N: int) -> Fraction:
     of a max-plus monoid, and the maxima are their product along one
     period from 0, taken by Rauzy induction in O(log N) steps
     (`_period_word`).
+
+    A bound whose numerator or denominator has more than MAX_DIGITS
+    digits raises SizeLimit.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    if alpha.sign() <= 0 or (ExactReal.rational(1) - alpha).sign() <= 0:
+    if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
     if alpha.is_rational():
         c, d = alpha.as_rational().as_integer_ratio()
@@ -379,7 +371,7 @@ def orbit_discrepancy(alpha: ExactReal, N: int) -> Fraction:
         for r, m in runs:
             best = max(best, (j + m) * d - N * r, N * r - j * d)
             j += m
-        return Fraction(best, N * d)
+        return _within_digits(Fraction(best, N * d))
     if N == 1:
         return Fraction(1)  # the one point 0
     a, b = _walk_steps(alpha, N)
@@ -405,7 +397,13 @@ def orbit_discrepancy(alpha: ExactReal, N: int) -> Fraction:
     # unit and 0 at the point 0; the period's last step, from b back to
     # 0, samples those start values again
     _, _, m_lo, m_hi = _period_word(lengths, words)
-    return Fraction(max(unit + m_lo, m_hi), N * unit)
+    return _within_digits(Fraction(max(unit + m_lo, m_hi), N * unit))
+
+
+def _within_digits(bound: Fraction) -> Fraction:
+    if _too_long(bound.numerator, bound.denominator):
+        raise SizeLimit(f"discrepancy bound exceeds the limit of {MAX_DIGITS} digits")
+    return bound
 
 
 def _mul(x: tuple, y: tuple) -> tuple:

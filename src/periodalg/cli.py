@@ -86,7 +86,7 @@ def _cmd_run(args) -> int:
         except PeriodalgError as exc:
             print(f"error: bad --eps: {exc}", file=sys.stderr)
             return 2
-        if eps.sign() <= 0:
+        if eps <= 0:
             print("error: --eps must be positive", file=sys.stderr)
             return 2
         options.eps = eps

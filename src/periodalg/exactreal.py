@@ -7,7 +7,10 @@ zero, which makes equality, sign, floor, and commensurability decidable
 with no floating point anywhere in a decision path.  Nonzero signs are
 determined by adaptive dyadic interval refinement with an exact zero
 short-circuit, and floors and partial quotients by one Euclid on the
-ends of dyadic enclosures (`quotients`).
+ends of dyadic enclosures (`quotients`).  Order comparisons are
+filtered: each value keeps its 64-bit enclosure (its box) once first
+needed, disjoint boxes decide, and only overlapping ones take the
+exact sign test.  `sign()` starts from the box.
 """
 
 from __future__ import annotations
@@ -27,6 +30,13 @@ MAX_RADICAND = 10**18
 # the most decimal digits a result integer may have: the library's own
 # limit, where the interpreter's integer string limit is a setting
 MAX_DIGITS = 4300
+MAX_BITS = MAX_DIGITS * 3321928 // 10**6  # 2^MAX_BITS < 10^MAX_DIGITS < 2^(MAX_BITS+1)
+
+
+def _too_long(*ns: int) -> bool:
+    """Some |n| has more than MAX_DIGITS decimal digits; only one of more
+    than MAX_BITS bits is compared with the power."""
+    return any(n.bit_length() > MAX_BITS and abs(n) >= 10**MAX_DIGITS for n in ns)
 
 
 def _squarefree_part(n: int) -> int:
@@ -125,10 +135,11 @@ class ExactReal:
     `coords` maps squarefree radicand -> nonzero rational coefficient;
     absent keys mean 0.  The represented value is
     sum(coords[d] * sqrt(d)).  The basis passed to `ExactReal(basis,
-    coords)` is only checked: every radicand must be in it.
+    coords)` is only checked: every radicand must be in it.  `_box`
+    keeps the 64-bit enclosure once `_boxed` computes it.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_box")
 
     def __init__(self, basis: RadicalBasis, coords: Mapping[int, RationalLike]):
         clean: dict[int, Fraction] = {}
@@ -139,6 +150,7 @@ class ExactReal:
             if f != 0:
                 clean[int(d)] = f
         self.coords: dict[int, Fraction] = clean
+        self._box: tuple[int, int] | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -148,6 +160,7 @@ class ExactReal:
         values are nonzero Fractions; nothing is checked or copied."""
         self = object.__new__(cls)
         self.coords = coords
+        self._box = None
         return self
 
     @classmethod
@@ -266,24 +279,39 @@ class ExactReal:
         """-1, 0, or +1; exact.
 
         Zero is decided structurally (all coordinates zero).  Otherwise a
-        dyadic enclosure is refined, doubling precision from 64 bits,
-        until it excludes zero.  This terminates with no cap: a nonzero
-        value is a fixed distance from zero, and the enclosure width
-        halves with every extra bit.
+        dyadic enclosure is refined, doubling precision from the 64-bit
+        box, until it excludes zero.  This terminates with no cap: a
+        nonzero value is a fixed distance from zero, and the enclosure
+        width halves with every extra bit.
         """
         if not self.coords:
             return 0
         if self.is_rational():
             c = self.coords[1]
             return -1 if c < 0 else 1
+        lo, hi = self._boxed()
         prec = INITIAL_PRECISION
-        while True:
-            lo, hi = self._enclosure_scaled(prec)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
+        while lo <= 0 <= hi:
             prec *= 2
+            lo, hi = self._enclosure_scaled(prec)
+        return 1 if lo > 0 else -1
+
+    def _boxed(self) -> tuple[int, int]:
+        """(lo, hi) with lo <= value * 2^INITIAL_PRECISION <= hi, kept."""
+        if self._box is None:
+            self._box = self._enclosure_scaled(INITIAL_PRECISION)
+        return self._box
+
+    def _cmp(self, other: "ExactReal") -> int:
+        """Sign of self - other: disjoint boxes decide, and only
+        overlapping ones take the exact sign test."""
+        x_lo, x_hi = self._boxed()
+        y_lo, y_hi = other._boxed()
+        if x_hi < y_lo:
+            return -1
+        if x_lo > y_hi:
+            return 1
+        return (self - other).sign()
 
     def _enclosure_scaled(self, prec: int) -> tuple[int, int]:
         """Integers (lo, hi) with lo <= value * 2^prec <= hi."""
@@ -342,25 +370,25 @@ class ExactReal:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).sign() >= 0
+        return self._cmp(other) >= 0
 
     def __abs__(self) -> "ExactReal":
         return -self if self.sign() < 0 else self

@@ -47,7 +47,7 @@ from .errors import (
     SizeLimit,
     UnknownRadicand,
 )
-from .exactreal import ExactReal, commensurable
+from .exactreal import MAX_BITS, MAX_DIGITS, ExactReal, _too_long, commensurable
 from .lattice import CoeffLattice, intersect, member
 
 ABS1 = "abs1"
@@ -189,10 +189,16 @@ class CanonicalForm:
     def __pow__(self, n: int) -> "CanonicalForm":
         n = int(n)
         if len(self.terms) == 1:
-            # one term: raise it in one step, whatever the size of n
+            # one term: raise it in one step, whatever the size of n.  A
+            # part of c of b bits to the |n| is at least 2^((b-1)*|n|), so
+            # past MAX_BITS it is too long before it is built
             ((m, c),) = self.terms.items()
+            least_bits = (max(c.numerator.bit_length(), c.denominator.bit_length()) - 1) * abs(n)
+            c = None if least_bits > MAX_BITS else c**n
+            if c is None or _too_long(c.numerator, c.denominator):
+                raise SizeLimit(f"power's coefficient exceeds the limit of {MAX_DIGITS} digits")
             m = _monomial((k, d, s, e * n) for k, d, s, e in m)
-            return CanonicalForm(self.domain, {m: c**n})
+            return CanonicalForm(self.domain, {m: c})
         if n < 0:
             if self.is_zero():
                 raise DivisionByZero("division by the zero formula")

@@ -235,7 +235,4 @@ def classify_group(periods: Sequence[ExactReal]) -> Discrete | Dense:
             return Dense()
         ratios.append(r)
     g = reduce(_frac_gcd, ratios)
-    t0 = ref.scale(g)
-    if t0.sign() < 0:
-        t0 = -t0
-    return Discrete(t0)
+    return Discrete(abs(ref.scale(g)))

@@ -10,14 +10,13 @@ the circle R/LZ, the class is closed under rotation, and equal sets
 have equal representations.
 
 Everything here is decided by exact endpoint arithmetic.  Order
-comparisons are filtered: each endpoint is enclosed once at
-INITIAL_PRECISION, two disjoint enclosures decide, and only overlapping
-ones take an exact sign test (`_compare`).  Invariance is equality
-after rotation.  The fundamental period is L/k for the largest divisor
-k of the arc count n under whose rotation each arc j lands on arc
-j + n/k; that is checked by equality alone, with no sign test and no
-rotation.  Symmetric-difference measure is one merge sweep over both
-sorted endpoint lists.
+comparisons are `ExactReal`'s: the 64-bit boxes the endpoints keep
+decide, and only overlapping ones take an exact sign test.  Invariance
+is equality after rotation.  The fundamental period is L/k for the
+largest divisor k of the arc count n under whose rotation each arc j
+lands on arc j + n/k; that is checked by equality alone, with no sign
+test and no rotation.  Symmetric-difference measure is one merge sweep
+over both sorted endpoint lists.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import EmptyPattern, FullLine, ModulusMismatch
-from .exactreal import INITIAL_PRECISION, ExactReal
+from .exactreal import ExactReal
 
 RealLike = Union[ExactReal, int, Fraction]
 
@@ -35,21 +34,6 @@ def _as_real(x: RealLike) -> ExactReal:
     if isinstance(x, ExactReal):
         return x
     return ExactReal.rational(x)
-
-
-def _enclose(x: ExactReal) -> tuple[int, int]:
-    return x._enclosure_scaled(INITIAL_PRECISION)
-
-
-def _compare(x: ExactReal, ex: tuple[int, int], y: ExactReal, ey: tuple[int, int]) -> int:
-    """Sign of x - y, given enclosures ex of x and ey of y at
-    INITIAL_PRECISION: disjoint ones decide, and only overlapping ones
-    take the exact sign test."""
-    if ex[1] < ey[0]:
-        return -1
-    if ex[0] > ey[1]:
-        return 1
-    return (x - y).sign()
 
 
 class IntervalPattern:
@@ -64,24 +48,17 @@ class IntervalPattern:
         wrap_point: bool = False,
     ):
         L = _as_real(modulus)
-        if L.sign() <= 0:
+        if L <= 0:
             raise ValueError("modulus must be positive")
         ivs = [(_as_real(a), _as_real(b)) for a, b in intervals]
         zero = ExactReal.rational(0)
-        e_zero = e_prev = (0, 0)
-        e_L = _enclose(L)
         prev_hi = zero
         for a, b in ivs:
-            e_a, e_b = _enclose(a), _enclose(b)
-            if (
-                _compare(a, e_a, zero, e_zero) < 0
-                or _compare(b, e_b, a, e_a) <= 0
-                or _compare(L, e_L, b, e_b) < 0
-            ):
+            if a < zero or b <= a or L < b:
                 raise ValueError(f"bad interval ({a}, {b}) for modulus {L}")
-            if _compare(a, e_a, prev_hi, e_prev) < 0:
+            if a < prev_hi:
                 raise ValueError("intervals must be sorted and disjoint")
-            prev_hi, e_prev = b, e_b
+            prev_hi = b
         if wrap_point:
             if not ivs or ivs[0][0] != zero or ivs[-1][1] != L:
                 raise ValueError(
@@ -153,9 +130,7 @@ def rotate(pattern: IntervalPattern, alpha: RealLike) -> IntervalPattern:
     seam point is covered exactly when an interval is split at L, and
     the image of the old seam point, when covered, joins the last
     wrapped piece to the first unwrapped one.  Measure is preserved
-    exactly.  The wrap tests compare the sum of an endpoint's and the
-    step's enclosures with L's, and take an exact sign test only where
-    they overlap.
+    exactly.
     """
     alpha = _as_real(alpha)
     L = pattern.modulus
@@ -165,21 +140,14 @@ def rotate(pattern: IntervalPattern, alpha: RealLike) -> IntervalPattern:
     if not pattern.intervals:
         return pattern
     zero = ExactReal.rational(0)
-    e_L = _enclose(L)
-    s_lo, s_hi = _enclose(step)
-
-    def shifted(x: ExactReal) -> tuple[int, int]:  # encloses x + step
-        lo, hi = _enclose(x)
-        return lo + s_lo, hi + s_hi
-
     wrapped: list[tuple[ExactReal, ExactReal]] = []
     unwrapped: list[tuple[ExactReal, ExactReal]] = []
     split = False
     for a, b in pattern.intervals:
         a2, b2 = a + step, b + step
-        if _compare(b2, shifted(b), L, e_L) <= 0:
+        if b2 <= L:
             unwrapped.append((a2, b2))
-        elif _compare(a2, shifted(a), L, e_L) >= 0:
+        elif a2 >= L:
             wrapped.append((a2 - L, b2 - L))
         else:
             # the one interval over the new seam: every interval before
@@ -240,22 +208,20 @@ def fundamental_period(pattern: IntervalPattern) -> ExactReal:
 def symdiff_measure(p: IntervalPattern, q: IntervalPattern) -> ExactReal:
     """Exact measure per period of (P minus Q) union (Q minus P).
 
-    One merge of the two sorted endpoint lists, ordered by `_compare`
-    and taking p's endpoint first on a tie.  Each endpoint toggles its
-    own pattern's membership, and both patterns are outside before the
-    first, so exactly one covers the cells from the (2i)-th merged
-    endpoint to the next: the measure is their alternating sum.  Linear
-    in the number of intervals.  Wrap bits carry no measure and are
-    ignored.
+    One merge of the two sorted endpoint lists, taking p's endpoint
+    first on a tie.  Each endpoint toggles its own pattern's membership,
+    and both patterns are outside before the first, so exactly one
+    covers the cells from the (2i)-th merged endpoint to the next: the
+    measure is their alternating sum.  Linear in the number of
+    intervals.  Wrap bits carry no measure and are ignored.
     """
     if p.modulus != q.modulus:
         raise ModulusMismatch(f"moduli differ: {p.modulus} vs {q.modulus}")
     xs, ys = p.endpoints(), q.endpoints()
-    e_xs, e_ys = [_enclose(x) for x in xs], [_enclose(y) for y in ys]
     merged = []
     i = j = 0
     while i < len(xs) and j < len(ys):
-        if _compare(xs[i], e_xs[i], ys[j], e_ys[j]) <= 0:
+        if xs[i] <= ys[j]:
             merged.append(xs[i])
             i += 1
         else:

@@ -324,15 +324,16 @@ def test_dirichlet_matches_fresh_residual_loop():
         ), (T1, T2, target, eps)
 
 
-def count_abs_less(monkeypatch) -> list:
+def count_cmp(monkeypatch) -> list:
+    """Both sides of every filtered comparison, in call order."""
     calls = []
-    real = approx._abs_less
+    real = ExactReal._cmp
 
-    def counting(u, bound):
-        calls.append(u)
-        return real(u, bound)
+    def counting(self, other):
+        calls.extend((self, other))
+        return real(self, other)
 
-    monkeypatch.setattr(approx, "_abs_less", counting)
+    monkeypatch.setattr(ExactReal, "_cmp", counting)
     return calls
 
 
@@ -352,7 +353,7 @@ def test_dirichlet_straddle_takes_the_exact_test(monkeypatch, gap):
         u5 = T2.scale(q) - T1.scale(p)
         eps = abs(u5) + ExactReal.rational(Fraction(1, 2**gap) if gap else 0)
         want = fresh_residual_dirichlet_find(T1, T2, target, eps)
-        calls = count_abs_less(monkeypatch)
+        calls = count_cmp(monkeypatch)
         got = dirichlet_find(T1, T2, target, eps)
         monkeypatch.undo()
         assert got == want
@@ -362,7 +363,9 @@ def test_dirichlet_straddle_takes_the_exact_test(monkeypatch, gap):
 
 
 def test_dirichlet_decides_from_enclosures(monkeypatch):
-    # one sign test on eps, and two each for the witness's re-check
+    # a sign test only where 64-bit boxes overlap: at eps = 10^-4 none,
+    # and at 10^-40 and 10^-80 one for eps <= 0 (eps's box holds 0) and
+    # one per side of the witness's re-check -eps < r < eps
     one, s2, s3 = ExactReal.rational(1), ExactReal.sqrt(2), ExactReal.sqrt(3)
     real = ExactReal.sign
     calls = [0]
@@ -378,7 +381,7 @@ def test_dirichlet_decides_from_enclosures(monkeypatch):
         monkeypatch.setattr(ExactReal, "sign", counting)
         assert dirichlet_find(one, s2, s3, eps) == want
         monkeypatch.undo()
-        assert calls[0] == 3, digits
+        assert calls[0] == {4: 0, 40: 3, 80: 3}[digits], digits
 
 
 def test_results_past_the_digit_limit_raise():
@@ -850,16 +853,20 @@ def test_discrepancy_makes_no_sign_tests_per_point(monkeypatch):
 
     monkeypatch.setattr(ExactReal, "sign", sign)
     monkeypatch.setattr(ExactReal, "floor", floor)
-    sizes, counts, got = (10**3, 10**5, 10**9), [], []
+    sizes, counts, checks, got = (10**3, 10**5, 10**9), [], [], []
     for alpha in alphas:
         for N in sizes:
+            calls.update(sign=0, floor=0)
+            assert 0 < alpha < 1
+            checks.append({"sign": calls["sign"], "floor": 0})
             calls.update(sign=0, floor=0)
             got.append((alpha, N, orbit_discrepancy(alpha, N)))
             counts.append(dict(calls))
     monkeypatch.undo()
-    # the two input checks; the bound itself makes no sign test and
+    # only the input check 0 < alpha < 1 takes sign tests (where alpha's
+    # box overlaps 0's or 1's); the bound itself makes no sign test and
     # takes no exact floor, near a rational too
-    assert counts == [{"sign": 2, "floor": 0}] * len(got)
+    assert counts == checks
     # floats merge the points of a near-rational orbit: the float check
     # is for the first two
     for alpha, N, bound in got[: 2 * len(sizes)]:

@@ -8,6 +8,7 @@ library never touches floats on these paths.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -366,6 +367,71 @@ def test_comparison_orders_like_mpmath():
     by_exact = sorted(xs)
     by_float = sorted(xs, key=lambda v: mp_value(v))
     assert [mp_value(a) for a in by_exact] == [mp_value(a) for a in by_float]
+
+
+ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def order_pairs(seed: int) -> list[tuple]:
+    """Seeded pairs: values over 1-3 radicands, rationals (also as a
+    Fraction), equal values built two ways, x against -x, and pairs
+    2^-81 apart, whose 64-bit boxes overlap."""
+    rng = random.Random(seed)
+    one, tiny = ExactReal.rational(1), ExactReal.sqrt(2).scale(Fraction(1, 2**81))
+    pairs = []
+    for _ in range(40):
+        basis = RadicalBasis(rng.sample([2, 3, 5, 6, 7], rng.randint(1, 3)))
+        x, y = random_element(rng, basis), random_element(rng, basis)
+        q = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+        pairs += [
+            (x, y),
+            (ExactReal.rational(q), ExactReal.rational(Fraction(rng.randint(-20, 20), 3))),
+            (x, q),
+            ((x + y) - y, x),
+            (x * (y + one), x * y + x),
+            (x, -x),
+            (x, x + tiny),
+            (x - tiny, x),
+        ]
+    return pairs
+
+
+def test_order_agrees_with_the_sign_of_the_difference():
+    for x, y in order_pairs(1209):
+        s = (x - y).sign()
+        for _ in range(2):  # with fresh boxes, then with the kept ones
+            for op in ORDER:
+                assert op(x, y) == op(s, 0), (op, x, y)
+                assert op(y, x) == op(-s, 0), (op, y, x)
+
+
+def test_disjoint_boxes_take_no_sign_test(monkeypatch):
+    calls = [0]
+    real = ExactReal.sign
+
+    def counting(self):
+        calls[0] += 1
+        return real(self)
+
+    decided = tested = 0
+    for x, y in order_pairs(1210):
+        y = y if isinstance(y, ExactReal) else ExactReal.rational(y)
+        (x_lo, x_hi), (y_lo, y_hi) = x.enclosure(64), y.enclosure(64)
+        disjoint = x_hi < y_lo or y_hi < x_lo
+        decided, tested = decided + disjoint, tested + (not disjoint)
+        for op in ORDER:
+            calls[0] = 0
+            monkeypatch.setattr(ExactReal, "sign", counting)
+            op(x, y)
+            monkeypatch.undo()
+            assert calls[0] == (0 if disjoint else 1), (op, x, y)
+    assert decided and tested
+    # sign() starts from the box a comparison kept: no second 64-bit
+    # enclosure when the box excludes 0
+    x = ExactReal.sqrt(2) - ExactReal.rational(1)
+    assert x > 0
+    monkeypatch.setattr(ExactReal, "_enclosure_scaled", lambda self, prec: 1 / 0)
+    assert x.sign() == 1
 
 
 def test_string_round_trips_through_parser():

@@ -23,9 +23,10 @@ from periodalg.errors import (
     NotInDomain,
     ParseError,
     ShiftNotInDomain,
+    SizeLimit,
     UnknownRadicand,
 )
-from periodalg.exactreal import ExactReal, RadicalBasis
+from periodalg.exactreal import MAX_DIGITS, ExactReal, RadicalBasis
 from periodalg.funcalg import (
     composition_check,
     evaluate,
@@ -53,6 +54,20 @@ def full_domain(*radicands: int) -> CoeffLattice:
     k = len(basis)
     eye = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
     return CoeffLattice(eye, basis=basis)
+
+
+def test_power_coefficient_limit_is_exact():
+    # 2^14284 and 3^9012 have 4300 digits, 2^14285 and 3^9013 4301: the
+    # first pair is refused by its bit length before it is built, the
+    # second by the digit count
+    dom = full_domain(1)
+    for c, n in ((2, 14284), (3, 9012), (Fraction(1, 3), 9012), (3, -9012)):
+        f = parse(f"{c}*abs1(one)", dom) ** n
+        (coef,) = f.terms.values()
+        assert coef == Fraction(c) ** n
+    for c, n in ((2, 14285), (3, 9013), (Fraction(1, 3), 9013), (3, -9013), (3, 10**30)):
+        with pytest.raises(SizeLimit, match=f"^power's coefficient exceeds the limit of {MAX_DIGITS} digits$"):
+            parse(f"({c})*abs1(one)", dom) ** n
 
 
 def test_parse_canonical_cancellation():

@@ -456,7 +456,7 @@ def test_validation_falls_back_to_exact_signs(monkeypatch):
         calls = count_signs(monkeypatch)
         IntervalPattern(L, ivs)
         monkeypatch.undo()
-        assert calls[0] >= 2, ivs  # the modulus's sign, and at least one fallback
+        assert calls[0] >= 1, ivs  # at least one fallback; the modulus's box clears 0
     for ivs, message in bad:
         with pytest.raises(ValueError, match=message):
             IntervalPattern(L, ivs)

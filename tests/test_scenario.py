@@ -19,8 +19,9 @@ from periodalg.errors import (
     ScenarioError,
     ScenarioNameError,
     ScenarioSyntaxError,
+    SizeLimit,
 )
-from periodalg.exactreal import MAX_RADICAND, ExactReal
+from periodalg.exactreal import MAX_DIGITS, MAX_RADICAND, ExactReal
 from periodalg.funcalg import parse_real
 from periodalg.scenario import (
     _RESERVED,
@@ -199,6 +200,47 @@ def test_radicand_past_the_cap_is_a_syntax_error_at_its_sqrt():
                 assert str(err.value) == f"line {line}, col {col}: {_RADICAND_CAP}", text
             # the largest radicand allowed still parses
             parse_scenario(f'scenario "x";\nanalyze cfrac sqrt({MAX_RADICAND}) depth 3;\n')
+    finally:
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(old)
+
+
+LIMIT_REPROS = {
+    # (2*x)^20000 has a coefficient of 6,021 digits
+    "power": (
+        'scenario "x";\nbasis B = basis(1);\ndomain D = lattice[(1)] over B;\n'
+        "function f = (2*abs1(one))^20000 on D;\nanalyze period_module f;\n",
+        f"line 4, col 27: power's coefficient exceeds the limit of {MAX_DIGITS} digits",
+    ),
+    # p is about 7*10^4301 at q = 1
+    "kronecker": (
+        f'scenario "x";\nanalyze kronecker 1000 over [(1/1{"0" * 4299})*sqrt(2)] delta 0 eps 1;\n',
+        f"analysis #1 (kronecker): witness coefficient exceeds the limit of {MAX_DIGITS} digits",
+    ),
+    # points within 10^-4000 of the thirds need a denominator of 6,320 digits
+    "discrepancy": (
+        f'scenario "x";\nanalyze discrepancy 1/3 + (1/1{"0" * 4000})*sqrt(2) n 300;\n',
+        f"analysis #1 (discrepancy): discrepancy bound exceeds the limit of {MAX_DIGITS} digits",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIMIT_REPROS))
+def test_results_past_the_digit_limit_are_typed_errors(case):
+    # the same SizeLimit with the interpreter's integer string limit and
+    # with none: a syntax error at the `^`, or the analysis's error
+    text, message = LIMIT_REPROS[case]
+    limits = (4300, 0) if hasattr(sys, "set_int_max_str_digits") else (0,)
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        for limit in limits:
+            if limits != (0,):
+                sys.set_int_max_str_digits(limit)
+            with pytest.raises((ScenarioSyntaxError, AnalysisError)) as err:
+                run_scenario(parse_scenario(text))
+            assert str(err.value) == message, limit
+            if case != "power":
+                assert isinstance(err.value.cause, SizeLimit)
     finally:
         if hasattr(sys, "set_int_max_str_digits"):
             sys.set_int_max_str_digits(old)
