@@ -14,11 +14,12 @@ no scenario holds (an unbound name, a bad character, zero, brackets).
 Everything before the offset is left as it was, so an error's line and
 column keep their meaning.  Each mutant is parsed and run with
 `RunOptions()` under a 2 s alarm, and one JSON line is printed: the
-report, or the error as `[type, message, line, col]` (`line` and `col`
-are null for errors without a position), or `"timeout"`.  The mutants
-depend only on the seed and the scenario texts, not on the library, so
-two checkouts can be compared by running this script under each one's
-`src` and diffing the outputs:
+report, or the error as `[type, message, line, col, cause]`, or
+`"timeout"`.  `line` and `col` are null for errors without a position;
+`cause` is the type of the exception an `AnalysisError` wraps, and null
+for other errors.  The mutants depend only on the seed and the scenario
+texts, not on the library, so two checkouts can be compared by running
+this script under each one's `src` and diffing the outputs:
 
     PYTHONPATH=src python3 scripts/scenario_fuzz.py > new.jsonl
     PYTHONPATH=../parent/src python3 scripts/scenario_fuzz.py > old.jsonl
@@ -91,7 +92,9 @@ def outcome(name: str, text: str):
         return {"error": "timeout"}
     except Exception as exc:
         where = [getattr(exc, "line", None), getattr(exc, "col", None)]
-        return {"error": [type(exc).__name__, str(exc), *where]}
+        cause = getattr(exc, "cause", None)
+        cause = None if cause is None else type(cause).__name__
+        return {"error": [type(exc).__name__, str(exc), *where, cause]}
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
 

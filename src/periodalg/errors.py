@@ -24,7 +24,13 @@ class NotFound:
 
 
 class PeriodalgError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    `pos`, when a parser raised the error, is the 0-based offset of the
+    token at fault.
+    """
+
+    pos: int | None = None
 
 
 class DivisionByZero(PeriodalgError, ZeroDivisionError):
@@ -40,10 +46,7 @@ class EmptyInput(PeriodalgError):
 
 
 class ParseError(PeriodalgError):
-    """Malformed expression text.
-
-    `pos` is the 0-based character offset of the offending token.
-    """
+    """Malformed expression text, at the offending token's `pos`."""
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
@@ -60,12 +63,7 @@ class UnknownRadicand(PeriodalgError):
 
     A formula atom's radicand must be in its domain's basis, and a
     lattice's radicands in the basis `CoeffLattice.embed` targets.
-
-    `pos`, when the parser raised it, is the 0-based offset of the
-    atom's opening parenthesis.
     """
-
-    pos: int | None = None
 
 
 class ShiftNotInDomain(PeriodalgError):
@@ -94,10 +92,7 @@ class EmptyPattern(PeriodalgError):
 
 class SizeLimit(PeriodalgError):
     """An input past one of the library's own size limits, named in the
-    message and checked before the work it would take.  `pos`, when the
-    parser raised it, is the 0-based offset of the literal."""
-
-    pos: int | None = None
+    message and checked before the work it would take."""
 
 
 class CommensurableInput(PeriodalgError):

@@ -191,13 +191,17 @@ class CanonicalForm:
         if len(self.terms) == 1:
             # one term: raise it in one step, whatever the size of n.  A
             # part of c of b bits to the |n| is at least 2^((b-1)*|n|), so
-            # past MAX_BITS it is too long before it is built
+            # past MAX_BITS it is too long before it is built.  An abs1
+            # exponent e*n is bounded like c; a sgn one is taken mod 2
             ((m, c),) = self.terms.items()
             least_bits = (max(c.numerator.bit_length(), c.denominator.bit_length()) - 1) * abs(n)
             c = None if least_bits > MAX_BITS else c**n
             if c is None or _too_long(c.numerator, c.denominator):
                 raise SizeLimit(f"power's coefficient exceeds the limit of {MAX_DIGITS} digits")
-            m = _monomial((k, d, s, e * n) for k, d, s, e in m)
+            atoms = [(k, d, s, e * n) for k, d, s, e in m]
+            if _too_long(*(e for k, _, _, e in atoms if k == ABS1)):
+                raise SizeLimit(f"power's exponent exceeds the limit of {MAX_DIGITS} digits")
+            m = _monomial(atoms)
             return CanonicalForm(self.domain, {m: c})
         if n < 0:
             if self.is_zero():
@@ -326,11 +330,13 @@ class _Parser:
     caller's name -> CanonicalForm mapping.  A formula is read with no
     domain: `refs` collects the domains of the functions it names,
     `atoms` its (radicand, offset of '(') pairs, and `bind` places it.
-    Errors carry the offset of the token at fault.  A value that fails
-    (a division by zero, a non-monomial divisor, an atom outside the
-    domain basis) is kept in `value_error` at its offset while parsing
-    goes on, so a syntax error anywhere in the text is reported first;
-    `done` raises the earliest kept error once the whole text has parsed.
+    Errors carry the offset of the token at fault.  A syntax error is
+    raised at once.  A value that fails (a division by zero, a
+    non-monomial divisor, a power or radicand past its limit, an atom
+    outside the domain basis) is kept in `value_error` at its token while
+    parsing goes on, and nothing is computed after it, so a syntax error
+    anywhere in the text is reported first; `done` raises the earliest
+    kept error once the whole text has parsed.
     """
 
     def __init__(self, text: str, functions: Mapping[str, CanonicalForm]):
@@ -395,13 +401,15 @@ class _Parser:
             exc.pos = pos
             self.value_error = exc
 
-    def combine(self, pos: int, op, v, rhs):
-        """op(v, rhs), or v with the failure kept at the operator's pos."""
-        try:
-            return op(v, rhs)
-        except PeriodalgError as exc:
-            self.keep(exc, pos)
-            return v
+    def combine(self, pos: int, op, v, *args):
+        """op(v, *args), or v with the failure kept at `pos`; once a value
+        has failed, op is not called."""
+        if self.value_error is None:
+            try:
+                return op(v, *args)
+            except (PeriodalgError, ValueError) as exc:
+                self.keep(exc, pos)
+        return v
 
     def real_expr(self) -> ExactReal:
         self.refs = None
@@ -480,12 +488,8 @@ class _Parser:
                 self.i += 1
                 d = self.sqrt_arg()
                 if d <= 0:
-                    raise ParseError("sqrt needs a positive integer", pos)
-                try:
-                    return ExactReal.sqrt(d)
-                except SizeLimit as exc:
-                    exc.pos = pos
-                    raise
+                    self.keep(ParseError("sqrt needs a positive integer", pos), pos)
+                return self.combine(pos, ExactReal.sqrt, d)
             raise ParseError("expected a number or sqrt(...)", pos)
         if kind == "name":
             self.i += 1
@@ -640,23 +644,33 @@ def period_module(f: CanonicalForm) -> PeriodModule:
 
 
 def _compile(f: CanonicalForm):
-    """Closure evaluating f at an integer vector as an unreduced (num, den)."""
+    """Closure evaluating f at an integer vector as an unreduced (num, den).
+
+    A power b^e with (b.bit_length() - 1) * |e| > MAX_BITS, the rule of
+    `CanonicalForm.__pow__`, raises SizeLimit before it is built: each
+    abs1 atom keeps the least such b, 2^(MAX_BITS // |e| + 1).
+    """
     index = f.domain.basis.index
     spec = []
     for m, c in f.terms.items():
-        atoms = tuple((kind == SGN, index(d), t, e) for kind, d, t, e in m)
+        atoms = tuple(
+            (kind == SGN, index(d), t, e, 1 << (MAX_BITS // abs(e) + 1))
+            for kind, d, t, e in m
+        )
         spec.append((c.numerator, c.denominator, atoms))
 
     def ev(x) -> tuple[int, int]:
         tn, td = 0, 1
         for cn, cd, atoms in spec:
             n, d = cn, cd
-            for is_sgn, i, sh, e in atoms:
+            for is_sgn, i, sh, e, too_big in atoms:
                 if is_sgn:
                     if x[i] & 1:
                         n = -n
                 else:
                     b = abs(x[i] + sh) + 1
+                    if b >= too_big:
+                        raise SizeLimit(f"power's value exceeds the limit of {MAX_DIGITS} digits")
                     if e >= 0:
                         n *= b**e
                     else:

@@ -31,11 +31,9 @@ from .errors import (
     AnalysisError,
     NotFound,
     ParseError,
-    PeriodalgError,
     ScenarioError,
     ScenarioNameError,
     ScenarioSyntaxError,
-    SizeLimit,
 )
 from .exactreal import ExactReal, RadicalBasis
 from .funcalg import CanonicalForm
@@ -70,15 +68,12 @@ class _ScenarioParser(funcalg._Parser):
 
     A `function` statement reads its formula, then its optional `on D`,
     and `bind` puts the formula on the meet of D and the domains it
-    names.  Every syntax error is raised as a ParseError at a token
-    offset, and so is a value that fails while a statement is read (a
-    division by zero, a non-monomial divisor, an atom outside the
-    domain basis, a formula with no domain): at the offset the grammar
-    attached to the error, else at the statement keyword.  As in
-    funcalg, a failed value is reported only once its statement has
-    parsed up to the closing ';', and before any error that statement's
-    checks raise afterwards.  parse_scenario turns the offset into a
-    line and column; a ScenarioNameError carries the name's.
+    names.  A value that fails while a statement is read, including a
+    basis radicand, a lattice's width and a pattern's intervals, is
+    kept at its token as in funcalg and raised as a ParseError once
+    the statement has parsed up to its ';'.  parse_scenario turns the
+    offset into a line and column; a ScenarioNameError carries the
+    name's.
     """
 
     def __init__(self, text: str, default_name: str):
@@ -146,19 +141,12 @@ class _ScenarioParser(funcalg._Parser):
             try:
                 getattr(self, f"stmt_{word}")()
                 self.expect_op(";")
-            except ParseError:
-                raise
-            except ScenarioError:
+            except ScenarioNameError:
                 if self.value_error is None:
                     raise
-            except PeriodalgError as exc:
-                self.value_error = self.value_error or exc
-            if self.value_error is not None:
-                exc = self.value_error
-                pos = getattr(exc, "pos", None)
-                if pos is None:
-                    pos = tok[2]
-                raise ParseError(getattr(exc, "message", str(exc)), pos) from None
+            exc = self.value_error
+            if exc is not None:
+                raise ParseError(getattr(exc, "message", str(exc)), exc.pos) from None
             first = False
         return self.sc
 
@@ -172,25 +160,22 @@ class _ScenarioParser(funcalg._Parser):
     def parse_basis_literal(self) -> RadicalBasis:
         self.expect_keyword("basis")
         self.expect_op("(")
-        rads = []  # (radicand, its token)
+        rads = []
         while True:
             tok = self.peek()
             if tok[:2] == ("num", 1):
                 self.i += 1
-                rads.append((1, tok))
+                d = 1
             elif self.accept_keyword("sqrt"):
-                rads.append((self.sqrt_arg(), tok))
+                d = self.sqrt_arg()
             else:
                 self.fail("expected 1 or sqrt(<int>)")
+            self.combine(tok[2], RadicalBasis, [d])  # each radicand where it was read
+            rads.append(d)
             if not self.accept_op(","):
                 break
         self.expect_op(")")
-        for d, tok in rads:  # the first bad radicand, where it was read
-            try:
-                RadicalBasis([d])
-            except (ValueError, SizeLimit) as exc:
-                self.fail(str(exc), tok)
-        return RadicalBasis(d for d, _ in rads)
+        return self.combine(tok[2], RadicalBasis, rads)  # built only if every radicand passed
 
     def stmt_basis(self):
         name = self.fresh_name()
@@ -198,6 +183,7 @@ class _ScenarioParser(funcalg._Parser):
         self.sc.bases[name] = self.parse_basis_literal()
 
     def stmt_domain(self):
+        pos = self.toks[self.i - 1][2]  # the 'domain' keyword
         name = self.fresh_name()
         self.expect_op("=")
         self.expect_keyword("lattice")
@@ -219,7 +205,7 @@ class _ScenarioParser(funcalg._Parser):
             basis = self.parse_basis_literal()
         else:
             _, basis = self.lookup(self.sc.bases, "basis")
-        self.sc.domains[name] = CoeffLattice(vectors, basis)
+        self.sc.domains[name] = self.combine(pos, CoeffLattice, vectors, basis)
 
     def stmt_function(self):
         name = self.fresh_name()
@@ -247,12 +233,8 @@ class _ScenarioParser(funcalg._Parser):
             if not self.accept_keyword("u"):
                 break
         wrap = self.accept_keyword("wrap")
-        tok = self.peek()
-        try:
-            self.sc.patterns[name] = IntervalPattern(modulus, intervals, wrap_point=wrap)
-        except ValueError as exc:
-            if self.value_error is None:  # else a failed value explains it
-                self.fail(str(exc), tok)
+        pos = self.toks[self.i][2]
+        self.sc.patterns[name] = self.combine(pos, IntervalPattern, modulus, intervals, wrap)
 
     def read(self, reader: str):
         """One analysis argument, by its reader in the analysis table."""

@@ -127,10 +127,16 @@ def test_parse_errors():
         parse("1 / (abs1(one) + abs1(sqrt(2)))", dom)
     with pytest.raises(DivisionByZero):
         parse("abs1(one) / (abs1(sqrt(2)) - abs1(sqrt(2)))", dom)
-    # a value that fails to combine yields to any later syntax error
+    # nothing is computed after a failed value, so the outer '/' never
+    # divides by the inner one's placeholder
+    with pytest.raises(DivisionByZero) as err:
+        parse_real("1/(0/0)")
+    assert err.value.pos == 4
+    # a value that fails yields to any later syntax error
     for text, pos in (
         ("1 + $", 4), ("2 + sqrt(0)", 4), ("1 + 2 3", 6),
         ("1 + 2/0*", 8), ("1/0 +", 5), ("(1/0", 4),
+        ("sqrt(100000000000000000000) + )", 30), ("sqrt(0) + )", 10),
     ):
         with pytest.raises(ParseError) as err:
             parse_real(text)

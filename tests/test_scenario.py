@@ -83,6 +83,12 @@ def test_parse_positions_in_syntax_errors():
         # the formula is read before its `on`, so a syntax error in it
         # is not hidden behind a missing domain
         (head + "function f = abs1(sqrt(5)) + ) on D;\n", 4, 30),
+        # a radicand past the cap or not squarefree, a lattice of the
+        # wrong width and an interval outside its modulus are values too
+        ('scenario "x";\nanalyze cfrac sqrt(100000000000000000000) depth ;\n', 2, 49),
+        ('scenario "x";\npattern P mod 1 = (1/2, 1/4) x\n', 2, 30),
+        ('scenario "x";\nbasis B = basis(1, sqrt(4)) x\n', 2, 29),
+        (head + "domain E = lattice[(1,0),(0,1,1)] over B x\n", 4, 42),
     ):
         with pytest.raises(ScenarioSyntaxError) as err:
             parse_scenario(text)
@@ -112,11 +118,13 @@ PARITY_HEAD = (
 # token accessor of the parser, and the column of `{X}`.  The last entry
 # is what the numeral gives when the interpreter has no integer string
 # limit, so it is a plain integer: None where the statement parses, else
-# (message, column); a radicand past the cap is placed at its sqrt.
+# (message, column); a radicand past the cap is placed at its sqrt, and
+# an exponent past MAX_DIGITS at its '^'.
+_EXPONENT_CAP = f"power's exponent exceeds the limit of {MAX_DIGITS} digits"
 PARITY_CASES = (
     ("analyze cfrac 2*{X};", 17, None),  # factor after '*'
-    ("function f = abs1(one)^{X} on D;", 24, None),  # after '^'
-    ("function f = abs1(one)^-{X} on D;", 25, None),
+    ("function f = abs1(one)^{X} on D;", 24, (_EXPONENT_CAP, 23)),  # after '^'
+    ("function f = abs1(one)^-{X} on D;", 25, (_EXPONENT_CAP, 23)),
     ("function f = 2*abs1(one) {X} abs1(one) on D;", 26, ("expected ';'", 26)),
     ("basis C {X} basis(1);", 9, ("expected '='", 9)),  # expect_op
     ("analyze cfrac sqrt {X};", 20, ("expected '('", 20)),
@@ -205,12 +213,24 @@ def test_radicand_past_the_cap_is_a_syntax_error_at_its_sqrt():
             sys.set_int_max_str_digits(old)
 
 
+_ONE_AXIS = 'scenario "x";\nbasis B = basis(1);\ndomain D = lattice[(1)] over B;\n'
 LIMIT_REPROS = {
     # (2*x)^20000 has a coefficient of 6,021 digits
     "power": (
-        'scenario "x";\nbasis B = basis(1);\ndomain D = lattice[(1)] over B;\n'
-        "function f = (2*abs1(one))^20000 on D;\nanalyze period_module f;\n",
+        _ONE_AXIS + "function f = (2*abs1(one))^20000 on D;\nanalyze period_module f;\n",
         f"line 4, col 27: power's coefficient exceeds the limit of {MAX_DIGITS} digits",
+    ),
+    # (x^N)^N with N = 10^4200 has an exponent of 8,401 digits
+    "exponent": (
+        _ONE_AXIS + f"function f = (abs1(one)^1{'0' * 4200})^1{'0' * 4200} on D;\n"
+        "analyze period_module f;\n",
+        f"line 4, col 4227: power's exponent exceeds the limit of {MAX_DIGITS} digits",
+    ),
+    # 2^20000, the value of abs1(one+1)^20000 at 0, has 6,021 digits
+    "evaluation": (
+        _ONE_AXIS + "function f = abs1(one)^20000 on D;\n"
+        "analyze counterexample f shift 1 bound 1;\n",
+        f"analysis #1 (counterexample): power's value exceeds the limit of {MAX_DIGITS} digits",
     ),
     # p is about 7*10^4301 at q = 1
     "kronecker": (
@@ -239,7 +259,7 @@ def test_results_past_the_digit_limit_are_typed_errors(case):
             with pytest.raises((ScenarioSyntaxError, AnalysisError)) as err:
                 run_scenario(parse_scenario(text))
             assert str(err.value) == message, limit
-            if case != "power":
+            if isinstance(err.value, AnalysisError):
                 assert isinstance(err.value.cause, SizeLimit)
     finally:
         if hasattr(sys, "set_int_max_str_digits"):
