@@ -11,8 +11,10 @@ report.  The cases are the bundled scenarios
 (`src/periodalg/scenarios/*.scn`, read next to this script), each of
 whose reports must equal its frozen `.expected.json` byte for byte, and
 --n scenarios generated from --seed: a random basis of one or two
-square roots, the unit lattice over it, two formulas, an interval
-pattern, and one analysis of each kind at small sizes.  A generated
+square roots, the unit lattice over it, two formulas, a rational
+interval pattern, a pattern of period 1/2 whose endpoints are written
+`(a/1000) + (w/100000000)*sqrt(d)`, and one analysis of each kind at
+small sizes.  A generated
 report must be what `json.dumps(report.to_json_dict(), indent=2)`
 writes.  It prints one JSON line per case with the fastest of --repeat
 timings of each step, then one line per set with their sums.
@@ -68,6 +70,13 @@ def generated(rng: random.Random, i: int) -> str:
     n = rng.randint(2, 5)
     a, b = sorted(rng.sample(range(8), 2))
     arcs = " u ".join(f"({8 * j + a}/{8 * n}, {8 * j + b}/{8 * n})" for j in range(n))
+    # irrational endpoints: a motif in [0, 1/2) and its copy shifted by 1/2
+    d = rng.choice(rads)
+    cuts = sorted(rng.sample(range(1, 500), 4))
+    ends = [(c, rng.randint(1, 99)) for c in cuts]
+    ends += [(c + 500, w) for c, w in ends]
+    ends = [f"({c}/1000) + ({w}/100000000)*sqrt({d})" for c, w in ends]
+    wiggled = " u ".join(f"({lo}, {hi})" for lo, hi in zip(ends[::2], ends[1::2]))
     return "\n".join([
         f'scenario "generated {i}";',
         f"basis B = {basis};",
@@ -76,6 +85,7 @@ def generated(rng: random.Random, i: int) -> str:
         f"function f = {formula()} on D;",
         f"function g = f * ({formula()});",
         f"pattern P mod 1 = {arcs};",
+        f"pattern Q mod 1 = {wiggled};",
         "analyze period_module f;",
         "analyze period_module g;",
         f"analyze counterexample g shift {shift} bound 3;",
@@ -83,6 +93,7 @@ def generated(rng: random.Random, i: int) -> str:
         f"analyze commensurable {real()}, {real()};",
         f"analyze classify 1/{rng.randint(2, 9)}, {real()};",
         "analyze fundamental_period P;",
+        "analyze fundamental_period Q;",
         f"analyze cfrac {real()} depth {rng.randint(5, 20)};",
         f"analyze dirichlet 1, sqrt({rads[0]}) target {real()} eps 1/{10 ** rng.randint(2, 6)};",
         f"analyze kronecker sqrt({rads[-1]}) over [1] delta 1/{rng.randint(2, 9)} eps 1/100;",

@@ -202,7 +202,13 @@ class ExactReal:
         return ExactReal._of(coords)
 
     def __radd__(self, other) -> "ExactReal":
-        return self.__add__(other)
+        # other's coordinate comes first, as in other + self; the order of
+        # coords decides which coordinate a caller such as
+        # funcalg._shift_vector reports first
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other.__add__(self)
 
     def __neg__(self) -> "ExactReal":
         return ExactReal._of({d: -c for d, c in self.coords.items()})
@@ -214,7 +220,10 @@ class ExactReal:
         return self + (-other)
 
     def __rsub__(self, other) -> "ExactReal":
-        return (-self).__add__(other)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other.__add__(-self)
 
     def scale(self, q: RationalLike) -> "ExactReal":
         """Multiply by a rational scalar."""
@@ -407,19 +416,20 @@ class ExactReal:
         parts: list[str] = []
         for d in sorted(self.coords):
             c = self.coords[d]
-            mag = abs(c)
+            n, q = c.numerator, c.denominator
+            mag = _magnitude_text(n, q)
             if d == 1:
-                body = str(mag)
-            elif mag == 1:
-                body = f"sqrt({d})"
-            elif mag.denominator == 1:
-                body = f"{mag}*sqrt({d})"
-            else:
+                body = mag
+            elif q > 1:
                 body = f"({mag})*sqrt({d})"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+            elif n == 1 or n == -1:
+                body = f"sqrt({d})"
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                body = f"{mag}*sqrt({d})"
+            if not parts:
+                parts.append(body if n > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if n > 0 else f"- {body}")
         return " ".join(parts)
 
     def approx_str(self, digits: int = 12) -> str:
@@ -477,6 +487,12 @@ class ExactReal:
         if "." in text:
             text = text.rstrip("0").rstrip(".")
         return f"-{text}" if lo < 0 else text
+
+
+def _magnitude_text(n: int, q: int) -> str:
+    """|n|/q as `str(abs(Fraction(n, q)))` writes it, with no Fraction."""
+    m = str(-n if n < 0 else n)
+    return m if q == 1 else f"{m}/{q}"
 
 
 def _coerce(x) -> "ExactReal":

@@ -47,7 +47,7 @@ from .errors import (
     SizeLimit,
     UnknownRadicand,
 )
-from .exactreal import MAX_BITS, MAX_DIGITS, ExactReal, _too_long, commensurable
+from .exactreal import MAX_BITS, MAX_DIGITS, ExactReal, _magnitude_text, _too_long, commensurable
 from .lattice import CoeffLattice, intersect, member
 
 ABS1 = "abs1"
@@ -231,17 +231,18 @@ class CanonicalForm:
         parts: list[str] = []
         for m, c in sorted(self.terms.items()):
             body = _monomial_text(m)
-            mag = abs(c)
+            n, q = c.numerator, c.denominator
+            mag = _magnitude_text(n, q)
             if not body:
-                piece = str(mag)
-            elif mag == 1:
+                piece = mag
+            elif q == 1 and (n == 1 or n == -1):
                 piece = body
             else:
                 piece = f"{mag}*{body}"
             if not parts:
-                parts.append(piece if c > 0 else f"-{piece}")
+                parts.append(piece if n > 0 else f"-{piece}")
             else:
-                parts.append(f"+ {piece}" if c > 0 else f"- {piece}")
+                parts.append(f"+ {piece}" if n > 0 else f"- {piece}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -326,6 +327,11 @@ class _Parser:
     call := ('abs1'|'recip'|'sgn') '(' ('one' | 'sqrt' '(' INT ')')
             (('+'|'-') INT)? ')'
 
+    A real is built from plain rationals: a numeral is an int, `+ - *`
+    act on ints and Fractions as they are, `int / int` is one Fraction,
+    and an ExactReal first appears at `sqrt`, so `real_expr` wraps a
+    rational result once.  A zero divisor of any of these types fails
+    alike (`_divide`).  A formula's numerals are CanonicalForm constants.
     Powers belong to formulas only.  NAME is a key of `functions`, the
     caller's name -> CanonicalForm mapping.  A formula is read with no
     domain: `refs` collects the domains of the functions it names,
@@ -413,7 +419,8 @@ class _Parser:
 
     def real_expr(self) -> ExactReal:
         self.refs = None
-        return self.expr()
+        v = self.expr()
+        return v if isinstance(v, ExactReal) else ExactReal.rational(v)
 
     def form_expr(self) -> CanonicalForm:
         """A formula with no domain yet; `bind` gives it one."""
@@ -456,7 +463,8 @@ class _Parser:
             if not op:
                 return v
             rhs = self.factor()
-            v = self.combine(pos, operator.truediv if op == "/" else operator.mul, v, rhs)
+            div = _divide if self.refs is None else operator.truediv
+            v = self.combine(pos, operator.mul if op == "*" else div, v, rhs)
 
     def factor(self):
         sign = self.accept_op("-", "+")
@@ -477,7 +485,7 @@ class _Parser:
         if kind == "num":
             self.i += 1
             if self.refs is None:
-                return ExactReal.rational(val)
+                return val
             return CanonicalForm.constant(val, None)
         if self.accept_op("("):
             v = self.expr()
@@ -525,6 +533,17 @@ class _Parser:
             return CanonicalForm(None, {((SGN, d, 0, 1),): -1 if s % 2 else 1})
         exp = 1 if name == ABS1 else -1
         return CanonicalForm(None, {((ABS1, d, s, exp),): 1})
+
+
+def _divide(a, b):
+    """a / b on the real path, where each is an int, a Fraction or an
+    ExactReal: two ints make one Fraction, and every zero divisor fails
+    alike."""
+    if not b:
+        raise DivisionByZero("invert of zero element")
+    if type(a) is int and type(b) is int:
+        return Fraction(a, b)
+    return a / b
 
 
 def parse(expr: str, domain: CoeffLattice) -> CanonicalForm:
@@ -727,11 +746,15 @@ def find_counterexample(
 
 
 def evaluate(f: CanonicalForm, v: Sequence[int]) -> Fraction:
-    """Exact rational value of f at a domain point."""
+    """Exact rational value of f at a domain point; a value of more than
+    MAX_DIGITS digits raises SizeLimit."""
     v = tuple(map(operator.index, v))
     if not member(f.domain, v):
         raise NotInDomain(f"{list(v)} is not in the domain lattice")
-    return Fraction(*_compile(f)(v))
+    q = Fraction(*_compile(f)(v))
+    if _too_long(q.numerator, q.denominator):
+        raise SizeLimit(f"function's value exceeds the limit of {MAX_DIGITS} digits")
+    return q
 
 
 def composition_check(slope: ExactReal, T: ExactReal, L: ExactReal) -> CompositionResult:

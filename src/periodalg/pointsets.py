@@ -212,8 +212,10 @@ def symdiff_measure(p: IntervalPattern, q: IntervalPattern) -> ExactReal:
     first on a tie.  Each endpoint toggles its own pattern's membership,
     and both patterns are outside before the first, so exactly one
     covers the cells from the (2i)-th merged endpoint to the next: the
-    measure is their alternating sum.  Linear in the number of
-    intervals.  Wrap bits carry no measure and are ignored.
+    measure is their alternating sum, taken in integers: the signed
+    numerators add up per (radicand, denominator), and each group makes
+    one Fraction.  Linear in the number of intervals.  Wrap bits carry
+    no measure and are ignored.
     """
     if p.modulus != q.modulus:
         raise ModulusMismatch(f"moduli differ: {p.modulus} vs {q.modulus}")
@@ -228,5 +230,13 @@ def symdiff_measure(p: IntervalPattern, q: IntervalPattern) -> ExactReal:
             merged.append(ys[j])
             j += 1
     merged += xs[i:] + ys[j:]
-    zero = ExactReal.rational(0)
-    return sum(merged[1::2], zero) - sum(merged[0::2], zero)
+    sums: dict[tuple[int, int], int] = {}
+    for k, x in enumerate(merged):
+        for d, c in x.coords.items():
+            key = d, c.denominator
+            sums[key] = sums.get(key, 0) + (c.numerator if k & 1 else -c.numerator)
+    coords: dict[int, Fraction] = {}
+    for (d, den), n in sums.items():
+        if n:
+            coords[d] = coords.get(d, 0) + Fraction(n, den)
+    return ExactReal._of({d: c for d, c in coords.items() if c})

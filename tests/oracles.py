@@ -3,7 +3,11 @@
 Everything here deliberately avoids the code paths under test: numeric
 evaluation goes through mpmath at high precision, lattice questions are
 answered by rational Gaussian elimination or box enumeration, and
-discrepancy is recomputed from the textbook formula.  The two floors
+discrepancy is recomputed from the textbook formula.  Real texts are
+generated together with their value, built by explicit `ExactReal`
+operations on `ExactReal` operands, and the renderers are checked
+against the earlier ones that wrote each coefficient through a
+`Fraction`'s `abs` and `str`.  The two floors
 read from enclosures keep the earlier forms of `exactreal.quotients`:
 four corner quotients, and a lockstep Euclid that drops the last
 quotient the ends share.  `fresh_residual_dirichlet_find` and
@@ -216,6 +220,111 @@ def approx_str_reference(x: ExactReal, digits: int = 12) -> str:
         if lo * hi > 0 and (hi - lo) * 10 ** (digits + 2) < abs(lo):
             return decimal_text((lo + hi) / 2, digits)
         prec *= 2
+
+
+def random_real_text(rng: random.Random, depth: int = 3) -> tuple[str, ExactReal]:
+    """A random real text of the parser's grammar, with its value.
+
+    Each numeral is `ExactReal.rational(n)` and each `sqrt(n)` is
+    `ExactReal.sqrt(n)`; unary signs and `+ - * /` then act on those
+    elements alone, left to right as the grammar groups them.  A divisor
+    that comes out 0 turns its `/` into `*`.  `(E) - (E)` with one text
+    makes an exact 0, and `sqrt(8)`, `sqrt(12)` normalize.
+    """
+
+    def primary(d: int) -> tuple[str, ExactReal]:
+        roll = rng.random()
+        if d > 0 and roll < 0.3:
+            text, x = expr(d - 1)
+            if rng.random() < 0.2:
+                return f"(({text}) - ({text}))", x - x
+            return f"({text})", x
+        if roll < 0.65:
+            n = rng.choice([0, 1, 2, 3, 5, 7, 12, 100])
+            return str(n), ExactReal.rational(n)
+        n = rng.choice([2, 3, 5, 6, 8, 12])
+        return f"sqrt({n})", ExactReal.sqrt(n)
+
+    def factor(d: int) -> tuple[str, ExactReal]:
+        sign = rng.choice(["", "", "", "-", "+"])
+        if not sign:
+            return primary(d)
+        text, x = factor(d)
+        return sign + text, -x if sign == "-" else x
+
+    def term(d: int) -> tuple[str, ExactReal]:
+        text, x = factor(d)
+        for _ in range(rng.randint(0, 2)):
+            rtext, y = factor(d)
+            op = rng.choice("*//")
+            if op == "/" and y.is_zero():
+                op = "*"
+            text, x = f"{text}{op}{rtext}", x * y if op == "*" else x / y
+        return text, x
+
+    def expr(d: int) -> tuple[str, ExactReal]:
+        text, x = term(d)
+        for _ in range(rng.randint(0, 2)):
+            rtext, y = term(d)
+            op = rng.choice("+-")
+            text, x = f"{text} {op} {rtext}", x + y if op == "+" else x - y
+        return text, x
+
+    return expr(depth)
+
+
+def random_coefficient(rng: random.Random) -> Fraction:
+    """A unit, a 31-digit or a small negative integer, or a small
+    fraction of either sign (0 included)."""
+    return rng.choice([
+        Fraction(1), Fraction(-1), Fraction(rng.randint(2, 10**30)),
+        Fraction(-rng.randint(2, 99)), Fraction(rng.randint(-99, 99), rng.randint(2, 99)),
+    ])
+
+
+def fraction_real_text(x: ExactReal) -> str:
+    """`str(x)` as written from each coordinate's `abs` and `str`."""
+    if not x.coords:
+        return "0"
+    parts: list[str] = []
+    for d in sorted(x.coords):
+        c = x.coords[d]
+        mag = abs(c)
+        if d == 1:
+            body = str(mag)
+        elif mag == 1:
+            body = f"sqrt({d})"
+        elif mag.denominator == 1:
+            body = f"{mag}*sqrt({d})"
+        else:
+            body = f"({mag})*sqrt({d})"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def fraction_form_text(terms: dict, monomial_text) -> str:
+    """`CanonicalForm.text()` of `terms` as written from each
+    coefficient's `abs` and `str`; `monomial_text` writes a monomial."""
+    if not terms:
+        return "0"
+    parts: list[str] = []
+    for m, c in sorted(terms.items()):
+        body = monomial_text(m)
+        mag = abs(c)
+        if not body:
+            piece = str(mag)
+        elif mag == 1:
+            piece = body
+        else:
+            piece = f"{mag}*{body}"
+        if not parts:
+            parts.append(piece if c > 0 else f"-{piece}")
+        else:
+            parts.append(f"+ {piece}" if c > 0 else f"- {piece}")
+    return " ".join(parts)
 
 
 _SQUAREFREE_POOL = [2, 3, 5, 6, 7, 10, 11, 13]

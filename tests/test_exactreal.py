@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -32,7 +33,9 @@ from oracles import (
     decimal_text,
     drop_last_quotients,
     floor_cases,
+    fraction_real_text,
     mp_value,
+    random_coefficient,
     squarefree_part,
 )
 
@@ -440,6 +443,32 @@ def test_string_round_trips_through_parser():
     for _ in range(120):
         x = random_element(rng, basis)
         assert parse_real(str(x)) == x
+
+
+def test_str_matches_fraction_renderer():
+    rng = random.Random(1209)
+    for _ in range(300):
+        coords = {d: random_coefficient(rng) for d in rng.sample([1, 2, 3, 5, 6, 7], rng.randint(0, 4))}
+        x = ExactReal._of({d: c for d, c in coords.items() if c})
+        assert str(x) == fraction_real_text(x)
+    # a coefficient past the interpreter's integer string limit raises
+    # its ValueError, as the Fraction renderer did
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        big = 10**4300
+        for c in (Fraction(big), Fraction(-big), Fraction(1, big), Fraction(big, 7)):
+            for d in (1, 2):
+                x = ExactReal._of({d: c})
+                with pytest.raises(ValueError) as want:
+                    fraction_real_text(x)
+                with pytest.raises(ValueError) as got:
+                    str(x)
+                assert str(got.value) == str(want.value)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_approx_str_is_12_significant_digits():

@@ -42,10 +42,13 @@ from periodalg.lattice import CoeffLattice, member
 from oracles import (
     basis_of_dim,
     first_box_witness,
+    fraction_form_text,
     py_formula_evaluator,
     random_basis,
+    random_coefficient,
     random_formula_text,
     random_lattice,
+    random_real_text,
 )
 
 
@@ -155,6 +158,81 @@ def test_parse_errors():
         with pytest.raises(ParseError) as err:
             parse("abs1(one) * 1" + "0" * limit, dom)
         assert err.value.pos == 12
+
+
+def test_real_reader_matches_exact_operations():
+    # the reader keeps rationals as ints and Fractions until a sqrt; its
+    # value, and the order of its coordinates, which decides the error a
+    # shift with two faults reports, are those of ExactReal operations
+    rng = random.Random(3410)
+    zeros = 0
+    for _ in range(300):
+        text, want = random_real_text(rng)
+        got = parse_real(text)
+        assert got == want, text
+        assert list(got.coords.items()) == list(want.coords.items()), text
+        zeros += want.is_zero()
+    assert zeros >= 10
+    for text, want in (
+        ("-(-(+3))", ExactReal.rational(3)),
+        ("6/4", ExactReal.rational(Fraction(3, 2))),
+        ("(1/2)*sqrt(3)", ExactReal.sqrt(3).scale(Fraction(1, 2))),
+        ("1/(1 + sqrt(2))", ExactReal.sqrt(2) - 1),
+        ("sqrt(8)", ExactReal.sqrt(2).scale(2)),
+        ("(1 + sqrt(2)) - (1 + sqrt(2))", ExactReal.rational(0)),
+        ("2/4 - 1/2", ExactReal.rational(0)),
+        ("(69/5000) + (49/50000000)*sqrt(13)",
+         ExactReal.rational(Fraction(69, 5000)) + ExactReal.sqrt(13).scale(Fraction(49, 50000000))),
+    ):
+        assert parse_real(text) == want, text
+    # the rational part comes first, as the text has it
+    assert list(parse_real("1/2 + sqrt(3)").coords) == [1, 3]
+    assert list(parse_real("1/2 - sqrt(3)").coords) == [1, 3]
+
+
+def test_real_reader_zero_divisors():
+    # a zero divisor of any type fails alike, at its '/'
+    for text, pos in (
+        ("1/0", 1), ("sqrt(2)/0", 7), ("1/(1-1)", 1),
+        ("1/(sqrt(2)-sqrt(2))", 1), ("1/(0/0)", 4), ("(1/2)/(1/2-1/2)", 5),
+    ):
+        with pytest.raises(DivisionByZero) as err:
+            parse_real(text)
+        assert str(err.value) == "invert of zero element", text
+        assert err.value.pos == pos, text
+
+
+def test_form_text_matches_fraction_renderer():
+    rng = random.Random(3411)
+    pool = [
+        (),
+        (("abs1", 1, 0, 1),),
+        (("abs1", 2, -1, 2),),
+        (("abs1", 1, 0, -1), ("sgn", 2, 0, 1)),
+        (("sgn", 1, 0, 1),),
+    ]
+    for _ in range(300):
+        terms = {m: random_coefficient(rng) for m in rng.sample(pool, rng.randint(0, len(pool)))}
+        terms = {m: c for m, c in terms.items() if c}
+        form = funcalg.CanonicalForm(None, terms)
+        assert form.text() == fraction_form_text(terms, funcalg._monomial_text)
+    # a coefficient past the interpreter's integer string limit raises
+    # its ValueError, as the Fraction renderer did
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        big = 10**4300
+        for c in (Fraction(big), Fraction(-big), Fraction(1, big), Fraction(big, 7)):
+            for m in ((), (("abs1", 1, 0, 1),)):
+                with pytest.raises(ValueError) as want:
+                    fraction_form_text({m: c}, funcalg._monomial_text)
+                with pytest.raises(ValueError) as got:
+                    funcalg.CanonicalForm(None, {m: c}).text()
+                assert str(got.value) == str(want.value)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_text_round_trip_random():

@@ -338,6 +338,37 @@ def test_symdiff_is_symmetric_and_matches_pairwise_overlap():
             assert symdiff_measure(q, p) == want
 
 
+def test_symdiff_sums_per_denominator_against_pairwise_overlap():
+    # every end is (c/1000) + (w/10^8)*sqrt(d), so the sums run per
+    # (radicand, denominator); P and Q draw their ends from one set, so
+    # shared ends cancel exactly, and P against itself has no coords
+    rng = random.Random(4508)
+    for _ in range(60):
+        ends = {
+            c: ExactReal.rational(Fraction(c, 1000))
+            + ExactReal.sqrt(rng.choice([2, 3])).scale(Fraction(rng.randint(-99, 99), 10**8))
+            for c in range(1, 1000, 37)
+        }
+
+        def pattern() -> IntervalPattern:
+            cuts = sorted(rng.sample(sorted(ends), 2 * rng.randint(1, 6)))
+            return IntervalPattern(1, [(ends[a], ends[b]) for a, b in zip(cuts[::2], cuts[1::2])])
+
+        p, q = pattern(), pattern()
+        for a, b in ((p, q), (q, p)):
+            got = symdiff_measure(a, b)
+            assert got == pairwise_overlap_symdiff(a, b)
+            assert all(isinstance(c, Fraction) and c for c in got.coords.values())
+        same = symdiff_measure(p, p)
+        assert isinstance(same, ExactReal) and same.coords == {}
+    # sqrt(2) sums to 0 across three denominators: -1/2 + 1/3 + 1/6
+    s = ExactReal.sqrt(2)
+    x0, x1 = Fraction(1, 10) + s.scale(Fraction(1, 2 * 10**8)), Fraction(2, 10) + s.scale(Fraction(1, 3 * 10**8))
+    x2, x3 = Fraction(3, 10) - s.scale(Fraction(1, 6 * 10**8)), ExactReal.rational(Fraction(4, 10))
+    got = symdiff_measure(IntervalPattern(1, [(x0, x1)]), IntervalPattern(1, [(x2, x3)]))
+    assert got.coords == {1: Fraction(1, 5)}
+
+
 def planted_64(L: ExactReal, cell_grid) -> IntervalPattern:
     """64 intervals: 8 irregular ones per cell of width L/8."""
     ivs = []

@@ -232,6 +232,13 @@ LIMIT_REPROS = {
         "analyze counterexample f shift 1 bound 1;\n",
         f"analysis #1 (counterexample): power's value exceeds the limit of {MAX_DIGITS} digits",
     ),
+    # f = 3^14000 at the witness 0 has 6,680 digits, though each power
+    # stays under the per-power bit rule
+    "report_value": (
+        _ONE_AXIS + "function f = abs1(one-2)^14000 on D;\n"
+        "analyze counterexample f shift 1 bound 1;\n",
+        f"analysis #1 (counterexample): function's value exceeds the limit of {MAX_DIGITS} digits",
+    ),
     # p is about 7*10^4301 at q = 1
     "kronecker": (
         f'scenario "x";\nanalyze kronecker 1000 over [(1/1{"0" * 4299})*sqrt(2)] delta 0 eps 1;\n',
