@@ -145,11 +145,11 @@ def bench_discrepancy(sizes, repeat: int) -> None:
         "1/3": one / 3,
     }
     for name, alpha in alphas.items():
-        lo, hi = alpha.enclosure(64)
+        lo, hi = alpha._enclosure_scaled(64)
         for n in sizes:
             t, got = fastest(lambda: orbit_discrepancy(alpha, n), repeat)
             # float points drift by about n * 2^-53
-            assert abs(float(got) - float_star_discrepancy(float(lo + hi) / 2, n)) < 1e-8, got
+            assert abs(float(got) - float_star_discrepancy(float(Fraction(lo + hi, 2**65)), n)) < 1e-8, got
             print(json.dumps({"kind": "discrepancy", "alpha": name, "N": n, "seconds": t}))
 
 
@@ -201,7 +201,7 @@ def bench_floor(sizes, repeat: int) -> None:
 
 def fresh(x: ExactReal) -> ExactReal:
     """A copy of x that keeps no comparison box yet."""
-    return ExactReal._of(dict(x.coords))
+    return ExactReal._of(x.den, dict(x.nums))
 
 
 def bench_compare(sizes, repeat: int) -> None:

@@ -54,6 +54,14 @@ def planted(n: int) -> IntervalPattern:
     return IntervalPattern(L, ivs)
 
 
+def measure(p: IntervalPattern) -> ExactReal:
+    """Total length of one period's intervals."""
+    total = ExactReal.rational(0)
+    for a, b in p.intervals:
+        total = total + (b - a)
+    return total
+
+
 def overlap_symdiff(p: IntervalPattern, q: IntervalPattern) -> ExactReal:
     """|P| + |Q| - 2|P n Q|, with P n Q from one walk over the sorted,
     disjoint intervals of both patterns."""
@@ -68,12 +76,12 @@ def overlap_symdiff(p: IntervalPattern, q: IntervalPattern) -> ExactReal:
             i += 1
         else:
             j += 1
-    return p.measure() + q.measure() - common.scale(2)
+    return measure(p) + measure(q) - common.scale(2)
 
 
 def fresh(x: ExactReal) -> ExactReal:
     """A copy of x that keeps no comparison box yet."""
-    return ExactReal._of(dict(x.coords))
+    return ExactReal._of(x.den, dict(x.nums))
 
 
 def fresh_pattern(p: IntervalPattern) -> IntervalPattern:

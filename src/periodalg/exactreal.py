@@ -1,10 +1,16 @@
 """Exact arithmetic in multiquadratic fields Q(sqrt(d1), ..., sqrt(dr)).
 
 Elements are finite rational combinations of square roots of distinct
-squarefree positive integers.  Because those roots are linearly
-independent over Q, an element is zero exactly when every coordinate is
-zero, which makes equality, sign, floor, and commensurability decidable
-with no floating point anywhere in a decision path.  Nonzero signs are
+squarefree positive integers, stored on one integer denominator: a
+positive `den` and an integer numerator per radicand, reduced so that
+gcd(den, *nums) == 1 (the usual number-field layout, Cohen, *A Course
+in Computational Algebraic Number Theory*, 1993, ch. 4).  Ring
+operations are integer operations with one gcd to reduce; summands on
+one denominator, as a pattern's ends usually are, need no lcm.
+Because the roots are linearly independent over Q, an element is zero
+exactly when it has no numerator, and the reduced form is unique, which
+makes equality, sign, floor, and commensurability decidable with no
+floating point anywhere in a decision path.  Nonzero signs are
 determined by adaptive dyadic interval refinement with an exact zero
 short-circuit, and floors and partial quotients by one Euclid on the
 ends of dyadic enclosures (`quotients`).  Order comparisons are
@@ -18,7 +24,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import DivisionByZero, SizeLimit
@@ -81,7 +87,7 @@ class RadicalBasis:
     """Ordered tuple of distinct squarefree radicands, always starting at 1.
 
     It orders the coordinates of lattices and formula domains.  An
-    `ExactReal` carries none: its coordinate map is keyed by radicand.
+    `ExactReal` carries none: its numerators are keyed by radicand.
     """
 
     __slots__ = ("radicands", "_index")
@@ -132,118 +138,166 @@ def _as_fraction(x: RationalLike) -> Fraction:
 class ExactReal:
     """Immutable element of a multiquadratic field.
 
-    `coords` maps squarefree radicand -> nonzero rational coefficient;
-    absent keys mean 0.  The represented value is
-    sum(coords[d] * sqrt(d)).  The basis passed to `ExactReal(basis,
-    coords)` is only checked: every radicand must be in it.  `_box`
-    keeps the 64-bit enclosure once `_boxed` computes it.
+    The value is sum(nums[d] * sqrt(d)) / den: `den` is a positive int,
+    `nums` maps squarefree radicand -> nonzero int, absent keys mean 0,
+    and gcd(den, *nums) == 1, so each value has one representation
+    (zero is den 1 with no nums).  `coords` is a read-only view of the
+    same value as radicand -> Fraction.  The basis passed to
+    `ExactReal(basis, coords)` is only checked: every radicand must be
+    in it.  `_box` keeps the 64-bit enclosure once `_boxed` computes it.
     """
 
-    __slots__ = ("coords", "_box")
+    __slots__ = ("den", "nums", "_box")
 
     def __init__(self, basis: RadicalBasis, coords: Mapping[int, RationalLike]):
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, tuple[int, int]] = {}
         for d, c in coords.items():
             if d not in basis:
                 raise ValueError(f"radicand {d} not in basis {basis.radicands}")
-            f = _as_fraction(c)
-            if f != 0:
-                clean[int(d)] = f
-        self.coords: dict[int, Fraction] = clean
+            if type(c) is int:
+                n, q = c, 1
+            else:
+                f = _as_fraction(c)
+                n, q = f.numerator, f.denominator
+            if n:
+                clean[int(d)] = n, q
+        # the lcm of reduced denominators leaves gcd(den, *nums) == 1
+        den = lcm(*(q for _, q in clean.values()))
+        self.den: int = den
+        self.nums: dict[int, int] = {d: n * (den // q) for d, (n, q) in clean.items()}
         self._box: tuple[int, int] | None = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _of(cls, coords: dict[int, Fraction]) -> "ExactReal":
-        """An element owning coords, whose keys are squarefree and whose
-        values are nonzero Fractions; nothing is checked or copied."""
+    def _of(cls, den: int, nums: dict[int, int]) -> "ExactReal":
+        """An element owning nums, whose keys are squarefree and whose
+        values are nonzero ints with gcd(den, *nums) == 1, den > 0;
+        nothing is checked or copied."""
         self = object.__new__(cls)
-        self.coords = coords
+        self.den = den
+        self.nums = nums
         self._box = None
         return self
 
     @classmethod
+    def _reduced(cls, den: int, nums: dict[int, int]) -> "ExactReal":
+        """`_of` after dividing out gcd(den, *nums), for den > 0 and
+        nums with no zero value."""
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {d: n // g for d, n in nums.items()}
+        return cls._of(den, nums)
+
+    @classmethod
     def rational(cls, q: RationalLike) -> "ExactReal":
+        if type(q) is int:
+            return cls._of(1, {1: q} if q else {})
         f = _as_fraction(q)
-        return cls._of({1: f} if f else {})
+        return cls._of(f.denominator, {1: f.numerator} if f else {})
 
     @classmethod
     def sqrt(cls, n: int) -> "ExactReal":
         """sqrt(n) for a positive integer, normalized: sqrt(8) = 2*sqrt(2)."""
         n = operator.index(n)
         d = _radicand_part(n)
-        return cls._of({d: Fraction(isqrt(n // d))})
+        return cls._of(1, {d: isqrt(n // d)})
+
+    @property
+    def coords(self) -> dict[int, Fraction]:
+        """radicand -> nonzero Fraction, in the order of `nums`; a copy."""
+        den = self.den
+        return {d: Fraction(n, den) for d, n in self.nums.items()}
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coords
+        return not self.nums
 
     def is_rational(self) -> bool:
-        return self.coords.keys() <= {1}
+        return self.nums.keys() <= {1}
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
-        return self.coords.get(1, Fraction(0))
+        return Fraction(self.nums.get(1, 0), self.den)
 
     # -- ring operations -----------------------------------------------
+
+    def _sum(self, other: "ExactReal", sign: int) -> "ExactReal":
+        """self + sign*other.  A coordinate of other that self has too
+        moves to the end, as if popped and put back: the order of nums
+        decides which coordinate a caller such as funcalg._shift_vector
+        reports first."""
+        a, b = self.den, other.den
+        if a == b:
+            den, fb = a, sign
+            nums = dict(self.nums)
+        else:
+            g = gcd(a, b)
+            fa, fb = b // g, sign * (a // g)
+            den = a * fa
+            nums = {d: n * fa for d, n in self.nums.items()}
+        for d, n in other.nums.items():
+            s = nums.pop(d, 0) + n * fb
+            if s:
+                nums[d] = s
+        return ExactReal._reduced(den, nums)
 
     def __add__(self, other) -> "ExactReal":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        coords = dict(self.coords)
-        for d, c in other.coords.items():
-            s = coords.pop(d, 0) + c
-            if s:
-                coords[d] = s
-        return ExactReal._of(coords)
+        return self._sum(other, 1)
 
     def __radd__(self, other) -> "ExactReal":
-        # other's coordinate comes first, as in other + self; the order of
-        # coords decides which coordinate a caller such as
-        # funcalg._shift_vector reports first
+        # other's coordinate comes first, as in other + self
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other.__add__(self)
+        return other._sum(self, 1)
 
     def __neg__(self) -> "ExactReal":
-        return ExactReal._of({d: -c for d, c in self.coords.items()})
+        return ExactReal._of(self.den, {d: -n for d, n in self.nums.items()})
 
     def __sub__(self, other) -> "ExactReal":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other) -> "ExactReal":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other.__add__(-self)
+        return other._sum(self, -1)
 
     def scale(self, q: RationalLike) -> "ExactReal":
         """Multiply by a rational scalar."""
-        f = _as_fraction(q)
-        return ExactReal._of({d: c * f for d, c in self.coords.items()} if f else {})
+        if isinstance(q, int):
+            p, r = q, 1
+        else:
+            f = _as_fraction(q)
+            p, r = f.numerator, f.denominator
+        if not p:
+            return ExactReal._of(1, {})
+        return ExactReal._reduced(self.den * r, {d: n * p for d, n in self.nums.items()})
 
     def __mul__(self, other) -> "ExactReal":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, ExactReal):
             return NotImplemented
-        coords: dict[int, Fraction] = {}
-        for a, ca in self.coords.items():
-            for b, cb in other.coords.items():
+        nums: dict[int, int] = {}
+        for a, na in self.nums.items():
+            for b, nb in other.nums.items():
                 # sqrt(a)*sqrt(b) = g*sqrt(d), and d is squarefree: a/g
                 # and b/g are squarefree and coprime
                 g = gcd(a, b)
                 d = (a // g) * (b // g)
-                coords[d] = coords.get(d, 0) + ca * cb * g
-        return ExactReal._of({d: c for d, c in coords.items() if c})
+                nums[d] = nums.get(d, 0) + na * nb * g
+        return ExactReal._reduced(self.den * other.den, {d: n for d, n in nums.items() if n})
 
     def __rmul__(self, other) -> "ExactReal":
         if isinstance(other, (int, Fraction)):
@@ -258,7 +312,7 @@ class ExactReal:
         collects the radicands divisible by c and a the rest; then
         x * (a - b) = a^2 - b^2 has every radicand coprime to c, so
         recursion strips the primes of c per level and bottoms out at a
-        rational.  Every step works on the coordinate maps alone.
+        rational.  Every step works on the numerators alone.
         """
         if self.is_zero():
             raise DivisionByZero("invert of zero element")
@@ -293,11 +347,10 @@ class ExactReal:
         nonzero value is a fixed distance from zero, and the enclosure
         width halves with every extra bit.
         """
-        if not self.coords:
+        if not self.nums:
             return 0
         if self.is_rational():
-            c = self.coords[1]
-            return -1 if c < 0 else 1
+            return -1 if self.nums[1] < 0 else 1
         lo, hi = self._boxed()
         prec = INITIAL_PRECISION
         while lo <= 0 <= hi:
@@ -323,31 +376,31 @@ class ExactReal:
         return (self - other).sign()
 
     def _enclosure_scaled(self, prec: int) -> tuple[int, int]:
-        """Integers (lo, hi) with lo <= value * 2^prec <= hi."""
+        """Integers (lo, hi) with lo <= value * 2^prec <= hi.
+
+        Each coordinate is floored (and ceiled) on its own, so (lo, hi)
+        are the sums of the per-coordinate bounds of n*sqrt(d)/den: the
+        very integers a reduced Fraction per coordinate gives, since
+        floor(n*s/den) does not depend on how n/den is written.
+        """
+        q = self.den
         lo = 0
         hi = 0
-        for d, c in self.coords.items():
+        for d, n in self.nums.items():
             if d == 1:
-                n = c.numerator << prec
-                q = c.denominator
+                n <<= prec
                 lo += n // q
-                hi += -((-n) // q)
+                hi -= (-n) // q
                 continue
             s = _sqrt_floor_scaled(d, prec)
             # s <= sqrt(d)*2^prec < s+1
-            if c > 0:
-                lo += (c.numerator * s) // c.denominator
-                hi += -((-(c.numerator * (s + 1))) // c.denominator)
+            if n > 0:
+                lo += (n * s) // q
+                hi -= (-n * (s + 1)) // q
             else:
-                lo += (c.numerator * (s + 1)) // c.denominator
-                hi += -((-(c.numerator * s)) // c.denominator)
+                lo += (n * (s + 1)) // q
+                hi -= (-n * s) // q
         return lo, hi
-
-    def enclosure(self, prec: int) -> tuple[Fraction, Fraction]:
-        """Rational interval [lo, hi] containing the value, width ~2^-prec."""
-        lo, hi = self._enclosure_scaled(prec)
-        unit = Fraction(1, 1 << prec)
-        return lo * unit, hi * unit
 
     def floor(self) -> int:
         """Unique n with n <= x < n+1; exact (`x // 1`)."""
@@ -367,13 +420,14 @@ class ExactReal:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coords == other.coords
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
         # a rational element equals its Fraction, so it hashes as one
         if self.is_rational():
-            return hash(self.coords.get(1, 0))
-        return hash(tuple(sorted(self.coords.items())))
+            n = self.nums.get(1, 0)
+            return hash(n) if self.den == 1 else hash(Fraction(n, self.den))
+        return hash((self.den, tuple(sorted(self.nums.items()))))
 
     def __lt__(self, other) -> bool:
         other = _coerce(other)
@@ -411,12 +465,14 @@ class ExactReal:
         return f"ExactReal({self})"
 
     def __str__(self) -> str:
-        if not self.coords:
+        if not self.nums:
             return "0"
         parts: list[str] = []
-        for d in sorted(self.coords):
-            c = self.coords[d]
-            n, q = c.numerator, c.denominator
+        den = self.den
+        for d in sorted(self.nums):
+            n = self.nums[d]
+            g = gcd(n, den)
+            n, q = n // g, den // g
             mag = _magnitude_text(n, q)
             if d == 1:
                 body = mag
@@ -506,19 +562,20 @@ def _coerce(x) -> "ExactReal":
 def _invert(x: ExactReal) -> ExactReal:
     # pre: x nonzero
     if x.is_rational():
-        return ExactReal._of({1: 1 / x.coords[1]})
+        n = x.nums[1]
+        return ExactReal._of(-n if n < 0 else n, {1: -x.den if n < 0 else x.den})
     # a c > 1 that divides each radicand or is coprime to it: one pass of
     # gcd refinement keeps that true for the radicands already passed
-    c = max(x.coords)
-    for d in x.coords:
+    c = max(x.nums)
+    for d in x.nums:
         if gcd(c, d) > 1:
             c = gcd(c, d)
-    a_coords: dict[int, Fraction] = {}
-    b_coords: dict[int, Fraction] = {}
-    for d, k in x.coords.items():
-        (b_coords if d % c == 0 else a_coords)[d] = k
-    a = ExactReal._of(a_coords)
-    b = ExactReal._of(b_coords)
+    a_nums: dict[int, int] = {}
+    b_nums: dict[int, int] = {}
+    for d, k in x.nums.items():
+        (b_nums if d % c == 0 else a_nums)[d] = k
+    a = ExactReal._reduced(x.den, a_nums)
+    b = ExactReal._reduced(x.den, b_nums)
     # x * (a - b) = a^2 - b^2, whose radicands are all coprime to c: for
     # c | d1, c | d2 the squarefree part of d1*d2 loses the c^2.  Each
     # step drops the primes of c, so the recursion ends.
@@ -532,18 +589,20 @@ def commensurable(x: ExactReal, y: ExactReal) -> Fraction | None:
     """Rational ratio x/y in lowest terms, or None if x/y is irrational.
 
     Exact: x/y is rational iff the coordinate vectors are parallel over Q,
-    which reduces to support equality plus one common ratio.
+    which reduces to support equality plus one common ratio, tested on
+    the numerators by cross-multiplication.
     """
     if x.is_zero() or y.is_zero():
         raise DivisionByZero("commensurability is undefined for zero")
-    if set(x.coords) != set(y.coords):
+    xs, ys = x.nums, y.nums
+    if xs.keys() != ys.keys():
         return None
-    d0 = next(iter(y.coords))
-    r = x.coords[d0] / y.coords[d0]
-    for d, c in y.coords.items():
-        if x.coords[d] != r * c:
+    d0 = next(iter(ys))
+    a, b = xs[d0], ys[d0]
+    for d, n in ys.items():
+        if xs[d] * b != a * n:
             return None
-    return r
+    return Fraction(a * y.den, b * x.den)
 
 
 def quotients(x: ExactReal, y: ExactReal) -> Iterator[int]:

@@ -33,6 +33,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import comb, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -52,6 +53,8 @@ from .lattice import CoeffLattice, intersect, member
 
 ABS1 = "abs1"
 SGN = "sgn"
+# the most monomials a power of a sum may expand to (docs/scenario-format.md)
+MAX_TERMS = 2**16
 
 
 def _monomial(atoms: Iterable[tuple[str, int, int, int]]) -> tuple:
@@ -83,6 +86,56 @@ def _monomial_text(m: tuple) -> str:
     return "*".join(parts)
 
 
+def _power_of_sum(terms: Mapping[tuple, Fraction], n: int) -> dict[tuple, Fraction]:
+    """The term map of (sum of c*m over terms)^n, for n >= 0 and at
+    least two terms, by the multinomial theorem.
+
+    Every size is decided before any product.  There are at most
+    C(n+t-1, t-1) monomials for t terms, one per exponent tuple, which
+    must stay within MAX_TERMS.  An abs1 exponent e becomes at most
+    e*n, bounded like a one-term power's.  With q the lcm of the
+    denominators and p_i = c_i*q, each coefficient is an integer of at
+    most ||p||_1^n over q^n, and the larger of the two must stay within
+    MAX_DIGITS digits.  The expansion then sums, per exponent tuple
+    (a_1, ..., a_t), the multinomial n!/(a_1!...a_t!) times the
+    product of the p_i^a_i, term by term in integers, and divides by
+    q^n once per monomial.
+    """
+    items = list(terms.items())
+    t = len(items)
+    if n >= MAX_TERMS or comb(n + t - 1, t - 1) > MAX_TERMS:
+        raise SizeLimit(f"power's monomial count C(n+t-1, t-1) exceeds the limit of {MAX_TERMS}")
+    if _too_long(*(e * n for m, _ in items for k, _, _, e in m if k == ABS1)):
+        raise SizeLimit(f"power's exponent exceeds the limit of {MAX_DIGITS} digits")
+    q = lcm(*(c.denominator for _, c in items))
+    ps = [c.numerator * (q // c.denominator) for _, c in items]
+    bound = max(sum(map(abs, ps)), q)
+    if (bound.bit_length() - 1) * n > MAX_BITS or _too_long(bound**n):
+        raise SizeLimit(f"power's coefficient bound ||c||_1^n exceeds the limit of {MAX_DIGITS} digits")
+
+    def raised(m: tuple, a: int) -> tuple:
+        return tuple((k, d, s, e * a) for k, d, s, e in m)
+
+    # (exponent left, integer coefficient, atoms) per partial tuple
+    parts = [(n, 1, ())]
+    for (m, _), p in zip(items[:-1], ps):
+        grown = []
+        for r, coef, atoms in parts:
+            binom = power = 1
+            for a in range(r + 1):
+                grown.append((r - a, coef * binom * power, atoms + raised(m, a)))
+                binom = binom * (r - a) // (a + 1)
+                power *= p
+        parts = grown
+    m, p = items[-1][0], ps[-1]
+    acc: dict[tuple, int] = {}
+    for r, coef, atoms in parts:
+        key = _monomial(atoms + raised(m, r))
+        acc[key] = acc.get(key, 0) + coef * p**r
+    den = q**n
+    return {m: Fraction(v, den) for m, v in acc.items() if v}
+
+
 class CanonicalForm:
     """Normalized formula: domain lattice plus monomial -> coefficient map.
 
@@ -110,9 +163,6 @@ class CanonicalForm:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return not any(self.terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -210,10 +260,9 @@ class CanonicalForm:
                 f"divisor has {len(self.terms)} terms; only single-monomial "
                 f"denominators are invertible"
             )
-        out = CanonicalForm.constant(1, self.domain)
-        for _ in range(n):
-            out = out * self
-        return out
+        if not self.terms:
+            return CanonicalForm.constant(1, self.domain) if n == 0 else self
+        return CanonicalForm(self.domain, _power_of_sum(self.terms, n))
 
     def _coerce(self, other):
         if isinstance(other, CanonicalForm):
@@ -595,14 +644,15 @@ def shift(f: CanonicalForm, s: Sequence[int]) -> CanonicalForm:
 
 def _shift_vector(T: ExactReal, domain: CoeffLattice) -> tuple[int, ...]:
     basis = domain.basis
-    for d, c in T.coords.items():
+    for d, n in T.nums.items():
         if d not in basis:
             raise ShiftNotInDomain(
                 f"shift has a sqrt({d}) component outside the domain basis"
             )
-        if c.denominator != 1:
-            raise NonIntegralShift(f"coordinate of sqrt({d}) is {c}, not an integer")
-    return tuple(int(T.coords.get(d, 0)) for d in basis.radicands)
+        if n % T.den:
+            raise NonIntegralShift(f"coordinate of sqrt({d}) is {Fraction(n, T.den)}, not an integer")
+    # every numerator is a multiple of den, and gcd(den, *nums) == 1
+    return tuple(T.nums.get(d, 0) for d in basis.radicands)
 
 
 def shift_difference(f: CanonicalForm, T: ExactReal) -> CanonicalForm:

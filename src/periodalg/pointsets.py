@@ -22,6 +22,7 @@ over both sorted endpoint lists.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 from .errors import EmptyPattern, FullLine, ModulusMismatch
@@ -105,12 +106,6 @@ class IntervalPattern:
             and self.intervals[0][0].is_zero()
             and self.intervals[0][1] == self.modulus
         )
-
-    def measure(self) -> ExactReal:
-        total = ExactReal.rational(0)
-        for a, b in self.intervals:
-            total = total + (b - a)
-        return total
 
     def endpoints(self) -> list[ExactReal]:
         out = []
@@ -212,10 +207,9 @@ def symdiff_measure(p: IntervalPattern, q: IntervalPattern) -> ExactReal:
     first on a tie.  Each endpoint toggles its own pattern's membership,
     and both patterns are outside before the first, so exactly one
     covers the cells from the (2i)-th merged endpoint to the next: the
-    measure is their alternating sum, taken in integers: the signed
-    numerators add up per (radicand, denominator), and each group makes
-    one Fraction.  Linear in the number of intervals.  Wrap bits carry
-    no measure and are ignored.
+    measure is their alternating sum, taken in integers over the ends'
+    common denominator, with one gcd at the end.  Linear in the number
+    of intervals.  Wrap bits carry no measure and are ignored.
     """
     if p.modulus != q.modulus:
         raise ModulusMismatch(f"moduli differ: {p.modulus} vs {q.modulus}")
@@ -230,13 +224,10 @@ def symdiff_measure(p: IntervalPattern, q: IntervalPattern) -> ExactReal:
             merged.append(ys[j])
             j += 1
     merged += xs[i:] + ys[j:]
-    sums: dict[tuple[int, int], int] = {}
+    den = lcm(*(x.den for x in merged))
+    sums: dict[int, int] = {}
     for k, x in enumerate(merged):
-        for d, c in x.coords.items():
-            key = d, c.denominator
-            sums[key] = sums.get(key, 0) + (c.numerator if k & 1 else -c.numerator)
-    coords: dict[int, Fraction] = {}
-    for (d, den), n in sums.items():
-        if n:
-            coords[d] = coords.get(d, 0) + Fraction(n, den)
-    return ExactReal._of({d: c for d, c in coords.items() if c})
+        f = den // x.den if k & 1 else -(den // x.den)
+        for d, n in x.nums.items():
+            sums[d] = sums.get(d, 0) + n * f
+    return ExactReal._reduced(den, {d: n for d, n in sums.items() if n})

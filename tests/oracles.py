@@ -13,7 +13,12 @@ four corner quotients, and a lockstep Euclid that drops the last
 quotient the ends share.  `fresh_residual_dirichlet_find` and
 `rotate_scan_period` keep the earlier, unfiltered forms of
 `dirichlet_find` and `fundamental_period`: exact sign tests on every
-residual, and a rotation per divisor.
+residual, and a rotation per divisor.  `FractionMapReal` keeps the
+earlier layout of `ExactReal`, one `Fraction` per radicand, with its
+ring operations, enclosures, hash and `quotients`, down to the order
+of its keys; `enclosure`, `measure` and `is_constant` are the Fraction
+enclosure, pattern measure and constant test that only tests read, and
+`repeated_product_power` the power of a form as repeated products.
 """
 
 from __future__ import annotations
@@ -31,10 +36,39 @@ import mpmath
 from periodalg.approx import _convergents
 from periodalg.errors import NotFound
 from periodalg.exactreal import INITIAL_PRECISION, ExactReal, RadicalBasis, commensurable
+from periodalg.funcalg import CanonicalForm
 from periodalg.lattice import CoeffLattice, member
 from periodalg.pointsets import IntervalPattern, is_invariant
 
 mpmath.mp.dps = 60
+
+
+def enclosure(x: ExactReal, prec: int) -> tuple[Fraction, Fraction]:
+    """Rational interval [lo, hi] containing x, width ~2^-prec."""
+    lo, hi = x._enclosure_scaled(prec)
+    unit = Fraction(1, 1 << prec)
+    return lo * unit, hi * unit
+
+
+def measure(p: IntervalPattern) -> ExactReal:
+    """Total length of one period's intervals."""
+    total = ExactReal.rational(0)
+    for a, b in p.intervals:
+        total = total + (b - a)
+    return total
+
+
+def is_constant(f: CanonicalForm) -> bool:
+    """A form with no monomial but the constant one."""
+    return not any(f.terms)
+
+
+def repeated_product_power(f: CanonicalForm, n: int) -> CanonicalForm:
+    """f^n for n >= 0 as n products, starting from the constant 1."""
+    out = CanonicalForm.constant(1, f.domain)
+    for _ in range(n):
+        out = out * f
+    return out
 
 
 def mp_value(x: ExactReal) -> mpmath.mpf:
@@ -216,7 +250,7 @@ def approx_str_reference(x: ExactReal, digits: int = 12) -> str:
         return "0"
     prec = 64
     while True:
-        lo, hi = x.enclosure(prec)
+        lo, hi = enclosure(x, prec)
         if lo * hi > 0 and (hi - lo) * 10 ** (digits + 2) < abs(lo):
             return decimal_text((lo + hi) / 2, digits)
         prec *= 2
@@ -715,3 +749,141 @@ def sorted_orbit_discrepancy(alpha: ExactReal, N: int, prec: int | None = None) 
         best_lo = max(best_lo, (i + 1) * unit - N * f_lo)
         best_hi = max(best_hi, N * f_hi - i * unit)
     return Fraction(max(best_lo, best_hi), N * unit)
+
+
+class FractionMapReal:
+    """An element of a multiquadratic field in the earlier layout:
+    `coords` maps squarefree radicand -> nonzero Fraction, and each ring
+    operation works coordinate by coordinate in Fractions, keeping the
+    key order the library keeps (a coordinate both summands have moves
+    to the end)."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: dict[int, Fraction]):
+        self.coords = coords
+
+    @classmethod
+    def of(cls, x: ExactReal) -> "FractionMapReal":
+        return cls(x.coords)
+
+    def is_zero(self) -> bool:
+        return not self.coords
+
+    def is_rational(self) -> bool:
+        return self.coords.keys() <= {1}
+
+    def __add__(self, other: "FractionMapReal") -> "FractionMapReal":
+        coords = dict(self.coords)
+        for d, c in other.coords.items():
+            s = coords.pop(d, 0) + c
+            if s:
+                coords[d] = s
+        return FractionMapReal(coords)
+
+    def __neg__(self) -> "FractionMapReal":
+        return FractionMapReal({d: -c for d, c in self.coords.items()})
+
+    def __sub__(self, other: "FractionMapReal") -> "FractionMapReal":
+        return self + (-other)
+
+    def scale(self, q) -> "FractionMapReal":
+        f = Fraction(q)
+        return FractionMapReal({d: c * f for d, c in self.coords.items()} if f else {})
+
+    def __mul__(self, other: "FractionMapReal") -> "FractionMapReal":
+        coords: dict[int, Fraction] = {}
+        for a, ca in self.coords.items():
+            for b, cb in other.coords.items():
+                g = math.gcd(a, b)
+                d = (a // g) * (b // g)
+                coords[d] = coords.get(d, 0) + ca * cb * g
+        return FractionMapReal({d: c for d, c in coords.items() if c})
+
+    def invert(self) -> "FractionMapReal":
+        """Conjugation on the c > 1 that gcd refinement finds."""
+        if self.is_rational():
+            return FractionMapReal({1: 1 / self.coords[1]})
+        c = max(self.coords)
+        for d in self.coords:
+            if math.gcd(c, d) > 1:
+                c = math.gcd(c, d)
+        a = FractionMapReal({d: k for d, k in self.coords.items() if d % c})
+        b = FractionMapReal({d: k for d, k in self.coords.items() if d % c == 0})
+        return (a - b) * (a * a - b * b).invert()
+
+    def __truediv__(self, other: "FractionMapReal") -> "FractionMapReal":
+        if other.is_rational():
+            return self.scale(1 / other.coords[1])
+        return self * other.invert()
+
+    def enclosure_scaled(self, prec: int) -> tuple[int, int]:
+        """(lo, hi) with lo <= value * 2^prec <= hi, floored per coordinate."""
+        lo = hi = 0
+        for d, c in self.coords.items():
+            if d == 1:
+                n = c.numerator << prec
+                lo += n // c.denominator
+                hi += -((-n) // c.denominator)
+                continue
+            s = math.isqrt(d << (2 * prec))
+            if c > 0:
+                lo += (c.numerator * s) // c.denominator
+                hi += -((-(c.numerator * (s + 1))) // c.denominator)
+            else:
+                lo += (c.numerator * (s + 1)) // c.denominator
+                hi += -((-(c.numerator * s)) // c.denominator)
+        return lo, hi
+
+    def hash(self) -> int:
+        if self.is_rational():
+            return hash(self.coords.get(1, 0))
+        return hash(tuple(sorted(self.coords.items())))
+
+
+def fraction_commensurable(x: FractionMapReal, y: FractionMapReal) -> Fraction | None:
+    """x/y when it is rational, from one ratio of coordinates."""
+    if set(x.coords) != set(y.coords):
+        return None
+    d0 = next(iter(y.coords))
+    r = x.coords[d0] / y.coords[d0]
+    for d, c in y.coords.items():
+        if x.coords[d] != r * c:
+            return None
+    return r
+
+
+def fraction_quotients(x: FractionMapReal, y: FractionMapReal) -> Iterator[int]:
+    """Partial quotients of x/y, y != 0: Euclid on a rational ratio, else
+    lockstep Euclid on the ends of the enclosures, prec doubling from
+    INITIAL_PRECISION past the quotients already yielded."""
+    c = Fraction(0) if x.is_zero() else fraction_commensurable(x, y)
+    if c is not None:
+        n, d = c.numerator, c.denominator
+        while d:
+            a, r = divmod(n, d)
+            yield a
+            n, d = d, r
+        return
+    done = 0
+    prec = INITIAL_PRECISION
+    while True:
+        x_lo, x_hi = x.enclosure_scaled(prec)
+        y_lo, y_hi = y.enclosure_scaled(prec)
+        prec *= 2
+        if y_hi < 0:
+            x_lo, x_hi, y_lo, y_hi = -x_hi, -x_lo, -y_hi, -y_lo
+        if y_lo <= 0:
+            continue
+        n_lo, d_lo = x_lo, y_hi if x_lo >= 0 else y_lo
+        n_hi, d_hi = x_hi, y_lo if x_hi >= 0 else y_hi
+        k = 0
+        while d_lo and d_hi:
+            a, r_lo = divmod(n_lo, d_lo)
+            if n_hi // d_hi != a:
+                break
+            if k == done:
+                yield a
+                done += 1
+            k += 1
+            n_lo, d_lo, n_hi, d_hi = d_lo, r_lo, d_hi, n_hi - a * d_hi

@@ -7,6 +7,7 @@ library never touches floats on these paths.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -16,6 +17,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from periodalg.approx import orbit_discrepancy
 from periodalg.errors import DivisionByZero, SizeLimit
 from periodalg.exactreal import (
     MAX_RADICAND,
@@ -28,11 +30,15 @@ from periodalg.exactreal import (
 from periodalg.funcalg import parse_real
 
 from oracles import (
+    FractionMapReal,
     approx_str_reference,
     corner_floor,
     decimal_text,
     drop_last_quotients,
+    enclosure,
     floor_cases,
+    fraction_commensurable,
+    fraction_quotients,
     fraction_real_text,
     mp_value,
     random_coefficient,
@@ -354,7 +360,7 @@ def test_enclosure_brackets_the_value():
     for _ in range(60):
         x = random_element(rng, basis)
         for prec in (16, 48, 96):
-            lo, hi = x.enclosure(prec)
+            lo, hi = enclosure(x, prec)
             assert (x - ExactReal.rational(lo)).sign() >= 0
             assert (ExactReal.rational(hi) - x).sign() >= 0
             # each term contributes |coeff| + rounding slack of one
@@ -419,7 +425,7 @@ def test_disjoint_boxes_take_no_sign_test(monkeypatch):
     decided = tested = 0
     for x, y in order_pairs(1210):
         y = y if isinstance(y, ExactReal) else ExactReal.rational(y)
-        (x_lo, x_hi), (y_lo, y_hi) = x.enclosure(64), y.enclosure(64)
+        (x_lo, x_hi), (y_lo, y_hi) = x._enclosure_scaled(64), y._enclosure_scaled(64)
         disjoint = x_hi < y_lo or y_hi < x_lo
         decided, tested = decided + disjoint, tested + (not disjoint)
         for op in ORDER:
@@ -449,7 +455,7 @@ def test_str_matches_fraction_renderer():
     rng = random.Random(1209)
     for _ in range(300):
         coords = {d: random_coefficient(rng) for d in rng.sample([1, 2, 3, 5, 6, 7], rng.randint(0, 4))}
-        x = ExactReal._of({d: c for d, c in coords.items() if c})
+        x = ExactReal(RadicalBasis(coords), coords)
         assert str(x) == fraction_real_text(x)
     # a coefficient past the interpreter's integer string limit raises
     # its ValueError, as the Fraction renderer did
@@ -461,7 +467,7 @@ def test_str_matches_fraction_renderer():
         big = 10**4300
         for c in (Fraction(big), Fraction(-big), Fraction(1, big), Fraction(big, 7)):
             for d in (1, 2):
-                x = ExactReal._of({d: c})
+                x = ExactReal(RadicalBasis([d]), {d: c})
                 with pytest.raises(ValueError) as want:
                     fraction_real_text(x)
                 with pytest.raises(ValueError) as got:
@@ -583,3 +589,62 @@ def test_commensurable_random_ratios():
         if q == 0:
             continue
         assert commensurable(y.scale(q), y) == q
+
+
+def layout_pair(rng: random.Random) -> tuple[ExactReal, FractionMapReal]:
+    """An element and its Fraction map, with keys in a random order:
+    rationals, shared and mixed denominators, 31-digit coefficients."""
+    keys = rng.sample([1, 2, 3, 5, 6, 7, 10, 15], rng.choice([0, 1, 1, 2, 3, 4]))
+    if rng.random() < 0.2:
+        keys = [1]
+    den = rng.choice([1, 2, 6, 7, 12])
+    coords = {}
+    for d in keys:
+        c = random_coefficient(rng) if rng.random() < 0.3 else Fraction(rng.randint(-9, 9), den)
+        coords[d] = c
+    x = ExactReal(RadicalBasis(keys), coords)
+    return x, FractionMapReal({d: c for d, c in coords.items() if c})
+
+
+def assert_same_layout(x: ExactReal, fx: FractionMapReal) -> None:
+    # the same coordinates in the same order, on one reduced denominator
+    assert list(x.coords.items()) == list(fx.coords.items()), (x, fx.coords)
+    assert x.den > 0 and math.gcd(x.den, *x.nums.values()) == 1, (x.den, x.nums)
+    assert all(x.nums.values())
+    if x.is_rational():
+        assert hash(x) == hash(x.as_rational()) == fx.hash()
+
+
+def test_integer_layout_matches_the_fraction_map_oracle():
+    # every ring operation on (den, nums) against the coordinate-wise
+    # Fraction arithmetic it replaced: values, key order, reduction,
+    # hashes, commensurability, quotients and every enclosure
+    rng = random.Random(2602)
+    for _ in range(500):
+        (x, fx), (y, fy) = layout_pair(rng), layout_pair(rng)
+        q = rng.choice([0, 3, -2, Fraction(1, 2), Fraction(-5, 6), Fraction(7, 12)])
+        fq = FractionMapReal({1: Fraction(q)} if q else {})
+        cases = [
+            (x, fx), (x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy), (-x, -fx),
+            (x.scale(q), fx.scale(q)), (x + q, fx + fq), (q + x, fq + fx), (q - x, fq - fx),
+            (x - x, fx - fx), (x + x, fx + fx),
+        ]
+        if not y.is_zero():
+            cases += [(x / y, fx / fy), (y.invert(), fy.invert())]
+            if not x.is_zero():
+                assert commensurable(x, y) == fraction_commensurable(fx, fy)
+            got = list(itertools.islice(quotients(x, y), 6))
+            assert got == list(itertools.islice(fraction_quotients(fx, fy), 6)), (x, y)
+        for got, want in cases:
+            assert_same_layout(got, want)
+            for prec in (64, 128, 256, 512, 1024):
+                assert got._enclosure_scaled(prec) == want.enclosure_scaled(prec), (got, prec)
+
+
+def test_enclosures_floor_each_coordinate():
+    # floors taken per coordinate, as the Fraction layout took them; one
+    # floor of the summed numerators over den gives a narrower box, which
+    # moves this bound (the orbit walk's steps come from the boxes)
+    alpha = parse_real("(1/3)*sqrt(5) - 2/7")
+    assert orbit_discrepancy(alpha, 10) == Fraction(3314116497341319310773, 23611832414348226068480)
+    assert alpha._enclosure_scaled(64) == FractionMapReal.of(alpha).enclosure_scaled(64)

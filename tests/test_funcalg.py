@@ -8,7 +8,9 @@ through the library's grammar or canonicalization.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -43,12 +45,14 @@ from oracles import (
     basis_of_dim,
     first_box_witness,
     fraction_form_text,
+    is_constant,
     py_formula_evaluator,
     random_basis,
     random_coefficient,
     random_formula_text,
     random_lattice,
     random_real_text,
+    repeated_product_power,
 )
 
 
@@ -73,6 +77,52 @@ def test_power_coefficient_limit_is_exact():
             parse(f"({c})*abs1(one)", dom) ** n
 
 
+def test_power_of_a_sum_matches_repeated_products():
+    # the multinomial expansion against n products, on random sums whose
+    # monomials merge: sgn exponents live mod 2, a sgn shift folds into
+    # the sign, and abs1(one) with abs1(one)^2 or recip(one) reach one
+    # monomial from several exponent tuples
+    rng = random.Random(2601)
+    dom = full_domain(1, 2)
+    atoms = [
+        "sgn(one)", "sgn(sqrt(2))", "sgn(one+1)", "abs1(one)", "abs1(one)^2",
+        "recip(one)", "abs1(sqrt(2)-1)", "abs1(one)*sgn(sqrt(2))",
+    ]
+    coefficients = ["1", "-1", "2", "-3", "1/2", "-2/3", "5/4"]
+    merged = 0
+    for _ in range(150):
+        terms = []
+        for _ in range(rng.randint(2, 4)):
+            parts = [f"({rng.choice(coefficients)})"] + rng.sample(atoms, rng.randint(0, 2))
+            terms.append("*".join(parts))
+        f = parse(" + ".join(terms), dom)
+        for n in range(7):
+            got = f**n
+            assert got == repeated_product_power(f, n), (f, n)
+            t = len(f.terms)
+            merged += t > 1 and len(got.terms) < math.comb(n + t - 1, t - 1)
+    assert merged > 100
+
+
+def test_power_of_a_sum_is_sized_before_any_product():
+    # C(n+t-1, t-1) exponent tuples and ||p||_1^n over q^n bound the
+    # output; 3^9012 has 4300 digits and 3^9013 4301, and
+    # (x + y + 1)^361 has C(363, 2) = 65,703 tuples
+    dom = full_domain(1, 2)
+    f = parse("abs1(one) + 2", dom) ** 9012
+    assert len(f.terms) == 9013 and sum(f.terms.values()) == 3**9012
+    assert parse("abs1(one)/3 - 2/3", dom) ** 2 == parse("abs1(one)^2/9 - 4*abs1(one)/9 + 4/9", dom)
+    for text, n, message in (
+        ("abs1(one) + 2", 9013, f"power's coefficient bound ||c||_1^n exceeds the limit of {MAX_DIGITS} digits"),
+        ("abs1(one)/3 + 2/3", 9013, f"power's coefficient bound ||c||_1^n exceeds the limit of {MAX_DIGITS} digits"),
+        ("abs1(one) + abs1(sqrt(2)) + 1", 361, f"power's monomial count C(n+t-1, t-1) exceeds the limit of {funcalg.MAX_TERMS}"),
+        ("abs1(one) + 1", 10**30, f"power's monomial count C(n+t-1, t-1) exceeds the limit of {funcalg.MAX_TERMS}"),
+        (f"abs1(one)^{10**4299} + 1", 10, f"power's exponent exceeds the limit of {MAX_DIGITS} digits"),
+    ):
+        with pytest.raises(SizeLimit, match=f"^{re.escape(message)}$"):
+            parse(text, dom) ** n
+
+
 def test_parse_canonical_cancellation():
     dom = full_domain(1, 2, 3)
     f = parse("recip(sqrt(2)) + recip(sqrt(3)) - recip(sqrt(3))", dom)
@@ -82,7 +132,7 @@ def test_parse_canonical_cancellation():
 
 def test_parse_sgn_squares_to_one():
     dom = full_domain(1, 2)
-    assert parse("sgn(sqrt(2))^2", dom).is_constant()
+    assert is_constant(parse("sgn(sqrt(2))^2", dom))
     assert parse("sgn(sqrt(2))^2", dom) == parse("1", dom)
     assert parse("sgn(sqrt(2))^3", dom) == parse("sgn(sqrt(2))", dom)
 

@@ -22,7 +22,7 @@ from periodalg.errors import (
     SizeLimit,
 )
 from periodalg.exactreal import MAX_DIGITS, MAX_RADICAND, ExactReal
-from periodalg.funcalg import parse_real
+from periodalg.funcalg import MAX_TERMS, parse_real
 from periodalg.scenario import (
     _RESERVED,
     ANALYSES,
@@ -219,6 +219,17 @@ LIMIT_REPROS = {
     "power": (
         _ONE_AXIS + "function f = (2*abs1(one))^20000 on D;\nanalyze period_module f;\n",
         f"line 4, col 27: power's coefficient exceeds the limit of {MAX_DIGITS} digits",
+    ),
+    # (x + 1)^n has n + 1 monomials and coefficients up to 2^n: 2^14284
+    # has 4300 digits and 2^14285 4301, refused before any product
+    "power_of_sum": (
+        _ONE_AXIS + "function f = (abs1(one)+1)^14285 on D;\nanalyze period_module f;\n",
+        f"line 4, col 27: power's coefficient bound ||c||_1^n exceeds the limit of {MAX_DIGITS} digits",
+    ),
+    # three terms to the 400th have C(402, 2) = 80,601 exponent tuples
+    "power_monomials": (
+        _ONE_AXIS + "function f = (abs1(one)+abs1(one)^2+1)^400 on D;\nanalyze period_module f;\n",
+        f"line 4, col 39: power's monomial count C(n+t-1, t-1) exceeds the limit of {MAX_TERMS}",
     ),
     # (x^N)^N with N = 10^4200 has an exponent of 8,401 digits
     "exponent": (
