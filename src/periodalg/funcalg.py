@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -53,7 +53,7 @@ from .lattice import CoeffLattice, intersect, member
 
 ABS1 = "abs1"
 SGN = "sgn"
-# the most monomials a power of a sum may expand to (docs/scenario-format.md)
+# the most exponent tuples a product of powers may expand to (docs/scenario-format.md)
 MAX_TERMS = 2**16
 
 
@@ -86,54 +86,92 @@ def _monomial_text(m: tuple) -> str:
     return "*".join(parts)
 
 
-def _power_of_sum(terms: Mapping[tuple, Fraction], n: int) -> dict[tuple, Fraction]:
-    """The term map of (sum of c*m over terms)^n, for n >= 0 and at
-    least two terms, by the multinomial theorem.
+def _raised(m: tuple, a: int) -> tuple:
+    """The atoms of m^a; none for a = 0."""
+    return tuple((k, d, s, e * a) for k, d, s, e in m) if a else ()
 
-    Every size is decided before any product.  There are at most
-    C(n+t-1, t-1) monomials for t terms, one per exponent tuple, which
-    must stay within MAX_TERMS.  An abs1 exponent e becomes at most
-    e*n, bounded like a one-term power's.  With q the lcm of the
-    denominators and p_i = c_i*q, each coefficient is an integer of at
-    most ||p||_1^n over q^n, and the larger of the two must stay within
-    MAX_DIGITS digits.  The expansion then sums, per exponent tuple
-    (a_1, ..., a_t), the multinomial n!/(a_1!...a_t!) times the
-    product of the p_i^a_i, term by term in integers, and divides by
-    q^n once per monomial.
-    """
-    items = list(terms.items())
-    t = len(items)
-    if n >= MAX_TERMS or comb(n + t - 1, t - 1) > MAX_TERMS:
-        raise SizeLimit(f"power's monomial count C(n+t-1, t-1) exceeds the limit of {MAX_TERMS}")
-    if _too_long(*(e * n for m, _ in items for k, _, _, e in m if k == ABS1)):
-        raise SizeLimit(f"power's exponent exceeds the limit of {MAX_DIGITS} digits")
-    q = lcm(*(c.denominator for _, c in items))
-    ps = [c.numerator * (q // c.denominator) for _, c in items]
-    bound = max(sum(map(abs, ps)), q)
-    if (bound.bit_length() - 1) * n > MAX_BITS or _too_long(bound**n):
-        raise SizeLimit(f"power's coefficient bound ||c||_1^n exceeds the limit of {MAX_DIGITS} digits")
 
-    def raised(m: tuple, a: int) -> tuple:
-        return tuple((k, d, s, e * a) for k, d, s, e in m)
-
+def _multinomial(items: list, ps: list[int], n: int) -> list[tuple[int, tuple]]:
+    """(integer coefficient, atoms) per exponent tuple (a_1, ..., a_t) of
+    (sum of p_i*m_i over the items)^n, for n >= 0: the multinomial
+    n!/(a_1!...a_t!) times the product of the p_i^a_i, and each m_i's
+    atoms raised to a_i.  A partial tuple whose exponent is used up is
+    done, so it skips the terms after it."""
+    done = []
     # (exponent left, integer coefficient, atoms) per partial tuple
     parts = [(n, 1, ())]
     for (m, _), p in zip(items[:-1], ps):
         grown = []
         for r, coef, atoms in parts:
             binom = power = 1
-            for a in range(r + 1):
-                grown.append((r - a, coef * binom * power, atoms + raised(m, a)))
+            for a in range(r):
+                grown.append((r - a, coef * binom * power, atoms + _raised(m, a)))
                 binom = binom * (r - a) // (a + 1)
                 power *= p
+            done.append((coef * power, atoms + _raised(m, r)))
         parts = grown
     m, p = items[-1][0], ps[-1]
+    done += [(coef * p**r, atoms + _raised(m, r)) for r, coef, atoms in parts]
+    return done
+
+
+def _expand(factors: Iterable[tuple[Mapping[tuple, Fraction], int]]) -> dict[tuple, Fraction]:
+    """The term map of the product of the f^n over (terms of f, n)
+    factors, n >= 0: f*g is [(f, 1), (g, 1)] and f^n is [(f, n)].
+
+    The count and the coefficients are sized before any product.  A
+    factor of t terms has C(n+t-1, t-1) exponent tuples, and the
+    product of these counts must stay within MAX_TERMS.  With q the lcm
+    of a factor's denominators and p_i = c_i*q, each coefficient is an
+    integer of at most the product of the ||p||_1^n, over the product
+    of the q^n, and the larger of the two must stay within MAX_DIGITS
+    digits; a factor's part of b bits to the n is at least 2^((b-1)*n),
+    so past MAX_BITS it is too long before it is built.  With one
+    exponent tuple, the bound in lowest terms is the coefficient.  Each
+    factor is then expanded in integers (`_multinomial`), the
+    expansions are multiplied out, and each monomial's sum is divided
+    by the product of the q^n once.  Exponents are cheap to build (a
+    factor of t > 1 terms has n < MAX_TERMS once counted), so they are
+    summed exactly, and each abs1 exponent of the result must then stay
+    within MAX_DIGITS digits.
+    """
+    count = bound = den = 1
+    too_long = False
+    plan = []
+    for terms, n in factors:
+        if not terms:
+            if n:
+                return {}
+            continue
+        items = list(terms.items())
+        t = len(items)
+        if t > 1:
+            count *= comb(n + t - 1, t - 1) if n < MAX_TERMS else MAX_TERMS + 1
+        q = lcm(*[c.denominator for _, c in items])
+        ps = [c.numerator * (q // c.denominator) for _, c in items]
+        size = sum(map(abs, ps))
+        too_long = too_long or (max(size, q).bit_length() - 1) * n > MAX_BITS
+        if not too_long:
+            bound *= size**n
+            den *= q**n
+        plan.append((items, ps, n))
+    if count > MAX_TERMS:
+        raise SizeLimit(f"power's monomial count C(n+t-1, t-1) exceeds the limit of {MAX_TERMS}")
+    g = gcd(bound, den) if count == 1 else 1
+    if too_long or _too_long(bound // g, den // g):
+        what = "coefficient" if count == 1 else "coefficient bound ||c||_1^n"
+        raise SizeLimit(f"power's {what} exceeds the limit of {MAX_DIGITS} digits")
+    parts = [(1, ())]
+    for items, ps, n in plan:
+        parts = [(c * p, atoms + more) for c, atoms in parts for p, more in _multinomial(items, ps, n)]
     acc: dict[tuple, int] = {}
-    for r, coef, atoms in parts:
-        key = _monomial(atoms + raised(m, r))
-        acc[key] = acc.get(key, 0) + coef * p**r
-    den = q**n
-    return {m: Fraction(v, den) for m, v in acc.items() if v}
+    for c, atoms in parts:
+        key = _monomial(atoms)
+        acc[key] = acc.get(key, 0) + c
+    out = {m: Fraction(v, den) for m, v in acc.items() if v}
+    if _too_long(*(e for m in out for k, _, _, e in m if k == ABS1)):
+        raise SizeLimit(f"power's exponent exceeds the limit of {MAX_DIGITS} digits")
+    return out
 
 
 class CanonicalForm:
@@ -183,8 +221,7 @@ class CanonicalForm:
         return dom, CanonicalForm(dom, self.terms), CanonicalForm(dom, other.terms)
 
     def __add__(self, other) -> "CanonicalForm":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, CanonicalForm):
             return NotImplemented
         dom, f, g = self._aligned(other)
         acc = dict(f.terms)
@@ -192,84 +229,44 @@ class CanonicalForm:
             acc[m] = acc.get(m, Fraction(0)) + c
         return CanonicalForm(dom, acc)
 
-    def __radd__(self, other) -> "CanonicalForm":
-        return self.__add__(other)
-
     def __neg__(self) -> "CanonicalForm":
         return CanonicalForm(self.domain, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "CanonicalForm":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, CanonicalForm):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "CanonicalForm":
-        return (-self).__add__(other)
-
     def __mul__(self, other) -> "CanonicalForm":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CanonicalForm(self.domain, {m: c * q for m, c in self.terms.items()})
         if not isinstance(other, CanonicalForm):
             return NotImplemented
         dom, f, g = self._aligned(other)
-        acc: dict[tuple, Fraction] = {}
-        for m1, c1 in f.terms.items():
-            for m2, c2 in g.terms.items():
-                m = _monomial(m1 + m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-        return CanonicalForm(dom, acc)
-
-    def __rmul__(self, other) -> "CanonicalForm":
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+        return CanonicalForm(dom, _expand([(f.terms, 1), (g.terms, 1)]))
 
     def __truediv__(self, other) -> "CanonicalForm":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                raise DivisionByZero("division by rational zero")
-            return self * (1 / q)
         if not isinstance(other, CanonicalForm):
             return NotImplemented
-        return self * other ** -1
+        dom, f, g = self._aligned(other)
+        return CanonicalForm(dom, _expand([(f.terms, 1), (g._inverse(), 1)]))
 
     def __pow__(self, n: int) -> "CanonicalForm":
         n = int(n)
-        if len(self.terms) == 1:
-            # one term: raise it in one step, whatever the size of n.  A
-            # part of c of b bits to the |n| is at least 2^((b-1)*|n|), so
-            # past MAX_BITS it is too long before it is built.  An abs1
-            # exponent e*n is bounded like c; a sgn one is taken mod 2
-            ((m, c),) = self.terms.items()
-            least_bits = (max(c.numerator.bit_length(), c.denominator.bit_length()) - 1) * abs(n)
-            c = None if least_bits > MAX_BITS else c**n
-            if c is None or _too_long(c.numerator, c.denominator):
-                raise SizeLimit(f"power's coefficient exceeds the limit of {MAX_DIGITS} digits")
-            atoms = [(k, d, s, e * n) for k, d, s, e in m]
-            if _too_long(*(e for k, _, _, e in atoms if k == ABS1)):
-                raise SizeLimit(f"power's exponent exceeds the limit of {MAX_DIGITS} digits")
-            m = _monomial(atoms)
-            return CanonicalForm(self.domain, {m: c})
         if n < 0:
-            if self.is_zero():
-                raise DivisionByZero("division by the zero formula")
+            return CanonicalForm(self.domain, _expand([(self._inverse(), -n)]))
+        return CanonicalForm(self.domain, _expand([(self.terms, n)]))
+
+    def _inverse(self) -> dict[tuple, Fraction]:
+        """The term map of 1/f, for f of one term; its sgn exponent -1
+        is taken mod 2 by the product it enters."""
+        if self.is_zero():
+            raise DivisionByZero("division by the zero formula")
+        if len(self.terms) > 1:
             raise NonMonomialDivisor(
                 f"divisor has {len(self.terms)} terms; only single-monomial "
                 f"denominators are invertible"
             )
-        if not self.terms:
-            return CanonicalForm.constant(1, self.domain) if n == 0 else self
-        return CanonicalForm(self.domain, _power_of_sum(self.terms, n))
-
-    def _coerce(self, other):
-        if isinstance(other, CanonicalForm):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CanonicalForm.constant(other, self.domain)
-        return NotImplemented
+        ((m, c),) = self.terms.items()
+        return {_raised(m, -1): Fraction(c.denominator, c.numerator)}
 
     # -- rendering ---------------------------------------------------------
 
@@ -716,7 +713,7 @@ def _compile(f: CanonicalForm):
     """Closure evaluating f at an integer vector as an unreduced (num, den).
 
     A power b^e with (b.bit_length() - 1) * |e| > MAX_BITS, the rule of
-    `CanonicalForm.__pow__`, raises SizeLimit before it is built: each
+    `_expand`, raises SizeLimit before it is built: each
     abs1 atom keeps the least such b, 2^(MAX_BITS // |e| + 1).
     """
     index = f.domain.basis.index

@@ -17,8 +17,11 @@ residual, and a rotation per divisor.  `FractionMapReal` keeps the
 earlier layout of `ExactReal`, one `Fraction` per radicand, with its
 ring operations, enclosures, hash and `quotients`, down to the order
 of its keys; `enclosure`, `measure` and `is_constant` are the Fraction
-enclosure, pattern measure and constant test that only tests read, and
-`repeated_product_power` the power of a form as repeated products.
+enclosure, pattern measure and constant test that only tests read.
+`pairwise_product` multiplies two forms term by term, merging each
+pair's atoms itself, and `repeated_product_power` takes a power as
+repeated pairwise products, so neither goes through the library's own
+product.
 """
 
 from __future__ import annotations
@@ -63,11 +66,30 @@ def is_constant(f: CanonicalForm) -> bool:
     return not any(f.terms)
 
 
+def pairwise_product(f: CanonicalForm, g: CanonicalForm) -> CanonicalForm:
+    """f*g on f's domain, one product per pair of terms.
+
+    Each pair's atoms are merged here: exponents of equal (kind,
+    radicand, shift) add up, sgn exponents live mod 2, zero exponents
+    drop out, and the rest is sorted, as canonical monomials are.
+    """
+    acc: dict[tuple, Fraction] = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            exps: dict[tuple, int] = {}
+            for kind, d, s, e in m1 + m2:
+                e += exps.get((kind, d, s), 0)
+                exps[kind, d, s] = e % 2 if kind == "sgn" else e
+            m = tuple(sorted((*key, e) for key, e in exps.items() if e))
+            acc[m] = acc.get(m, Fraction(0)) + c1 * c2
+    return CanonicalForm(f.domain, acc)
+
+
 def repeated_product_power(f: CanonicalForm, n: int) -> CanonicalForm:
-    """f^n for n >= 0 as n products, starting from the constant 1."""
+    """f^n for n >= 0 as n pairwise products, starting from the constant 1."""
     out = CanonicalForm.constant(1, f.domain)
     for _ in range(n):
-        out = out * f
+        out = pairwise_product(out, f)
     return out
 
 

@@ -624,6 +624,8 @@ def test_discrepancy_rational_orbits_exact():
 
 
 def test_discrepancy_golden_frozen_value():
+    # one point, 0, has discrepancy 1 whatever the irrational step
+    assert orbit_discrepancy(ExactReal.sqrt(2) - ExactReal.rational(1), 1) == 1
     golden = (ExactReal.sqrt(5) - ExactReal.rational(1)).scale(Fraction(1, 2))
     got = orbit_discrepancy(golden, 100)
     assert got == Fraction(

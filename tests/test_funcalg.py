@@ -46,6 +46,7 @@ from oracles import (
     first_box_witness,
     fraction_form_text,
     is_constant,
+    pairwise_product,
     py_formula_evaluator,
     random_basis,
     random_coefficient,
@@ -77,31 +78,95 @@ def test_power_coefficient_limit_is_exact():
             parse(f"({c})*abs1(one)", dom) ** n
 
 
+# sums whose monomials merge: sgn exponents live mod 2, a sgn shift
+# folds into the sign, and abs1(one) with abs1(one)^2 or recip(one)
+# reach one monomial from several exponent tuples
+SUM_ATOMS = [
+    "sgn(one)", "sgn(sqrt(2))", "sgn(one+1)", "abs1(one)", "abs1(one)^2",
+    "recip(one)", "abs1(sqrt(2)-1)", "abs1(one)*sgn(sqrt(2))",
+]
+SUM_COEFFICIENTS = ["1", "-1", "2", "-3", "1/2", "-2/3", "5/4"]
+
+
+def random_sum(rng, dom, least: int = 2):
+    terms = []
+    for _ in range(rng.randint(least, 4)):
+        parts = [f"({rng.choice(SUM_COEFFICIENTS)})"] + rng.sample(SUM_ATOMS, rng.randint(0, 2))
+        terms.append("*".join(parts))
+    return parse(" + ".join(terms), dom)
+
+
 def test_power_of_a_sum_matches_repeated_products():
-    # the multinomial expansion against n products, on random sums whose
-    # monomials merge: sgn exponents live mod 2, a sgn shift folds into
-    # the sign, and abs1(one) with abs1(one)^2 or recip(one) reach one
-    # monomial from several exponent tuples
+    # the multinomial expansion against n pairwise products
     rng = random.Random(2601)
     dom = full_domain(1, 2)
-    atoms = [
-        "sgn(one)", "sgn(sqrt(2))", "sgn(one+1)", "abs1(one)", "abs1(one)^2",
-        "recip(one)", "abs1(sqrt(2)-1)", "abs1(one)*sgn(sqrt(2))",
-    ]
-    coefficients = ["1", "-1", "2", "-3", "1/2", "-2/3", "5/4"]
     merged = 0
     for _ in range(150):
-        terms = []
-        for _ in range(rng.randint(2, 4)):
-            parts = [f"({rng.choice(coefficients)})"] + rng.sample(atoms, rng.randint(0, 2))
-            terms.append("*".join(parts))
-        f = parse(" + ".join(terms), dom)
+        f = random_sum(rng, dom)
         for n in range(7):
             got = f**n
             assert got == repeated_product_power(f, n), (f, n)
             t = len(f.terms)
             merged += t > 1 and len(got.terms) < math.comb(n + t - 1, t - 1)
     assert merged > 100
+
+
+def test_products_match_pairwise_products():
+    # `*`, `/` and `^` share one expansion: f*g, f^a * g^b and f/m
+    # against term-by-term products, on sums and single terms alike
+    rng = random.Random(2701)
+    dom = full_domain(1, 2)
+    for _ in range(150):
+        f, g = random_sum(rng, dom, least=1), random_sum(rng, dom, least=1)
+        assert f * g == pairwise_product(f, g), (f, g)
+        a, b = rng.randint(0, 3), rng.randint(0, 3)
+        want = pairwise_product(repeated_product_power(f, a), repeated_product_power(g, b))
+        assert f**a * g**b == want, (f, a, g, b)
+        m = parse(f"({rng.choice(SUM_COEFFICIENTS)})*{rng.choice(SUM_ATOMS)}", dom)
+        assert pairwise_product(f / m, m) == f, (f, m)
+    # the product of two 251-term sums: 63,001 exponent tuples, within
+    # MAX_TERMS, merging into 501 monomials
+    s = parse("(abs1(one)+1)^250", dom)
+    f = parse("(abs1(one)+1)^250 * (abs1(one)+1)^250", dom)
+    assert f == pairwise_product(s, s) == parse("(abs1(one)+1)^500", dom)
+    # exponents are summed exactly, so opposite ones cancel
+    N = "9" * MAX_DIGITS
+    assert parse(f"abs1(one)^{N} * recip(one)^{N}", dom) == parse("1", dom)
+
+
+def test_products_are_sized_before_any_expansion(monkeypatch):
+    # x*x fails as x^2 does; the product of two sums fails on its
+    # 501 * 501 exponent tuples before any factor is expanded
+    dom = full_domain(1)
+    x = parse(f"({'9' * MAX_DIGITS})*abs1(one)", dom)
+    coefficient = f"power's coefficient exceeds the limit of {MAX_DIGITS} digits"
+    for build in (lambda: x * x, lambda: x**2, lambda: x / x ** -1):
+        with pytest.raises(SizeLimit, match=f"^{re.escape(coefficient)}$"):
+            build()
+    bound = f"power's coefficient bound ||c||_1^n exceeds the limit of {MAX_DIGITS} digits"
+    with pytest.raises(SizeLimit, match=f"^{re.escape(bound)}$"):
+        x * parse("abs1(one) + 1", dom)
+    # the factors' bounds multiply: y*y is 3^9012 (4300 digits) and
+    # y*(3*y) is 3^9013 (4301); the bit rule passes both, so the
+    # product of the bounds decides
+    y = parse(f"{3**4506}*abs1(one)", dom)
+    assert (y * y).terms == {(("abs1", 1, 0, 2),): 3**9012}
+    with pytest.raises(SizeLimit, match=f"^{re.escape(coefficient)}$"):
+        y * (y * parse("3", dom))
+    # one monomial's coefficient is sized in lowest terms, so factors of
+    # 4300-digit parts that cancel make a small one
+    a, b = 10**4299 + 1, 10**4299 + 3
+    z = parse(f"({a}/{b})*abs1(one)", dom) * parse(f"({b}/{a})*abs1(one)", dom)
+    assert z == parse("abs1(one)^2", dom)
+    s = parse("(abs1(one)+1)^500", dom)
+
+    def no_expansion(*args):
+        raise AssertionError("sizes are decided before any expansion")
+
+    monkeypatch.setattr(funcalg, "_multinomial", no_expansion)
+    count = f"power's monomial count C(n+t-1, t-1) exceeds the limit of {funcalg.MAX_TERMS}"
+    with pytest.raises(SizeLimit, match=f"^{re.escape(count)}$"):
+        s * s
 
 
 def test_power_of_a_sum_is_sized_before_any_product():

@@ -98,6 +98,21 @@ def test_parse_positions_in_syntax_errors():
         parse_scenario(head + "function f = abs1(one) on X;\n")
     assert (err.value.line, err.value.col) == (4, 27)
 
+    # statement and formula errors, each with its message
+    one = 'scenario "x";\ndomain D = lattice[(1)] over basis(1);\n'
+    for text, line, col, message in (
+        ('scenario "x";\nscenario "y";\n', 2, 1, "'scenario' must be the first statement"),
+        ('scenario "x";\n5;\n', 2, 1, "expected a statement keyword"),
+        ("scenario x;\n", 1, 10, "expected a quoted scenario name"),
+        ('scenario "x";\nfrobnicate;\n', 2, 1, "unknown statement 'frobnicate'"),
+        ('scenario "x";\nanalyze bogus 1;\n', 2, 1, "unknown analysis kind 'bogus'"),
+        (one + "function f = foo(one) on D;\n", 3, 14, "unknown function 'foo'"),
+        (one + "function f = abs1(two) on D;\n", 3, 19, "expected 'one' or 'sqrt(<int>)'"),
+    ):
+        with pytest.raises(ScenarioSyntaxError) as err:
+            parse_scenario(text)
+        assert str(err.value) == f"line {line}, col {col}: {message}", text
+
     # a numeral past Python's integer string limit (Python >= 3.11; 0 is
     # no limit) is a syntax error at the numeral, not a bare ValueError
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -230,6 +245,30 @@ LIMIT_REPROS = {
     "power_monomials": (
         _ONE_AXIS + "function f = (abs1(one)+abs1(one)^2+1)^400 on D;\nanalyze period_module f;\n",
         f"line 4, col 39: power's monomial count C(n+t-1, t-1) exceeds the limit of {MAX_TERMS}",
+    ),
+    # x*x and x^2 for x = (10^4300 - 1)*abs1(one): a product is sized
+    # as the power it equals, whatever the interpreter's limit
+    "square": (
+        _ONE_AXIS + f"function x = ({'9' * 4300})*abs1(one) on D;\n"
+        "function f = x^2;\nanalyze period_module f;\n",
+        f"line 5, col 15: power's coefficient exceeds the limit of {MAX_DIGITS} digits",
+    ),
+    "product": (
+        _ONE_AXIS + f"function x = ({'9' * 4300})*abs1(one) on D;\n"
+        "function f = x*x;\nanalyze period_module f;\n",
+        f"line 5, col 15: power's coefficient exceeds the limit of {MAX_DIGITS} digits",
+    ),
+    # the exponent 2*(10^4300 - 1) has 4,301 digits
+    "product_exponent": (
+        _ONE_AXIS + f"function f = abs1(one)^{'9' * 4300} * abs1(one)^{'9' * 4300} on D;\n"
+        "analyze period_module f;\n",
+        f"line 4, col 4325: power's exponent exceeds the limit of {MAX_DIGITS} digits",
+    ),
+    # two sums of 501 terms have 251,001 exponent tuples
+    "product_monomials": (
+        _ONE_AXIS + "function f = (abs1(one)+1)^500 * (abs1(one)+1)^500 on D;\n"
+        "analyze period_module f;\n",
+        f"line 4, col 32: power's monomial count C(n+t-1, t-1) exceeds the limit of {MAX_TERMS}",
     ),
     # (x^N)^N with N = 10^4200 has an exponent of 8,401 digits
     "exponent": (
@@ -495,6 +534,34 @@ def test_missing_eps_is_a_scenario_error():
     err = parse_real(res["exact"]["error"])
     eps = ExactReal.rational(Fraction(1, 100))
     assert (eps - err).sign() > 0 and (eps + err).sign() > 0
+
+
+def test_reports_without_a_witness_in_the_box():
+    # a difference that vanishes on the whole domain without being
+    # formally zero, a shift that leaves the domain (witnessed at the
+    # origin), and a Kronecker search that ends at its bound
+    head = 'scenario "x";\nbasis B = basis(1, sqrt(2));\n'
+    for text, exact, witness, verdict in (
+        (
+            head + "domain D = lattice[(1,1)] over B;\nfunction f = sgn(one) - sgn(sqrt(2)) on D;\n"
+            "analyze counterexample f shift 1 + sqrt(2) bound 3;\n",
+            {"found": False}, None, "no counterexample in the search box (bound 3)",
+        ),
+        (
+            'scenario "x";\ndomain D = lattice[(2)] over basis(1);\nfunction f = abs1(one) on D;\n'
+            "analyze counterexample f shift 1;\n",
+            {"found": True, "domain_invariant": False}, {"x": [0]},
+            "counterexample found: the shift is not a period",
+        ),
+        (
+            'scenario "x";\nanalyze kronecker sqrt(2) over [1] delta 1/2 eps 1/1000000 bound 3;\n',
+            {"found": False}, None, "no witness up to q = 3",
+        ),
+    ):
+        (res,) = run_scenario(parse_scenario(text)).results
+        assert res["exact"] == exact, text
+        assert res.get("witness") == witness, text
+        assert res["verdict"] == verdict, text
 
 
 def test_analysis_failure_wraps_index_and_kind():
