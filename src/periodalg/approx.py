@@ -127,10 +127,13 @@ def dirichlet_find(
     that comparison and at the witness, which is re-checked the same
     way; a failed re-check is an internal error, not a reason to
     search.  A witness coefficient of more than MAX_DIGITS digits raises
-    SizeLimit.
+    SizeLimit, and a zero T1 or T2 raises DivisionByZero naming it.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    for name, t in (("T1", T1), ("T2", T2)):
+        if t.is_zero():
+            raise DivisionByZero(f"zero generator {name}")
     if commensurable(T1, T2) is not None:
         raise CommensurableInput(
             "T1 and T2 are commensurable; T1*Z + T2*Z is discrete, not dense"

@@ -22,6 +22,7 @@ exact sign test.  `sign()` starts from the box.
 from __future__ import annotations
 
 import operator
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -78,53 +79,44 @@ def _radicand_part(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _decimal_context(digits: int) -> Context:
+    # no exponent limit: a value past 10^999999 is written too
+    return Context(prec=digits, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+@lru_cache(maxsize=None)
 def _sqrt_floor_scaled(d: int, prec: int) -> int:
     # s with s <= sqrt(d) * 2^prec < s + 1
     return isqrt(d << (2 * prec))
 
 
-class RadicalBasis:
+class RadicalBasis(tuple):
     """Ordered tuple of distinct squarefree radicands, always starting at 1.
 
     It orders the coordinates of lattices and formula domains.  An
     `ExactReal` carries none: its numerators are keyed by radicand.
     """
 
-    __slots__ = ("radicands", "_index")
+    __slots__ = ()
 
-    def __init__(self, radicands: Iterable[int]):
+    def __new__(cls, radicands: Iterable[int]) -> "RadicalBasis":
         rads = sorted(set(map(operator.index, radicands)) | {1})
         for d in rads:
             if _radicand_part(d) != d:  # raises for d <= 0 or too large
                 raise ValueError(f"radicand {d} is not squarefree")
-        self.radicands: tuple[int, ...] = tuple(rads)
-        self._index = {d: i for i, d in enumerate(self.radicands)}
+        return super().__new__(cls, rads)
 
-    def __len__(self) -> int:
-        return len(self.radicands)
-
-    def __iter__(self):
-        return iter(self.radicands)
-
-    def __contains__(self, d: int) -> bool:
-        return d in self._index
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RadicalBasis) and self.radicands == other.radicands
-
-    def __hash__(self) -> int:
-        return hash(self.radicands)
+    @property
+    def radicands(self) -> tuple[int, ...]:
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return f"RadicalBasis({list(self.radicands)})"
-
-    def index(self, d: int) -> int:
-        return self._index[d]
+        return f"RadicalBasis({list(self)})"
 
     def merge(self, other: "RadicalBasis") -> "RadicalBasis":
         if self == other:
             return self
-        return RadicalBasis(self.radicands + other.radicands)
+        return RadicalBasis(self + other)
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -492,12 +484,10 @@ class ExactReal:
         """Decimal rendering, correct to `digits` significant digits.
 
         The dyadic enclosure is refined until its width is below
-        10^-(digits+2) of the value, and its midpoint num / 2^(prec+1)
-        is rendered in integers: the decimal exponent comes from the bit
-        length, corrected by the integer quotient, and one divmod gives
-        the digits, rounded half up (a remainder of at least half the
-        divisor rounds up).  A carry that rounds 0.999... up to 10^digits
-        moves the exponent by one.  Trailing zeros after the point drop.
+        10^-(digits+2) of its low end.  Its midpoint (lo + hi) /
+        2^(prec+1) is rounded half up to `digits` significant digits by
+        one correctly rounded decimal division, at any exponent, and
+        written in fixed point with no trailing zeros after the point.
         Display only; never feeds back into any decision.
         """
         if digits < 1:
@@ -510,39 +500,10 @@ class ExactReal:
             if lo * hi > 0 and (hi - lo) * 10 ** (digits + 2) < abs(lo):
                 break
             prec *= 2
-        num, den = abs(lo + hi), 1 << (prec + 1)
-        # exp counts the digits left of the point: 10^(exp-1) <= num/den
-        # < 10^exp.  With b = num.bit_length() - prec - 1, num/den lies in
-        # [2^(b-1), 2^b), which leaves two values of exp; the guess takes
-        # the upper one (1233/4096 is just below log10(2)), and a quotient
-        # outside [10^(digits-1), 10^digits) moves it by one until it fits.
-        exp = (num.bit_length() - prec - 1) * 1233 // 4096 + 1
-        low, high = 10 ** (digits - 1), 10**digits
-        while True:
-            k = digits - exp
-            n, d = (num * 10**k, den) if k >= 0 else (num, den * 10**-k)
-            q, r = divmod(n, d)
-            if q < low:
-                exp -= 1
-            elif q >= high:
-                exp += 1
-            else:
-                break
-        if 2 * r >= d:
-            q += 1
-        s = str(q)
-        if len(s) > digits:  # carry from rounding 0.999... up
-            exp += 1
-            s = s[:digits]
-        if exp <= 0:
-            text = "0." + "0" * (-exp) + s
-        elif exp >= len(s):
-            text = s + "0" * (exp - len(s))
-        else:
-            text = s[:exp] + "." + s[exp:]
+        text = format(_decimal_context(digits).divide(lo + hi, 1 << (prec + 1)), "f")
         if "." in text:
             text = text.rstrip("0").rstrip(".")
-        return f"-{text}" if lo < 0 else text
+        return text
 
 
 def _magnitude_text(n: int, q: int) -> str:

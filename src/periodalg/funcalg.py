@@ -649,7 +649,7 @@ def _shift_vector(T: ExactReal, domain: CoeffLattice) -> tuple[int, ...]:
         if n % T.den:
             raise NonIntegralShift(f"coordinate of sqrt({d}) is {Fraction(n, T.den)}, not an integer")
     # every numerator is a multiple of den, and gcd(den, *nums) == 1
-    return tuple(T.nums.get(d, 0) for d in basis.radicands)
+    return tuple(T.nums.get(d, 0) for d in basis)
 
 
 def shift_difference(f: CanonicalForm, T: ExactReal) -> CanonicalForm:
@@ -687,7 +687,7 @@ def period_module(f: CanonicalForm) -> PeriodModule:
     if zero_coords:
         units = [
             tuple(1 if j == i else 0 for j in range(k))
-            for i, d in enumerate(basis.radicands)
+            for i, d in enumerate(basis)
             if d not in zero_coords
         ]
         lat = intersect(lat, CoeffLattice(units, basis))

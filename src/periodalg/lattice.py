@@ -136,7 +136,7 @@ class CoeffLattice:
         if len(v) != len(self.basis):
             raise DimensionMismatch(f"vector length {len(v)}, want {len(self.basis)}")
         return ExactReal(
-            self.basis, {d: index(c) for d, c in zip(self.basis.radicands, v)}
+            self.basis, {d: index(c) for d, c in zip(self.basis, v)}
         )
 
     def embed(self, basis: RadicalBasis) -> "CoeffLattice":
@@ -147,14 +147,14 @@ class CoeffLattice:
         """
         if self.basis == basis:
             return self
-        for d in self.basis.radicands:
+        for d in self.basis:
             if d not in basis:
                 raise UnknownRadicand(f"sqrt({d}) is not a coordinate of {basis!r}")
-        pos = {d: basis.index(d) for d in self.basis.radicands}
+        pos = {d: basis.index(d) for d in self.basis}
         gens = []
         for g in self.hnf:
             w = [0] * len(basis)
-            for d, c in zip(self.basis.radicands, g):
+            for d, c in zip(self.basis, g):
                 w[pos[d]] = c
             gens.append(tuple(w))
         return CoeffLattice(gens, basis)

@@ -132,8 +132,6 @@ def rotate(pattern: IntervalPattern, alpha: RealLike) -> IntervalPattern:
     step = alpha - L.scale(alpha // L)
     if step.is_zero():
         return pattern
-    if not pattern.intervals:
-        return pattern
     zero = ExactReal.rational(0)
     wrapped: list[tuple[ExactReal, ExactReal]] = []
     unwrapped: list[tuple[ExactReal, ExactReal]] = []

@@ -386,13 +386,9 @@ def _plain(value) -> str:
     return str(value)
 
 
-def _approx_out(x: ExactReal) -> str:
-    return x.approx_str(12)
-
-
 def _basis_out(basis: RadicalBasis) -> str:
     return "basis(" + ", ".join(
-        "1" if d == 1 else f"sqrt({d})" for d in basis.radicands
+        "1" if d == 1 else f"sqrt({d})" for d in basis
     ) + ")"
 
 
@@ -460,7 +456,7 @@ def _run_period_module(f) -> dict:
             "lattice": _lattice_out(pm.as_lattice),
             "generators": [str(g) for g in pm.generators_real],
         },
-        "approx": {"generators": [_approx_out(g) for g in pm.generators_real]},
+        "approx": {"generators": [g.approx_str() for g in pm.generators_real]},
         "verdict": f"period module of rank {pm.as_lattice.rank}",
     }
 
@@ -470,7 +466,7 @@ def _run_commensurable(x, y) -> dict:
     out = {
         "inputs": {"x": str(x), "y": str(y)},
         "exact": {"commensurable": ratio is not None},
-        "approx": {"x": _approx_out(x), "y": _approx_out(y)},
+        "approx": {"x": x.approx_str(), "y": y.approx_str()},
         "verdict": "commensurable" if ratio is not None else "incommensurable",
     }
     if ratio is not None:
@@ -484,7 +480,7 @@ def _run_classify(periods) -> dict:
     if isinstance(outcome, Discrete):
         exact["classification"] = "discrete"
         exact["T0"] = str(outcome.T0)
-        approx = {"T0": _approx_out(outcome.T0)}
+        approx = {"T0": outcome.T0.approx_str()}
         verdict = f"discrete: T0 = {str(outcome.T0)}"
     else:
         exact["classification"] = "dense"
@@ -508,7 +504,7 @@ def _run_intersect(first, second) -> dict:
             "lattice": _lattice_out(meet),
             "generators": [str(g) for g in gens],
         },
-        "approx": {"generators": [_approx_out(g) for g in gens]},
+        "approx": {"generators": [g.approx_str() for g in gens]},
         "verdict": f"intersection of rank {meet.rank}",
     }
 
@@ -526,7 +522,7 @@ def _run_fundamental_period(p) -> dict:
     return {
         "inputs": {"pattern": name, "definition": _pattern_out(pattern)},
         "exact": {"period": str(t0)},
-        "approx": {"period": _approx_out(t0)},
+        "approx": {"period": t0.approx_str()},
         "verdict": f"fundamental period {str(t0)}",
     }
 
@@ -546,7 +542,7 @@ def _run_dirichlet(T1, T2, target, eps) -> dict:
             "combination": str(value),
             "error": str(err),
         },
-        "approx": {"error": _approx_out(err)},
+        "approx": {"error": err.approx_str()},
         "witness": {"m": m, "n": n},
         "verdict": "witness verified by exact sign tests",
     }
@@ -574,7 +570,7 @@ def _run_kronecker(T, Ts, delta, eps, bound) -> dict:
         "found": True,
         "residuals": [str(r) for r in residuals],
     }
-    out["approx"] = {"residuals": [_approx_out(r) for r in residuals]}
+    out["approx"] = {"residuals": [r.approx_str() for r in residuals]}
     out["witness"] = {"q": q, "ps": list(ps)}
     out["verdict"] = "witness verified by exact sign tests"
     return out
@@ -592,7 +588,7 @@ def _run_cfrac(x, depth) -> dict:
             "convergents": [[p, q] for p, q in cf.convergents],
             "terminated": cf.terminated,
         },
-        "approx": {"x": _approx_out(x)},
+        "approx": {"x": x.approx_str()},
         "verdict": verdict,
     }
 
@@ -603,7 +599,7 @@ def _run_discrepancy(alpha, N) -> dict:
     return {
         "inputs": {"alpha": str(alpha), "N": N},
         "exact": {"dstar_upper_bound": str(dstar)},
-        "approx": {"dstar_upper_bound": _approx_out(as_real)},
+        "approx": {"dstar_upper_bound": as_real.approx_str()},
         "verdict": f"star discrepancy at most {str(dstar)}",
     }
 

@@ -247,18 +247,21 @@ def decimal_text(q: Fraction, digits: int = 12) -> str:
     report's style: no exponent, no trailing zeros after the point.
 
     Fraction comparisons against powers of ten place the leading digit,
-    `floor(m + 1/2)` rounds, and `Decimal` writes the fixed-point text.
+    starting from the bit lengths, `floor(m + 1/2)` rounds, and a
+    `Decimal` read from `<n>E<exponent>`, which no context rounds,
+    writes the fixed-point text.
     """
     if q == 0:
         return "0"
     m = abs(q)
-    exp = 0  # 10^(exp-1) <= m < 10^exp
+    # 10^(exp-1) <= m < 10^exp; 30103/100000 is just below log10(2)
+    exp = (m.numerator.bit_length() - m.denominator.bit_length()) * 30103 // 100000
     while m >= Fraction(10) ** exp:
         exp += 1
     while m < Fraction(10) ** (exp - 1):
         exp -= 1
     n = math.floor(m / Fraction(10) ** (exp - digits) + Fraction(1, 2))
-    text = format(Decimal(n).scaleb(exp - digits), "f")
+    text = format(Decimal(f"{n}E{exp - digits}"), "f")
     if "." in text:
         text = text.rstrip("0").rstrip(".")
     return text if q > 0 else "-" + text

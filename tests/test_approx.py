@@ -282,6 +282,11 @@ def test_dirichlet_random_instances(monkeypatch):
 
 
 def test_dirichlet_rejects_commensurable_steps():
+    zero, s2, eps = ExactReal.rational(0), ExactReal.sqrt(2), ExactReal.rational(Fraction(1, 10))
+    with pytest.raises(DivisionByZero, match="^zero generator T1$"):
+        dirichlet_find(zero, s2, s2, eps)
+    with pytest.raises(DivisionByZero, match="^zero generator T2$"):
+        dirichlet_find(s2, zero, s2, eps)
     with pytest.raises(CommensurableInput):
         dirichlet_find(
             ExactReal.sqrt(2),

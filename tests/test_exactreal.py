@@ -110,9 +110,18 @@ def test_radical_basis_validation():
             RadicalBasis([bad])
         with pytest.raises(ValueError, match="^radicand must be positive$"):
             ExactReal.sqrt(bad)
-    basis = RadicalBasis([2, 3])
-    assert basis.radicands == (1, 2, 3)
-    assert basis.merge(RadicalBasis([5])).radicands == (1, 2, 3, 5)
+    # a tuple of the radicands, sorted and deduplicated, with 1 added
+    basis = RadicalBasis([3, 2, 3])
+    assert basis.radicands == (1, 2, 3) and len(basis) == 3
+    assert 2 in basis and 5 not in basis
+    assert basis.index(3) == 2
+    with pytest.raises(ValueError):
+        basis.index(5)
+    assert basis == RadicalBasis([1, 2, 3]) and hash(basis) == hash(RadicalBasis([2, 3]))
+    assert basis != RadicalBasis([2])
+    assert repr(basis) == "RadicalBasis([1, 2, 3])"
+    merged = basis.merge(RadicalBasis([5]))
+    assert isinstance(merged, RadicalBasis) and merged.radicands == (1, 2, 3, 5)
 
 
 def test_non_integer_radicands_are_rejected():
@@ -535,6 +544,22 @@ def test_approx_str_matches_fraction_reference():
         assert text.lstrip("-0.").replace(".", "").startswith(str((a * 5**j + 5) // 10).rstrip("0"))
     with pytest.raises(ValueError):
         ExactReal.sqrt(2).approx_str(0)
+
+    # up to 40 digits, and exponents far past the integer string limit
+    # (Tier-1 runs under the default limit and with none), signed and
+    # irrational too
+    rng = random.Random(2028)
+    for _ in range(100):
+        x = random_element(rng, rng.choice(bases), span=10**6)
+        x = x.scale(Fraction(10) ** rng.randint(-40, 40))
+        digits = rng.randint(21, 40)
+        assert x.approx_str(digits) == approx_str_reference(x, digits), (x, digits)
+    neg, pos = ExactReal.rational(Fraction(-7, 3)), ExactReal.sqrt(3).scale(5) - ExactReal.sqrt(2)
+    rows = [(x, e, digits) for x in (neg, pos) for e in (5000, -5000) for digits in (1, 12, 40)]
+    rows += [(pos, 100000, 40), (neg, 100000, 1), (pos, -100000, 12)]
+    for x, e, digits in rows:
+        x = x.scale(Fraction(10) ** e)
+        assert x.approx_str(digits) == approx_str_reference(x, digits), (e, digits)
 
 
 def test_division_by_zero():

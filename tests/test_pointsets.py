@@ -82,6 +82,8 @@ def test_rotate_known_images():
     )
     s = rotate(IntervalPattern(1, [(Fraction(1, 2), 1)]), Fraction(1, 2))
     assert s == IntervalPattern(1, [(0, Fraction(1, 2))])
+    empty = IntervalPattern(1, [])
+    assert rotate(empty, ExactReal.sqrt(2)) == empty
 
 
 def test_rotate_glues_the_seam():

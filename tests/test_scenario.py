@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from periodalg import cli, lattice
+from periodalg import cli, lattice, scenario
 from periodalg.errors import (
     AnalysisError,
+    DivisionByZero,
     ScenarioError,
     ScenarioNameError,
     ScenarioSyntaxError,
@@ -571,6 +572,16 @@ def test_analysis_failure_wraps_index_and_kind():
         run_scenario(sc)
     assert err.value.index == 1
     assert err.value.kind == "discrepancy"
+    # a zero input is named as the analysis sees it
+    for text, kind, message in (
+        ("analyze commensurable 0, 1;", "commensurable", "commensurability is undefined for zero"),
+        ("analyze dirichlet 0, sqrt(2) target 1 eps 1/10;", "dirichlet", "zero generator T1"),
+        ("analyze dirichlet sqrt(2), 0 target 1 eps 1/10;", "dirichlet", "zero generator T2"),
+    ):
+        with pytest.raises(AnalysisError) as err:
+            run_scenario(parse_scenario(f'scenario "x";\n{text}\n'))
+        assert str(err.value) == f"analysis #1 ({kind}): {message}"
+        assert isinstance(err.value.cause, DivisionByZero)
 
 
 def test_optional_arguments_fall_back_through_the_table():
@@ -653,9 +664,16 @@ def test_cli_flag_validation(tmp_path, capsys):
 
 def test_cli_file_errors_are_reported(tmp_path, capsys):
     missing = tmp_path / "missing"
-    assert cli.main(["selfcheck", "--scenario-dir", str(missing)]) == 1
+    payload = tmp_path / "selfcheck.json"
+    assert cli.main(["selfcheck", "--scenario-dir", str(missing), "--json", str(payload)]) == 1
     out = capsys.readouterr().out
     assert f"fail  scenario   {missing}  (cannot read the scenario directory" in out
+    doc = json.loads(payload.read_text())
+    assert doc["selfcheck"] == "fail" and doc["version"] == scenario._VERSION
+    assert len(doc["results"]) == 6  # the missing directory, then the invariants
+    row = doc["results"][0]
+    assert (row["kind"], row["name"], row["verdict"]) == ("scenario", str(missing), "fail")
+    assert row["detail"].startswith("cannot read the scenario directory")
 
     good = tmp_path / "ok.scn"
     good.write_text(BASIC)
@@ -740,11 +758,12 @@ def test_cli_option_fallbacks(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_selfcheck_passes(capsys):
-    assert cli.main(["selfcheck"]) == 0
+def test_cli_selfcheck_passes(tmp_path, capsys):
+    payload = tmp_path / "selfcheck.json"
+    assert cli.main(["selfcheck", "--json", str(payload)]) == 0
     *rows, summary = capsys.readouterr().out.splitlines()
     # the frozen reports, then only the invariants no report pins
-    assert [tuple(row.split(maxsplit=2)) for row in rows] == [
+    want = [
         ("pass", "scenario", "cancelling_sum"),
         ("pass", "scenario", "diophantine_toolkit"),
         ("pass", "scenario", "product_domains"),
@@ -755,7 +774,12 @@ def test_cli_selfcheck_passes(capsys):
         ("pass", "invariant", "funcalg parse roundtrip"),
         ("pass", "invariant", "pointsets rotation roundtrip"),
     ]
+    assert [tuple(row.split(maxsplit=2)) for row in rows] == want
     assert summary == "selfcheck: 9/9 checks passed"
+    # --json writes the same rows, with no detail on a pass
+    doc = json.loads(payload.read_text())
+    assert doc["selfcheck"] == "pass" and doc["version"] == scenario._VERSION
+    assert doc["results"] == [{"kind": k, "name": n, "verdict": v} for v, k, n in want]
 
 
 def test_cli_selfcheck_invariant_says_what_it_got(monkeypatch, capsys):
