@@ -18,12 +18,14 @@ Submodules:
     approx     continued fractions, inhomogeneous approximation
                witnesses, orbit discrepancy bounds
     scenario   a declarative file format tying the above together
-    cli        the `periodalg` command
+    cli        the `periodalg` command; the command and `python -m
+               periodalg` load it, `import periodalg` does not
+               (`from periodalg import cli` imports it on demand)
 """
 
 from __future__ import annotations
 
-from . import approx, cli, errors, exactreal, funcalg, lattice, pointsets, scenario
+from . import approx, errors, exactreal, funcalg, lattice, pointsets, scenario
 from .approx import (
     ContinuedFraction,
     continued_fraction,
@@ -61,7 +63,7 @@ __version__ = scenario._VERSION
 __all__ = [
     "__version__",
     "approx",
-    "cli",
+    "cli",  # a star import loads it, as `from periodalg import cli` does
     "errors",
     "exactreal",
     "funcalg",

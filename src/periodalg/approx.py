@@ -35,30 +35,37 @@ exact floor or sign test and no walk over the points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Sequence
 
-from .errors import CommensurableInput, DivisionByZero, EmptyInput, NotFound, SizeLimit
+from .errors import CommensurableInput, DivisionByZero, EmptyInput, FrozenRecord, NotFound, SizeLimit
 from .exactreal import INITIAL_PRECISION, MAX_DIGITS, ExactReal, _too_long, commensurable, quotients
 
 SCREEN_PRECISION = 192
 _ONE = ExactReal.rational(1)
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(FrozenRecord):
     """Quotients and convergents of x, exact.
 
     `terminated` marks rational termination: some remainder was an
     integer, so the expansion is complete and shorter than requested.
     """
 
-    x: ExactReal
-    quotients: tuple[int, ...]
-    convergents: tuple[tuple[int, int], ...]
-    terminated: bool
+    __slots__ = _fields = ("x", "quotients", "convergents", "terminated")
+
+    def __init__(
+        self,
+        x: ExactReal,
+        quotients: tuple[int, ...],
+        convergents: tuple[tuple[int, int], ...],
+        terminated: bool,
+    ):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "quotients", quotients)
+        object.__setattr__(self, "convergents", convergents)
+        object.__setattr__(self, "terminated", terminated)
 
 
 def _convergents(x: ExactReal, y: ExactReal = _ONE) -> Iterator[tuple[int, int, int]]:

@@ -25,7 +25,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from . import funcalg, lattice, pointsets, scenario
@@ -143,6 +142,9 @@ def _cmd_run(args) -> int:
 
 
 def _bundled_dir():
+    # imported here, so that only selfcheck pays for importlib.resources
+    from importlib import resources
+
     return resources.files("periodalg").joinpath("scenarios")
 
 

@@ -1,4 +1,4 @@
-"""Exception types and shared result flags used across the package.
+"""Exception types and the record base of the package's result types.
 
 Every error names something about the input or the caller: a malformed
 text, a value outside a domain, a zero divisor, an input past one of the
@@ -9,18 +9,68 @@ enough.  A search bounded by the caller that finds nothing returns
 `NotFound` instead of raising.
 """
 
-from dataclasses import dataclass
+
+class Record:
+    """Base of the package's small result, option and parse types.
+
+    A subclass lists its fields in `_fields`, in constructor order, and
+    writes its own `__init__`.  Records compare equal field by field,
+    and only to an instance of the same class, print as
+    `Name(field=value, ...)`, and copy and pickle through their
+    constructor.  A plain record's fields may change, so it is
+    unhashable.  They are not dataclasses: importing `dataclasses` and
+    building the classes took about a fifth of `import periodalg`
+    (docs/method-notes.md, "Import cost").
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
-@dataclass(frozen=True)
-class NotFound:
+class FrozenRecord(Record):
+    """A record set once, in `__init__` through `object.__setattr__`:
+    assigning or deleting a field raises AttributeError, and equal
+    records hash equal."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class NotFound(FrozenRecord):
     """Returned (never raised) by bounded searches that come up empty.
 
     Carries the bound that was exhausted so reports can state how far
     the search went.
     """
 
-    bound: int
+    __slots__ = _fields = ("bound",)
+
+    def __init__(self, bound: int):
+        object.__setattr__(self, "bound", bound)
 
 
 class PeriodalgError(Exception):

@@ -22,15 +22,15 @@ exact sign test.  `sign()` starts from the box.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Iterator, Mapping
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import DivisionByZero, SizeLimit
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 INITIAL_PRECISION = 64
 MAX_RADICAND = 10**18

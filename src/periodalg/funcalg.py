@@ -30,14 +30,14 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DivisionByZero,
+    FrozenRecord,
     NonIntegralShift,
     NonMonomialDivisor,
     NotFound,
@@ -115,20 +115,63 @@ def _multinomial(items: list, ps: list[int], n: int) -> list[tuple[int, tuple]]:
     return done
 
 
+def _sgn_power(items: list, ps: list[int], atoms: list[tuple], n: int) -> list[tuple[int, tuple]]:
+    """(integer coefficient, atoms) per monomial of (sum of p_i*m_i
+    over the items)^n, for monomials m_i of the s sgn `atoms` alone.
+
+    A sgn atom squares to 1, so a monomial is the set of its odd atoms,
+    an s-bit mask, and a product of monomials is the xor of their
+    masks.  The Walsh-Hadamard transform turns that product into a
+    pointwise one, so the power is taken entry by entry between two
+    transforms of the 2^s coefficients; the second transform is the
+    inverse times 2^s.  No exponent tuple is built.
+    """
+    size = 1 << len(atoms)
+    bit = {a: 1 << j for j, a in enumerate(atoms)}
+
+    def transform(vec: list[int]) -> None:
+        h = 1
+        while h < size:
+            for i in range(0, size, 2 * h):
+                for j in range(i, i + h):
+                    vec[j], vec[j + h] = vec[j] + vec[j + h], vec[j] - vec[j + h]
+            h *= 2
+
+    vec = [0] * size
+    for (m, _), p in zip(items, ps):
+        mask = 0
+        for kind, d, s, e in m:
+            if e % 2:
+                mask ^= bit[kind, d, s]
+        vec[mask] += p
+    transform(vec)
+    vec = [v**n for v in vec]
+    transform(vec)
+    return [
+        (v // size, tuple(a + (1,) for a in atoms if mask & bit[a]))
+        for mask, v in enumerate(vec)
+        if v
+    ]
+
+
 def _expand(factors: Iterable[tuple[Mapping[tuple, Fraction], int]]) -> dict[tuple, Fraction]:
     """The term map of the product of the f^n over (terms of f, n)
     factors, n >= 0: f*g is [(f, 1), (g, 1)] and f^n is [(f, n)].
 
     The count and the coefficients are sized before any product.  A
     factor of t terms has C(n+t-1, t-1) exponent tuples, and the
-    product of these counts must stay within MAX_TERMS.  With q the lcm
-    of a factor's denominators and p_i = c_i*q, each coefficient is an
-    integer of at most the product of the ||p||_1^n, over the product
-    of the q^n, and the larger of the two must stay within MAX_DIGITS
-    digits; a factor's part of b bits to the n is at least 2^((b-1)*n),
-    so past MAX_BITS it is too long before it is built.  With one
-    exponent tuple, the bound in lowest terms is the coefficient.  Each
-    factor is then expanded in integers (`_multinomial`), the
+    product of these counts must stay within MAX_TERMS; a factor whose
+    terms hold only sgn atoms, s distinct ones, has at most 2^s
+    monomials and counts 2^s when that is fewer, since `_sgn_power`
+    builds it in work that grows with 2^s, not with its tuples.  With q
+    the lcm of a factor's denominators and p_i = c_i*q, each coefficient
+    is an integer of at most the product of the ||p||_1^n, over the
+    product of the q^n, and the larger of the two must stay within
+    MAX_DIGITS digits; a factor's part of b bits to the n is at least
+    2^((b-1)*n), so past MAX_BITS it is too long before it is built.
+    With one exponent tuple, the bound in lowest terms is the
+    coefficient.  Each factor is then expanded in integers
+    (`_multinomial` or `_sgn_power`), the
     expansions are multiplied out, and each monomial's sum is divided
     by the product of the q^n once.  Exponents are cheap to build (a
     factor of t > 1 terms has n < MAX_TERMS once counted), so they are
@@ -145,8 +188,15 @@ def _expand(factors: Iterable[tuple[Mapping[tuple, Fraction], int]]) -> dict[tup
             continue
         items = list(terms.items())
         t = len(items)
+        sgn_atoms = None
         if t > 1:
-            count *= comb(n + t - 1, t - 1) if n < MAX_TERMS else MAX_TERMS + 1
+            tuples = comb(n + t - 1, t - 1) if n < MAX_TERMS else MAX_TERMS + 1
+            # at n <= 1 a factor has t tuples, and its t masks need t <= 2^s
+            if n > 1 and all(k == SGN for m in terms for k, *_ in m):
+                sgn_atoms = sorted({(k, d, s) for m in terms for k, d, s, _ in m})
+                if 1 << len(sgn_atoms) >= tuples:
+                    sgn_atoms = None
+            count *= tuples if sgn_atoms is None else 1 << len(sgn_atoms)
         q = lcm(*[c.denominator for _, c in items])
         ps = [c.numerator * (q // c.denominator) for _, c in items]
         size = sum(map(abs, ps))
@@ -154,7 +204,7 @@ def _expand(factors: Iterable[tuple[Mapping[tuple, Fraction], int]]) -> dict[tup
         if not too_long:
             bound *= size**n
             den *= q**n
-        plan.append((items, ps, n))
+        plan.append((items, ps, sgn_atoms, n))
     if count > MAX_TERMS:
         raise SizeLimit(f"power's monomial count C(n+t-1, t-1) exceeds the limit of {MAX_TERMS}")
     g = gcd(bound, den) if count == 1 else 1
@@ -162,8 +212,9 @@ def _expand(factors: Iterable[tuple[Mapping[tuple, Fraction], int]]) -> dict[tup
         what = "coefficient" if count == 1 else "coefficient bound ||c||_1^n"
         raise SizeLimit(f"power's {what} exceeds the limit of {MAX_DIGITS} digits")
     parts = [(1, ())]
-    for items, ps, n in plan:
-        parts = [(c * p, atoms + more) for c, atoms in parts for p, more in _multinomial(items, ps, n)]
+    for items, ps, sgn_atoms, n in plan:
+        expanded = _multinomial(items, ps, n) if sgn_atoms is None else _sgn_power(items, ps, sgn_atoms, n)
+        parts = [(c * p, atoms + more) for c, atoms in parts for p, more in expanded]
     acc: dict[tuple, int] = {}
     for c, atoms in parts:
         key = _monomial(atoms)
@@ -295,8 +346,7 @@ class CanonicalForm:
         return f"CanonicalForm({self.text()})"
 
 
-@dataclass(frozen=True)
-class PeriodModule:
+class PeriodModule(FrozenRecord):
     """Exact description of all formal periods of a formula.
 
     Admissible shift vectors s satisfy s_d = 0 for d in zero_coords and,
@@ -305,18 +355,29 @@ class PeriodModule:
     real numbers.
     """
 
-    zero_coords: frozenset[int]
-    parity_constraints: tuple[frozenset[int], ...]
-    as_lattice: CoeffLattice
-    generators_real: tuple[ExactReal, ...]
+    __slots__ = _fields = ("zero_coords", "parity_constraints", "as_lattice", "generators_real")
+
+    def __init__(
+        self,
+        zero_coords: frozenset[int],
+        parity_constraints: tuple[frozenset[int], ...],
+        as_lattice: CoeffLattice,
+        generators_real: tuple[ExactReal, ...],
+    ):
+        object.__setattr__(self, "zero_coords", zero_coords)
+        object.__setattr__(self, "parity_constraints", parity_constraints)
+        object.__setattr__(self, "as_lattice", as_lattice)
+        object.__setattr__(self, "generators_real", generators_real)
 
 
-@dataclass(frozen=True)
-class CompositionResult:
+class CompositionResult(FrozenRecord):
     """Whether slope*L is an integer multiple n of T (exactly)."""
 
-    holds: bool
-    n: int | None = None
+    __slots__ = _fields = ("holds", "n")
+
+    def __init__(self, holds: bool, n: int | None = None):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "n", n)
 
 
 # -- parsing ---------------------------------------------------------------

@@ -18,14 +18,13 @@ T0*Z with T0 an explicit gcd, anything else is dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import reduce
 from math import gcd
 from operator import index
-from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, DivisionByZero, EmptyInput, UnknownRadicand
+from .errors import DimensionMismatch, DivisionByZero, EmptyInput, FrozenRecord, UnknownRadicand
 from .exactreal import ExactReal, RadicalBasis, commensurable
 
 Vector = tuple[int, ...]
@@ -193,16 +192,19 @@ def intersect(lat1: CoeffLattice, lat2: CoeffLattice) -> CoeffLattice:
     return CoeffLattice([row[k:] for row in h[rank:]], basis)
 
 
-@dataclass(frozen=True)
-class Discrete:
+class Discrete(FrozenRecord):
     """The periods generate T0 * Z with T0 > 0."""
 
-    T0: ExactReal
+    __slots__ = _fields = ("T0",)
+
+    def __init__(self, T0: ExactReal):
+        object.__setattr__(self, "T0", T0)
 
 
-@dataclass(frozen=True)
-class Dense:
+class Dense(FrozenRecord):
     """The periods generate a dense subgroup of the reals."""
+
+    __slots__ = ()
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:

@@ -21,14 +21,14 @@ over both sorted endpoint lists.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Union
 
 from .errors import EmptyPattern, FullLine, ModulusMismatch
 from .exactreal import ExactReal
 
-RealLike = Union[ExactReal, int, Fraction]
+RealLike = ExactReal | int | Fraction
 
 
 def _as_real(x: RealLike) -> ExactReal:

@@ -21,9 +21,8 @@ comparison region.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, Callable
 
 from . import approx as approxmod
 from . import funcalg, lattice, pointsets
@@ -31,6 +30,7 @@ from .errors import (
     AnalysisError,
     NotFound,
     ParseError,
+    Record,
     ScenarioError,
     ScenarioNameError,
     ScenarioSyntaxError,
@@ -44,20 +44,37 @@ from .pointsets import IntervalPattern
 # -- parsed objects ----------------------------------------------------------
 
 
-@dataclass
-class Analysis:
-    kind: str
-    args: dict[str, Any]  # slot -> value; an omitted optional slot is absent
+class Analysis(Record):
+    __slots__ = _fields = ("kind", "args")
+
+    def __init__(self, kind: str, args: dict[str, object]):
+        self.kind = kind
+        self.args = args  # slot -> value; an omitted optional slot is absent
 
 
-@dataclass
-class Scenario:
-    name: str
-    bases: dict[str, RadicalBasis] = field(default_factory=dict)
-    domains: dict[str, CoeffLattice] = field(default_factory=dict)
-    functions: dict[str, CanonicalForm] = field(default_factory=dict)
-    patterns: dict[str, IntervalPattern] = field(default_factory=dict)
-    analyses: list[Analysis] = field(default_factory=list)
+class Scenario(Record):
+    """A parsed scenario: its name, its bindings by kind, its analyses.
+
+    An omitted table starts empty, a new one per scenario.
+    """
+
+    __slots__ = _fields = ("name", "bases", "domains", "functions", "patterns", "analyses")
+
+    def __init__(
+        self,
+        name: str,
+        bases: dict[str, RadicalBasis] | None = None,
+        domains: dict[str, CoeffLattice] | None = None,
+        functions: dict[str, CanonicalForm] | None = None,
+        patterns: dict[str, IntervalPattern] | None = None,
+        analyses: list[Analysis] | None = None,
+    ):
+        self.name = name
+        self.bases = {} if bases is None else bases
+        self.domains = {} if domains is None else domains
+        self.functions = {} if functions is None else functions
+        self.patterns = {} if patterns is None else patterns
+        self.analyses = [] if analyses is None else analyses
 
 
 _STATEMENTS = ("scenario", "basis", "domain", "function", "pattern", "analyze")
@@ -117,7 +134,7 @@ class _ScenarioParser(funcalg._Parser):
                 raise self.name_error(f"{name!r} is already bound", tok)
         return name
 
-    def lookup(self, space: dict, what: str) -> tuple[str, Any]:
+    def lookup(self, space: dict, what: str) -> tuple[str, object]:
         tok = self.peek()
         name = self.expect_name()
         if name not in space:
@@ -259,7 +276,7 @@ class _ScenarioParser(funcalg._Parser):
         kind = self.expect_name()
         if kind not in ANALYSES:
             self.fail(f"unknown analysis kind {kind!r}", tok)
-        args: dict[str, Any] = {}
+        args: dict[str, object] = {}
         for lead, slot, reader, fallback in ANALYSES[kind][0]:
             if fallback is not None:
                 if not self.accept_keyword(lead):
@@ -287,21 +304,38 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
 # -- execution ---------------------------------------------------------------
 
 
-@dataclass
-class RunOptions:
-    """Defaults for optional analysis arguments, set by the CLI flags."""
+class RunOptions(Record):
+    """Defaults for optional analysis arguments, set by the CLI flags.
 
+    The defaults stay readable on the class (`RunOptions.bound`), where
+    the CLI takes its own; instances keep their fields in a dict.
+    """
+
+    _fields = ("bound", "depth", "eps")
     bound: int = 25  # counterexample box bound
     depth: int = 10  # continued fraction depth
     eps: ExactReal | None = None  # dirichlet / kronecker tolerance: no default
 
+    def __init__(self, bound: int = bound, depth: int = depth, eps: ExactReal | None = eps):
+        self.bound = bound
+        self.depth = depth
+        self.eps = eps
 
-@dataclass
-class Report:
-    scenario_name: str
-    version: str
-    results: list[dict]
-    timings: list[tuple[str, float]]  # outside the comparison region
+
+class Report(Record):
+    __slots__ = _fields = ("scenario_name", "version", "results", "timings")
+
+    def __init__(
+        self,
+        scenario_name: str,
+        version: str,
+        results: list[dict],
+        timings: list[tuple[str, float]],  # outside the comparison region
+    ):
+        self.scenario_name = scenario_name
+        self.version = version
+        self.results = results
+        self.timings = timings
 
     def to_json_dict(self) -> dict:
         return {
@@ -476,7 +510,7 @@ def _run_commensurable(x, y) -> dict:
 
 def _run_classify(periods) -> dict:
     outcome = lattice.classify_group(periods)
-    exact: dict[str, Any] = {}
+    exact: dict[str, object] = {}
     if isinstance(outcome, Discrete):
         exact["classification"] = "discrete"
         exact["T0"] = str(outcome.T0)
@@ -550,7 +584,7 @@ def _run_dirichlet(T1, T2, target, eps) -> dict:
 
 def _run_kronecker(T, Ts, delta, eps, bound) -> dict:
     got = approxmod.kronecker_find(T, Ts, delta, eps, bound=bound)
-    out: dict[str, Any] = {
+    out: dict[str, object] = {
         "inputs": {
             "T": str(T),
             "Ts": [str(t) for t in Ts],
@@ -619,7 +653,7 @@ def _run_composition_check(slope, T, L) -> dict:
 def _run_counterexample(f, shift, bound) -> dict:
     name, form = f
     got = funcalg.find_counterexample(form, shift, bound)
-    out: dict[str, Any] = {
+    out: dict[str, object] = {
         "inputs": {
             "function": name,
             "formula": form.text(),
@@ -633,7 +667,7 @@ def _run_counterexample(f, shift, bound) -> dict:
         out["verdict"] = f"no counterexample in the search box (bound {got.bound})"
         return out
     x = got
-    exact: dict[str, Any] = {"found": True}
+    exact: dict[str, object] = {"found": True}
     # find_counterexample has already rejected a shift outside the basis
     vec = funcalg._shift_vector(shift, form.domain)
     shifted = tuple(a + b for a, b in zip(x, vec))
@@ -661,7 +695,7 @@ def _run_counterexample(f, shift, bound) -> dict:
 # domain; and None for a required slot, else what an omitted value
 # falls back to: a RunOptions field by name, or a constant.  A fallback
 # that comes out None is an error before any analysis runs.
-_Slot = tuple[str, str, str, Any]
+_Slot = tuple[str, str, str, object]
 
 ANALYSES: dict[str, tuple[tuple[_Slot, ...], Callable[..., dict], str]] = {
     "period_module": (

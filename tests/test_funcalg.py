@@ -188,6 +188,23 @@ def test_power_of_a_sum_is_sized_before_any_product():
             parse(text, dom) ** n
 
 
+def test_power_of_a_sgn_sum_is_sized_by_its_monomials():
+    # a sum of sgn atoms alone has at most 2^s monomials for s atoms,
+    # however many exponent tuples its power has: 176,851 tuples of the
+    # 100th power below merge into 8 monomials
+    dom = full_domain(1, 2, 3, 5)
+    base = parse("sgn(one)+sgn(sqrt(2))+sgn(sqrt(3))+1", dom)
+    f = parse("(sgn(one)+sgn(sqrt(2))+sgn(sqrt(3))+1)^100", dom)
+    assert len(f.terms) == 8 and f == repeated_product_power(base, 100)
+    g = parse("1/2 - 3*sgn(sqrt(5))*sgn(one) + sgn(sqrt(2))", dom)
+    assert g**40 * base == pairwise_product(repeated_product_power(g, 40), base)
+    assert parse("(sgn(one) - 1)^50", dom) == parse("2^49 - 2^49*sgn(one)", dom)
+    # the count is 2^s, so a huge exponent fails on its coefficients
+    bound = f"power's coefficient bound ||c||_1^n exceeds the limit of {MAX_DIGITS} digits"
+    with pytest.raises(SizeLimit, match=f"^{re.escape(bound)}$"):
+        parse("sgn(one) + 1", dom) ** 10**30
+
+
 def test_parse_canonical_cancellation():
     dom = full_domain(1, 2, 3)
     f = parse("recip(sqrt(2)) + recip(sqrt(3)) - recip(sqrt(3))", dom)

@@ -22,7 +22,7 @@ from periodalg.errors import (
     ScenarioSyntaxError,
     SizeLimit,
 )
-from periodalg.exactreal import MAX_DIGITS, MAX_RADICAND, ExactReal
+from periodalg.exactreal import MAX_DIGITS, MAX_RADICAND, ExactReal, RadicalBasis
 from periodalg.funcalg import MAX_TERMS, parse_real
 from periodalg.scenario import (
     _RESERVED,
@@ -815,3 +815,90 @@ def test_cli_selfcheck_catches_tampering(tmp_path, capsys):
     victim.write_text("not json\n")
     assert cli.main(["selfcheck", "--scenario-dir", str(tmp_path)]) == 1
     assert "first difference at line 1: expected 'not json', got '{'" in capsys.readouterr().out
+
+
+def test_import_loads_only_the_library():
+    # `import periodalg` loads what run_scenario needs and no more: no
+    # dataclasses (and the inspect it pulls in), no typing, no CLI; the
+    # CLI itself leaves importlib.resources to selfcheck
+    probe = """
+import sys
+import periodalg
+library = ("approx", "errors", "exactreal", "funcalg", "lattice", "pointsets", "scenario")
+assert all(f"periodalg.{m}" in sys.modules for m in library)
+heavy = ("dataclasses", "inspect", "typing", "argparse", "importlib.resources", "pathlib", "periodalg.cli")
+print(sorted(m for m in heavy if m in sys.modules))
+import periodalg.cli
+print(sorted(m for m in ("importlib.resources",) if m in sys.modules))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[]\n[]\n"
+
+
+def test_records_keep_value_semantics():
+    # the result, option and parse types compare by value and only with
+    # their own type, the frozen ones hash and refuse assignment, and
+    # each prints as Name(field=value, ...)
+    from periodalg import (
+        CompositionResult,
+        ContinuedFraction,
+        Dense,
+        Discrete,
+        NotFound,
+        PeriodModule,
+        Report,
+        Scenario,
+    )
+    import copy
+    import pickle
+
+    from periodalg.scenario import Analysis
+
+    half = ExactReal.rational(Fraction(1, 2))
+    assert NotFound(6) == NotFound(bound=6) and hash(NotFound(6)) == hash(NotFound(6))
+    assert NotFound(6) != NotFound(7) and NotFound(6) != (6,) and (6,) != NotFound(6)
+    assert Discrete(half) == Discrete(ExactReal.rational(Fraction(2, 4)))
+    assert Discrete(half) != Dense() and Dense() == Dense() and {Dense(), Dense()} == {Dense()}
+    assert CompositionResult(True) == CompositionResult(holds=True, n=None) != CompositionResult(True, 0)
+    cf = ContinuedFraction(half, (0, 2), ((0, 1), (1, 2)), True)
+    assert cf == ContinuedFraction(half, (0, 2), ((0, 1), (1, 2)), terminated=True)
+    assert len({cf, cf, NotFound(1)}) == 2
+    module = PeriodModule(frozenset(), (), lattice.CoeffLattice([], basis=RadicalBasis([1])), ())
+    for frozen, field in ((NotFound(6), "bound"), (Dense(), "T0"), (cf, "quotients"), (module, "as_lattice")):
+        with pytest.raises(AttributeError):
+            setattr(frozen, field, None)
+    with pytest.raises(AttributeError):
+        del cf.x
+    assert NotFound(6).bound == 6 and CompositionResult(True).n is None
+
+    assert (RunOptions.bound, RunOptions.depth, RunOptions.eps) == (25, 10, None)
+    opts = RunOptions()
+    assert (opts.bound, opts.depth, opts.eps) == (25, 10, None)
+    assert RunOptions(3) == RunOptions(bound=3, depth=10) != RunOptions()
+    opts.eps = half
+    assert opts.eps == half and RunOptions.eps is None
+    sc = Scenario("x")
+    assert (sc.name, sc.bases, sc.domains, sc.functions, sc.patterns, sc.analyses) == ("x", {}, {}, {}, {}, [])
+    assert Scenario("x").bases is not sc.bases and sc == Scenario("x") != Scenario("y")
+    assert Analysis("cfrac", {}) == Analysis(kind="cfrac", args={})
+    report = Report("x", "v", [], [])
+    assert report == Report(scenario_name="x", version="v", results=[], timings=[])
+    for mutable in (opts, sc, report):
+        with pytest.raises(TypeError):
+            hash(mutable)
+    for record in (NotFound(6), Dense(), cf, module, opts, sc, report):
+        assert copy.copy(record) == copy.deepcopy(record) == pickle.loads(pickle.dumps(record)) == record
+
+    assert repr(Dense()) == "Dense()"
+    assert repr(NotFound(bound=3)) == "NotFound(bound=3)"
+    assert repr(CompositionResult(True, 2)) == "CompositionResult(holds=True, n=2)"
+    assert repr(RunOptions()) == "RunOptions(bound=25, depth=10, eps=None)"
+    assert repr(Scenario("x")) == (
+        "Scenario(name='x', bases={}, domains={}, functions={}, patterns={}, analyses=[])"
+    )
+    assert repr(Analysis("cfrac", {"depth": 3})) == "Analysis(kind='cfrac', args={'depth': 3})"
