@@ -42,7 +42,6 @@ from itertools import islice
 from .errors import CommensurableInput, DivisionByZero, EmptyInput, FrozenRecord, NotFound, SizeLimit
 from .exactreal import INITIAL_PRECISION, MAX_DIGITS, ExactReal, _too_long, commensurable, quotients
 
-SCREEN_PRECISION = 192
 _ONE = ExactReal.rational(1)
 
 
@@ -54,18 +53,6 @@ class ContinuedFraction(FrozenRecord):
     """
 
     __slots__ = _fields = ("x", "quotients", "convergents", "terminated")
-
-    def __init__(
-        self,
-        x: ExactReal,
-        quotients: tuple[int, ...],
-        convergents: tuple[tuple[int, int], ...],
-        terminated: bool,
-    ):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "quotients", quotients)
-        object.__setattr__(self, "convergents", convergents)
-        object.__setattr__(self, "terminated", terminated)
 
 
 def _convergents(x: ExactReal, y: ExactReal = _ONE) -> Iterator[tuple[int, int, int]]:
@@ -231,7 +218,7 @@ def kronecker_find(
     [q*T - delta - eps, q*T - delta + eps]; every other one is decided
     with exact field arithmetic for all T_i.  After a rejected one the
     search resumes at q + 1, so no witness is skipped.  prec starts at
-    SCREEN_PRECISION and doubles until every T_i has a certain sign and
+    INITIAL_PRECISION and doubles until every T_i has a certain sign and
     the slack is at most e_hi.  When the window covers a whole period
     of M every q is a candidate, and the search steps q one at a time.
     A witness p_i of more than MAX_DIGITS digits raises SizeLimit.
@@ -245,7 +232,7 @@ def kronecker_find(
     for t in Ts:
         if t.is_zero():
             raise DivisionByZero("zero T_i")
-    prec = SCREEN_PRECISION
+    prec = INITIAL_PRECISION
     while True:
         ts_iv = [t._enclosure_scaled(prec) for t in Ts]
         if all(lo > 0 or hi < 0 for lo, hi in ts_iv):

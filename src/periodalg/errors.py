@@ -13,8 +13,10 @@ enough.  A search bounded by the caller that finds nothing returns
 class Record:
     """Base of the package's small result, option and parse types.
 
-    A subclass lists its fields in `_fields`, in constructor order, and
-    writes its own `__init__`.  Records compare equal field by field,
+    A subclass lists its fields in `_fields`, in constructor order; the
+    one `__init__` binds positional and keyword arguments to them, as a
+    function with those parameters would, and a subclass writes its own
+    only to give defaults.  Records compare equal field by field,
     and only to an instance of the same class, print as
     `Name(field=value, ...)`, and copy and pickle through their
     constructor.  A plain record's fields may change, so it is
@@ -26,6 +28,23 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     __hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = dict(zip(fields, args), **kwargs)
+        # as many values as fields and each field bound: none is unknown
+        # or given twice
+        if len(args) + len(kwargs) == len(fields):
+            try:
+                for field in fields:
+                    object.__setattr__(self, field, values[field])
+                return
+            except KeyError:
+                pass
+        raise TypeError(
+            f"{type(self).__qualname__}() takes ({', '.join(fields)}), each once; got "
+            f"{len(args)} positional and the keywords ({', '.join(kwargs)})"
+        )
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -44,9 +63,8 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A record set once, in `__init__` through `object.__setattr__`:
-    assigning or deleting a field raises AttributeError, and equal
-    records hash equal."""
+    """A record set once, by `__init__`: assigning or deleting a field
+    raises AttributeError, and equal records hash equal."""
 
     __slots__ = ()
 
@@ -68,9 +86,6 @@ class NotFound(FrozenRecord):
     """
 
     __slots__ = _fields = ("bound",)
-
-    def __init__(self, bound: int):
-        object.__setattr__(self, "bound", bound)
 
 
 class PeriodalgError(Exception):

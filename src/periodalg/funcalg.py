@@ -163,9 +163,10 @@ def _expand(factors: Iterable[tuple[Mapping[tuple, Fraction], int]]) -> dict[tup
     product of these counts must stay within MAX_TERMS; a factor whose
     terms hold only sgn atoms, s distinct ones, has at most 2^s
     monomials and counts 2^s when that is fewer, since `_sgn_power`
-    builds it in work that grows with 2^s, not with its tuples.  With q
-    the lcm of a factor's denominators and p_i = c_i*q, each coefficient
-    is an integer of at most the product of the ||p||_1^n, over the
+    builds it in work that grows with 2^s, not with its tuples; the
+    count's error names which of the two it counted.  With q the lcm of
+    a factor's denominators and p_i = c_i*q, each coefficient is an
+    integer of at most the product of the ||p||_1^n, over the
     product of the q^n, and the larger of the two must stay within
     MAX_DIGITS digits; a factor's part of b bits to the n is at least
     2^((b-1)*n), so past MAX_BITS it is too long before it is built.
@@ -180,6 +181,7 @@ def _expand(factors: Iterable[tuple[Mapping[tuple, Fraction], int]]) -> dict[tup
     """
     count = bound = den = 1
     too_long = False
+    counted = {}  # what `count` multiplied, for its error message
     plan = []
     for terms, n in factors:
         if not terms:
@@ -197,6 +199,7 @@ def _expand(factors: Iterable[tuple[Mapping[tuple, Fraction], int]]) -> dict[tup
                 if 1 << len(sgn_atoms) >= tuples:
                     sgn_atoms = None
             count *= tuples if sgn_atoms is None else 1 << len(sgn_atoms)
+            counted["C(n+t-1, t-1)" if sgn_atoms is None else "2^s"] = None
         q = lcm(*[c.denominator for _, c in items])
         ps = [c.numerator * (q // c.denominator) for _, c in items]
         size = sum(map(abs, ps))
@@ -206,7 +209,7 @@ def _expand(factors: Iterable[tuple[Mapping[tuple, Fraction], int]]) -> dict[tup
             den *= q**n
         plan.append((items, ps, sgn_atoms, n))
     if count > MAX_TERMS:
-        raise SizeLimit(f"power's monomial count C(n+t-1, t-1) exceeds the limit of {MAX_TERMS}")
+        raise SizeLimit(f"power's monomial count {' * '.join(counted)} exceeds the limit of {MAX_TERMS}")
     g = gcd(bound, den) if count == 1 else 1
     if too_long or _too_long(bound // g, den // g):
         what = "coefficient" if count == 1 else "coefficient bound ||c||_1^n"
@@ -356,18 +359,6 @@ class PeriodModule(FrozenRecord):
     """
 
     __slots__ = _fields = ("zero_coords", "parity_constraints", "as_lattice", "generators_real")
-
-    def __init__(
-        self,
-        zero_coords: frozenset[int],
-        parity_constraints: tuple[frozenset[int], ...],
-        as_lattice: CoeffLattice,
-        generators_real: tuple[ExactReal, ...],
-    ):
-        object.__setattr__(self, "zero_coords", zero_coords)
-        object.__setattr__(self, "parity_constraints", parity_constraints)
-        object.__setattr__(self, "as_lattice", as_lattice)
-        object.__setattr__(self, "generators_real", generators_real)
 
 
 class CompositionResult(FrozenRecord):

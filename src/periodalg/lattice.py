@@ -197,9 +197,6 @@ class Discrete(FrozenRecord):
 
     __slots__ = _fields = ("T0",)
 
-    def __init__(self, T0: ExactReal):
-        object.__setattr__(self, "T0", T0)
-
 
 class Dense(FrozenRecord):
     """The periods generate a dense subgroup of the reals."""

@@ -45,11 +45,11 @@ from .pointsets import IntervalPattern
 
 
 class Analysis(Record):
-    __slots__ = _fields = ("kind", "args")
+    """One `analyze` statement: its kind and `args`, slot -> value, with
+    a (name, value) pair for a function, pattern or domain slot; an
+    omitted optional slot is absent."""
 
-    def __init__(self, kind: str, args: dict[str, object]):
-        self.kind = kind
-        self.args = args  # slot -> value; an omitted optional slot is absent
+    __slots__ = _fields = ("kind", "args")
 
 
 class Scenario(Record):
@@ -259,7 +259,7 @@ class _ScenarioParser(funcalg._Parser):
             return self.real_expr()
         if reader == "int":
             return self.expect_num()
-        if reader in ("function", "pattern", "domain"):
+        if reader in _NAMED:
             return self.lookup(getattr(self.sc, reader + "s"), reader)
         bracketed = reader == "[real_list]"
         if bracketed:
@@ -323,19 +323,10 @@ class RunOptions(Record):
 
 
 class Report(Record):
-    __slots__ = _fields = ("scenario_name", "version", "results", "timings")
+    """A run's results, one dict per analysis, and its (kind, seconds)
+    `timings`, which stay outside the comparison region."""
 
-    def __init__(
-        self,
-        scenario_name: str,
-        version: str,
-        results: list[dict],
-        timings: list[tuple[str, float]],  # outside the comparison region
-    ):
-        self.scenario_name = scenario_name
-        self.version = version
-        self.results = results
-        self.timings = timings
+    __slots__ = _fields = ("scenario_name", "version", "results", "timings")
 
     def to_json_dict(self) -> dict:
         return {
@@ -453,13 +444,21 @@ def run_scenario(sc: Scenario, options: RunOptions | None = None) -> Report:
                     f"--{fallback} was given"
                 )
             args[slot] = value
-        calls.append((an.kind, runner, args))
+        calls.append((an.kind, signature, runner, args))
     results: list[dict] = []
     timings: list[tuple[str, float]] = []
-    for idx, (kind, runner, args) in enumerate(calls, 1):
+    for idx, (kind, signature, runner, args) in enumerate(calls, 1):
         t0 = time.perf_counter()
         try:
-            results.append({"kind": kind, **runner(**args)})
+            out = runner(**{
+                slot: args[slot][1] if reader in _NAMED else args[slot]
+                for _, slot, reader, _ in signature
+            })
+            # the inputs are rendered after the library call, so an input
+            # too long to write loses to the library's own typed error
+            inputs = _inputs(signature, args)
+            inputs.update(out.pop("inputs", ()))
+            results.append({"kind": kind, "inputs": inputs, **out})
         except Exception as exc:
             raise AnalysisError(idx, kind, exc) from exc
         timings.append((kind, time.perf_counter() - t0))
@@ -471,19 +470,42 @@ def run_scenario(sc: Scenario, options: RunOptions | None = None) -> Report:
     )
 
 
-# Runners take their signature's slots as keyword arguments; a function,
-# pattern or domain slot holds its (name, value) pair.
+_NAMED = ("function", "pattern", "domain")  # readers whose slot holds (name, value)
 
 
-def _run_period_module(f) -> dict:
-    name, form = f
-    pm = funcalg.period_module(form)
+def _inputs(signature: tuple[_Slot, ...], args: dict[str, object]) -> dict:
+    """A result's `inputs`: each slot in signature order, a real as its
+    exact string, a real list as a list of them, an int as it is, and a
+    function, pattern or domain by its name, a function followed by its
+    `formula` and a pattern by its `definition`."""
+    inputs: dict[str, object] = {}
+    for _, slot, reader, _ in signature:
+        value = args[slot]
+        if reader == "int":
+            inputs[slot] = value
+        elif reader == "real":
+            inputs[slot] = str(value)
+        elif reader not in _NAMED:
+            inputs[slot] = [str(v) for v in value]
+        else:
+            name, value = value
+            inputs[slot] = name
+            if reader == "function":
+                inputs["formula"] = value.text()
+            elif reader == "pattern":
+                inputs["definition"] = _pattern_out(value)
+    return inputs
+
+
+# Runners take their signature's slots as keyword arguments, a function,
+# pattern or domain slot by its value, and return the result's exact,
+# approx, witness and verdict; run_scenario writes the inputs.
+
+
+def _run_period_module(function) -> dict:
+    pm = funcalg.period_module(function)
     return {
-        "inputs": {
-            "function": name,
-            "formula": form.text(),
-            "domain": _lattice_out(form.domain),
-        },
+        "inputs": {"domain": _lattice_out(function.domain)},
         "exact": {
             "zero_coords": sorted(pm.zero_coords),
             "parity_constraints": [sorted(s) for s in pm.parity_constraints],
@@ -498,7 +520,6 @@ def _run_period_module(f) -> dict:
 def _run_commensurable(x, y) -> dict:
     ratio = lattice.commensurable(x, y)
     out = {
-        "inputs": {"x": str(x), "y": str(y)},
         "exact": {"commensurable": ratio is not None},
         "approx": {"x": x.approx_str(), "y": y.approx_str()},
         "verdict": "commensurable" if ratio is not None else "incommensurable",
@@ -521,19 +542,13 @@ def _run_classify(periods) -> dict:
         exact["T0"] = None
         approx = {"T0": None}
         verdict = "dense in the reals"
-    return {
-        "inputs": {"periods": [str(t) for t in periods]},
-        "exact": exact,
-        "approx": approx,
-        "verdict": verdict,
-    }
+    return {"exact": exact, "approx": approx, "verdict": verdict}
 
 
 def _run_intersect(first, second) -> dict:
-    meet = lattice.intersect(first[1], second[1])
+    meet = lattice.intersect(first, second)
     gens = [meet.to_real(row) for row in meet.hnf]
     return {
-        "inputs": {"first": first[0], "second": second[0]},
         "exact": {
             "lattice": _lattice_out(meet),
             "generators": [str(g) for g in gens],
@@ -550,11 +565,9 @@ def _pattern_out(p: IntervalPattern) -> str:
     return f"{body or 'empty'} mod {str(p.modulus)}"
 
 
-def _run_fundamental_period(p) -> dict:
-    name, pattern = p
+def _run_fundamental_period(pattern) -> dict:
     t0 = pointsets.fundamental_period(pattern)
     return {
-        "inputs": {"pattern": name, "definition": _pattern_out(pattern)},
         "exact": {"period": str(t0)},
         "approx": {"period": t0.approx_str()},
         "verdict": f"fundamental period {str(t0)}",
@@ -566,12 +579,6 @@ def _run_dirichlet(T1, T2, target, eps) -> dict:
     value = T1.scale(m) + T2.scale(n)
     err = value - target
     return {
-        "inputs": {
-            "T1": str(T1),
-            "T2": str(T2),
-            "target": str(target),
-            "eps": str(eps),
-        },
         "exact": {
             "combination": str(value),
             "error": str(err),
@@ -584,30 +591,23 @@ def _run_dirichlet(T1, T2, target, eps) -> dict:
 
 def _run_kronecker(T, Ts, delta, eps, bound) -> dict:
     got = approxmod.kronecker_find(T, Ts, delta, eps, bound=bound)
-    out: dict[str, object] = {
-        "inputs": {
-            "T": str(T),
-            "Ts": [str(t) for t in Ts],
-            "delta": str(delta),
-            "eps": str(eps),
-            "bound": bound,
-        },
-    }
     if isinstance(got, NotFound):
-        out["exact"] = {"found": False}
-        out["approx"] = {}
-        out["verdict"] = f"no witness up to q = {got.bound}"
-        return out
+        return {
+            "exact": {"found": False},
+            "approx": {},
+            "verdict": f"no witness up to q = {got.bound}",
+        }
     q, ps = got
     residuals = [T.scale(q) - t.scale(p) - delta for t, p in zip(Ts, ps)]
-    out["exact"] = {
-        "found": True,
-        "residuals": [str(r) for r in residuals],
+    return {
+        "exact": {
+            "found": True,
+            "residuals": [str(r) for r in residuals],
+        },
+        "approx": {"residuals": [r.approx_str() for r in residuals]},
+        "witness": {"q": q, "ps": list(ps)},
+        "verdict": "witness verified by exact sign tests",
     }
-    out["approx"] = {"residuals": [r.approx_str() for r in residuals]}
-    out["witness"] = {"q": q, "ps": list(ps)}
-    out["verdict"] = "witness verified by exact sign tests"
-    return out
 
 
 def _run_cfrac(x, depth) -> dict:
@@ -616,7 +616,6 @@ def _run_cfrac(x, depth) -> dict:
     if cf.terminated:
         verdict += " (rational, expansion complete)"
     return {
-        "inputs": {"x": str(x), "depth": depth},
         "exact": {
             "quotients": list(cf.quotients),
             "convergents": [[p, q] for p, q in cf.convergents],
@@ -631,7 +630,6 @@ def _run_discrepancy(alpha, N) -> dict:
     dstar = approxmod.orbit_discrepancy(alpha, N)
     as_real = ExactReal.rational(dstar)
     return {
-        "inputs": {"alpha": str(alpha), "N": N},
         "exact": {"dstar_upper_bound": str(dstar)},
         "approx": {"dstar_upper_bound": as_real.approx_str()},
         "verdict": f"star discrepancy at most {str(dstar)}",
@@ -641,7 +639,6 @@ def _run_discrepancy(alpha, N) -> dict:
 def _run_composition_check(slope, T, L) -> dict:
     res = funcalg.composition_check(slope, T, L)
     return {
-        "inputs": {"slope": str(slope), "T": str(T), "L": str(L)},
         "exact": {"holds": res.holds, "n": res.n},
         "approx": {},
         "verdict": (
@@ -650,37 +647,30 @@ def _run_composition_check(slope, T, L) -> dict:
     }
 
 
-def _run_counterexample(f, shift, bound) -> dict:
-    name, form = f
-    got = funcalg.find_counterexample(form, shift, bound)
-    out: dict[str, object] = {
-        "inputs": {
-            "function": name,
-            "formula": form.text(),
-            "shift": str(shift),
-            "bound": bound,
-        },
-    }
+def _run_counterexample(function, shift, bound) -> dict:
+    got = funcalg.find_counterexample(function, shift, bound)
     if isinstance(got, NotFound):
-        out["exact"] = {"found": False}
-        out["approx"] = {}
-        out["verdict"] = f"no counterexample in the search box (bound {got.bound})"
-        return out
+        return {
+            "exact": {"found": False},
+            "approx": {},
+            "verdict": f"no counterexample in the search box (bound {got.bound})",
+        }
     x = got
     exact: dict[str, object] = {"found": True}
     # find_counterexample has already rejected a shift outside the basis
-    vec = funcalg._shift_vector(shift, form.domain)
+    vec = funcalg._shift_vector(shift, function.domain)
     shifted = tuple(a + b for a, b in zip(x, vec))
-    if lattice.member(form.domain, shifted):
-        exact["f_at_x"] = str(funcalg.evaluate(form, x))
-        exact["f_at_x_plus_shift"] = str(funcalg.evaluate(form, shifted))
+    if lattice.member(function.domain, shifted):
+        exact["f_at_x"] = str(funcalg.evaluate(function, x))
+        exact["f_at_x_plus_shift"] = str(funcalg.evaluate(function, shifted))
     else:
         exact["domain_invariant"] = False
-    out["exact"] = exact
-    out["approx"] = {}
-    out["witness"] = {"x": list(x)}
-    out["verdict"] = "counterexample found: the shift is not a period"
-    return out
+    return {
+        "exact": exact,
+        "approx": {},
+        "witness": {"x": list(x)},
+        "verdict": "counterexample found: the shift is not a period",
+    }
 
 
 # -- the analysis table ------------------------------------------------------
@@ -690,7 +680,8 @@ def _run_counterexample(f, shift, bound) -> dict:
 # an analysis that diverges.  A signature lists the slots of
 # `analyze <kind> ...` in order, each as (lead, slot, reader,
 # fallback): the keyword or "," read before the value ("" for
-# none); the runner's parameter the value fills; the reader, one of
+# none); the runner's parameter the value fills, and its key in the
+# result's inputs; the reader, one of
 # real, real_list, [real_list] (in brackets), int, function, pattern,
 # domain; and None for a required slot, else what an omitted value
 # falls back to: a RunOptions field by name, or a constant.  A fallback
@@ -699,7 +690,7 @@ _Slot = tuple[str, str, str, object]
 
 ANALYSES: dict[str, tuple[tuple[_Slot, ...], Callable[..., dict], str]] = {
     "period_module": (
-        (("", "f", "function", None),), _run_period_module, "funcalg",
+        (("", "function", "function", None),), _run_period_module, "funcalg",
     ),
     "commensurable": (
         (("", "x", "real", None), (",", "y", "real", None)),
@@ -711,7 +702,7 @@ ANALYSES: dict[str, tuple[tuple[_Slot, ...], Callable[..., dict], str]] = {
         _run_intersect, "lattice",
     ),
     "fundamental_period": (
-        (("", "p", "pattern", None),), _run_fundamental_period, "pointsets",
+        (("", "pattern", "pattern", None),), _run_fundamental_period, "pointsets",
     ),
     "dirichlet": (
         (("", "T1", "real", None), (",", "T2", "real", None),
@@ -738,7 +729,7 @@ ANALYSES: dict[str, tuple[tuple[_Slot, ...], Callable[..., dict], str]] = {
         _run_composition_check, "funcalg",
     ),
     "counterexample": (
-        (("", "f", "function", None), ("shift", "shift", "real", None),
+        (("", "function", "function", None), ("shift", "shift", "real", None),
          ("bound", "bound", "int", "bound")),
         _run_counterexample, "funcalg",
     ),

@@ -203,6 +203,20 @@ def test_power_of_a_sgn_sum_is_sized_by_its_monomials():
     bound = f"power's coefficient bound ||c||_1^n exceeds the limit of {MAX_DIGITS} digits"
     with pytest.raises(SizeLimit, match=f"^{re.escape(bound)}$"):
         parse("sgn(one) + 1", dom) ** 10**30
+    # the error names what was counted: a power of 18 sgn atoms counts
+    # 2^18 = 262,144 monomials; the product of two expanded powers of 9
+    # atoms each counts its 512 * 512 tuples at n = 1
+    radicands = (1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29)
+    dom = full_domain(*radicands)
+    first, second = ("1+" + "+".join(f"sgn(sqrt({d}))" for d in half) for half in (radicands[:9], radicands[9:]))
+    assert len(parse(f"({first})^20", dom).terms) == 512
+    for text, counted in (
+        (f"(({first})*({second}))^20", "2^s"),
+        (f"({first})^20 * ({second})^20", "C(n+t-1, t-1)"),
+    ):
+        message = f"power's monomial count {counted} exceeds the limit of {funcalg.MAX_TERMS}"
+        with pytest.raises(SizeLimit, match=f"^{re.escape(message)}$"):
+            parse(text, dom)
 
 
 def test_parse_canonical_cancellation():

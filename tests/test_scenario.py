@@ -295,6 +295,12 @@ LIMIT_REPROS = {
         f'scenario "x";\nanalyze kronecker 1000 over [(1/1{"0" * 4299})*sqrt(2)] delta 0 eps 1;\n',
         f"analysis #1 (kronecker): witness coefficient exceeds the limit of {MAX_DIGITS} digits",
     ),
+    # an input of 8,000 digits, past the interpreter's default limit: the
+    # analysis runs before its inputs are written, so its own error wins
+    "cfrac_input": (
+        f'scenario "x";\nanalyze cfrac {"9" * 4000}*{"9" * 4000};\n',
+        f"analysis #1 (cfrac): convergent 1 exceeds the limit of {MAX_DIGITS} digits",
+    ),
     # points within 10^-4000 of the thirds need a denominator of 6,320 digits
     "discrepancy": (
         f'scenario "x";\nanalyze discrepancy 1/3 + (1/1{"0" * 4000})*sqrt(2) n 300;\n',
@@ -604,6 +610,61 @@ def test_optional_arguments_fall_back_through_the_table():
     assert str(err.value) == "analysis #1 (dirichlet) has no eps and no --eps was given"
 
 
+ALL_KINDS = """\
+scenario "every kind";
+basis B = basis(1, sqrt(2));
+domain D = lattice[(1,0), (0,1)] over B;
+domain E = lattice[(2,0), (0,1)] over B;
+function f = sgn(sqrt(2)) on D;
+pattern P mod 1 = (0, 1/4);
+analyze period_module f;
+analyze commensurable 1, sqrt(2);
+analyze classify 1, sqrt(2);
+analyze intersect D, E;
+analyze fundamental_period P;
+analyze dirichlet 1, sqrt(2) target 1/3 eps 1/10;
+analyze kronecker sqrt(2) over [1] delta 0 eps 1/10;
+analyze cfrac sqrt(2);
+analyze discrepancy sqrt(2) - 1 n 10;
+analyze composition_check slope 2 t 1 l 1;
+analyze counterexample f shift 1 bound 2;
+"""
+
+
+def test_inputs_are_the_signature_slots_in_order():
+    # run_scenario writes each result's inputs from its kind's signature:
+    # a function adds its formula, a pattern its definition, and
+    # period_module the function's domain
+    expected = {
+        "period_module": ["function", "formula", "domain"],
+        "commensurable": ["x", "y"],
+        "classify": ["periods"],
+        "intersect": ["first", "second"],
+        "fundamental_period": ["pattern", "definition"],
+        "dirichlet": ["T1", "T2", "target", "eps"],
+        "kronecker": ["T", "Ts", "delta", "eps", "bound"],
+        "cfrac": ["x", "depth"],
+        "discrepancy": ["alpha", "N"],
+        "composition_check": ["slope", "T", "L"],
+        "counterexample": ["function", "formula", "shift", "bound"],
+    }
+    results = run_scenario(parse_scenario(ALL_KINDS)).results
+    assert [r["kind"] for r in results] == list(expected) == list(ANALYSES)
+    for r in results:
+        assert list(r["inputs"]) == expected[r["kind"]], r["kind"]
+        assert list(r)[:2] == ["kind", "inputs"] and list(r)[-1] in ("verdict", "witness")
+    by_kind = {r["kind"]: r["inputs"] for r in results}
+    assert by_kind["period_module"] == {
+        "function": "f",
+        "formula": "sgn(sqrt(2))",
+        "domain": {"basis": "basis(1, sqrt(2))", "rows": [[1, 0], [0, 1]]},
+    }
+    assert by_kind["fundamental_period"] == {"pattern": "P", "definition": "(0, 1/4) mod 1"}
+    assert by_kind["kronecker"] == {"T": "sqrt(2)", "Ts": ["1"], "delta": "0", "eps": "1/10", "bound": 10**6}
+    assert by_kind["classify"] == {"periods": ["1", "sqrt(2)"]}
+    assert by_kind["intersect"] == {"first": "D", "second": "E"}
+
+
 def test_analysis_table_matches_the_format_doc():
     doc = (Path(__file__).resolve().parent.parent / "docs" / "scenario-format.md").read_text()
     section = doc.split("## Analyses", 1)[1].split("\n## ", 1)[0]
@@ -875,6 +936,19 @@ def test_records_keep_value_semantics():
     with pytest.raises(AttributeError):
         del cf.x
     assert NotFound(6).bound == 6 and CompositionResult(True).n is None
+    # one constructor binds arguments to `_fields` as a signature would
+    assert PeriodModule(*module._values()) == PeriodModule(**dict(zip(PeriodModule._fields, module._values())))
+    for bad in (
+        lambda: NotFound(),
+        lambda: NotFound(1, 2),
+        lambda: NotFound(size=1),
+        lambda: NotFound(1, bound=1),
+        lambda: Discrete(),
+        lambda: Analysis("cfrac"),
+        lambda: Report("x", "v", [], [], None),
+    ):
+        with pytest.raises(TypeError):
+            bad()
 
     assert (RunOptions.bound, RunOptions.depth, RunOptions.eps) == (25, 10, None)
     opts = RunOptions()
