@@ -70,9 +70,11 @@ def _squarefree_part(n: int) -> int:
     return out if r * r == n else out * n
 
 
+@lru_cache(maxsize=None)
 def _radicand_part(n: int) -> int:
     """`_squarefree_part` of n <= MAX_RADICAND, in at most 5*10^5 trial
-    divisions; a larger n raises SizeLimit before the first one."""
+    divisions and once per n, since every basis and `sqrt` that reads n
+    asks again; a larger n raises SizeLimit before the first one."""
     if n > MAX_RADICAND:
         raise SizeLimit(f"radicand exceeds the limit of {MAX_RADICAND}")
     return _squarefree_part(n)

@@ -49,7 +49,7 @@ from .errors import (
     UnknownRadicand,
 )
 from .exactreal import MAX_BITS, MAX_DIGITS, ExactReal, _magnitude_text, _too_long, commensurable
-from .lattice import CoeffLattice, intersect, member
+from .lattice import CoeffLattice, cut, intersect, member
 
 ABS1 = "abs1"
 SGN = "sgn"
@@ -717,16 +717,12 @@ def period_module(f: CanonicalForm) -> PeriodModule:
     of tags strictly translates unless s_d = 0, so every abs1-bearing
     coordinate is forced to zero.  Each term's sgn atoms multiply the
     coefficient by (-1) to the sum of their s_d, forcing even parity per
-    term.  Those conditions are also sufficient, term by term.
-
-    The lattice is cut twice.  The zero coordinates intersect the domain
-    with the unit lattice on the other coordinates.  Each parity set S
-    then takes the kernel of v -> sum(v_d for d in S) mod 2: with g0 the
-    first HNF row of odd sum, the kernel is spanned by the even rows,
-    g + g0 for every other odd row g, and 2*g0.
+    term.  Those conditions are also sufficient, term by term.  One
+    `lattice.cut` of the domain, which `intersect` also calls, applies
+    them all: a value s_d with modulus 0 per zero coordinate and a sum
+    over S with modulus 2 per parity set S.
     """
     basis = f.domain.basis
-    k = len(basis)
     zero_coords = frozenset(
         d for m in f.terms for kind, d, _, _ in m if kind == ABS1
     )
@@ -735,23 +731,15 @@ def period_module(f: CanonicalForm) -> PeriodModule:
         - {frozenset()},
         key=sorted,
     )
-    lat = f.domain
-    if zero_coords:
-        units = [
-            tuple(1 if j == i else 0 for j in range(k))
-            for i, d in enumerate(basis)
-            if d not in zero_coords
-        ]
-        lat = intersect(lat, CoeffLattice(units, basis))
-    for S in parity:
-        cols = [basis.index(d) for d in S]
-        even, odd = [], []
-        for g in lat.hnf:
-            (odd if sum(g[j] for j in cols) % 2 else even).append(g)
-        if odd:
-            g0 = odd[0]
-            even += [tuple(x + y for x, y in zip(g, g0)) for g in odd[1:]]
-            lat = CoeffLattice(even + [tuple(2 * x for x in g0)], basis)
+    zero = [i for i, d in enumerate(basis) if d in zero_coords]
+    sets = [[basis.index(d) for d in S] for S in parity]
+    values = [
+        tuple(h[i] for i in zero) + tuple(sum(h[j] for j in js) % 2 for js in sets)
+        for h in f.domain.hnf
+    ]
+    width = len(zero) + len(sets)
+    moduli = [tuple(2 * (j == i) for j in range(width)) for i in range(len(zero), width)]
+    lat = cut(f.domain, values, moduli)
     gens_real = tuple(lat.to_real(row) for row in lat.hnf)
     return PeriodModule(
         zero_coords=zero_coords,

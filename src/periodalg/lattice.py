@@ -6,8 +6,9 @@ over Q, that map is injective, so lattice questions about the numbers
 (membership, intersection of domains) reduce to integer linear algebra
 on coordinates.  Canonical form is the Hermite normal form of the
 generator matrix, computed with exact integer arithmetic by one routine,
-`_hnf`.  `intersect` reads the common points of two lattices from extra
-columns carried through that same HNF, with no transform matrix.
+`_hnf`.  `cut` reads the points of a lattice that meet linear conditions
+from extra columns carried through that same HNF, with no transform
+matrix; `intersect` and `funcalg.period_module` both state conditions.
 Coordinates enter through `operator.index`, so a float or a `Fraction`
 raises `TypeError` instead of being truncated.
 
@@ -52,7 +53,8 @@ def _hnf(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], in
     on those columns, with positive pivots and entries above each pivot
     reduced into [0, pivot), and every later row is zero on them.  Any
     columns past `width` are carried through the same row operations,
-    which is how `intersect` reads its kernel.
+    which is how `cut` reads its kernel for `intersect` and
+    `funcalg.period_module`.
     """
     m = len(rows)
     a = [list(r) for r in rows]
@@ -174,22 +176,30 @@ def member(lat: CoeffLattice, v: Sequence[int]) -> bool:
     return not any(w)
 
 
-def intersect(lat1: CoeffLattice, lat2: CoeffLattice) -> CoeffLattice:
-    """Exact intersection from the kernel columns carried through one HNF.
+def cut(lat: CoeffLattice, values: Sequence[Vector], moduli: Sequence[Vector]) -> CoeffLattice:
+    """The points of `lat` whose condition values lie in the span of `moduli`.
 
-    Each row a of the first lattice enters as (a, a) and each row b of
-    the second as (-b, 0).  The HNF rows that vanish on the first k
-    columns are the kernel of [[A], [-B]], and their last k columns are
-    the common points u*A, a generating set of the intersection.
+    values[i] holds the integer conditions evaluated at lat.hnf[i]; they
+    are linear, so a point u*H takes the values u*V.  Each row h enters
+    as (v, h) and each modulus row m as (m, 0).  The HNF rows that vanish
+    on the value columns are the (u, t) with u*V + t*M = 0, and their
+    carried columns, the points u*H that meet the conditions, generate
+    the cut.  `intersect` and `funcalg.period_module` both call it.
     """
+    if not lat.hnf:
+        return lat
+    n = len(values[0])
+    rows = [v + h for v, h in zip(values, lat.hnf)] + [m + (0,) * lat.dim for m in moduli]
+    h, rank = _hnf(rows, n)
+    return CoeffLattice([row[n:] for row in h[rank:]], lat.basis)
+
+
+def intersect(lat1: CoeffLattice, lat2: CoeffLattice) -> CoeffLattice:
+    """Exact intersection: the points of the first lattice, over the merged
+    basis, whose coordinates lie in the second."""
     basis = lat1.basis.merge(lat2.basis)
-    lat1, lat2 = lat1.embed(basis), lat2.embed(basis)
-    k = len(basis)
-    stacked = [r + r for r in lat1.hnf] + [
-        tuple(-x for x in r) + (0,) * k for r in lat2.hnf
-    ]
-    h, rank = _hnf(stacked, k)
-    return CoeffLattice([row[k:] for row in h[rank:]], basis)
+    lat1 = lat1.embed(basis)
+    return cut(lat1, lat1.hnf, lat2.embed(basis).hnf)
 
 
 class Discrete(FrozenRecord):

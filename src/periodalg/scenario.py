@@ -188,6 +188,9 @@ class _ScenarioParser(funcalg._Parser):
             else:
                 self.fail("expected 1 or sqrt(<int>)")
             self.combine(tok[2], RadicalBasis, [d])  # each radicand where it was read
+            if rads and d <= rads[-1]:  # RadicalBasis sorts, so the text must be sorted
+                prev, cur = (r if r == 1 else f"sqrt({r})" for r in (rads[-1], d))
+                self.keep(ValueError(f"basis radicals must increase: {cur} after {prev}"), tok[2])
             rads.append(d)
             if not self.accept_op(","):
                 break

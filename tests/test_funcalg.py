@@ -578,6 +578,35 @@ def test_period_module_is_complete_on_sublattice_domains():
         for a in itertools.product(range(-3, 4), repeat=dim):
             s = tuple(sum(c * row[j] for c, row in zip(a, dom.hnf)) for j in range(dim))
             assert (shift(f, s) == f) == member(pm.as_lattice, s), (f.text(), s)
+    # domains of rank 0 to dim - 1, some spanned by rows that mix
+    # coordinates, with abs1 or recip atoms pinning one or two of them
+    for _ in range(150):
+        dim = rng.choice([2, 3])
+        basis = basis_of_dim(dim)
+        rank = rng.randint(0, dim - 1)
+        mixed = [(1, 1, 0)[:dim], (0, 1, 1)[:dim]]
+        while True:
+            gens = [
+                rng.choice(mixed) if rng.random() < 0.5
+                else tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(rank)
+            ]
+            dom = CoeffLattice(gens, basis)
+            if dom.rank == rank:
+                break
+        radicands = list(basis.radicands)
+        arg = {d: "one" if d == 1 else f"sqrt({d})" for d in radicands}
+        terms = [
+            f"{rng.choice([1, -1, 2])}*" + "*".join(f"sgn({arg[d]})" for d in S)
+            for S in [rng.sample(radicands, rng.randint(1, dim)) for _ in range(rng.randint(0, 2))]
+        ]
+        for d in rng.sample(radicands, rng.randint(1, 2)):
+            terms.append(f"{rng.choice(['abs1', 'recip'])}({arg[d]}{rng.choice(['', '+1', '-2'])})")
+        f = parse(" + ".join(terms), dom)
+        pm = period_module(f)
+        for a in itertools.product(range(-3, 4), repeat=rank):
+            s = tuple(sum(c * row[j] for c, row in zip(a, dom.hnf)) for j in range(dim))
+            assert (shift(f, s) == f) == member(pm.as_lattice, s), (f.text(), dom, s)
 
 
 def test_period_module_pinned_sublattice_cases():

@@ -7,6 +7,7 @@ with the implementation.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from periodalg.lattice import (
     Dense,
     Discrete,
     classify_group,
+    cut,
     intersect,
     member,
 )
@@ -152,6 +154,31 @@ def test_intersection_against_box_enumeration():
         # completeness on a box: every common point is in the result
         for v in common_points_by_box(l1, l2, 6):
             assert member(meet, v)
+
+
+def test_cut_against_box_enumeration():
+    # a point p of the lattice is in the cut exactly when p.c_j is 0
+    # for each condition c_j of modulus 0 and even for each of modulus 2
+    rng = random.Random(2311)
+    for _ in range(150):
+        basis = basis_of_dim(rng.choice([2, 3]))
+        lat = random_operand(rng, basis)
+        conds = [tuple(rng.randint(-2, 2) for _ in basis) for _ in range(rng.randint(0, 3))]
+        mods = [rng.choice([0, 2]) for _ in conds]
+        values = [tuple(sum(x * y for x, y in zip(h, c)) for c in conds) for h in lat.hnf]
+        moduli = [tuple(m * (i == j) for i in range(len(conds))) for j, m in enumerate(mods) if m]
+        got = cut(lat, values, moduli)
+        assert got.basis == basis
+
+        def meets(p):
+            dots = (sum(x * y for x, y in zip(p, c)) for c in conds)
+            return all(d % m == 0 if m else d == 0 for d, m in zip(dots, mods))
+
+        for row in got.hnf:
+            assert member(lat, row) and meets(row)
+        for a in itertools.product(range(-3, 4), repeat=lat.rank):
+            p = tuple(sum(c * row[j] for c, row in zip(a, lat.hnf)) for j in range(len(basis)))
+            assert member(got, p) == meets(p), (lat, conds, mods, p)
 
 
 def test_non_integer_coordinates_are_rejected():

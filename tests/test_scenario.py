@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from periodalg import cli, lattice, scenario
+from periodalg import cli, exactreal, lattice, scenario
 from periodalg.errors import (
     AnalysisError,
     DivisionByZero,
@@ -349,6 +349,19 @@ def test_value_errors_while_parsing_have_positions(tmp_path, capsys):
         ),
         # a nonpositive radicand is named as such, not as non-squarefree
         ('scenario "x";\nbasis B = basis(1, sqrt(0));\n', 2, 20, "radicand must be positive"),
+        # a basis lists its radicals in increasing order, or its sorted
+        # coordinates would silently permute the lattice rows
+        (
+            'scenario "x";\nbasis B = basis(1, sqrt(3), sqrt(2));\n'
+            "domain D = lattice[(1,0,0),(0,2,0),(0,0,1)] over B;\n"
+            "function f = sgn(sqrt(3)) on D;\nanalyze period_module f;\n",
+            2, 29, "basis radicals must increase: sqrt(2) after sqrt(3)",
+        ),
+        ('scenario "x";\nbasis B = basis(1, sqrt(2), sqrt(2));\n', 2, 29,
+         "basis radicals must increase: sqrt(2) after sqrt(2)"),
+        ('scenario "x";\nbasis B = basis(sqrt(2), 1);\n', 2, 26, "basis radicals must increase: 1 after sqrt(2)"),
+        ('scenario "x";\ndomain D = lattice[(1,0)] over basis(1, 1);\n', 2, 41,
+         "basis radicals must increase: 1 after 1"),
         # the lattice checks each row against the basis, zero rows too
         (
             'scenario "x";\ndomain D = lattice[(1,0,0)] over basis(1, sqrt(2));\n',
@@ -367,6 +380,31 @@ def test_value_errors_while_parsing_have_positions(tmp_path, capsys):
         path.write_text(text)
         assert cli.main(["run", str(path)]) == 2
         assert f"line {line}, col {col}: {message}" in capsys.readouterr().err
+
+
+def test_a_radicand_is_factored_once(monkeypatch):
+    # every basis, inline basis, merge and sqrt that reads n asks for its
+    # squarefree part; the trial division for n near MAX_RADICAND runs once
+    n = 999999999999999989
+    text = (
+        f'scenario "x";\nbasis B = basis(1, sqrt({n}));\n'
+        "domain D = lattice[(1,0),(0,1)] over B;\n"
+        f"domain E = lattice[(2,0),(0,2)] over basis(1, sqrt({n}));\n"
+        f"function f = sgn(sqrt({n})) on D;\n"
+        f"analyze intersect D, E;\nanalyze period_module f;\nanalyze commensurable sqrt({n}), 2*sqrt({n});\n"
+    )
+    factored = []
+    squarefree_part = exactreal._squarefree_part
+
+    def counting(m):
+        factored.append(m)
+        return squarefree_part(m)
+
+    monkeypatch.setattr(exactreal, "_squarefree_part", counting)
+    exactreal._radicand_part.cache_clear()
+    report = run_scenario(parse_scenario(text))
+    assert report.results[0]["verdict"] == "intersection of rank 2"
+    assert factored.count(n) == 1
 
 
 def test_name_resolution_errors():
