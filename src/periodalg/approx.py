@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from itertools import islice
 
 from .errors import CommensurableInput, DivisionByZero, EmptyInput, FrozenRecord, NotFound, SizeLimit
 from .exactreal import INITIAL_PRECISION, MAX_DIGITS, ExactReal, _too_long, commensurable, quotients
@@ -78,7 +77,7 @@ def continued_fraction(x: ExactReal, depth: int) -> ContinuedFraction:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     steps = []
-    for a, p, q in islice(_convergents(x), depth):
+    for _, (a, p, q) in zip(range(depth), _convergents(x)):
         if _too_long(p, q):
             raise SizeLimit(
                 f"convergent {len(steps) + 1} exceeds the limit of {MAX_DIGITS} digits"

@@ -114,9 +114,12 @@ class ParseError(PeriodalgError):
     """Malformed expression text, at the offending token's `pos`."""
 
     def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
+        super().__init__(message, pos)
         self.message = message
         self.pos = pos
+
+    def __str__(self) -> str:
+        return f"{self.message} (at position {self.pos})"
 
 
 class NonMonomialDivisor(PeriodalgError):

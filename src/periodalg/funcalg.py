@@ -32,7 +32,7 @@ import re
 import sys
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import product
+from itertools import islice
 from math import comb, gcd, lcm
 
 from .errors import (
@@ -373,57 +373,61 @@ class CompositionResult(FrozenRecord):
 
 # -- parsing ---------------------------------------------------------------
 
-# One lexicon for formulas, reals and scenario files.  Groups 1-4 are
-# the token kinds below, group 5 a `#` comment, and group 6 any other
-# character the lexicon does not know.  Whitespace matches nothing, so
-# the scan passes over it without a match object.
-_TOKEN = re.compile(r'(\d+)|([^\W\d]\w*)|"([^"\n]*)"|([-+*/^()\[\],=;])|(#[^\n]*)|(\S)')
-_KINDS = (None, "num", "name", "str", "op")
+# One lexicon for formulas, reals and scenario files.  The one group is
+# a token, read after any whitespace and `#` comments: a numeral, a name,
+# a quoted string, an operator, any other single character (which is
+# outside the lexicon), or the empty token at the end of the text.
+_TOKEN = re.compile(r'(?:\s+|#[^\n]*)*([0-9]+|[A-Za-z_][A-Za-z0-9_]*|"[^"\n]*"|[-+*/^()\[\],=;]|.|\Z)')
 _max_str_digits = getattr(sys, "get_int_max_str_digits", None)  # Python >= 3.11
 
 
-def _tokenize(text: str) -> list[tuple]:
-    """(kind, value, offset) tokens, closed by ("end", "", len(text)).
-
-    A character outside the lexicon, or a numeral longer than Python's
-    integer string limit, becomes a ("bad", message, offset) token,
-    which `_Parser.peek` raises only when parsing reaches it, so errors
-    are reported in reading order.
-    """
+def _fault(tok: str) -> str | None:
+    """Why a token is outside the lexicon, or None: a lone `"`, a
+    character no token is made of, or a numeral longer than Python's
+    integer string limit."""
+    if tok == '"':
+        return "unterminated string"
+    if len(tok) == 1 and not (tok in "-+*/^()[],=;_" or tok.isascii() and tok.isalnum()):
+        return f"unexpected character {tok!r}"
     limit = _max_str_digits() if _max_str_digits else 0  # 0: no limit
-    toks = []
-    for m in _TOKEN.finditer(text):
-        g = m.lastindex
-        if g == 5:
-            continue
-        pos = m.start()
-        if g == 6:
-            if text[pos] == '"':
-                toks.append(("bad", "unterminated string", pos))
-            else:
-                toks.append(("bad", f"unexpected character {text[pos]!r}", pos))
-            continue
-        val = m[g]
-        if g == 1:
-            if limit and len(val) > limit:
-                msg = f"numeral of {len(val)} digits exceeds Python's integer string limit"
-                toks.append(("bad", f"{msg} ({limit} digits)", pos))
-                continue
-            val = int(val)
-        toks.append((_KINDS[g], val, pos))
-    toks.append(("end", "", len(text)))
-    return toks
+    if 0 < limit < len(tok) and tok.isdigit():
+        return f"numeral of {len(tok)} digits exceeds Python's integer string limit ({limit} digits)"
+    return None
+
+
+def _divide(a, b):
+    """a / b, where each is an int, a Fraction, an ExactReal or a
+    CanonicalForm: two ints make one Fraction, and every zero divisor of
+    a real fails alike."""
+    if not b:
+        raise DivisionByZero("invert of zero element")
+    if type(a) is int and type(b) is int:
+        return Fraction(a, b)
+    return a / b
+
+
+# binary operators: (precedence, operation) on reals and formulas alike
+_BINARY = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul), "/": (2, _divide)}
 
 
 class _Parser:
     """Recursive descent over one token list, for reals and formulas alike.
 
-    expr := term (('+'|'-') term)*; term := factor (('*'|'/') factor)*;
+    expr := factor (BINARY factor)*, left to right, `*` and `/` binding
+    tighter than `+` and `-` (`_BINARY`);
     factor := ('-'|'+') factor | primary ('^' ['-'] INT)*;
     real primary := INT | 'sqrt' '(' INT ')' | '(' expr ')';
     formula primary := INT | NAME | call | '(' expr ')';
     call := ('abs1'|'recip'|'sgn') '(' ('one' | 'sqrt' '(' INT ')')
             (('+'|'-') INT)? ')'
+
+    A token is its text (`_TOKEN`), and a position is a token's index in
+    `toks`: `i` is the current token's.  The accessors match tokens by
+    text and read a numeral with int() where they consume it.  An
+    error carries the index of the token at fault in its `pos` until it
+    leaves `parse`, `parse_real` or `scenario.parse_scenario`, which turn
+    it into the token's offset in the text (`offset`) by scanning it
+    again; no offset is kept for the tokens that parse.
 
     A real is built from plain rationals: a numeral is an int, `+ - *`
     act on ints and Fractions as they are, `int / int` is one Fraction,
@@ -433,69 +437,84 @@ class _Parser:
     Powers belong to formulas only.  NAME is a key of `functions`, the
     caller's name -> CanonicalForm mapping.  A formula is read with no
     domain: `refs` collects the domains of the functions it names,
-    `atoms` its (radicand, offset of '(') pairs, and `bind` places it.
-    Errors carry the offset of the token at fault.  A syntax error is
-    raised at once.  A value that fails (a division by zero, a
-    non-monomial divisor, a power or radicand past its limit, an atom
-    outside the domain basis) is kept in `value_error` at its token while
-    parsing goes on, and nothing is computed after it, so a syntax error
+    `atoms` its (radicand, index of '(') pairs, and `bind` places it.
+    A syntax error is raised at once, through `fail`, which reports a
+    token outside the lexicon (`_fault`) at the current token first: no
+    accessor matches one, so such a token is an error exactly where
+    parsing reaches it.  A value that fails (a division by zero, a non-monomial
+    divisor, a power or radicand past its limit, an atom outside the
+    domain basis) is kept in `value_error` at its token while parsing
+    goes on, and nothing is computed after it, so a syntax error
     anywhere in the text is reported first; `done` raises the earliest
     kept error once the whole text has parsed.
     """
 
     def __init__(self, text: str, functions: Mapping[str, CanonicalForm]):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks = _TOKEN.findall(text)
         self.i = 0
         self.functions = functions
         self.refs: list[CoeffLattice] | None = None  # None while reading a real
         self.atoms: list[tuple[int, int]] = []
         self.value_error: PeriodalgError | None = None  # the earliest one
 
-    def peek(self):
+    def peek(self) -> str:
+        return self.toks[self.i]
+
+    def fail(self, message: str, i: int | None = None):
+        """Raise a ParseError at token i, by default the current one,
+        unless that token is outside the lexicon: then its own error."""
+        if i is None:
+            i = self.i
+        raise ParseError(_fault(self.toks[i]) or message, i)
+
+    def offset(self, i: int) -> int:
+        """The offset of token i in the text."""
+        return next(islice(_TOKEN.finditer(self.text), i, None)).start(1)
+
+    def accept(self, *texts: str) -> str | None:
         tok = self.toks[self.i]
-        if tok[0] == "bad":
-            raise ParseError(tok[1], tok[2])
-        return tok
-
-    # The accessors below read `toks` directly.  A "bad" token never
-    # matches, and every error at the current token goes through `peek`,
-    # so a bad token still raises its own message at its own offset.
-
-    def accept_op(self, *ops):
-        kind, val, _ = self.toks[self.i]
-        if kind == "op" and val in ops:
+        if tok in texts:
             self.i += 1
-            return val
+            return tok
         return None
 
-    def expect_op(self, op: str):
-        kind, val, _ = self.toks[self.i]
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", self.peek()[2])
+    def expect(self, text: str):
+        if self.toks[self.i] != text:
+            self.fail(f"expected {text!r}")
         self.i += 1
+
+    def accept_num(self) -> int | None:
+        tok = self.toks[self.i]
+        if tok.isdigit() and tok.isascii():
+            try:
+                n = int(tok)
+            except ValueError:  # past the integer string limit; `fail` says so
+                return None
+            self.i += 1
+            return n
+        return None
 
     def expect_num(self) -> int:
-        kind, val, _ = self.toks[self.i]
-        if kind != "num":
-            raise ParseError("expected an integer", self.peek()[2])
-        self.i += 1
-        return val
+        n = self.accept_num()
+        if n is None:
+            self.fail("expected an integer")
+        return n
 
     def signed_num(self) -> int:
-        if self.accept_op("-"):
+        if self.accept("-"):
             return -self.expect_num()
         return self.expect_num()
 
     def sqrt_arg(self) -> int:
-        self.expect_op("(")
+        self.expect("(")
         d = self.expect_num()
-        self.expect_op(")")
+        self.expect(")")
         return d
 
     def done(self):
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise ParseError("unexpected trailing input", pos)
+        if self.toks[self.i]:
+            self.fail("unexpected trailing input")
         if self.value_error is not None:
             raise self.value_error
 
@@ -544,120 +563,100 @@ class _Parser:
                 self.keep(UnknownRadicand(msg), apos)
         return CanonicalForm(dom, form.terms)
 
-    def expr(self):
-        v = self.term()
-        while True:
-            op = self.accept_op("+", "-")
-            if not op:
-                return v
-            rhs = self.term()
-            v = v + rhs if op == "+" else v - rhs
-
-    def term(self):
+    def expr(self, level: int = 1):
+        """Factors joined by binary operators of precedence `level` or more."""
         v = self.factor()
         while True:
-            pos = self.toks[self.i][2]
-            op = self.accept_op("*", "/")
-            if not op:
+            i = self.i
+            prec, op = _BINARY.get(self.toks[i], (0, None))
+            if prec < level:
                 return v
-            rhs = self.factor()
-            div = _divide if self.refs is None else operator.truediv
-            v = self.combine(pos, operator.mul if op == "*" else div, v, rhs)
+            self.i += 1
+            v = self.combine(i, op, v, self.expr(prec + 1))
 
     def factor(self):
-        sign = self.accept_op("-", "+")
+        sign = self.accept("-", "+")
         if sign:
             v = self.factor()
             return -v if sign == "-" else v
         v = self.primary()
         if self.refs is not None:
-            while True:
-                pos = self.toks[self.i][2]
-                if not self.accept_op("^"):
-                    break
-                v = self.combine(pos, operator.pow, v, self.signed_num())
+            while self.toks[self.i] == "^":
+                i = self.i
+                self.i += 1
+                v = self.combine(i, operator.pow, v, self.signed_num())
         return v
 
     def primary(self):
-        kind, val, pos = self.peek()
-        if kind == "num":
-            self.i += 1
-            if self.refs is None:
-                return val
-            return CanonicalForm.constant(val, None)
-        if self.accept_op("("):
+        i = self.i
+        n = self.accept_num()
+        if n is not None:
+            return n if self.refs is None else CanonicalForm.constant(n, None)
+        if self.accept("("):
             v = self.expr()
-            self.expect_op(")")
+            self.expect(")")
             return v
         if self.refs is None:
-            if kind == "name" and val == "sqrt":
-                self.i += 1
-                d = self.sqrt_arg()
-                if d <= 0:
-                    self.keep(ParseError("sqrt needs a positive integer", pos), pos)
-                return self.combine(pos, ExactReal.sqrt, d)
-            raise ParseError("expected a number or sqrt(...)", pos)
-        if kind == "name":
+            if not self.accept("sqrt"):
+                self.fail("expected a number or sqrt(...)")
+            d = self.sqrt_arg()
+            if d <= 0:
+                self.keep(ParseError("sqrt needs a positive integer", i), i)
+            return self.combine(i, ExactReal.sqrt, d)
+        name = self.toks[i]
+        if name in self.functions:
             self.i += 1
-            if val in self.functions:
-                f = self.functions[val]
-                self.refs.append(f.domain)
-                return CanonicalForm(None, f.terms)
-            if val in (ABS1, "recip", SGN):
-                return self.call(val)
-            raise ParseError(f"unknown function {val!r}", pos)
-        raise ParseError("expected a formula term", pos)
+            f = self.functions[name]
+            self.refs.append(f.domain)
+            return CanonicalForm(None, f.terms)
+        if self.accept(ABS1, "recip", SGN):
+            return self.call(name)
+        self.fail(f"unknown function {name!r}" if name.isidentifier() else "expected a formula term")
 
     def call(self, name: str) -> CanonicalForm:
-        pos = self.peek()[2]
-        self.expect_op("(")
-        kind, val, apos = self.peek()
-        if kind == "name" and val == "one":
-            self.i += 1
+        i = self.i
+        self.expect("(")
+        if self.accept("one"):
             d = 1
-        elif kind == "name" and val == "sqrt":
-            self.i += 1
+        elif self.accept("sqrt"):
             d = self.sqrt_arg()
         else:
-            raise ParseError("expected 'one' or 'sqrt(<int>)'", apos)
+            self.fail("expected 'one' or 'sqrt(<int>)'")
         s = 0
-        if self.accept_op("+"):
+        if self.accept("+"):
             s = self.expect_num()
-        elif self.accept_op("-"):
+        elif self.accept("-"):
             s = -self.expect_num()
-        self.expect_op(")")
-        self.atoms.append((d, pos))
+        self.expect(")")
+        self.atoms.append((d, i))
         if name == SGN:
             return CanonicalForm(None, {((SGN, d, 0, 1),): -1 if s % 2 else 1})
         exp = 1 if name == ABS1 else -1
         return CanonicalForm(None, {((ABS1, d, s, exp),): 1})
 
 
-def _divide(a, b):
-    """a / b on the real path, where each is an int, a Fraction or an
-    ExactReal: two ints make one Fraction, and every zero divisor fails
-    alike."""
-    if not b:
-        raise DivisionByZero("invert of zero element")
-    if type(a) is int and type(b) is int:
-        return Fraction(a, b)
-    return a / b
+def _read(text: str, read):
+    """read(parser) over the whole text; an error's token index becomes
+    the token's offset on the way out."""
+    p = _Parser(text, {})
+    try:
+        out = read(p)
+        p.done()
+    except PeriodalgError as exc:
+        if exc.pos is not None:
+            exc.pos = p.offset(exc.pos)
+        raise
+    return out
 
 
 def parse(expr: str, domain: CoeffLattice) -> CanonicalForm:
     """Parse a formula over the domain's coordinates into canonical form."""
-    p = _Parser(expr, {})
-    f = p.bind(p.form_expr(), [domain], 0)
-    p.done()
-    return f
+    return _read(expr, lambda p: p.bind(p.form_expr(), [domain], 0))
 
 
 def parse_real(text: str) -> ExactReal:
     """Parse exact-real text like `1 + 2*sqrt(3) - (1/2)*sqrt(5)`."""
-    p = _Parser(text, {})
-    x = p.real_expr()
-    p.done()
-    return x
+    return _read(text, _Parser.real_expr)
 
 
 # -- operations --------------------------------------------------------------
@@ -788,14 +787,6 @@ def _compile(f: CanonicalForm):
     return ev
 
 
-def _axis_values(bound: int) -> list[int]:
-    vals = [0]
-    for v in range(1, bound + 1):
-        vals.append(v)
-        vals.append(-v)
-    return vals
-
-
 def find_counterexample(
     f: CanonicalForm, T: ExactReal, bound: int = 25
 ) -> tuple[int, ...] | NotFound:
@@ -809,7 +800,10 @@ def find_counterexample(
     difference is evaluated at lattice points x = sum(a_i * h_i) over
     the domain's HNF rows with every a_i in 0, 1, -1, ..., bound, -bound
     (the last coefficient fastest, so witnesses near the origin surface
-    first), and the first x where it is nonzero is returned.
+    first), and the first x where it is nonzero is returned.  The walk
+    is an odometer that holds one point: a step moves one coefficient
+    to its next value and x by the change times its row, and a
+    coefficient past -bound returns to 0 and carries.
     """
     s = _shift_vector(T, f.domain)
     try:
@@ -820,16 +814,24 @@ def find_counterexample(
         return NotFound(bound)
     ev = _compile(diff)
     rows = f.domain.hnf
-    k = len(s)
-    for a in product(_axis_values(bound), repeat=len(rows)):
-        x = [0] * k
-        for ai, row in zip(a, rows):
-            if ai:
-                for j in range(k):
-                    x[j] += ai * row[j]
-        if ev(x)[0]:
-            return tuple(x)
-    return NotFound(bound)
+    x = [0] * len(s)
+    a = [0] * len(rows)
+
+    def move(j: int, value: int):
+        step = value - a[j]
+        a[j] = value
+        for c, h in enumerate(rows[j]):
+            x[c] += step * h
+
+    while not ev(x)[0]:
+        j = len(rows) - 1
+        while j >= 0 and a[j] <= -bound:  # run out (at once when bound < 1)
+            move(j, 0)
+            j -= 1
+        if j < 0:
+            return NotFound(bound)
+        move(j, -a[j] if a[j] > 0 else 1 - a[j])
+    return tuple(x)
 
 
 def evaluate(f: CanonicalForm, v: Sequence[int]) -> Fraction:

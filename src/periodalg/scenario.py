@@ -88,76 +88,66 @@ class _ScenarioParser(funcalg._Parser):
     names.  A value that fails while a statement is read, including a
     basis radicand, a lattice's width and a pattern's intervals, is
     kept at its token as in funcalg and raised as a ParseError once
-    the statement has parsed up to its ';'.  parse_scenario turns the
-    offset into a line and column; a ScenarioNameError carries the
-    name's.
+    the statement has parsed up to its ';'.  Positions are token
+    indices, as in funcalg; `line_col` turns one into a line and column
+    for parse_scenario's error and for a ScenarioNameError, which
+    carries the name's.
     """
 
     def __init__(self, text: str, default_name: str):
         self.sc = Scenario(name=default_name)
         super().__init__(text, self.sc.functions)
-        self.text = text
 
     # token helpers
 
-    def fail(self, message: str, tok=None):
-        raise ParseError(message, (tok or self.peek())[2])
-
-    def accept_keyword(self, word: str) -> bool:
-        kind, val, _ = self.toks[self.i]
-        if kind == "name" and val == word:
-            self.i += 1
-            return True
-        return False
+    def line_col(self, i: int) -> tuple[int, int]:
+        """1-based line and column of token i."""
+        pos = self.offset(i)
+        return self.text.count("\n", 0, pos) + 1, pos - self.text.rfind("\n", 0, pos)
 
     def expect_keyword(self, word: str):
-        if not self.accept_keyword(word):
+        if not self.accept(word):
             self.fail(f"expected keyword {word!r}")
 
     def expect_name(self) -> str:
-        kind, val, _ = self.peek()
-        if kind != "name":
+        name = self.peek()
+        if not (name.isidentifier() and name.isascii()):
             self.fail("expected a name")
         self.i += 1
-        return val
-
-    def name_error(self, message: str, tok) -> ScenarioNameError:
-        return ScenarioNameError(message, *_line_col(self.text, tok[2]))
+        return name
 
     def fresh_name(self) -> str:
-        tok = self.peek()
+        i = self.i
         name = self.expect_name()
         if name in _RESERVED:
-            raise self.name_error(f"{name!r} is a reserved word", tok)
+            raise ScenarioNameError(f"{name!r} is a reserved word", *self.line_col(i))
         for space in (self.sc.bases, self.sc.domains, self.sc.functions, self.sc.patterns):
             if name in space:
-                raise self.name_error(f"{name!r} is already bound", tok)
+                raise ScenarioNameError(f"{name!r} is already bound", *self.line_col(i))
         return name
 
     def lookup(self, space: dict, what: str) -> tuple[str, object]:
-        tok = self.peek()
+        i = self.i
         name = self.expect_name()
         if name not in space:
-            raise self.name_error(f"unknown {what} {name!r}", tok)
+            raise ScenarioNameError(f"unknown {what} {name!r}", *self.line_col(i))
         return name, space[name]
 
     # statements
 
     def parse(self) -> Scenario:
         first = True
-        while self.peek()[0] != "end":
-            tok = self.peek()
-            kind, word, _ = tok
-            if kind != "name":
+        while word := self.peek():
+            if not word.isidentifier():
                 self.fail("expected a statement keyword")
             if word == "scenario" and not first:
-                self.fail("'scenario' must be the first statement", tok)
+                self.fail("'scenario' must be the first statement")
             if word not in _STATEMENTS:
-                self.fail(f"unknown statement {word!r}", tok)
+                self.fail(f"unknown statement {word!r}")
             self.i += 1
             try:
                 getattr(self, f"stmt_{word}")()
-                self.expect_op(";")
+                self.expect(";")
             except ScenarioNameError:
                 if self.value_error is None:
                     raise
@@ -168,93 +158,90 @@ class _ScenarioParser(funcalg._Parser):
         return self.sc
 
     def stmt_scenario(self):
-        kind, val, _ = self.peek()
-        if kind != "str":
+        name = self.peek()
+        if len(name) < 2 or name[0] != '"':
             self.fail("expected a quoted scenario name")
         self.i += 1
-        self.sc.name = val
+        self.sc.name = name[1:-1]
 
     def parse_basis_literal(self) -> RadicalBasis:
         self.expect_keyword("basis")
-        self.expect_op("(")
+        self.expect("(")
         rads = []
         while True:
-            tok = self.peek()
-            if tok[:2] == ("num", 1):
-                self.i += 1
-                d = 1
-            elif self.accept_keyword("sqrt"):
+            i = self.i
+            if self.accept("sqrt"):
                 d = self.sqrt_arg()
+            elif self.accept_num() == 1:
+                d = 1
             else:
-                self.fail("expected 1 or sqrt(<int>)")
-            self.combine(tok[2], RadicalBasis, [d])  # each radicand where it was read
+                self.fail("expected 1 or sqrt(<int>)", i)
+            self.combine(i, RadicalBasis, [d])  # each radicand where it was read
             if rads and d <= rads[-1]:  # RadicalBasis sorts, so the text must be sorted
                 prev, cur = (r if r == 1 else f"sqrt({r})" for r in (rads[-1], d))
-                self.keep(ValueError(f"basis radicals must increase: {cur} after {prev}"), tok[2])
+                self.keep(ValueError(f"basis radicals must increase: {cur} after {prev}"), i)
             rads.append(d)
-            if not self.accept_op(","):
+            if not self.accept(","):
                 break
-        self.expect_op(")")
-        return self.combine(tok[2], RadicalBasis, rads)  # built only if every radicand passed
+        self.expect(")")
+        return self.combine(i, RadicalBasis, rads)  # built only if every radicand passed
 
     def stmt_basis(self):
         name = self.fresh_name()
-        self.expect_op("=")
+        self.expect("=")
         self.sc.bases[name] = self.parse_basis_literal()
 
     def stmt_domain(self):
-        pos = self.toks[self.i - 1][2]  # the 'domain' keyword
+        i = self.i - 1  # the 'domain' keyword
         name = self.fresh_name()
-        self.expect_op("=")
+        self.expect("=")
         self.expect_keyword("lattice")
-        self.expect_op("[")
+        self.expect("[")
         vectors = []
         while True:
-            self.expect_op("(")
+            self.expect("(")
             vec = [self.signed_num()]
-            while self.accept_op(","):
+            while self.accept(","):
                 vec.append(self.signed_num())
-            self.expect_op(")")
+            self.expect(")")
             vectors.append(tuple(vec))
-            if not self.accept_op(","):
+            if not self.accept(","):
                 break
-        self.expect_op("]")
+        self.expect("]")
         self.expect_keyword("over")
-        tok = self.peek()
-        if tok[:2] == ("name", "basis"):
+        if self.peek() == "basis":
             basis = self.parse_basis_literal()
         else:
             _, basis = self.lookup(self.sc.bases, "basis")
-        self.sc.domains[name] = self.combine(pos, CoeffLattice, vectors, basis)
+        self.sc.domains[name] = self.combine(i, CoeffLattice, vectors, basis)
 
     def stmt_function(self):
         name = self.fresh_name()
-        self.expect_op("=")
-        pos = self.peek()[2]
+        self.expect("=")
+        i = self.i
         form = self.form_expr()
         domains = []
-        if self.accept_keyword("on"):
+        if self.accept("on"):
             domains.append(self.lookup(self.sc.domains, "domain")[1])
-        self.sc.functions[name] = self.bind(form, domains, pos)
+        self.sc.functions[name] = self.bind(form, domains, i)
 
     def stmt_pattern(self):
         name = self.fresh_name()
         self.expect_keyword("mod")
         modulus = self.real_expr()
-        self.expect_op("=")
+        self.expect("=")
         intervals = []
         while True:
-            self.expect_op("(")
+            self.expect("(")
             lo = self.real_expr()
-            self.expect_op(",")
+            self.expect(",")
             hi = self.real_expr()
-            self.expect_op(")")
+            self.expect(")")
             intervals.append((lo, hi))
-            if not self.accept_keyword("u"):
+            if not self.accept("u"):
                 break
-        wrap = self.accept_keyword("wrap")
-        pos = self.toks[self.i][2]
-        self.sc.patterns[name] = self.combine(pos, IntervalPattern, modulus, intervals, wrap)
+        wrap = bool(self.accept("wrap"))
+        self.sc.patterns[name] = self.combine(self.i, IntervalPattern, modulus, intervals, wrap)
 
     def read(self, reader: str):
         """One analysis argument, by its reader in the analysis table."""
@@ -266,42 +253,38 @@ class _ScenarioParser(funcalg._Parser):
             return self.lookup(getattr(self.sc, reader + "s"), reader)
         bracketed = reader == "[real_list]"
         if bracketed:
-            self.expect_op("[")
+            self.expect("[")
         values = [self.real_expr()]
-        while self.accept_op(","):
+        while self.accept(","):
             values.append(self.real_expr())
         if bracketed:
-            self.expect_op("]")
+            self.expect("]")
         return values
 
     def stmt_analyze(self):
-        tok = self.toks[self.i - 1]  # the 'analyze' keyword
+        i = self.i - 1  # the 'analyze' keyword
         kind = self.expect_name()
         if kind not in ANALYSES:
-            self.fail(f"unknown analysis kind {kind!r}", tok)
+            self.fail(f"unknown analysis kind {kind!r}", i)
         args: dict[str, object] = {}
         for lead, slot, reader, fallback in ANALYSES[kind][0]:
             if fallback is not None:
-                if not self.accept_keyword(lead):
+                if not self.accept(lead):
                     continue  # run_scenario fills it in
             elif lead == ",":
-                self.expect_op(",")
+                self.expect(",")
             elif lead:
                 self.expect_keyword(lead)
             args[slot] = self.read(reader)
         self.sc.analyses.append(Analysis(kind=kind, args=args))
 
 
-def _line_col(text: str, pos: int) -> tuple[int, int]:
-    """1-based line and column of offset `pos`."""
-    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
-
-
 def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
+    p = _ScenarioParser(text, default_name)
     try:
-        return _ScenarioParser(text, default_name).parse()
+        return p.parse()
     except ParseError as exc:
-        raise ScenarioSyntaxError(exc.message, *_line_col(text, exc.pos)) from None
+        raise ScenarioSyntaxError(exc.message, *p.line_col(exc.pos)) from None
 
 
 # -- execution ---------------------------------------------------------------

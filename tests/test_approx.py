@@ -8,6 +8,7 @@ is trusted blindly.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -102,6 +103,10 @@ def test_cf_known_expansions():
 def test_cf_depth_validation():
     with pytest.raises(ValueError):
         continued_fraction(ExactReal.sqrt(2), 0)
+    # a depth past sys.maxsize is counted like any other
+    for depth in (sys.maxsize, sys.maxsize + 1):
+        cf = continued_fraction(ExactReal.rational(Fraction(355, 113)), depth)
+        assert (cf.quotients, cf.terminated) == ((3, 7, 16), True)
 
 
 def test_cf_recurrence_and_coprimality():

@@ -290,6 +290,39 @@ def test_parse_errors():
         with pytest.raises(ParseError) as err:
             parse_real(text)
         assert err.value.pos == pos
+    # a position is a token's index while parsing and its offset in the
+    # text once the error leaves the parser: comments, blanks and the end
+    # of the text are counted as text
+    for text, pos, message in (
+        ("1 + # note $\n$", 13, "unexpected character '$'"),  # after a comment
+        ("1 +   $", 6, "unexpected character '$'"),
+        ("1 + $   ", 4, "unexpected character '$'"),  # before trailing blanks
+        ("1 +\t\n $ \n ", 6, "unexpected character '$'"),
+        ("(1+2)$", 5, "unexpected character '$'"),  # the last character
+        ('1 + "', 4, "unterminated string"),  # at the end of the text
+        ('1 + "ab', 4, "unterminated string"),
+        ("1 +   ", 6, "expected a number or sqrt(...)"),  # the end token
+        ("1 + # note", 10, "expected a number or sqrt(...)"),
+        ("1 2  # note", 2, "unexpected trailing input"),
+        # names and numerals are ASCII, as docs/scenario-format.md says
+        ("1/\u0663", 2, "unexpected character '\u0663'"),
+        ("2*sqrt(\u0662)", 7, "unexpected character '\u0662'"),
+        ("\u00b2", 0, "unexpected character '\u00b2'"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_real(text)
+        assert (err.value.pos, err.value.message) == (pos, message), text
+        assert str(err.value) == f"{message} (at position {pos})"
+    with pytest.raises(ParseError) as err:
+        parse("abs1(one) # c\n * \u00e9", dom)
+    assert (err.value.pos, err.value.message) == (17, "unexpected character '\u00e9'")
+    # a kept value error is placed the same way
+    with pytest.raises(DivisionByZero) as err:
+        parse_real("  1/0")
+    assert err.value.pos == 3
+    with pytest.raises(UnknownRadicand) as err:
+        parse("# c\n  abs1(sqrt(5))", dom)
+    assert err.value.pos == 10
     # Python >= 3.11 refuses int() of more digits than its integer string
     # limit (0: no limit); such a numeral is a syntax error, not a crash
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -304,6 +337,10 @@ def test_parse_errors():
         with pytest.raises(ParseError) as err:
             parse("abs1(one) * 1" + "0" * limit, dom)
         assert err.value.pos == 12
+        with pytest.raises(ParseError) as err:
+            parse_real("2 + # 1/0\n1" + "0" * limit)
+        assert err.value.pos == 10
+        assert f"limit ({limit} digits)" in err.value.message
 
 
 def test_real_reader_matches_exact_operations():
@@ -701,6 +738,49 @@ def test_counterexample_shift_outside_domain_is_origin_even_if_formal():
     assert not member(dom, (0, 2, 0))
     T = ExactReal.sqrt(2).scale(2)
     assert find_counterexample(parse(text, dom), T, bound=10**6) == (0, 0, 0)
+
+
+def test_counterexample_box_walk_order(monkeypatch):
+    # the odometer visits every box point once, in the order of the
+    # coefficient tuples 0, 1, -1, ..., bound, -bound with the last fastest
+    seen = []
+
+    def recording(form):
+        def ev(x):
+            seen.append(tuple(x))
+            return 0, 1
+        return ev
+
+    monkeypatch.setattr(funcalg, "_compile", recording)
+    basis = RadicalBasis([2, 3])
+    for rows in (((1, 1, 0), (0, 2, 1), (0, 0, 3)), ((2, 1, 0),)):
+        dom = CoeffLattice(rows, basis=basis)
+        f = parse("recip(one) - recip(sqrt(2))", dom)
+        for bound in (0, 1, 3):
+            seen.clear()
+            assert find_counterexample(f, dom.to_real(rows[0]), bound) == NotFound(bound)
+            axis = [0] + [a for v in range(1, bound + 1) for a in (v, -v)]
+            assert seen == [
+                tuple(sum(a * row[j] for a, row in zip(coeffs, rows)) for j in range(3))
+                for coeffs in itertools.product(axis, repeat=len(rows))
+            ]
+
+
+def test_counterexample_box_is_not_built():
+    # a witness at the origin of a box of (2*10^6 + 1)^k points is found
+    # without building the box's coefficient lists
+    import tracemalloc
+
+    dom = full_domain(1, 2, 3)
+    f = parse("recip(sqrt(2))", dom)
+    tracemalloc.start()
+    try:
+        got = find_counterexample(f, ExactReal.sqrt(2), bound=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (0, 0, 0)
+    assert peak < 1 << 20
 
 
 def test_evaluate_outside_domain():

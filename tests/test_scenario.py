@@ -98,6 +98,10 @@ def test_parse_positions_in_syntax_errors():
     with pytest.raises(ScenarioNameError, match="^unknown domain 'X' at line 4$") as err:
         parse_scenario(head + "function f = abs1(one) on X;\n")
     assert (err.value.line, err.value.col) == (4, 27)
+    # on the line after a comment, which counts as text
+    with pytest.raises(ScenarioNameError, match="^unknown domain 'X' at line 5$") as err:
+        parse_scenario(head + "# f is on X; $ \"\nfunction f = abs1(one) on X;\n")
+    assert (err.value.line, err.value.col) == (5, 27)
 
     # statement and formula errors, each with its message
     one = 'scenario "x";\ndomain D = lattice[(1)] over basis(1);\n'
@@ -109,6 +113,21 @@ def test_parse_positions_in_syntax_errors():
         ('scenario "x";\nanalyze bogus 1;\n', 2, 1, "unknown analysis kind 'bogus'"),
         (one + "function f = foo(one) on D;\n", 3, 14, "unknown function 'foo'"),
         (one + "function f = abs1(two) on D;\n", 3, 19, "expected 'one' or 'sqrt(<int>)'"),
+        # a token's line and column count comments, blanks and the end
+        ('scenario "x"; # $ "\nanalyze cfrac 1 + $;\n', 2, 19, "unexpected character '$'"),
+        ('scenario "x";\nanalyze cfrac 1 $   \n  ', 2, 17, "unexpected character '$'"),
+        ('scenario "x";\nanalyze cfrac 1$', 2, 16, "unexpected character '$'"),
+        ('scenario "x";\nanalyze cfrac 1 ', 2, 17, "expected ';'"),
+        ('scenario "x";\nanalyze cfrac 1 # no end', 2, 25, "expected ';'"),
+        ('scenario "x', 1, 10, "unterminated string"),
+        ('scenario "x";\nanalyze cfrac "', 2, 15, "unterminated string"),
+        # names and numerals are ASCII: a letter or digit outside ASCII is
+        # a character outside the lexicon
+        ('basis B\u00e9 = basis(1, sqrt(\u0662));\n', 1, 8, "unexpected character '\u00e9'"),
+        ('basis B = basis(1, sqrt(\u0662));\n', 1, 25, "unexpected character '\u0662'"),
+        ("analyze cfrac \u0661/\u0663 depth \u0665;\n", 1, 15, "unexpected character '\u0661'"),
+        ("analyze cfrac 1/3 depth \u0665;\n", 1, 25, "unexpected character '\u0665'"),
+        ("\u00e9", 1, 1, "unexpected character '\u00e9'"),
     ):
         with pytest.raises(ScenarioSyntaxError) as err:
             parse_scenario(text)
@@ -122,6 +141,10 @@ def test_parse_positions_in_syntax_errors():
         with pytest.raises(ScenarioSyntaxError) as err:
             parse_scenario(f'scenario "x";\nanalyze cfrac 1/{big};\n')
         assert (err.value.line, err.value.col) == (2, 17)
+        assert f"limit ({limit} digits)" in str(err.value)
+        with pytest.raises(ScenarioSyntaxError) as err:
+            parse_scenario(f'scenario "x";\nanalyze cfrac 1/ # {big}\n  {big};\n')
+        assert (err.value.line, err.value.col) == (3, 3)
         assert f"limit ({limit} digits)" in str(err.value)
 
 
@@ -328,6 +351,19 @@ def test_results_past_the_digit_limit_are_typed_errors(case):
     finally:
         if hasattr(sys, "set_int_max_str_digits"):
             sys.set_int_max_str_digits(old)
+
+
+def test_cfrac_depth_past_sys_maxsize(tmp_path, capsys):
+    # a depth is any positive integer, in the text and from --depth
+    for depth in (sys.maxsize, sys.maxsize + 1, 10**30):
+        text = f'scenario "x";\nanalyze cfrac 355/113 depth {depth};\n'
+        (res,) = run_scenario(parse_scenario(text)).results
+        assert res["verdict"] == "3 quotients (rational, expansion complete)"
+        assert res["inputs"]["depth"] == depth
+    scn = tmp_path / "cfrac.scn"
+    scn.write_text('scenario "x";\nanalyze cfrac 355/113;\n')
+    assert cli.main(["run", str(scn), "--depth", str(sys.maxsize + 1)]) == 0
+    assert "3 quotients (rational, expansion complete)" in capsys.readouterr().out
 
 
 def test_value_errors_while_parsing_have_positions(tmp_path, capsys):
