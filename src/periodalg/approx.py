@@ -431,14 +431,15 @@ def _period_word(lengths: list[int], words: list[tuple]) -> tuple:
     bottom order 2, 0, 1 (their images); a zero length is no interval.
     Discrete right Rauzy induction replaces it by its first-return map
     on a shorter initial interval, until the one point 0 is left, whose
-    return word is the period.  The last interval of the top and that
-    of the bottom are compared: on the top winning, the bottom one's
-    word takes the top one's appended and moves next to it in the
-    bottom order; on the bottom winning, the top one's word takes the
-    bottom one's prepended and moves next to it in the top order; the
-    winner loses the loser's length, and on a tie the top one is
-    dropped.  A winner beats every letter after it in the other order
-    in turn, so k such cycles are taken at once (Zorich).
+    return word is the period.  One rule serves both rows: of the last
+    interval of the top and that of the bottom, the longer one wins and
+    loses the other's length, and the loser moves next to the winner in
+    its own row, its word taking the winner's appended when the top
+    wins and prepended when the bottom wins.  A winner beats every
+    letter after it in the loser's row in turn, so k such cycles are
+    taken at once (Zorich).  On a tie the top one is dropped: the
+    bottom one's word takes its word appended, and the bottom one its
+    place in the bottom order.
     """
     top = [x for x in (0, 1, 2) if lengths[x]]
     bot = [x for x in (2, 0, 1) if lengths[x]]
@@ -447,39 +448,30 @@ def _period_word(lengths: list[int], words: list[tuple]) -> tuple:
         t, u = top[-1], bot[-1]
         if t == u:
             raise AssertionError(f"the exchange of {lengths} fixes an interval")
-        if lengths[t] > lengths[u]:
-            after = bot[bot.index(t) + 1 :]
-            cycle = sum(lengths[x] for x in after)
-            k = (lengths[t] - 1) // cycle
-            if k:
-                wk = _pow(words[t], k)
-                for x in after:
-                    words[x] = _mul(words[x], wk)
-                lengths[t] -= k * cycle
-                continue
-            words[u] = _mul(words[u], words[t])
-            lengths[t] -= lengths[u]
-            bot.pop()
-            bot.insert(bot.index(t) + 1, u)
-        elif lengths[u] > lengths[t]:
-            after = top[top.index(u) + 1 :]
-            cycle = sum(lengths[x] for x in after)
-            k = (lengths[u] - 1) // cycle
-            if k:
-                wk = _pow(words[u], k)
-                for x in after:
-                    words[x] = _mul(wk, words[x])
-                lengths[u] -= k * cycle
-                continue
-            words[t] = _mul(words[u], words[t])
-            lengths[u] -= lengths[t]
-            top.pop()
-            top.insert(top.index(u) + 1, t)
-        else:
+        if lengths[t] == lengths[u]:
             words[u] = _mul(words[u], words[t])
             top.pop()
             bot.pop()
             bot[bot.index(t)] = u
+            continue
+        # the loser's row, the winner, and how a word takes the winner's
+        if lengths[t] > lengths[u]:
+            row, w, join = bot, t, _mul
+        else:
+            row, w, join = top, u, lambda x, y: _mul(y, x)
+        after = row[row.index(w) + 1 :]
+        cycle = sum(lengths[x] for x in after)
+        k = (lengths[w] - 1) // cycle
+        if k:
+            wk = _pow(words[w], k)
+            for x in after:
+                words[x] = join(words[x], wk)
+            lengths[w] -= k * cycle
+            continue
+        v = row.pop()
+        words[v] = join(words[v], words[w])
+        lengths[w] -= lengths[v]
+        row.insert(row.index(w) + 1, v)
     if lengths[top[0]] != 1:
         raise AssertionError(f"the exchange of {lengths} is not one cycle")
     return words[top[0]]

@@ -139,6 +139,8 @@ class ExactReal:
     same value as radicand -> Fraction.  The basis passed to
     `ExactReal(basis, coords)` is only checked: every radicand must be
     in it.  `_box` keeps the 64-bit enclosure once `_boxed` computes it.
+    Division is multiplication by the inverse, so every zero divisor
+    fails in `invert`.
     """
 
     __slots__ = ("den", "nums", "_box")
@@ -221,9 +223,8 @@ class ExactReal:
 
     def _sum(self, other: "ExactReal", sign: int) -> "ExactReal":
         """self + sign*other.  A coordinate of other that self has too
-        moves to the end, as if popped and put back: the order of nums
-        decides which coordinate a caller such as funcalg._shift_vector
-        reports first."""
+        moves to the end, as if popped and put back, in nums and so in
+        `coords`."""
         a, b = self.den, other.den
         if a == b:
             den, fb = a, sign
@@ -313,16 +314,9 @@ class ExactReal:
         return _invert(self)
 
     def __truediv__(self, other) -> "ExactReal":
-        if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            if f == 0:
-                raise DivisionByZero("division by rational zero")
-            return self.scale(1 / f)
-        if not isinstance(other, ExactReal):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        if other.is_rational() and not other.is_zero():
-            # a rational divisor needs no field inversion
-            return self.scale(1 / other.as_rational())
         return self * other.invert()
 
     def __rtruediv__(self, other) -> "ExactReal":

@@ -691,15 +691,17 @@ def shift(f: CanonicalForm, s: Sequence[int]) -> CanonicalForm:
 
 
 def _shift_vector(T: ExactReal, domain: CoeffLattice) -> tuple[int, ...]:
+    # the least radicand outside the basis, else the first coordinate in
+    # basis order that is not an integer, whatever the order of nums
     basis = domain.basis
-    for d, n in T.nums.items():
-        if d not in basis:
-            raise ShiftNotInDomain(
-                f"shift has a sqrt({d}) component outside the domain basis"
-            )
-        if n % T.den:
-            raise NonIntegralShift(f"coordinate of sqrt({d}) is {Fraction(n, T.den)}, not an integer")
-    # every numerator is a multiple of den, and gcd(den, *nums) == 1
+    outside = T.nums.keys() - basis
+    if outside:
+        raise ShiftNotInDomain(f"shift has a sqrt({min(outside)}) component outside the domain basis")
+    if T.den != 1:
+        # gcd(den, *nums) == 1, so some numerator is no multiple of den
+        d = next(d for d in basis if T.nums.get(d, 0) % T.den)
+        name = "1" if d == 1 else f"sqrt({d})"
+        raise NonIntegralShift(f"coordinate of {name} is {Fraction(T.nums[d], T.den)}, not an integer")
     return tuple(T.nums.get(d, 0) for d in basis)
 
 

@@ -7,6 +7,7 @@ is trusted blindly.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -468,6 +469,27 @@ def test_kronecker_not_found_and_errors():
         kronecker_find(s2, [], s2, ExactReal.rational(Fraction(1, 10)))
 
 
+def test_kronecker_rejects_a_residual_of_exactly_eps():
+    # delta puts the residual q0*T - p0 - delta at exactly +eps or -eps:
+    # q0 passes the enclosure screen and only the strict exact test
+    # turns it down, so the search resumes at q0 + 1
+    T = ExactReal.sqrt(2)
+    Ts = [ExactReal.rational(1)]
+    eps = ExactReal.rational(Fraction(1, 1000))
+    for q0, e, want in (
+        (2, eps, (410, [580])),
+        (2, -eps, (579, [819])),
+        (3, eps, (411, [581])),
+        (3, -eps, (580, [820])),
+    ):
+        qt = T.scale(q0)
+        p0 = (qt + Fraction(1, 2)).floor()
+        delta = qt - p0 - e
+        assert qt - p0 - delta == e
+        assert kronecker_find(T, Ts, delta, eps, bound=1000) == want, (q0, e)
+        assert linear_kronecker_find(T, Ts, delta, eps, 1000) == want, (q0, e)
+
+
 def test_rounding_inverts_no_field_element(monkeypatch):
     # nearest integers are exact floors of quotients, and dirichlet_find
     # expands T2/T1 from the enclosures of T2 and T1, so nothing divides
@@ -800,6 +822,31 @@ def test_period_word_products():
         _period_word([2, 0, 2], [word] * 3)
     with pytest.raises(AssertionError):
         _period_word([1, 1, 0], [word] * 3)
+
+
+def test_period_word_is_the_rotation_word():
+    # top order 0, 1, 2 and bottom order 2, 0, 1 exchange the integers
+    # 0..n-1 as the rotation x -> x + L[2] mod n, one cycle when L[2] is
+    # prime to n: the word is the product of the letters along the
+    # orbit of 0, read from 0
+    rng = random.Random(7005)
+
+    def random_word():
+        m_lo, m_hi = (rng.choice([None, rng.randint(-50, 50)]) for _ in range(2))
+        return (rng.randint(-9, 9), rng.randint(-9, 9), m_lo, m_hi)
+
+    for _ in range(400):
+        n = rng.randint(1, 60)
+        lengths = [0, 0, rng.choice([a for a in range(n + 1) if math.gcd(a, n) == 1])]
+        lengths[0] = rng.randint(0, n - lengths[2])
+        lengths[1] = n - lengths[0] - lengths[2]
+        words = [random_word() for _ in range(3)]
+        want, x = None, 0
+        while want is None or x:
+            letter = 0 if x < lengths[0] else 1 if x < n - lengths[2] else 2
+            want = words[letter] if want is None else _mul(want, words[letter])
+            x = (x + lengths[2]) % n
+        assert _period_word(lengths, words) == want, lengths
 
 
 def test_renormalized_discrepancy_at_scale(monkeypatch):

@@ -565,10 +565,16 @@ def test_approx_str_matches_fraction_reference():
 def test_division_by_zero():
     x = ExactReal.sqrt(2)
     zero = ExactReal.rational(0)
-    with pytest.raises(DivisionByZero):
-        x / zero
+    # division is multiplication by the inverse: a zero divisor of any
+    # type fails alike
+    for divisor in (zero, 0, Fraction(0)):
+        with pytest.raises(DivisionByZero, match="^invert of zero element$"):
+            x / divisor
     with pytest.raises(DivisionByZero):
         zero.invert()
+    for q, inverse in ((3, Fraction(1, 3)), (Fraction(-2, 5), Fraction(-5, 2)),
+                       (ExactReal.rational(Fraction(7, 3)), Fraction(3, 7))):
+        assert x / q == x.scale(inverse), q
 
 
 def test_rational_elements_hash_as_their_fractions():

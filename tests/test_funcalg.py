@@ -539,6 +539,26 @@ def test_shift_difference_detects_periods():
         shift_difference(f, ExactReal.sqrt(5))
 
 
+def test_shift_errors_do_not_depend_on_term_order():
+    # a radicand outside the basis (the least one) is reported before a
+    # coordinate that is not an integer (the first in basis order), and
+    # the rational coordinate is named 1, as basis literals do
+    f = parse("sgn(sqrt(2))", full_domain(1, 2))
+    outside = "shift has a sqrt(5) component outside the domain basis"
+    for text, error, message in (
+        ("1/2 + sqrt(5)", ShiftNotInDomain, outside),
+        ("sqrt(5) + 1/2", ShiftNotInDomain, outside),
+        ("sqrt(7) + sqrt(5) + sqrt(2)/2", ShiftNotInDomain, outside),
+        ("sqrt(2)/2 + 1/3", NonIntegralShift, "coordinate of 1 is 1/3, not an integer"),
+        ("1/3 + sqrt(2)/2", NonIntegralShift, "coordinate of 1 is 1/3, not an integer"),
+        ("1 + sqrt(2)/2", NonIntegralShift, "coordinate of sqrt(2) is 1/2, not an integer"),
+        ("sqrt(2)/2 + 1", NonIntegralShift, "coordinate of sqrt(2) is 1/2, not an integer"),
+    ):
+        with pytest.raises(error) as info:
+            shift_difference(f, parse_real(text))
+        assert str(info.value) == message, text
+
+
 def test_period_module_parity_wave():
     dom = full_domain(1, 2, 3)
     pm = period_module(parse("sgn(sqrt(3))", dom))

@@ -935,7 +935,8 @@ def test_cli_selfcheck_catches_tampering(tmp_path, capsys):
         if entry.name.endswith((".scn", ".expected.json")):
             shutil.copyfile(str(entry), str(tmp_path / entry.name))
     victim = tmp_path / "two_irrational_periods.expected.json"
-    doc = json.loads(victim.read_text())
+    want = victim.read_text()
+    doc = json.loads(want)
     doc["results"][0]["exact"]["generators"][0] = "17"
     victim.write_text(json.dumps(doc, indent=2) + "\n")
     assert cli.main(["selfcheck", "--scenario-dir", str(tmp_path)]) == 1
@@ -950,6 +951,20 @@ def test_cli_selfcheck_catches_tampering(tmp_path, capsys):
     victim.write_text("not json\n")
     assert cli.main(["selfcheck", "--scenario-dir", str(tmp_path)]) == 1
     assert "first difference at line 1: expected 'not json', got '{'" in capsys.readouterr().out
+    # equal documents that differ only as text fall back to the lines,
+    # and a kind the library does not know is named as it is
+    n = len(want.splitlines())
+    doc = json.loads(want)
+    doc["results"][1]["kind"] = "bogus"
+    for expected, detail in (
+        (want + "\n", f"line counts differ: expected {n + 1}, got {n}"),
+        (want[:-1], "outputs differ"),
+        (json.dumps(doc, indent=2) + "\n",
+         'first difference at results[2] (bogus): kind: expected "bogus", got "commensurable"'),
+    ):
+        victim.write_text(expected)
+        assert cli.main(["selfcheck", "--scenario-dir", str(tmp_path)]) == 1
+        assert f"fail  scenario   two_irrational_periods  ({detail})" in capsys.readouterr().out
 
 
 def test_import_loads_only_the_library():
