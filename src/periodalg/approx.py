@@ -38,8 +38,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
-from .errors import CommensurableInput, DivisionByZero, EmptyInput, FrozenRecord, NotFound, SizeLimit
-from .exactreal import INITIAL_PRECISION, MAX_DIGITS, ExactReal, _too_long, commensurable, quotients
+from .errors import CommensurableInput, DivisionByZero, EmptyInput, FrozenRecord, NotFound
+from .exactreal import INITIAL_PRECISION, ExactReal, _check_digits, commensurable, quotients
 
 _ONE = ExactReal.rational(1)
 
@@ -77,11 +77,8 @@ def continued_fraction(x: ExactReal, depth: int) -> ContinuedFraction:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     steps = []
-    for _, (a, p, q) in zip(range(depth), _convergents(x)):
-        if _too_long(p, q):
-            raise SizeLimit(
-                f"convergent {len(steps) + 1} exceeds the limit of {MAX_DIGITS} digits"
-            )
+    for n, (a, p, q) in zip(range(1, depth + 1), _convergents(x)):
+        _check_digits("convergent", p, q, at=n)
         steps.append((a, p, q))
     convergents = tuple((p, q) for _, p, q in steps)
     return ContinuedFraction(
@@ -150,10 +147,7 @@ def dirichlet_find(
                 if abs_hi < e_lo or -eps < u < eps:
                     k = (target.scale(2) + u) // u.scale(2)
                     m, n = -k * p, k * q
-                    if _too_long(m, n):
-                        raise SizeLimit(
-                            f"witness coefficient exceeds the limit of {MAX_DIGITS} digits"
-                        )
+                    _check_digits("witness coefficient", m, n)
                     if not -eps < T1.scale(m) + T2.scale(n) - target < eps:
                         raise AssertionError(f"witness ({m}, {n}) failed its exact re-check")
                     return m, n
@@ -278,8 +272,7 @@ def kronecker_find(
             break
         q += x
         if may_hit(q) and (ps := exact_witness(q)) is not None:
-            if _too_long(*ps):
-                raise SizeLimit(f"witness coefficient exceeds the limit of {MAX_DIGITS} digits")
+            _check_digits("witness coefficient", *ps)
             return q, ps
         q += 1
     return NotFound(bound)
@@ -367,7 +360,9 @@ def orbit_discrepancy(alpha: ExactReal, N: int) -> Fraction:
         for r, m in runs:
             best = max(best, (j + m) * d - N * r, N * r - j * d)
             j += m
-        return _within_digits(Fraction(best, N * d))
+        bound = Fraction(best, N * d)
+        _check_digits("discrepancy bound", *bound.as_integer_ratio())
+        return bound
     if N == 1:
         return Fraction(1)  # the one point 0
     a, b = _walk_steps(alpha, N)
@@ -393,12 +388,8 @@ def orbit_discrepancy(alpha: ExactReal, N: int) -> Fraction:
     # unit and 0 at the point 0; the period's last step, from b back to
     # 0, samples those start values again
     _, _, m_lo, m_hi = _period_word(lengths, words)
-    return _within_digits(Fraction(max(unit + m_lo, m_hi), N * unit))
-
-
-def _within_digits(bound: Fraction) -> Fraction:
-    if _too_long(bound.numerator, bound.denominator):
-        raise SizeLimit(f"discrepancy bound exceeds the limit of {MAX_DIGITS} digits")
+    bound = Fraction(max(unit + m_lo, m_hi), N * unit)
+    _check_digits("discrepancy bound", *bound.as_integer_ratio())
     return bound
 
 
@@ -472,6 +463,6 @@ def _period_word(lengths: list[int], words: list[tuple]) -> tuple:
         words[v] = join(words[v], words[w])
         lengths[w] -= lengths[v]
         row.insert(row.index(w) + 1, v)
-    if lengths[top[0]] != 1:
+    if len(top) != 1 or lengths[top[0]] != 1:
         raise AssertionError(f"the exchange of {lengths} is not one cycle")
     return words[top[0]]

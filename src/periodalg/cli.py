@@ -15,7 +15,8 @@ byte-for-byte against the frozen expected output; a divergence names
 the analysis by index, kind and layer.  It then runs the few library
 invariants that no bundled report pins (inversion, floor and sign,
 intersect, parse roundtrip, rotation roundtrip), each failure saying
-what it expected and what it got.  It exits 1 on any mismatch.
+what it expected and what it got.  It exits 1 on any mismatch and 2
+when its --json file cannot be written.
 """
 
 from __future__ import annotations
@@ -126,16 +127,22 @@ def _cmd_run(args) -> int:
         print(f"error: {args.file}: cannot render the report: {exc}", file=sys.stderr)
         return 3
     sys.stdout.write(text)
-    if payload is not None:
-        try:
-            Path(args.json).write_text(payload)
-        except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-            return 2
+    if payload is not None and not _write(args.json, payload):
+        return 2
     for idx, (kind, dt) in enumerate(report.timings, 1):
         print(f"# timing [{idx}] {kind}: {dt * 1000:.3f} ms", file=sys.stderr)
     print(f"# timing total: {total * 1000:.3f} ms", file=sys.stderr)
     return 0
+
+
+def _write(path: str, text: str) -> bool:
+    """Write text to path, or print why it cannot be and return False."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 # -- selfcheck ---------------------------------------------------------------
@@ -161,43 +168,26 @@ def _cmd_selfcheck(args) -> int:
     except OSError as exc:
         entries, empty = [], f"cannot read the scenario directory: {exc}"
     if not entries:
-        rows.append(
-            {
-                "kind": "scenario",
-                "name": str(src),
-                "verdict": "fail",
-                "detail": empty,
-            }
-        )
+        rows.append(_row("scenario", str(src), empty))
     for entry in entries:
         name = entry.name[: -len(".scn")]
-        row = {"kind": "scenario", "name": name}
         try:
             sc = parse_scenario(entry.read_text(), default_name=name)
             got = run_scenario(sc, RunOptions()).to_json()
             want = src.joinpath(name + ".expected.json").read_text()
         except (PeriodalgError, OSError, ValueError) as exc:
             # ValueError: a report integer past Python's string limit
-            row["verdict"] = "fail"
-            row["detail"] = str(exc)
-            rows.append(row)
+            rows.append(_row("scenario", name, str(exc)))
             continue
-        if got == want:
-            row["verdict"] = "pass"
-        else:
-            row["verdict"] = "fail"
-            row["detail"] = _first_diff(want, got)
-        rows.append(row)
+        rows.append(_row("scenario", name, None if got == want else _first_diff(want, got)))
 
     for name, check in _INVARIANTS:
-        row = {"kind": "invariant", "name": name}
         try:
             check()
-            row["verdict"] = "pass"
         except Exception as exc:
-            row["verdict"] = "fail"
-            row["detail"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
+            rows.append(_row("invariant", name, f"{type(exc).__name__}: {exc}"))
+        else:
+            rows.append(_row("invariant", name))
 
     failed = [r for r in rows if r["verdict"] == "fail"]
     for r in rows:
@@ -213,8 +203,16 @@ def _cmd_selfcheck(args) -> int:
             "version": scenario._VERSION,
             "results": rows,
         }
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+        if not _write(args.json, json.dumps(payload, indent=2) + "\n"):
+            return 2
     return 1 if failed else 0
+
+
+def _row(kind: str, name: str, detail: str | None = None) -> dict:
+    """One selfcheck result, a pass unless it has a detail."""
+    if detail is None:
+        return {"kind": kind, "name": name, "verdict": "pass"}
+    return {"kind": kind, "name": name, "verdict": "fail", "detail": detail}
 
 
 def _first_diff(want: str, got: str) -> str:

@@ -40,10 +40,13 @@ MAX_DIGITS = 4300
 MAX_BITS = MAX_DIGITS * 3321928 // 10**6  # 2^MAX_BITS < 10^MAX_DIGITS < 2^(MAX_BITS+1)
 
 
-def _too_long(*ns: int) -> bool:
-    """Some |n| has more than MAX_DIGITS decimal digits; only one of more
-    than MAX_BITS bits is compared with the power."""
-    return any(n.bit_length() > MAX_BITS and abs(n) >= 10**MAX_DIGITS for n in ns)
+def _check_digits(what: str, *ns: int, at: int | None = None) -> None:
+    """Raise SizeLimit naming `what` (and `at`, when given) if some |n|
+    has more than MAX_DIGITS decimal digits; only one of more than
+    MAX_BITS bits is compared with the power."""
+    if any(n.bit_length() > MAX_BITS and abs(n) >= 10**MAX_DIGITS for n in ns):
+        label = what if at is None else f"{what} {at}"
+        raise SizeLimit(f"{label} exceeds the limit of {MAX_DIGITS} digits")
 
 
 def _squarefree_part(n: int) -> int:

@@ -48,7 +48,7 @@ from .errors import (
     SizeLimit,
     UnknownRadicand,
 )
-from .exactreal import MAX_BITS, MAX_DIGITS, ExactReal, _magnitude_text, _too_long, commensurable
+from .exactreal import MAX_BITS, MAX_DIGITS, ExactReal, _check_digits, _magnitude_text, commensurable
 from .lattice import CoeffLattice, cut, intersect, member
 
 ABS1 = "abs1"
@@ -211,9 +211,9 @@ def _expand(factors: Iterable[tuple[Mapping[tuple, Fraction], int]]) -> dict[tup
     if count > MAX_TERMS:
         raise SizeLimit(f"power's monomial count {' * '.join(counted)} exceeds the limit of {MAX_TERMS}")
     g = gcd(bound, den) if count == 1 else 1
-    if too_long or _too_long(bound // g, den // g):
-        what = "coefficient" if count == 1 else "coefficient bound ||c||_1^n"
-        raise SizeLimit(f"power's {what} exceeds the limit of {MAX_DIGITS} digits")
+    what = "power's coefficient" if count == 1 else "power's coefficient bound ||c||_1^n"
+    # past the bit rule the bound is not built: 10^MAX_DIGITS stands in
+    _check_digits(what, 10**MAX_DIGITS if too_long else bound // g, den // g)
     parts = [(1, ())]
     for items, ps, sgn_atoms, n in plan:
         expanded = _multinomial(items, ps, n) if sgn_atoms is None else _sgn_power(items, ps, sgn_atoms, n)
@@ -223,8 +223,7 @@ def _expand(factors: Iterable[tuple[Mapping[tuple, Fraction], int]]) -> dict[tup
         key = _monomial(atoms)
         acc[key] = acc.get(key, 0) + c
     out = {m: Fraction(v, den) for m, v in acc.items() if v}
-    if _too_long(*(e for m in out for k, _, _, e in m if k == ABS1)):
-        raise SizeLimit(f"power's exponent exceeds the limit of {MAX_DIGITS} digits")
+    _check_digits("power's exponent", *(e for m in out for k, _, _, e in m if k == ABS1))
     return out
 
 
@@ -843,8 +842,7 @@ def evaluate(f: CanonicalForm, v: Sequence[int]) -> Fraction:
     if not member(f.domain, v):
         raise NotInDomain(f"{list(v)} is not in the domain lattice")
     q = Fraction(*_compile(f)(v))
-    if _too_long(q.numerator, q.denominator):
-        raise SizeLimit(f"function's value exceeds the limit of {MAX_DIGITS} digits")
+    _check_digits("function's value", *q.as_integer_ratio())
     return q
 
 

@@ -822,6 +822,9 @@ def test_period_word_products():
         _period_word([2, 0, 2], [word] * 3)
     with pytest.raises(AssertionError):
         _period_word([1, 1, 0], [word] * 3)
+    # with every length 0 there is no interval at all
+    with pytest.raises(AssertionError, match="is not one cycle"):
+        _period_word([0, 0, 0], [word] * 3)
 
 
 def test_period_word_is_the_rotation_word():

@@ -600,6 +600,29 @@ def test_reflected_division_by_a_non_number_is_a_type_error():
     assert 1 / ExactReal.sqrt(2) == ExactReal.sqrt(2).scale(Fraction(1, 2))
 
 
+def test_foreign_operands_are_type_errors():
+    # an operand that is not an int, Fraction or ExactReal is refused on
+    # either side, and equality with one is False
+    x = ExactReal.sqrt(2)
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv,
+           operator.floordiv, operator.lt, operator.le, operator.gt, operator.ge)
+    for op in ops:
+        for a, b in ((x, "a"), ("a", x), (x, 1.5), (1.5, x)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert (x == "a") is False and (x != 1.5) is True
+    with pytest.raises(TypeError, match="^expected int or Fraction, got float$"):
+        ExactReal.rational(0.5)
+    with pytest.raises(ValueError, match=r"^sqrt\(2\) is irrational$"):
+        x.as_rational()
+
+
+def test_repr_shows_the_value():
+    x = ExactReal.sqrt(2).scale(Fraction(-1, 2)) + 3
+    assert repr(x) == "ExactReal(3 - (1/2)*sqrt(2))"
+    assert repr(ExactReal.rational(0)) == "ExactReal(0)"
+
+
 def test_commensurable_cases():
     assert commensurable(ExactReal.sqrt(2), ExactReal.sqrt(2).scale(3)) == Fraction(1, 3)
     assert commensurable(ExactReal.sqrt(8), ExactReal.sqrt(2)) == 2

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import re
 import sys
@@ -453,6 +454,20 @@ def test_ring_ops_are_pointwise():
         assert evaluate(f - g, v) == evaluate(f, v) - evaluate(g, v)
         assert evaluate(f * g, v) == evaluate(f, v) * evaluate(g, v)
         assert evaluate(f ** 2, v) == evaluate(f, v) ** 2
+
+
+def test_formula_operands_must_be_formulas():
+    # a formula takes no number as an operand: constants are formulas too
+    dom = full_domain(1, 2)
+    f = parse("sgn(sqrt(2)) - abs1(one+1)/2", dom)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(f, 1)
+        with pytest.raises(TypeError):
+            op(1, f)
+    assert (f == 1) is False
+    assert f + funcalg.CanonicalForm.constant(1, dom) == parse("sgn(sqrt(2)) - abs1(one+1)/2 + 1", dom)
+    assert repr(f) == "CanonicalForm(-1/2*abs1(one+1) + sgn(sqrt(2)))"
 
 
 def test_canonical_identity_ignores_construction_order():

@@ -119,6 +119,21 @@ def test_membership_dimension_check():
         member(lat, (1, 2, 3))
 
 
+def test_to_real_dimension_check():
+    lat = CoeffLattice([(1, 0), (0, 1)], B2)
+    with pytest.raises(DimensionMismatch, match="^vector length 1, want 2$"):
+        lat.to_real((1,))
+
+
+def test_equal_lattices_hash_equal_and_print_their_hnf():
+    basis = RadicalBasis([2])
+    lat = CoeffLattice([(2, 0), (1, 3)], basis)
+    same = CoeffLattice([(1, 3), (3, 3), (0, 0), (1, -3)], basis)
+    assert lat == same and hash(lat) == hash(same) and len({lat, same}) == 1
+    assert repr(lat) == repr(same) == "CoeffLattice[[1, 3], [0, 6]]"
+    assert repr(CoeffLattice([], basis)) == "CoeffLattice[]"
+
+
 def test_generator_lengths_checked_before_zero_rows_drop():
     basis = RadicalBasis([2])
     with pytest.raises(DimensionMismatch):

@@ -72,6 +72,23 @@ def test_constructor_validation():
     assert measure(p) == ExactReal.rational(Fraction(3, 4))
 
 
+def test_equal_patterns_hash_equal_and_print_their_intervals():
+    # the same set from other inputs: a rational end written as a product
+    # of irrationals, and a rotation undone
+    s2 = ExactReal.sqrt(2)
+    p = IntervalPattern(1, [(0, Fraction(1, 4)), (Fraction(1, 2), 1)], wrap_point=True)
+    q = IntervalPattern(
+        ExactReal.rational(1),
+        [(s2 - s2, s2 * s2.scale(Fraction(1, 8))), (Fraction(1, 2), Fraction(2, 2))],
+        wrap_point=True,
+    )
+    back = rotate(rotate(p, s2), -s2)
+    assert p == q == back and hash(p) == hash(q) == hash(back)
+    assert len({p, q, back}) == 1
+    assert repr(p) == "IntervalPattern((0, 1/4) u (1/2, 1) mod 1 +wrap)"
+    assert repr(IntervalPattern(1 + s2, [])) == "IntervalPattern({} mod 1 + sqrt(2))"
+
+
 def test_rotate_known_images():
     p = IntervalPattern(1, [(0, Fraction(1, 2))])
     q = rotate(p, Fraction(1, 4))

@@ -329,6 +329,16 @@ LIMIT_REPROS = {
         f'scenario "x";\nanalyze discrepancy 1/3 + (1/1{"0" * 4000})*sqrt(2) n 300;\n',
         f"analysis #1 (discrepancy): discrepancy bound exceeds the limit of {MAX_DIGITS} digits",
     ),
+    # alpha = 7/10^4400 is rational: the bound's denominator is 3*10^4400
+    "discrepancy_rational": (
+        f'scenario "x";\nanalyze discrepancy 7/1{"0" * 4000}/1{"0" * 400} n 3;\n',
+        f"analysis #1 (discrepancy): discrepancy bound exceeds the limit of {MAX_DIGITS} digits",
+    ),
+    # a target near 10^4400 takes more than 10^4400 copies of a residual below eps
+    "dirichlet": (
+        f'scenario "x";\nanalyze dirichlet 1, sqrt(2) target {"9" * 4000}*{"9" * 400} eps 1/100;\n',
+        f"analysis #1 (dirichlet): witness coefficient exceeds the limit of {MAX_DIGITS} digits",
+    ),
 }
 
 
@@ -739,6 +749,12 @@ def test_inputs_are_the_signature_slots_in_order():
     assert by_kind["intersect"] == {"first": "D", "second": "E"}
 
 
+def test_dense_classify_text_has_no_exact_period():
+    # a dense group has no T0, which the text report writes as none
+    text = run_scenario(parse_scenario('scenario "d";\nanalyze classify 1, sqrt(2);\n')).to_text()
+    assert "    exact T0: none\n    approx T0: none\n    verdict: dense in the reals\n" in text
+
+
 def test_analysis_table_matches_the_format_doc():
     doc = (Path(__file__).resolve().parent.parent / "docs" / "scenario-format.md").read_text()
     section = doc.split("## Analyses", 1)[1].split("\n## ", 1)[0]
@@ -814,6 +830,17 @@ def test_cli_file_errors_are_reported(tmp_path, capsys):
     good.write_text(BASIC)
     assert cli.main(["run", str(good), "--json", str(missing / "x.json")]) == 2
     assert f"error: cannot write {missing / 'x.json'}" in capsys.readouterr().err
+
+
+def test_cli_selfcheck_unwritable_json_exits_2(tmp_path, capsys):
+    # the checks run and print, then the --json file fails as run's does:
+    # one error line and exit 2, which no failed check returns
+    out = tmp_path / "missing" / "x.json"
+    assert cli.main(["selfcheck", "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.endswith("selfcheck: 9/9 checks passed\n")
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_report_past_the_int_string_limit(tmp_path, capsys):
