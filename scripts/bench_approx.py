@@ -19,8 +19,10 @@ return some q <= q0.  `discrepancy N...` bounds the star discrepancy
 of the first N points of the orbits of sqrt(7) - 2 and (sqrt(5) - 1)/2,
 which take one product in O(log N) steps at the first precision; of
 1/3 + sqrt(2)/2^200, whose points lie so near the thirds that the
-precision is raised first; and of the rational 1/3, whose N points are
-three residues counted with their multiplicities.  `floor N...` times
+precision is raised first; and of the rationals 1/3, whose N points are
+three residues counted with their multiplicities, and 377/1000003,
+whose up to 10^6 distinct points take the same product as an
+irrational orbit, with exact enclosures.  `floor N...` times
 x // y on N seeded pairs of each shape: random ratios over 1-3
 radicands, rational ratios, divisors within 2^-62 of 0 (whose 64-bit
 enclosure may hold 0), `(2*target + u) // (2*u)` for the residuals
@@ -143,6 +145,7 @@ def bench_discrepancy(sizes, repeat: int) -> None:
         "(sqrt(5)-1)/2": (ExactReal.sqrt(5) - one).scale(Fraction(1, 2)),
         "1/3+sqrt(2)/2^200": one / 3 + ExactReal.sqrt(2) / 2**200,
         "1/3": one / 3,
+        "377/1000003": ExactReal.rational(Fraction(377, 1000003)),
     }
     for name, alpha in alphas.items():
         lo, hi = alpha._enclosure_scaled(64)

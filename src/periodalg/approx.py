@@ -22,15 +22,17 @@ with more than MAX_DIGITS decimal digits raises SizeLimit.
 
 `orbit_discrepancy` measures how evenly the rotation orbit {i*alpha}
 fills the unit interval, returning a rigorous rational upper bound on
-the star discrepancy.  It takes the points in increasing order by the
-three-distance theorem, with steps read off the continued fraction of
-alpha, so nothing is sorted.  Each step is one of three, so once three
-O(1) checks show that no enclosure lies near 0, 1 or another, the
-integer enclosure of the next point and both maximized quantities move
-by one of three constants; prec doubles until the checks hold.  That
-walk is a rotation of Z/(a+b) with a hole, so the maxima are one
-max-plus product taken by Rauzy induction in O(log N) steps, with no
-exact floor or sign test and no walk over the points.
+the star discrepancy.  It takes the distinct points in increasing order
+by the three-distance theorem, with steps read off the continued
+fraction of alpha, so nothing is sorted; a rational orbit's full periods
+only offset the maxima.  Each step is one of three, so once three O(1)
+checks show that no enclosure lies near 0, 1 or another, the integer
+enclosure of the next point and both maximized quantities move by one
+of three constants; prec doubles until the checks hold, which exact
+enclosures of a rational alpha do at once.  That walk is a rotation of
+Z/(a+b) with a hole, so the maxima are one max-plus product taken by
+Rauzy induction in O(log N) steps, with no exact floor or sign test and
+no walk over the points.
 """
 
 from __future__ import annotations
@@ -281,7 +283,9 @@ def kronecker_find(
 def _walk_steps(alpha: ExactReal, N: int) -> tuple[int, int]:
     """Indices (a, b) in 1..N-1 of the least and the greatest {n*alpha}.
 
-    For N >= 2 and an irrational alpha in (0, 1).  The one-sided best
+    For N >= 2 and an alpha in (0, 1) whose first N points are
+    distinct: an irrational one, or c/d with N <= d, whose convergents
+    reach q_k = d >= N before they end.  The one-sided best
     approximations of alpha have denominators q_{n-2} + t*q_{n-1},
     t = 0..a_n (q_{-2} = 1, q_{-1} = 0), and lie above alpha for an
     odd n and below it for an even one, so {c*alpha} is then near 1 or
@@ -304,40 +308,43 @@ def orbit_discrepancy(alpha: ExactReal, N: int) -> Fraction:
     """Rigorous rational upper bound on the star discrepancy of
     {i*alpha mod 1 : i = 0..N-1}.
 
-    Rational alpha = c/d is computed exactly over the common
-    denominator N*d.  With N = q*d + s, the residue i*c mod d occurs
-    q + 1 times for i < s and q times for the other i < d, and a run of
-    m equal points from the j-th gives the larger of (j+m)*d - N*r and
-    N*r - j*d.  The residues are taken in order, all d of them when
-    q > 0 and the N sorted ones otherwise: O(min(N, d)).
-
-    For an irrational alpha the points are taken in increasing order
-    with no sort.  By the three-distance theorem (Sos 1958) the
-    neighbour above {i*alpha} is {(i+a)*alpha} when i + a < N, else
+    Write N = q*d + n for a rational alpha = c/d, and q = 0, n = N for
+    an irrational one.  Every residue r/d then occurs q times, and the
+    first n points, which are distinct, occur once more; for n < 2 the
+    bound is (q + n)/N.  Otherwise the n points are taken in increasing
+    order with no sort.  By the three-distance theorem (Sos 1958) the
+    neighbour above {i*alpha} is {(i+a)*alpha} when i + a < n, else
     {(i-b)*alpha} when i >= b, else {(i+a-b)*alpha}, where a and b
     index the least and the greatest point (`_walk_steps`).  Each point
-    gets an integer enclosure at prec bits: with [a_lo, a_hi] the
-    enclosure of alpha*2^prec and width = a_hi - a_lo, {i*alpha}*2^prec
-    lies in [r, r + i*width], r = i*a_lo mod 2^prec.  The discrepancy
-    formula is maximized over the enclosure endpoints, so the result
-    can only overestimate.
+    gets an integer enclosure: with [a_lo, a_lo + width] that of
+    alpha*unit, {i*alpha}*unit lies in [r, r + i*width],
+    r = i*a_lo mod unit.  A rational alpha takes the exact triple
+    (unit, a_lo, width) = (d, c, 0), an irrational one unit = 2^prec.
+    The discrepancy formula is maximized over the enclosure endpoints,
+    so the result can only overestimate.
 
-    With r_x = x*a_lo mod 2^prec, the checks N*width < r_a,
-    r_a + a*width < r_b (unless a == b, at N = 2) and
-    r_b + (b + N)*width < 2^prec put the least point's enclosure far
+    With r_x = x*a_lo mod unit, the checks n*width < r_a,
+    r_a + a*width < r_b (unless a == b, at n = 2) and
+    r_b + (b + n)*width < unit put the least point's enclosure far
     from 0, the greatest one's far from 1, and keep any two enclosures
-    apart.  prec starts at 2*log2(N) + 64 and doubles until they hold.
-    That ends: {a*alpha} > 0, 1 - {b*alpha} > 0 and their difference
-    are fixed distances, while N*width/2^prec halves per bit.  Then
-    every step of the walk moves both maximized quantities by the
-    constant of its kind, and the walk is the rotation x -> x + a of
-    Z/(a+b) restricted to 0..N-1: a step of i by a - b is a step by a
-    into the hole N..a+b-1 and one by -b out of it.  The rotation's
-    three arcs [0, N-a), [N-a, b) and [b, a+b) are three elements
-    (changes of the two quantities, their greatest sampled prefix sums)
-    of a max-plus monoid, and the maxima are their product along one
-    period from 0, taken by Rauzy induction in O(log N) steps
-    (`_period_word`).
+    apart.  For a rational alpha they hold at once: the n < d points
+    are distinct and r_a is not 0.  Otherwise prec starts at
+    2*log2(n) + 64 and doubles until they hold.  That ends:
+    {a*alpha} > 0, 1 - {b*alpha} > 0 and their difference are fixed
+    distances, while n*width/2^prec halves per bit.  Then every step of
+    the walk moves both maximized quantities by the constant of its
+    kind, and the walk is the rotation x -> x + a of Z/(a+b) restricted
+    to 0..n-1: a step of i by a - b is a step by a into the hole
+    n..a+b-1 and one by -b out of it.  The rotation's three arcs
+    [0, n-a), [n-a, b) and [b, a+b) are three elements (changes of the
+    two quantities, their greatest sampled prefix sums) of a max-plus
+    monoid, and the maxima are their product along one period from 0,
+    taken by Rauzy induction in O(log n) steps (`_period_word`).
+
+    The q full periods only offset the first quantity: q*(p_k + 1) + k + 1
+    points lie at or below p_k, the k-th smallest of the n points scaled
+    by d, so over N*d the quantities there are q*d + (k+1)*d - n*p_k and
+    n*p_k - k*d, and both are monotone between the n points.
 
     A bound whose numerator or denominator has more than MAX_DIGITS
     digits raises SizeLimit.
@@ -346,49 +353,41 @@ def orbit_discrepancy(alpha: ExactReal, N: int) -> Fraction:
         raise ValueError("N must be at least 1")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    q, n, exact = 0, N, None
     if alpha.is_rational():
         c, d = alpha.as_rational().as_integer_ratio()
-        q, s = divmod(N, d)
-        if q:
-            counts = [q] * d  # the multiplicity of each residue
-            for i in range(s):
-                counts[i * c % d] += 1
-            runs = enumerate(counts)
-        else:
-            runs = ((r, 1) for r in sorted(i * c % d for i in range(N)))
-        best = j = 0  # over N*d
-        for r, m in runs:
-            best = max(best, (j + m) * d - N * r, N * r - j * d)
-            j += m
-        bound = Fraction(best, N * d)
-        _check_digits("discrepancy bound", *bound.as_integer_ratio())
-        return bound
-    if N == 1:
-        return Fraction(1)  # the one point 0
-    a, b = _walk_steps(alpha, N)
-    prec = 2 * N.bit_length() + 64
-    while True:
-        unit = 1 << prec
-        a_lo, a_hi = alpha._enclosure_scaled(prec)
-        width = a_hi - a_lo
-        r_a, r_b = a * a_lo % unit, b * a_lo % unit
-        if N * width < r_a and (a == b or r_a + a * width < r_b) and r_b + (b + N) * width < unit:
-            break
-        prec *= 2
-    g_a, g_b = r_a, unit - r_b
-    step_a = (unit - N * g_a, N * (g_a + a * width) - unit)
-    step_b = (unit - N * g_b, N * (g_b - b * width) - unit)
-    # the arcs [0, N-a), [N-a, b), [b, a+b) of Z/(a+b) and the
-    # elements (dlo, dhi, mlo, mhi) of their steps; a step into the
-    # hole reaches no point, so j does not advance and nothing is
-    # sampled
-    lengths = [N - a, a + b - N, a]
-    words = [step_a + step_a, (step_a[0] - unit, step_a[1] + unit, None, None), step_b + step_b]
-    # the maxima of (j+1)*unit - N*f_lo and N*f_hi - j*unit, which are
-    # unit and 0 at the point 0; the period's last step, from b back to
-    # 0, samples those start values again
-    _, _, m_lo, m_hi = _period_word(lengths, words)
-    bound = Fraction(max(unit + m_lo, m_hi), N * unit)
+        q, n = divmod(N, d)
+        exact = d, c, 0
+    if n < 2:
+        bound = Fraction(q + n, N)  # the point 0 occurs q + n times, every other one q times
+    else:
+        a, b = _walk_steps(alpha, n)
+        prec = 2 * n.bit_length() + 64
+        while True:
+            if exact:
+                unit, a_lo, width = exact
+            else:
+                unit = 1 << prec
+                a_lo, a_hi = alpha._enclosure_scaled(prec)
+                width = a_hi - a_lo
+            r_a, r_b = a * a_lo % unit, b * a_lo % unit
+            if n * width < r_a and (a == b or r_a + a * width < r_b) and r_b + (b + n) * width < unit:
+                break
+            prec *= 2
+        g_a, g_b = r_a, unit - r_b
+        step_a = (unit - n * g_a, n * (g_a + a * width) - unit)
+        step_b = (unit - n * g_b, n * (g_b - b * width) - unit)
+        # the arcs [0, n-a), [n-a, b), [b, a+b) of Z/(a+b) and the
+        # elements (dlo, dhi, mlo, mhi) of their steps; a step into the
+        # hole reaches no point, so j does not advance and nothing is
+        # sampled
+        lengths = [n - a, a + b - n, a]
+        words = [step_a + step_a, (step_a[0] - unit, step_a[1] + unit, None, None), step_b + step_b]
+        # the maxima of (j+1)*unit - n*f_lo and n*f_hi - j*unit: unit and
+        # 0 at the point 0, sampled again by the period's last step, from
+        # b back to 0; the q full periods add q*unit to the first
+        _, _, m_lo, m_hi = _period_word(lengths, words)
+        bound = Fraction(max((q + 1) * unit + m_lo, m_hi), N * unit)
     _check_digits("discrepancy bound", *bound.as_integer_ratio())
     return bound
 

@@ -480,7 +480,7 @@ class _Parser:
 
     def expect(self, text: str):
         if self.toks[self.i] != text:
-            self.fail(f"expected {text!r}")
+            self.fail(f"expected keyword {text!r}" if text.isidentifier() else f"expected {text!r}")
         self.i += 1
 
     def accept_num(self) -> int | None:

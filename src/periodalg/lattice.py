@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from operator import index
 
 from .errors import DimensionMismatch, DivisionByZero, EmptyInput, FrozenRecord, UnknownRadicand
@@ -46,20 +45,21 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _hnf(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], int]:
+def _hnf(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], tuple[int, ...]]:
     """Row-style HNF of the matrix `rows` on its first `width` columns.
 
-    Returns (H, rank): the first `rank` rows of H are in echelon form
-    on those columns, with positive pivots and entries above each pivot
-    reduced into [0, pivot), and every later row is zero on them.  Any
-    columns past `width` are carried through the same row operations,
-    which is how `cut` reads its kernel for `intersect` and
-    `funcalg.period_module`.
+    Returns (H, pivots): the first len(pivots) rows of H are in echelon
+    form on those columns, row i with a positive pivot in column
+    pivots[i] and the entries above each pivot reduced into [0, pivot),
+    and every later row is zero on them.  Any columns past `width` are
+    carried through the same row operations, which is how `cut` reads
+    its kernel for `intersect` and `funcalg.period_module`.
     """
     m = len(rows)
     a = [list(r) for r in rows]
-    rank = 0
+    pivots = []
     for col in range(width):
+        rank = len(pivots)
         pivot = None
         for i in range(rank, m):
             if a[i][col]:
@@ -84,8 +84,8 @@ def _hnf(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], in
             q = a[i][col] // p
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return a, rank
+        pivots.append(col)
+    return a, tuple(pivots)
 
 
 class CoeffLattice:
@@ -103,12 +103,9 @@ class CoeffLattice:
         for g in gens:
             if len(g) != k:
                 raise DimensionMismatch(f"generator {g} has length {len(g)}, want {k}")
-        h, rank = _hnf([g for g in gens if any(g)], k)
+        h, self._pivots = _hnf([g for g in gens if any(g)], k)
         self.basis = basis
-        self.hnf: tuple[Vector, ...] = tuple(tuple(r) for r in h[:rank])
-        self._pivots: tuple[int, ...] = tuple(
-            next(j for j, x in enumerate(row) if x) for row in self.hnf
-        )
+        self.hnf: tuple[Vector, ...] = tuple(tuple(r) for r in h[: len(self._pivots)])
         self.dim = k
 
     @property
@@ -190,8 +187,8 @@ def cut(lat: CoeffLattice, values: Sequence[Vector], moduli: Sequence[Vector]) -
         return lat
     n = len(values[0])
     rows = [v + h for v, h in zip(values, lat.hnf)] + [m + (0,) * lat.dim for m in moduli]
-    h, rank = _hnf(rows, n)
-    return CoeffLattice([row[n:] for row in h[rank:]], lat.basis)
+    h, pivots = _hnf(rows, n)
+    return CoeffLattice([row[n:] for row in h[len(pivots) :]], lat.basis)
 
 
 def intersect(lat1: CoeffLattice, lat2: CoeffLattice) -> CoeffLattice:
@@ -212,13 +209,6 @@ class Dense(FrozenRecord):
     """The periods generate a dense subgroup of the reals."""
 
     __slots__ = ()
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(
-        gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
 
 
 def classify_group(periods: Sequence[ExactReal]) -> Discrete | Dense:
@@ -243,5 +233,6 @@ def classify_group(periods: Sequence[ExactReal]) -> Discrete | Dense:
         if r is None:
             return Dense()
         ratios.append(r)
-    g = reduce(_frac_gcd, ratios)
+    # fractions in lowest terms: the gcd is gcd(numerators)/lcm(denominators)
+    g = Fraction(gcd(*(r.numerator for r in ratios)), lcm(*(r.denominator for r in ratios)))
     return Discrete(abs(ref.scale(g)))

@@ -105,10 +105,6 @@ class _ScenarioParser(funcalg._Parser):
         pos = self.offset(i)
         return self.text.count("\n", 0, pos) + 1, pos - self.text.rfind("\n", 0, pos)
 
-    def expect_keyword(self, word: str):
-        if not self.accept(word):
-            self.fail(f"expected keyword {word!r}")
-
     def expect_name(self) -> str:
         name = self.peek()
         if not (name.isidentifier() and name.isascii()):
@@ -165,7 +161,7 @@ class _ScenarioParser(funcalg._Parser):
         self.sc.name = name[1:-1]
 
     def parse_basis_literal(self) -> RadicalBasis:
-        self.expect_keyword("basis")
+        self.expect("basis")
         self.expect("(")
         rads = []
         while True:
@@ -195,7 +191,7 @@ class _ScenarioParser(funcalg._Parser):
         i = self.i - 1  # the 'domain' keyword
         name = self.fresh_name()
         self.expect("=")
-        self.expect_keyword("lattice")
+        self.expect("lattice")
         self.expect("[")
         vectors = []
         while True:
@@ -208,7 +204,7 @@ class _ScenarioParser(funcalg._Parser):
             if not self.accept(","):
                 break
         self.expect("]")
-        self.expect_keyword("over")
+        self.expect("over")
         if self.peek() == "basis":
             basis = self.parse_basis_literal()
         else:
@@ -227,7 +223,7 @@ class _ScenarioParser(funcalg._Parser):
 
     def stmt_pattern(self):
         name = self.fresh_name()
-        self.expect_keyword("mod")
+        self.expect("mod")
         modulus = self.real_expr()
         self.expect("=")
         intervals = []
@@ -271,10 +267,8 @@ class _ScenarioParser(funcalg._Parser):
             if fallback is not None:
                 if not self.accept(lead):
                     continue  # run_scenario fills it in
-            elif lead == ",":
-                self.expect(",")
             elif lead:
-                self.expect_keyword(lead)
+                self.expect(lead)
             args[slot] = self.read(reader)
         self.sc.analyses.append(Analysis(kind=kind, args=args))
 

@@ -637,7 +637,7 @@ def test_kronecker_least_q_at_a_100_bit_bound():
         assert got == (q, [(q * U - v) // P])
 
 
-def test_discrepancy_rational_orbits_exact():
+def test_discrepancy_rational_orbits_exact(monkeypatch):
     assert orbit_discrepancy(ExactReal.rational(Fraction(1, 3)), 3) == Fraction(1, 3)
     assert orbit_discrepancy(ExactReal.rational(Fraction(1, 2)), 4) == Fraction(1, 2)
     assert orbit_discrepancy(ExactReal.rational(Fraction(1, 7)), 7) == Fraction(1, 7)
@@ -645,14 +645,35 @@ def test_discrepancy_rational_orbits_exact():
     assert orbit_discrepancy(ExactReal.rational(Fraction(1, 3)), 10**9) == Fraction(
         166666667, 500000000
     )
-    # the counted residues (N >= d) and the sorted ones (N < d) against
-    # the sort of all N points
+    # N >= d and N < d against the sort of all N points
     rng = random.Random(7005)
     for _ in range(300):
         d = rng.randint(2, 60)
         alpha = ExactReal.rational(Fraction(rng.randint(1, d - 1), d))
         N = rng.choice([rng.randint(1, d), rng.randint(1, 400)])
         assert orbit_discrepancy(alpha, N) == sorted_orbit_discrepancy(alpha, N), (alpha, N)
+    # N = q*d + n: the n < d distinct points take one Rauzy-induction
+    # product, offset by the q full periods, and n < 2 takes none
+    calls = count_calls(monkeypatch, ("_period_word",))
+    for d in (1999, 2000, *(rng.randint(3, 2000) for _ in range(6))):
+        alpha = ExactReal.rational(Fraction(rng.randint(1, d - 1), d))
+        d = alpha.as_rational().denominator
+        for N in (d - 1, d, d + 1, 2 * d + 1, 3 * d - 1, 4 * d + 2, 5 * d):
+            calls.update(_period_word=0)
+            assert orbit_discrepancy(alpha, N) == sorted_orbit_discrepancy(alpha, N), (alpha, N)
+            assert calls["_period_word"] == (N % d >= 2), (alpha, N)
+    # min(N, d) > 2^63; at N = d + 1 only 0 occurs twice
+    d = 10**30 + 7
+    alpha = ExactReal.rational(Fraction(1, d))
+    assert orbit_discrepancy(alpha, d + 1) == Fraction(2, d + 1)
+    # with N = q*d + n, k/d occurs q + 1 times for k < n: the worst
+    # interval is [0, (n-1)/d], holding (q + 1)*n of the N points
+    for N in (3 * d + 10**20, 5 * d + 2, 10**20):
+        q, n = divmod(N, d)
+        assert orbit_discrepancy(alpha, N) == Fraction((q + n) * d - n * (n - 1), N * d), N
+    # n = 1 takes no walk, yet its bound is size-checked too
+    with pytest.raises(SizeLimit, match=f"^discrepancy bound exceeds the limit of {MAX_DIGITS} digits$"):
+        orbit_discrepancy(ExactReal.rational(Fraction(1, 3)), 3 * 10**4400 + 1)
 
 
 def test_discrepancy_golden_frozen_value():
