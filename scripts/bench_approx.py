@@ -31,8 +31,8 @@ c + sqrt(d)/2^k over 1 with k up to 400.  `compare N...` times x < y
 on the same pairs, each repeat on fresh copies that keep no comparison
 box yet.
 It prints one JSON line per case with the fastest of --repeat
-wall-clock timings and checks each result: the first quotients against
-a Fraction expansion of a 64-digit decimal enclosure, each Dirichlet
+wall-clock timings and checks each result: every quotient against
+integer Euclid on the ends of a decimal enclosure, each Dirichlet
 witness by the exact signs of eps - r and eps + r for its residual r
 = m*T1 + n*T2 - target, q <= q0 for
 Kronecker (the library re-verifies its witness exactly), the
@@ -72,28 +72,32 @@ def fastest(fn, repeat: int):
     return best, out
 
 
-def leading_quotients(rads, digits: int = 64, count: int = 10) -> list[int]:
-    """First quotients shared by both ends of a decimal enclosure."""
-    unit = 10**digits
-    lo = sum(isqrt(d * unit * unit) for d in rads)
-    ends = [Fraction(lo, unit), Fraction(lo + len(rads), unit)]
-    out = []
-    while len(out) < count:
-        a = [e.numerator // e.denominator for e in ends]
-        if a[0] != a[1]:
-            raise ValueError("enclosure too wide")
-        out.append(a[0])
-        ends = [1 / (e - a[0]) for e in ends]
-    return out
+def leading_quotients(rads, count: int) -> list[int]:
+    """The first `count` quotients of the sum of sqrt(d) over rads: Euclid
+    on both ends of a decimal enclosure, which lie strictly on either
+    side of the sum, with 64 digits doubled until they share that many."""
+    digits = 64
+    while True:
+        unit = 10**digits
+        lo = sum(isqrt(d * unit * unit) for d in rads)
+        (n0, d0), (n1, d1) = (lo, unit), (lo + len(rads), unit)
+        out = []
+        while len(out) < count and d0 and d1 and n0 // d0 == n1 // d1:
+            a = n0 // d0
+            out.append(a)
+            n0, d0, n1, d1 = d0, n0 - a * d0, d1, n1 - a * d1
+        if len(out) == count:
+            return out
+        digits *= 2
 
 
 def bench_cfrac(depths, repeat: int) -> None:
     for n, rads in RADICANDS.items():
         x = sum((ExactReal.sqrt(d) for d in rads), ExactReal.rational(0))
-        head = leading_quotients(rads)
+        want = leading_quotients(rads, max(depths))
         for depth in depths:
             t, cf = fastest(lambda: continued_fraction(x, depth), repeat)
-            assert list(cf.quotients[:10]) == head[: min(depth, 10)], cf.quotients[:10]
+            assert list(cf.quotients) == want[:depth], (n, depth)
             print(json.dumps({"kind": "cfrac", "radicands": n, "depth": depth, "seconds": t}))
 
 

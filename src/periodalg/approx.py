@@ -2,7 +2,8 @@
 
 Continued fractions come from `exactreal.quotients`, the one Euclid on
 enclosures: every quotient both ends of an enclosure of x/y share is a
-quotient of x/y.  No field element is inverted.  On top of them sit
+quotient of x/y, and after a doubling Euclid resumes past the quotients
+already yielded.  No field element is inverted.  On top of them sit
 two witness finders: `dirichlet_find` produces integers m, n with
 m*T1 + n*T2 within eps of a target (density of T1*Z + T2*Z for an
 irrational ratio), and `kronecker_find` produces a simultaneous
@@ -11,13 +12,14 @@ candidates q are the first hits of an integer rotation, found by a
 Euclid-style recursion instead of a scan over q.  Both decide from
 rigorous integer enclosures taken once, never floats, and take exact
 sign tests only where the enclosures cannot decide: `dirichlet_find`
-bounds each residual q*T2 - p*T1 from the enclosures of T1, T2 and
-eps.  Both verify their witnesses by exact comparisons before
-returning.  Neither has an iteration or precision cap: every
-refinement loop ends because enclosure widths halve per bit while the
-quantity they must separate is a fixed distance away, or, for a
-residual equal to eps, because the exact test takes over once the
-bound is narrow.  A convergent, witness integer or discrepancy bound
+skips the convergents that Khinchin's lower bound on |q*theta - p|
+keeps from eps, then bounds each residual q*T2 - p*T1 from the
+enclosures of T1, T2 and eps.  Both verify their witnesses by exact
+comparisons before returning.  Neither has an iteration or precision
+cap: every refinement loop ends because enclosure widths halve per bit
+while the quantity they must separate is a fixed distance away, or,
+for a residual equal to eps, because the exact test takes over once
+the bound is narrow.  A convergent, witness integer or discrepancy bound
 with more than MAX_DIGITS decimal digits raises SizeLimit.
 
 `orbit_discrepancy` measures how evenly the rotation orbit {i*alpha}
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from itertools import chain
 
 from .errors import CommensurableInput, DivisionByZero, EmptyInput, FrozenRecord, NotFound
 from .exactreal import INITIAL_PRECISION, ExactReal, _check_digits, commensurable, quotients
@@ -109,12 +112,20 @@ def dirichlet_find(
     witness.  Nothing divides: theta's quotients and the rounding are
     both read by `quotients`.
 
-    Each |u| < eps is decided on integers: T1, T2 and eps are enclosed
-    once at a shared 2^prec, and u*2^prec lies between q*t2_lo and
-    q*t2_hi less the extreme ends of p*[t1_lo, t1_hi].  A bound clear
-    of eps's enclosure decides.  One that straddles it doubles prec for
-    this and every later convergent while it is at least a quarter of
-    eps wide; a narrower one compares -eps < u < eps exactly, so
+    Most convergents are hopeless, and are skipped before any enclosure
+    product: |q*theta - p| > 1/(q + q_next) (Khinchin, *Continued
+    Fractions*, 1964, Thm. 13), so |u| > eps while q + q_next <= K, for
+    K = floor(|T1|/eps) read once by `//`.  The sign of T1 comes from its
+    64-bit box, with no sign test; when the box holds 0, K = 0 and no
+    convergent is skipped.  The walk looks one convergent ahead for
+    q_next only until the first convergent it keeps.
+
+    On each convergent kept, |u| < eps is decided on integers: T1, T2
+    and eps are enclosed once at a shared 2^prec, and u*2^prec lies
+    between q*t2_lo and q*t2_hi less the extreme ends of
+    p*[t1_lo, t1_hi].  A bound clear of eps's enclosure decides.  One
+    that straddles it doubles prec for this and every later convergent
+    while it is at least a quarter of eps wide; a narrower one compares -eps < u < eps exactly, so
     |u| == eps is decided too.  u is built as an ExactReal only for
     that comparison and at the witness, which is re-checked the same
     way; a failed re-check is an internal error, not a reason to
@@ -130,12 +141,22 @@ def dirichlet_find(
         raise CommensurableInput(
             "T1 and T2 are commensurable; T1*Z + T2*Z is discrete, not dense"
         )
+    # |u| = |T1|*|q*theta - p| > |T1|/(q + q_next) >= eps while
+    # q + q_next <= K <= |T1|/eps, so no such convergent is enclosed
+    lo, hi = T1._boxed()
+    K = T1 // eps if lo > 0 else -T1 // eps if hi < 0 else 0
+    # T2/T1 is irrational, so the convergents never run out
+    steps = ((p, q) for _, p, q in _convergents(T2, T1))
+    p, q = next(steps)
+    for p_next, q_next in steps:
+        if q + q_next > K:
+            break
+        p, q = p_next, q_next
     prec = INITIAL_PRECISION
     (t1_lo, t1_hi), (t2_lo, t2_hi), (e_lo, e_hi) = (
         x._enclosure_scaled(prec) for x in (T1, T2, eps)
     )
-    # T2/T1 is irrational, so the convergents never run out
-    for _, p, q in _convergents(T2, T1):
+    for p, q in chain(((p, q), (p_next, q_next)), steps):
         while True:
             # q > 0, and p has either sign
             lo = q * t2_lo - max(p * t1_lo, p * t1_hi)

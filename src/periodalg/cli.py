@@ -5,10 +5,12 @@
 
 `run` executes one scenario file and prints its report to stdout; the
 report is a pure function of the scenario text, so repeated runs emit
-identical bytes.  Timing goes to stderr only.  Exit codes: 0 success,
-2 scenario problem (unreadable file, unwritable --json file, syntax,
-names, missing options), 3 analysis failure (also a report integer too
-long for Python's integer string limit).
+identical bytes.  Timing goes to stderr only: `# timing read` for
+parsing the scenario (domains are built then), one `# timing [i]` line
+per analysis, and `# timing total` for the analyses.  Exit codes: 0
+success, 2 scenario problem (unreadable file, unwritable --json file,
+syntax, names, missing options), 3 analysis failure (also a report
+integer too long for Python's integer string limit).
 
 `selfcheck` re-runs the bundled scenarios and compares their reports
 byte-for-byte against the frozen expected output; a divergence names
@@ -103,11 +105,13 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
+    t0 = time.perf_counter()
     try:
         sc = parse_scenario(text, default_name=path.stem)
     except PeriodalgError as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 2
+    read = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     try:
@@ -129,6 +133,7 @@ def _cmd_run(args) -> int:
     sys.stdout.write(text)
     if payload is not None and not _write(args.json, payload):
         return 2
+    print(f"# timing read: {read * 1000:.3f} ms", file=sys.stderr)
     for idx, (kind, dt) in enumerate(report.timings, 1):
         print(f"# timing [{idx}] {kind}: {dt * 1000:.3f} ms", file=sys.stderr)
     print(f"# timing total: {total * 1000:.3f} ms", file=sys.stderr)

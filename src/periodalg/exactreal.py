@@ -574,7 +574,12 @@ def quotients(x: ExactReal, y: ExactReal) -> Iterator[int]:
     strictly between; r -> 1/(r - a) is monotone between two ends that
     share a, so each quotient they share is x/y's, yielded at once.
     When they part, or while y's enclosure holds 0, prec doubles from
-    INITIAL_PRECISION and Euclid restarts past the quotients yielded.
+    INITIAL_PRECISION.  The enclosures are nested, so the new ends lie
+    between the old ones, in the cylinder of the quotients yielded, and
+    Euclid resumes past them: with [[p1, p0], [q1, q0]] the convergent
+    matrix of those quotients and det = p1*q0 - p0*q1 = +-1, an end
+    (n, d) moves to (det*(q0*n - p0*d), det*(p1*d - q1*n)), the state
+    Euclid reaches on it after them.
     """
     c = Fraction(0) if x.is_zero() else commensurable(x, y)
     if c is not None:
@@ -584,7 +589,8 @@ def quotients(x: ExactReal, y: ExactReal) -> Iterator[int]:
             yield a
             n, d = d, r
         return
-    done = 0
+    # the convergent matrix of the quotients yielded; q1 > 0 after one
+    p1, p0, q1, q0, det = 1, 0, 0, 1, 1
     prec = INITIAL_PRECISION
     while True:
         x_lo, x_hi = x._enclosure_scaled(prec)
@@ -597,13 +603,13 @@ def quotients(x: ExactReal, y: ExactReal) -> Iterator[int]:
         # the least and the greatest ratio of the two enclosures
         n_lo, d_lo = x_lo, y_hi if x_lo >= 0 else y_lo
         n_hi, d_hi = x_hi, y_lo if x_hi >= 0 else y_hi
-        k = 0  # quotients shared at this prec
+        if q1:  # a floor, done at its first quotient, never gets here
+            n_lo, d_lo = det * (q0 * n_lo - p0 * d_lo), det * (p1 * d_lo - q1 * n_lo)
+            n_hi, d_hi = det * (q0 * n_hi - p0 * d_hi), det * (p1 * d_hi - q1 * n_hi)
         while d_lo and d_hi:
             a, r_lo = divmod(n_lo, d_lo)
             if n_hi // d_hi != a:
                 break
-            if k == done:
-                yield a
-                done += 1
-            k += 1
+            yield a
+            p1, p0, q1, q0, det = a * p1 + p0, p1, a * q1 + q0, q1, -det
             n_lo, d_lo, n_hi, d_hi = d_lo, r_lo, d_hi, n_hi - a * d_hi

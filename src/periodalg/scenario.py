@@ -352,7 +352,9 @@ def _json(value, newline: str) -> str:
     and ints rendered by `int.__repr__`, as `json.dumps` does, so an int
     past the interpreter's digit limit raises the same ValueError.  A
     report holds only str, int, bool, None, lists and dicts with str
-    keys; anything else is a TypeError.
+    keys; anything else is a TypeError.  A container writes its plain
+    str and int members itself, with no call per leaf; subclasses of
+    either, such as bool, take the call.
     """
     if isinstance(value, str):
         return _encode_str(value)
@@ -369,13 +371,28 @@ def _json(value, newline: str) -> str:
         if not value:
             return "{}"
         body = ("," + inner).join(
-            [_encode_str(k) + ": " + _json(v, inner) for k, v in value.items()]
+            [
+                _encode_str(k) + ": " + (
+                    _encode_str(v) if type(v) is str
+                    else int.__repr__(v) if type(v) is int
+                    else _json(v, inner)
+                )
+                for k, v in value.items()
+            ]
         )
         return "{" + inner + body + newline + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + newline + "]"
+        body = ("," + inner).join(
+            [
+                _encode_str(v) if type(v) is str
+                else int.__repr__(v) if type(v) is int
+                else _json(v, inner)
+                for v in value
+            ]
+        )
+        return "[" + inner + body + newline + "]"
     raise TypeError(f"a report holds no {type(value).__name__}")
 
 

@@ -881,7 +881,8 @@ def fraction_commensurable(x: FractionMapReal, y: FractionMapReal) -> Fraction |
 def fraction_quotients(x: FractionMapReal, y: FractionMapReal) -> Iterator[int]:
     """Partial quotients of x/y, y != 0: Euclid on a rational ratio, else
     lockstep Euclid on the ends of the enclosures, prec doubling from
-    INITIAL_PRECISION past the quotients already yielded."""
+    INITIAL_PRECISION and Euclid restarting from the first quotient,
+    yielding only past the quotients already yielded."""
     c = Fraction(0) if x.is_zero() else fraction_commensurable(x, y)
     if c is not None:
         n, d = c.numerator, c.denominator

@@ -326,8 +326,21 @@ def random_dirichlet_case(rng: random.Random):
 
 
 def test_dirichlet_matches_fresh_residual_loop():
+    # the walk skips the convergents with q + q_next <= floor(|T1|/eps)
+    # unseen, and the oracle tests every one exactly; at eps = 10^-4 to
+    # 10^-200, more random cases, and T1 of either sign whose 64-bit box
+    # holds 0, where nothing is skipped
     rng = random.Random(5604)
     cases = [random_dirichlet_case(rng) for _ in range(150)]
+    k = 70
+    tiny = ExactReal.sqrt(2) - ExactReal.rational(Fraction(math.isqrt(2 << 2 * k), 2**k))
+    lo, hi = tiny._enclosure_scaled(64)
+    assert lo <= 0 <= hi
+    s3, s5 = ExactReal.sqrt(3), ExactReal.sqrt(5)
+    for digits in (4, 40, 80, 200):
+        eps = ExactReal.rational(Fraction(1, 10**digits))
+        cases += [random_dirichlet_case(rng)[:3] + (eps,) for _ in range(6)]
+        cases += [(tiny, s3, s5, eps), (-tiny, s5.scale(-2), ExactReal.rational(Fraction(7, 3)), eps)]
     for T1, T2, target, eps in cases:
         assert commensurable(T1, T2) is None
         assert dirichlet_find(T1, T2, target, eps) == fresh_residual_dirichlet_find(
@@ -393,6 +406,20 @@ def test_dirichlet_decides_from_enclosures(monkeypatch):
         assert dirichlet_find(one, s2, s3, eps) == want
         monkeypatch.undo()
         assert calls[0] == {4: 0, 40: 3, 80: 3}[digits], digits
+
+
+def test_khinchin_bound_on_convergents():
+    # 1/(q + q_next) < |q*theta - p| < 1/q_next at every convergent p/q
+    # of an irrational theta (Khinchin, *Continued Fractions*, Thm. 13),
+    # exactly; dirichlet_find skips by the lower bound
+    rng = random.Random(3602)
+    for _ in range(30):
+        theta = random_multiquadratic(rng, rng.randint(1, 3))
+        steps = list(islice(_convergents(theta), 25))
+        for (_, p, q), (_, _, q_next) in zip(steps, steps[1:]):
+            r = abs(theta.scale(q) - p)
+            assert ExactReal.rational(Fraction(1, q + q_next)) < r, (theta, q)
+            assert r < ExactReal.rational(Fraction(1, q_next)), (theta, q)
 
 
 def test_results_past_the_digit_limit_raise():

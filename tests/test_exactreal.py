@@ -346,6 +346,49 @@ def test_a_shared_quotient_is_yielded_at_once(monkeypatch):
     assert x.floor() == (-x).floor() + 7 == 3
 
 
+def test_resumed_quotients_match_the_restarting_oracle(monkeypatch):
+    # after each doubling quotients moves the new ends past the quotients
+    # already yielded by their convergent matrix; the Fraction oracle
+    # restarts Euclid from the first quotient.  The same quotients to
+    # depth 1000, from enclosures at the same precisions: random ratios
+    # over 1-3 radicands, negative divisors, a divisor whose 64-bit box
+    # holds 0, and 3 + sqrt(2)/2^200, whose low end at 64 bits is 3
+    rng = random.Random(3601)
+    one = ExactReal.rational(1)
+    k = 70
+    straddle = ExactReal.sqrt(3) - ExactReal.rational(Fraction(math.isqrt(3 << 2 * k), 2**k))
+    lo, hi = straddle._enclosure_scaled(64)
+    assert lo <= 0 <= hi
+    near_three = ExactReal.rational(3) + ExactReal.sqrt(2).scale(Fraction(1, 2**200))
+    cases = [(near_three, one), (near_three, -one), (one, straddle), (ExactReal.sqrt(5), -straddle)]
+    while len(cases) < 40:
+        basis = RadicalBasis(rng.sample([2, 3, 5, 6, 7, 10, 11], rng.randint(1, 3)))
+        x, y = random_element(rng, basis), random_element(rng, basis)
+        if not x.is_zero() and not y.is_zero() and commensurable(x, y) is None:
+            cases.append((x, y))
+    assert any(y.sign() < 0 for _, y in cases)
+    oracle_precs: list[int] = []
+    real = FractionMapReal.enclosure_scaled
+
+    def recorded(self, prec):
+        oracle_precs.append(prec)
+        return real(self, prec)
+
+    monkeypatch.setattr(FractionMapReal, "enclosure_scaled", recorded)
+    precs = _enclosures_taken(monkeypatch)
+    deepest = 0
+    for i, (x, y) in enumerate(cases):
+        depth = 1000 if i % 4 == 0 else rng.randint(1, 1000)
+        precs.clear()
+        oracle_precs.clear()
+        got = list(itertools.islice(quotients(x, y), depth))
+        fx, fy = FractionMapReal.of(x), FractionMapReal.of(y)
+        assert got == list(itertools.islice(fraction_quotients(fx, fy), depth)), (x, y)
+        assert precs == oracle_precs, (x, y)
+        deepest = max(deepest, *precs)
+    assert deepest >= 4096
+
+
 def test_floor_division_edge_cases():
     s2 = ExactReal.sqrt(2)
     zero = ExactReal.rational(0)

@@ -6,8 +6,10 @@ import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -797,6 +799,33 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     failing.write_text('scenario "x";\nanalyze discrepancy sqrt(2) n 50;\n')
     assert cli.main(["run", str(failing)]) == 3
     capsys.readouterr()
+
+
+def test_cli_run_times_reading_on_stderr(tmp_path, capsys, monkeypatch):
+    # reading the scenario gets its own timing line, ahead of the
+    # analyses' lines; stdout and the --json bytes do not carry it
+    scn = tmp_path / "ok.scn"
+    scn.write_text(BASIC)
+    report = run_scenario(parse_scenario(BASIC, default_name="ok"))
+
+    def slow_parse(text, default_name):
+        time.sleep(0.2)
+        return parse_scenario(text, default_name=default_name)
+
+    monkeypatch.setattr(cli, "parse_scenario", slow_parse)
+    out = tmp_path / "ok.json"
+    assert cli.main(["run", str(scn), "--json", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == report.to_text()
+    assert out.read_text() == report.to_json()
+    lines = captured.err.splitlines()
+    assert len(lines) == len(report.results) + 2
+    read = re.fullmatch(r"# timing read: (\d+\.\d{3}) ms", lines[0])
+    total = re.fullmatch(r"# timing total: (\d+\.\d{3}) ms", lines[-1])
+    assert read and total, lines
+    assert float(read[1]) >= 200 > float(total[1])
+    for idx, (line, res) in enumerate(zip(lines[1:-1], report.results), 1):
+        assert line.startswith(f"# timing [{idx}] {res['kind']}: "), line
 
 
 def test_cli_flag_validation(tmp_path, capsys):
